@@ -2,11 +2,13 @@
 
 For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
-unconstrained positive-semidefinite solve on the quotient graph.  The
-energy is reported per cell volume T^d under one of two edge-counting
-conventions: "double" counts every undirected orbit from both endpoints
-(the energy written as a sum over ordered pairs), "single" counts each
-orbit once; the double value is exactly twice the single one.
+unconstrained positive-semidefinite solve on the quotient graph with the
+graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is d
+conjugate-gradient solves against that one L.  The energy is reported per
+cell volume T^d under one of two edge-counting conventions: "double" counts
+every undirected orbit from both endpoints (the energy written as a sum over
+ordered pairs), "single" counts each orbit once; the double value is exactly
+twice the single one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidDirection, NoConvergence
 
@@ -64,26 +65,11 @@ def assemble_quotient_system(graph, z):
     L is the weighted quotient-graph Laplacian (offsets ignored for the
     coupling pattern), b collects weight * (z . geometric d-displacement)
     over oriented orbit incidences, and c is the affine part's energy.
+    L is the graph's cached matrix, shared by every caller: read-only.
     """
     z = _check_direction(graph, z)
-    n = graph.n_cell
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    c = 0.0
-    for orb in graph.orbits:
-        i = graph.node_index(orb.u)
-        j = graph.node_index(orb.v)
-        dd, _ = orb.displacement(graph.T)
-        g = float(z @ np.asarray(dd, dtype=float))
-        w = orb.weight
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [w, w, -w, -w]
-        b[j] += w * g
-        b[i] -= w * g
-        c += w * g * g
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return L, b, c
+    op = graph.operator
+    return op.L, op.B @ z, float(z @ op.C @ z)
 
 
 def solve_corrector(L, b, tol=1e-10, max_iterations=None):
@@ -93,7 +79,7 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None):
     orthogonal to constants by construction.  The mean is projected out every
     step so roundoff cannot drift along the kernel.  Stops when
     ||L chi + b|| <= tol * ||b|| (or <= tol for b = 0); raises NoConvergence
-    at 10 * n iterations.
+    at 10 * n iterations, or on breakdown (p.Lp <= 0: L indefinite).
     """
     n = b.shape[0]
     project = lambda v: v - v.mean()
@@ -105,10 +91,11 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None):
     p = r.copy()
     rs = r @ r
     cap = max_iterations if max_iterations is not None else 10 * n
-    for _ in range(cap):
+    for it in range(cap):
         Lp = L @ p
         denom = p @ Lp
         if denom <= 0:
+            stop = f"broke down at iteration {it} (p.Lp = {denom:.3e} <= 0)"
             break
         alpha = rs / denom
         x = project(x + alpha * p)
@@ -118,19 +105,19 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None):
             return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)))
         p = r + (rs_new / rs) * p
         rs = rs_new
+    else:
+        stop = f"hit the {cap}-iteration cap"
     achieved = float(np.linalg.norm(L @ x + b))
     if achieved <= target:
         return CorrectorField(x, np.array([]), achieved)
-    raise NoConvergence(
-        f"corrector CG hit the {cap}-iteration cap (residual {achieved:.3e})",
-        residual=achieved)
+    raise NoConvergence(f"corrector CG {stop} (residual {achieved:.3e})", residual=achieved)
 
 
 def corrector(graph, z, tol=1e-10):
     """Solve the cell problem for direction z."""
     z = _check_direction(graph, z)
-    L, b, _ = assemble_quotient_system(graph, z)
-    field = solve_corrector(L, b, tol=tol)
+    op = graph.operator
+    field = solve_corrector(op.L, op.B @ z, tol=tol)
     field.direction = z
     return field
 
@@ -139,9 +126,9 @@ def cell_energy(graph, z, corrector_field, convention="double"):
     """Energy per cell volume of the corrected field, under `convention`."""
     z = _check_direction(graph, z)
     factor = convention_factor(convention)
-    L, b, c = assemble_quotient_system(graph, z)
+    op = graph.operator
     chi = corrector_field.values
-    value = float(chi @ (L @ chi) + 2.0 * (b @ chi) + c)
+    value = float(chi @ (op.L @ chi) + 2.0 * ((op.B @ z) @ chi) + z @ op.C @ z)
     return factor * value / graph.T ** graph.d
 
 
@@ -151,28 +138,16 @@ def f_hom(graph, z, tol=1e-10, convention="double"):
 
 
 def homogenized_tensor(graph, tol=1e-10, convention="double"):
-    """Assemble A with A z.z = f_hom(z) via axis solves plus polarization.
+    """A with A z.z = f_hom(z), from the d axis correctors X (L X = -B).
 
-    Diagonal entries come from the coordinate directions; off-diagonal
-    entries from f_hom(e_m + e_n) by the polarization identity, which is
-    exact for quadratic forms.
+    A = factor / T^d * sym(C + B^T X + X^T B + X^T L X) is the energy of the
+    corrected fields, so its error is quadratic in the CG residual; sym makes
+    A[m, n] == A[n, m] exactly.
     """
-    d = graph.d
-    A = np.zeros((d, d))
-    axis_corr = []
-    diag = []
-    for m in range(d):
-        e = np.zeros(d)
-        e[m] = 1.0
-        ch = corrector(graph, e, tol=tol)
-        axis_corr.append(ch)
-        diag.append(cell_energy(graph, e, ch, convention=convention))
-        A[m, m] = diag[m]
-    for m in range(d):
-        for nn in range(m + 1, d):
-            e = np.zeros(d)
-            e[m] = 1.0
-            e[nn] = 1.0
-            fmn = f_hom(graph, e, tol=tol, convention=convention)
-            A[m, nn] = A[nn, m] = 0.5 * (fmn - diag[m] - diag[nn])
-    return HomogenizedTensor(A, convention, tol, tuple(axis_corr))
+    op = graph.operator
+    fields = [corrector(graph, e, tol=tol) for e in np.eye(graph.d)]
+    X = np.column_stack([f.values for f in fields])
+    BX = op.B.T @ X
+    A = op.C + BX + BX.T + X.T @ (op.L @ X)
+    A = convention_factor(convention) / graph.T ** graph.d * 0.5 * (A + A.T)
+    return HomogenizedTensor(A, convention, tol, tuple(fields))

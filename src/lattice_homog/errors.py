@@ -32,9 +32,9 @@ class InvalidDirection(LatticeError):
 
 
 class NoConvergence(LatticeError):
-    """An iterative solve hit its iteration cap.
+    """An iterative solve hit its iteration cap or broke down.
 
-    `residual` holds the norm achieved when the cap was hit.
+    `residual` holds the norm achieved when the solve stopped.
     """
 
     def __init__(self, message, residual=None):

@@ -12,7 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import CellOutOfWindow, DisconnectedGraph, EmptyWindow, UnknownNode
 
@@ -109,6 +113,11 @@ class LatticeGraph:
     def n_cell(self):
         return len(self.nodes)
 
+    @cached_property
+    def operator(self):
+        """The graph's PeriodicOperator, built on first use and then shared."""
+        return PeriodicOperator(self)
+
     def node_index(self, node):
         try:
             return self._index[node]
@@ -132,6 +141,37 @@ class LatticeGraph:
             dd, dk = orb.displacement(self.T)
             R = max(R, max(abs(c) for c in dd + dk))
         return R
+
+
+class PeriodicOperator:
+    """Orbit arrays and single-count cell quadratic data, shared and read-only.
+
+    Orbit e joins node u[e] to node v[e] + offset with weight w[e] and
+    d-displacement disp[e].  With D the incidence matrix (row e: -1 at u[e],
+    +1 at v[e]) and W = diag(w), the energy of z . x + chi is
+    chi^T L chi + 2 (B z) . chi + z^T C z, where L = D^T W D (n x n),
+    B = D^T W disp (n x d) and C = disp^T W disp (d x d).
+    """
+
+    def __init__(self, graph):
+        n, d, index = graph.n_cell, graph.d, graph._index
+        rows = [(index[o.u], index[o.v], o.weight) + o.offset for o in graph.orbits]
+        table = np.array(rows, dtype=float).reshape(-1, 3 + d)
+        self.u, self.v = table[:, :2].T.astype(np.intp)
+        self.w = table[:, 2].copy()
+        pos = np.array([node.dpos for node in graph.nodes], dtype=float).reshape(n, d)
+        self.disp = pos[self.v] + graph.T * table[:, 3:] - pos[self.u]
+
+        E = len(self.w)
+        ends = np.column_stack([self.u, self.v]).ravel()
+        D = sp.csr_matrix((np.tile([-1.0, 1.0], E), (np.repeat(np.arange(E), 2), ends)),
+                          shape=(E, n))
+        wdisp = self.w[:, None] * self.disp
+        self.L = (D.T @ sp.diags(self.w) @ D).tocsr()
+        self.B = D.T @ wdisp
+        self.C = self.disp.T @ wdisp
+        for a in (self.u, self.v, self.w, self.disp, self.B, self.C, self.L.data):
+            a.flags.writeable = False
 
 
 def neighbors(graph, node):
@@ -198,15 +238,20 @@ def _hnf_rows(vectors, d):
     return basis
 
 
-def _quotient_components(graph):
-    adj = {i: set() for i in range(graph.n_cell)}
+def _neighbor_lists(graph):
+    """Per cell node, (neighbour index, cell offset) for both ends of every orbit."""
+    nbrs = [[] for _ in range(graph.n_cell)]
     for orb in graph.orbits:
         a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = [False] * graph.n_cell
+        nbrs[a].append((b, orb.offset))
+        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    return nbrs
+
+
+def _quotient_components(nbrs):
+    seen = [False] * len(nbrs)
     comps = []
-    for s in range(graph.n_cell):
+    for s in range(len(nbrs)):
         if seen[s]:
             continue
         comp = []
@@ -215,7 +260,7 @@ def _quotient_components(graph):
         while queue:
             x = queue.popleft()
             comp.append(x)
-            for y in adj[x]:
+            for y, _ in nbrs[x]:
                 if not seen[y]:
                     seen[y] = True
                     queue.append(y)
@@ -223,20 +268,15 @@ def _quotient_components(graph):
     return comps
 
 
-def _window_bfs_paths(graph, radius):
+def _window_bfs_paths(nbrs, d, radius):
     """BFS shortest paths from (cell 0, node) over a window of +-radius cells.
 
     Returns parent maps keyed by (node index, cell tuple) per source node.
     """
     parents = []
     inside = lambda cell: all(-radius <= c <= radius for c in cell)
-    nbrs = [[] for _ in range(graph.n_cell)]
-    for orb in graph.orbits:
-        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        nbrs[a].append((b, orb.offset))
-        nbrs[b].append((a, tuple(-o for o in orb.offset)))
-    zero = (0,) * graph.d
-    for s in range(graph.n_cell):
+    zero = (0,) * d
+    for s in range(len(nbrs)):
         par = {(s, zero): None}
         queue = deque([(s, zero)])
         while queue:
@@ -268,11 +308,12 @@ def connectedness_certificate(graph, raise_on_failure=True):
     decided exactly from the reduced integer basis of the cycle-offset
     subgroup.  On success the result carries, for every ordered node pair and
     every unit translation e_m, a shortest witness path found by BFS on a
-    window of +-4 cells.
+    window of +-r cells, r starting at 4 and doubling until every witness fits.
     """
     if graph.n_cell == 0:
         raise ValueError("graph has no nodes")
-    comps = _quotient_components(graph)
+    nbrs = _neighbor_lists(graph)
+    comps = _quotient_components(nbrs)
     quotient_ok = len(comps) == 1
 
     lattice_index = 0
@@ -280,11 +321,6 @@ def connectedness_certificate(graph, raise_on_failure=True):
     if quotient_ok:
         # spanning-tree potentials, then fundamental cycle offsets
         pot = {0: (0,) * graph.d}
-        nbrs = [[] for _ in range(graph.n_cell)]
-        for orb in graph.orbits:
-            a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-            nbrs[a].append((b, orb.offset))
-            nbrs[b].append((a, tuple(-o for o in orb.offset)))
         queue = deque([0])
         while queue:
             x = queue.popleft()
@@ -308,18 +344,19 @@ def connectedness_certificate(graph, raise_on_failure=True):
     connected = quotient_ok and lattice_index == 1
     witnesses = {}
     if connected:
-        parents = _window_bfs_paths(graph, radius=4)
-        for si, src in enumerate(graph.nodes):
-            for tj, tgt in enumerate(graph.nodes):
-                for m in range(graph.d):
-                    cell = tuple(1 if mm == m else 0 for mm in range(graph.d))
-                    key = (tj, cell)
-                    if key not in parents[si]:
-                        raise DisconnectedGraph(
-                            f"no path from {src} to {tgt} shifted by e_{m+1} "
-                            "within a 4-cell window", reason="window-bfs")
-                    path = _extract_path(parents[si], key)
-                    witnesses[(src, tgt, m)] = [(graph.nodes[x], c) for x, c in path]
+        units = [tuple(1 if mm == m else 0 for mm in range(graph.d)) for m in range(graph.d)]
+        wanted = [(si, tj, m) for si in range(graph.n_cell)
+                  for tj in range(graph.n_cell) for m in range(graph.d)]
+        # every witness exists in a connected graph, so the doubling ends
+        radius = 4
+        parents = _window_bfs_paths(nbrs, graph.d, radius)
+        while not all((tj, units[m]) in parents[si] for si, tj, m in wanted):
+            radius *= 2
+            parents = _window_bfs_paths(nbrs, graph.d, radius)
+        for si, tj, m in wanted:
+            path = _extract_path(parents[si], (tj, units[m]))
+            witnesses[(graph.nodes[si], graph.nodes[tj], m)] = [
+                (graph.nodes[x], c) for x, c in path]
 
     result = ConnectivityResult(connected, quotient_ok, lattice_index,
                                 [[graph.nodes[i] for i in comp] for comp in comps],

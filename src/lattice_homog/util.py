@@ -1,25 +1,9 @@
 """Small shared helpers."""
 
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def max_workers():
-    """Worker cap from LATTICE_HOMOG_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("LATTICE_HOMOG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when the env cap allows it."""
-    items = list(items)
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving map over independent study rows, run in this thread.
+
+    The rows are GIL-bound, so a pool measured slower; bench/ traces this name.
+    """
+    return [fn(x) for x in items]

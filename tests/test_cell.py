@@ -12,11 +12,18 @@ from lattice_homog import (
     f_hom,
     graph_from_edges,
     homogenized_tensor,
+    normalize_period,
     solve_corrector,
 )
 from lattice_homog.cell import convention_factor
+from lattice_homog.graph import PeriodicOperator
 
-from conftest import skew_lattice, square_lattice
+from conftest import (
+    layered_square_lattice,
+    random_square_lattice,
+    skew_lattice,
+    square_lattice,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +55,67 @@ def test_assemble_bad_direction(chain):
         assemble_quotient_system(chain, [1.0, 2.0])
     with pytest.raises(InvalidDirection):
         assemble_quotient_system(chain, [float("nan")])
+
+
+def _per_orbit_assembly(graph, z):
+    """Reference (L, b, c): one orbit at a time, from EdgeOrbit.displacement."""
+    n = graph.n_cell
+    L, b, c = np.zeros((n, n)), np.zeros(n), 0.0
+    for orb in graph.orbits:
+        i, j = graph.node_index(orb.u), graph.node_index(orb.v)
+        g = float(np.dot(z, orb.displacement(graph.T)[0]))
+        w = orb.weight
+        L[i, i] += w
+        L[j, j] += w
+        L[i, j] -= w
+        L[j, i] -= w
+        b[j] += w * g
+        b[i] -= w * g
+        c += w * g * g
+    return L, b, c
+
+
+def test_operator_matches_per_orbit_assembly(examples, rng):
+    graphs = list(examples.values()) + [layered_square_lattice(),
+                                        random_square_lattice(4, rng)]
+    for g in graphs:
+        for _ in range(3):
+            z = rng.standard_normal(g.d)
+            L, b, c = assemble_quotient_system(g, z)
+            L_ref, b_ref, c_ref = _per_orbit_assembly(g, z)
+            assert np.allclose(L.toarray(), L_ref, rtol=0, atol=1e-12)
+            assert np.allclose(b, b_ref, rtol=0, atol=1e-12)
+            assert c == pytest.approx(c_ref, rel=1e-12)
+
+
+def test_operator_is_lazy_and_read_only(rng):
+    g = random_square_lattice(3, rng)
+    assert "operator" not in vars(g)
+    op = g.operator
+    assert g.operator is op
+    with pytest.raises(ValueError):
+        op.L.data[0] = 0.0
+    with pytest.raises(ValueError):
+        op.B[0, 0] = 0.0
+
+
+def test_operator_built_once_per_graph(monkeypatch, rng):
+    built = []
+    init = PeriodicOperator.__init__
+
+    def counting_init(self, graph):
+        built.append(graph)
+        init(self, graph)
+
+    monkeypatch.setattr(PeriodicOperator, "__init__", counting_init)
+    g = random_square_lattice(4, rng)
+    first = homogenized_tensor(g)
+    op = g.operator
+    second = homogenized_tensor(g)
+    f_hom(g, [1.0, -0.5])
+    assemble_quotient_system(g, [0.0, 1.0])
+    assert len(built) == 1 and g.operator is op
+    assert np.array_equal(first.entries, second.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +157,14 @@ def test_corrector_iteration_cap(examples):
     with pytest.raises(NoConvergence) as err:
         solve_corrector(L, b, tol=1e-14, max_iterations=0)
     assert err.value.residual > 0
+
+
+def test_corrector_breakdown_names_itself(examples):
+    L, b, _ = assemble_quotient_system(examples["ex4"], [1.0])
+    with pytest.raises(NoConvergence, match="broke down at iteration 0") as err:
+        solve_corrector(-L, b)
+    assert "residual" in str(err.value)
+    assert err.value.residual == pytest.approx(np.linalg.norm(b), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +280,34 @@ def test_tensor_skew_lattice_polarization(rng):
         z = rng.standard_normal(2)
         direct = f_hom(g, z)
         assert abs(t.quadratic_form(z) - direct) <= 1e-8 * max(abs(direct), 1e-12)
+
+
+def test_tensor_layered_lattice_exact():
+    t = homogenized_tensor(normalize_period(layered_square_lattice(), 8))
+    expect = np.array([[20.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 14.0 / 3.0]])
+    assert np.all(np.abs(t.entries - expect) <= 1e-9 * np.abs(expect))
+    assert t.entries[0, 1] == t.entries[1, 0]
+
+
+def test_tensor_quadratic_form_equals_f_hom_multi_node(rng):
+    g = random_square_lattice(4, rng)
+    t = homogenized_tensor(g)
+    assert t.entries[0, 1] == t.entries[1, 0]
+    for _ in range(20):
+        z = rng.standard_normal(2)
+        direct = f_hom(g, z)
+        assert abs(t.quadratic_form(z) - direct) <= 1e-9 * abs(direct)
+
+
+def test_tensor_matches_oracle(examples, rng):
+    graphs = dict(examples, layered=layered_square_lattice(),
+                  random=random_square_lattice(4, rng))
+    for name, g in graphs.items():
+        A = homogenized_tensor(g).entries
+        directions = list(np.eye(g.d)) + ([np.ones(g.d)] if g.d > 1 else [])
+        for z in directions:
+            ref = brute_force_cell_oracle(g, z)
+            assert abs(z @ A @ z - ref) <= 1e-9 * abs(ref), (name, z)
 
 
 def test_tensor_records_metadata(examples):

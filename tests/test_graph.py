@@ -92,6 +92,17 @@ def test_certificate_double_helix(examples):
         assert path[-1] == (node, (1,))
 
 
+def test_validate_widens_witness_window():
+    # lattice index gcd(9, 10) = 1, but the e_1 witness 0 -> -9 -> 1 leaves +-4 cells
+    g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                           ((0,), (0,), (10,), 1.0)])
+    report = validate(g)
+    assert [c.name for c in report.checks if not c.passed] == ["range-bound"]  # R=10 > T=1
+    path = connectedness_certificate(g).witnesses[(g.nodes[0], g.nodes[0], 0)]
+    assert path[0][1] == (0,) and path[-1][1] == (1,)
+    assert max(abs(c[0]) for _, c in path) > 4
+
+
 def test_certificate_parallel_chains_quotient_disconnected():
     g = graph_from_edges(1, 1, 1, [(0, 0), (0, 1)],
                          [((0, 0), (0, 0), (1,), 1.0),

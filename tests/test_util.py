@@ -1,35 +1,11 @@
-import numpy as np
-
-from lattice_homog.asymptotic import convergence_study
 from lattice_homog.coarse import check_two_connectedness
-from lattice_homog.util import max_workers, parallel_map
+from lattice_homog.util import parallel_map
 
 from conftest import square_lattice
 
 
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("LATTICE_HOMOG_THREADS", raising=False)
-    assert max_workers() == 1
-    monkeypatch.setenv("LATTICE_HOMOG_THREADS", "4")
-    assert max_workers() == 4
-    monkeypatch.setenv("LATTICE_HOMOG_THREADS", "junk")
-    assert max_workers() == 1
-    monkeypatch.setenv("LATTICE_HOMOG_THREADS", "0")
-    assert max_workers() == 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("LATTICE_HOMOG_THREADS", "3")
+def test_parallel_map_preserves_order():
     assert parallel_map(lambda x: x * x, range(7)) == [x * x for x in range(7)]
-
-
-def test_threaded_study_matches_sequential(examples, monkeypatch):
-    g = examples["ex4"]
-    monkeypatch.delenv("LATTICE_HOMOG_THREADS", raising=False)
-    seq = convergence_study(g, [1.0], [2, 4, 8])
-    monkeypatch.setenv("LATTICE_HOMOG_THREADS", "3")
-    par = convergence_study(g, [1.0], [2, 4, 8])
-    assert [r.value for r in seq.rows] == [r.value for r in par.rows]
 
 
 def test_two_dimensional_inequalities():
