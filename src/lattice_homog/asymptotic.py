@@ -5,6 +5,10 @@ box with every vertex within Euclidean distance 2*sqrt(d)*T of the box
 boundary pinned to the affine field z . i^d.  Interactions reaching one step
 outside the box are kept, with the outside endpoint held at its affine
 value; this makes the periodic cell value a true lower bound for every K.
+
+The window comes from the shared box enumerator (graph.instantiate_window)
+and its minimizer from the shared pinned-vertex solve (graph.pinned_solve),
+with the outside endpoints as pinned ghost vertices.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cell import convention_factor, f_hom
-from .errors import NoConvergence, WindowTooSmall
-from .graph import instantiate_window
+from .errors import WindowTooSmall
+from .graph import edge_energy, instantiate_window, laplacian, pinned_solve
 from .util import parallel_map
 
 
@@ -28,9 +30,10 @@ class WindowProblem:
     K: int
     direction: np.ndarray
     finite: object                  # clamped FiniteGraph over {0..K-1}^d cells
-    clamped: np.ndarray             # bool per vertex
-    affine: np.ndarray              # z . pos for every vertex
-    ghost_affine: np.ndarray        # z . pos for boundary (outside) endpoints
+    clamped: np.ndarray             # bool per vertex: window vertices, then ghosts
+    affine: np.ndarray              # z . position per vertex
+    ends: np.ndarray                # (E, 2) vertex pairs: window edges, then ghost edges
+    coef: np.ndarray                # 2 w per window edge (ordered pairs), w per ghost edge
 
 
 def boundary_layer_width(graph):
@@ -38,67 +41,30 @@ def boundary_layer_width(graph):
 
 
 def build_window_problem(graph, z, K):
-    """Set up the clamped K-window problem; K < 2 is a degenerate window."""
+    """Set up the clamped K-window problem; K < 2 is a degenerate window.
+
+    Ghosts (the outside ends of edges crossing the window boundary) are
+    pinned vertices after the window's own.
+    """
     if K < 2:
         raise WindowTooSmall("window needs K >= 2 (a single period is entirely "
                              "inside the clamped boundary layer)")
     z = np.asarray(z, dtype=float).reshape(-1)
     fg = instantiate_window(graph, [(0, K)] * graph.d, wrap="clamped")
     side = K * graph.T
-    layer = boundary_layer_width(graph)
-    clamped = np.zeros(len(fg.vertices), dtype=bool)
-    affine = np.zeros(len(fg.vertices))
-    for i, v in enumerate(fg.vertices):
-        dist = min(min(p, side - p) for p in v.pos_d)
-        clamped[i] = dist < layer
-        affine[i] = float(z @ np.asarray(v.pos_d, dtype=float))
-    ghost = np.array([float(z @ np.asarray(v.pos_d, dtype=float))
-                      for v in fg.boundary_vertices])
-    return WindowProblem(K, z, fg, clamped, affine, ghost)
+    dist = np.minimum(fg.vertices, side - fg.vertices).min(axis=1)
+    clamped = np.concatenate([dist < boundary_layer_width(graph),
+                              np.ones(len(fg.boundary_vertices), dtype=bool)])
+    affine = np.concatenate([fg.vertices, fg.boundary_vertices]) @ z
+    ends = np.concatenate([fg.edges, fg.ghost_edges + [0, len(fg.vertices)]])
+    coef = np.concatenate([2.0 * fg.weights, fg.ghost_weights])
+    return WindowProblem(K, z, fg, clamped, affine, ends, coef)
 
 
 def _solve_window(problem):
     """Values per vertex minimizing the clamped window energy."""
-    fg = problem.finite
-    values = problem.affine.copy()
-    free = np.flatnonzero(~problem.clamped)
-    if free.size == 0:
-        return values
-    col = -np.ones(len(fg.vertices), dtype=int)
-    col[free] = np.arange(free.size)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(free.size)
-    for a, b, w in fg.edges:
-        c = 2.0 * w  # ordered-pair (double) counting of interior orbits
-        ca, cb = col[a], col[b]
-        if ca >= 0 and cb >= 0:
-            rows += [ca, cb, ca, cb]
-            cols += [ca, cb, cb, ca]
-            vals += [c, c, -c, -c]
-        elif ca >= 0:
-            rows.append(ca)
-            cols.append(ca)
-            vals.append(c)
-            rhs[ca] += c * values[b]
-        elif cb >= 0:
-            rows.append(cb)
-            cols.append(cb)
-            vals.append(c)
-            rhs[cb] += c * values[a]
-    for a, gb, w in fg.ghost_edges:
-        ca = col[a]
-        if ca >= 0:
-            rows.append(ca)
-            cols.append(ca)
-            vals.append(w)
-            rhs[ca] += w * problem.ghost_affine[gb]
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
-    sol = spla.spsolve(A, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise NoConvergence("window solve produced non-finite values")
-    values[free] = sol
-    return values
+    L = laplacian(len(problem.affine), problem.ends, problem.coef)
+    return pinned_solve(L, problem.clamped, problem.affine)
 
 
 def window_energy(problem, values, convention="double"):
@@ -107,14 +73,7 @@ def window_energy(problem, values, convention="double"):
     Interior orbit instances count twice (ordered pairs), interactions into
     the affine ring once; the single-count value is exactly half.
     """
-    fg = problem.finite
-    e = 0.0
-    for a, b, w in fg.edges:
-        diff = values[a] - values[b]
-        e += 2.0 * w * diff * diff
-    for a, gb, w in fg.ghost_edges:
-        diff = values[a] - problem.ghost_affine[gb]
-        e += w * diff * diff
+    e = edge_energy(problem.ends, problem.coef, values)
     return float(convention_factor(convention) / 2.0 * e)
 
 
@@ -127,14 +86,9 @@ def finite_window_value(graph, z, K, convention="double"):
 
 
 def affine_energy_density(graph, z, convention="double"):
-    """Energy density of the uncorrected affine field z . i^d."""
+    """Energy density of the uncorrected affine field z . i^d: factor z^T C z / T^d."""
     z = np.asarray(z, dtype=float).reshape(-1)
-    total = 0.0
-    for orb in graph.orbits:
-        dd, _ = orb.displacement(graph.T)
-        g = float(z @ np.asarray(dd, dtype=float))
-        total += orb.weight * g * g
-    return convention_factor(convention) * total / graph.T ** graph.d
+    return convention_factor(convention) * float(z @ graph.operator.C @ z) / graph.T ** graph.d
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Boundary data are imposed on a band of lattice width r around the complement
 of the box domain, each constrained vertex carrying the average of the datum
 over its scaled unit cell.  Energies use the scaling eps^(d-2) and count
-ordered pairs, matching the homogenized tensor's double convention.
+ordered pairs, matching the homogenized tensor's double convention.  The
+vertices and edges come from the shared box enumerator (graph.position_box)
+and the minimizer from the shared pinned-vertex solve (graph.pinned_solve).
 """
 
 from __future__ import annotations
@@ -15,13 +17,11 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, coarse_field, hypothesis_norms
-from .errors import (DatumUndefined, EmptyInterior, NoConvergence,
-                     UnsupportedDimension)
+from .errors import DatumUndefined, EmptyInterior, UnsupportedDimension
+from .graph import edge_energy, laplacian, pinned_solve, position_box
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -71,10 +71,6 @@ def affine_datum(constant, gradient):
                          name=f"affine({constant}, {list(g)})")
 
 
-def _ceil_div(a, b):
-    return -((-a) // b)
-
-
 @dataclass
 class DirichletProblem:
     """Quadratic Dirichlet problem on the part of eps*X inside a box domain."""
@@ -106,7 +102,8 @@ class DirichletSystem:
     node_ids: np.ndarray
     constrained: np.ndarray     # bool mask
     boundary_values: np.ndarray
-    edges: list                 # (ia, ib, weight)
+    edges: np.ndarray           # (E, 2) vertex pairs, one row per orbit instance
+    weights: np.ndarray         # (E,)
 
 
 def build_system(problem):
@@ -117,56 +114,25 @@ def build_system(problem):
     datum.  Raises EmptyInterior when no vertex is left free.
     """
     g = problem.graph
-    eps, r = problem.eps, problem.r
+    inv = int(1 / problem.eps)
     # exact integer bounds: i with a <= eps*i <= b
-    inv = int(1 / eps)
-    bounds = []
-    for a, b in problem.omega:
-        lo_f = a * inv
-        hi_f = b * inv
-        bounds.append((_ceil_div(lo_f.numerator, lo_f.denominator),
-                       hi_f.numerator // hi_f.denominator))
-
-    positions, node_ids = [], []
-    index = {}
-    ranges = [range(lo, hi + 1) for lo, hi in bounds]
-    for pos in product(*ranges):
-        for ni, node in enumerate(g.nodes):
-            if all((p - q) % g.T == 0 for p, q in zip(pos, node.dpos)):
-                index[(pos, ni)] = len(positions)
-                positions.append(pos)
-                node_ids.append(ni)
-    if not positions:
+    lo = np.array([math.ceil(a * inv) for a, _ in problem.omega])
+    hi = np.array([math.floor(b * inv) for _, b in problem.omega])
+    positions, node_ids, edges, weights = position_box(g, lo, hi)
+    if not len(positions):
         raise EmptyInterior("domain contains no lattice vertex")
-
-    n = len(positions)
-    constrained = np.zeros(n, dtype=bool)
-    values = np.zeros(n)
-    for (pos, ni), i in index.items():
-        near = any(pos[m] - r < problem.omega[m][0] * inv
-                   or pos[m] + r > problem.omega[m][1] * inv
-                   for m in range(g.d))
-        if near:
-            constrained[i] = True
-            values[i] = problem.phi.cell_average(eps, pos)
-
-    edges = []
-    for (pos, ni), i in index.items():
-        for orb in g.orbits:
-            if g.node_index(orb.u) != ni:
-                continue
-            dd, _ = orb.displacement(g.T)
-            q = tuple(p + x for p, x in zip(pos, dd))
-            j = index.get((q, g.node_index(orb.v)))
-            if j is not None:
-                edges.append((i, j, orb.weight))
-
+    # for integer p: p - r < a/eps iff p - r < lo, and p + r > b/eps iff p + r > hi
+    constrained = np.any((positions - problem.r < lo) | (positions + problem.r > hi), axis=1)
     if constrained.all():
         raise EmptyInterior("every vertex is constrained")
     if not constrained.any():
         raise EmptyInterior("no vertex is constrained; the problem is singular")
-    return DirichletSystem(problem, np.array(positions, dtype=int),
-                           np.array(node_ids, dtype=int), constrained, values, edges)
+    # the datum is a scalar callable: one cell average per distinct band position
+    band, slot = np.unique(positions[constrained], axis=0, return_inverse=True)
+    averages = np.array([problem.phi.cell_average(problem.eps, p) for p in band], dtype=float)
+    values = np.zeros(len(positions))
+    values[constrained] = averages[slot.reshape(-1)]
+    return DirichletSystem(problem, positions, node_ids, constrained, values, edges, weights)
 
 
 def discretize_boundary_datum(phi, eps, graph, omega, r=0):
@@ -190,44 +156,12 @@ def solve_dirichlet(problem):
     system = build_system(problem)
     g = problem.graph
     eps = float(problem.eps)
-    scale = 2.0 * eps ** (g.d - 2)      # ordered pairs
-    n = len(system.positions)
-    values = system.boundary_values.copy()
-    free = np.flatnonzero(~system.constrained)
-    col = -np.ones(n, dtype=int)
-    col[free] = np.arange(free.size)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(free.size)
-    for a, b, w in system.edges:
-        c = scale * w
-        ca, cb = col[a], col[b]
-        if ca >= 0 and cb >= 0:
-            rows += [ca, cb, ca, cb]
-            cols += [ca, cb, cb, ca]
-            vals += [c, c, -c, -c]
-        elif ca >= 0:
-            rows.append(ca)
-            cols.append(ca)
-            vals.append(c)
-            rhs[ca] += c * values[b]
-        elif cb >= 0:
-            rows.append(cb)
-            cols.append(cb)
-            vals.append(c)
-            rhs[cb] += c * values[a]
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(free.size, free.size))
-    sol = spla.spsolve(A, rhs)
-    if not np.all(np.isfinite(sol)):
-        raise NoConvergence("Dirichlet solve produced non-finite values "
-                            "(disconnected free region?)")
-    values[free] = sol
-    energy = 0.0
-    for a, b, w in system.edges:
-        diff = values[a] - values[b]
-        energy += scale * w * diff * diff
+    coef = 2.0 * eps ** (g.d - 2) * system.weights     # ordered pairs
+    L = laplacian(len(system.positions), system.edges, coef)
+    values = pinned_solve(L, system.constrained, system.boundary_values)
     fn = LatticeFunction(g, system.positions, system.node_ids, values, eps)
     fn.constrained = system.constrained
-    return fn, float(energy)
+    return fn, edge_energy(system.edges, coef, values)
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +222,21 @@ def _fd_solve(A, omega, phi, h):
         for i in range(nx + 1):
             u[i, j] = phi([xs[i], ys[j]])
 
-    interior = [(i, j) for i in range(1, nx) for j in range(1, ny)]
-    col = {ij: c for c, ij in enumerate(interior)}
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(interior))
+    # the 9-point stencil as a grid graph: axis neighbours and both diagonals
     cxx = A[0, 0] / hx ** 2
     cyy = A[1, 1] / hy ** 2
     cxy = 2.0 * A[0, 1] / (4.0 * hx * hy)
-    stencil = [((1, 0), cxx), ((-1, 0), cxx), ((0, 1), cyy), ((0, -1), cyy),
-               ((1, 1), cxy), ((-1, -1), cxy), ((1, -1), -cxy), ((-1, 1), -cxy)]
-    for (i, j), c in col.items():
-        rows.append(c)
-        cols.append(c)
-        vals.append(2.0 * (cxx + cyy))
-        for (di, dj), coef in stencil:
-            if coef == 0.0:
-                continue
-            ii, jj = i + di, j + dj
-            if (ii, jj) in col:
-                rows.append(c)
-                cols.append(col[(ii, jj)])
-                vals.append(-coef)
-            else:
-                rhs[c] += coef * u[ii, jj]
-    if interior:
-        Mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(interior),) * 2)
-        sol = spla.spsolve(Mat, rhs)
-        for (i, j), c in col.items():
-            u[i, j] = sol[c]
+    index = np.arange(u.size).reshape(u.shape)
+    ends, coef = [], []
+    for (di, dj), c in (((1, 0), cxx), ((0, 1), cyy), ((1, 1), cxy), ((1, -1), -cxy)):
+        a = index[:nx + 1 - di, max(-dj, 0):ny + 1 - max(dj, 0)]
+        b = index[di:, max(dj, 0):ny + 1 - max(-dj, 0)]
+        ends.append(np.column_stack([a.ravel(), b.ravel()]))
+        coef.append(np.full(a.size, c))
+    boundary = np.ones(u.shape, dtype=bool)
+    boundary[1:-1, 1:-1] = False
+    u = pinned_solve(laplacian(u.size, np.concatenate(ends), np.concatenate(coef)),
+                     boundary.ravel(), u.ravel()).reshape(u.shape)
 
     # energy by midpoint quadrature of A grad u . grad u on grid cells
     gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2.0 * hx)

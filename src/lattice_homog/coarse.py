@@ -6,7 +6,10 @@ inequalities — adjacent cell means controlled by local edge differences, and
 per-cell deviation from the mean controlled by weighted edge differences —
 are verified empirically with constants computed from shortest-path structure,
 as is the domain-scale Poincare inequality for fields vanishing near the
-boundary.
+boundary.  Every box of vertices and edges comes from the shared box
+enumerator (graph.position_box, graph.CellBox), every energy is
+graph.edge_energy over its edge arrays, and the Poincare constant's matrix is
+the shared pinned-vertex reduction (graph.pinned_reduction).
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .errors import CellOutOfWindow, DisconnectedGraph
-from .graph import connectedness_certificate
+from .graph import (CellBox, connectedness_certificate, edge_energy, laplacian,
+                    pinned_reduction, position_box)
 
 
 @dataclass
@@ -55,9 +58,7 @@ class LatticeFunction:
 
 def function_on_window(fg, values, scale=1.0):
     """Wrap FiniteGraph vertex values as a LatticeFunction."""
-    positions = np.array([v.pos_d for v in fg.vertices], dtype=int)
-    node_ids = np.array([fg.graph.node_index(v.node) for v in fg.vertices], dtype=int)
-    return LatticeFunction(fg.graph, positions, node_ids, np.asarray(values, float), scale)
+    return LatticeFunction(fg.graph, fg.vertices, fg.node_ids, np.asarray(values, float), scale)
 
 
 def coarse_mean(u, cell):
@@ -267,78 +268,32 @@ class InequalityReport:
                 "witness": self.witness, "holds": bool(self.holds), **self.extra}
 
 
-class _Universe:
-    """All lattice vertices with d-coordinates in a box, plus their edges."""
-
-    def __init__(self, graph, box):
-        self.graph = graph
-        self.box = box
-        self.pos = []
-        self.node_ids = []
-        index = {}
-        ranges = [range(lo, hi + 1) for lo, hi in box]
-        for pos in product(*ranges):
-            for ni, node in enumerate(graph.nodes):
-                if all((p - q) % graph.T == 0 for p, q in zip(pos, node.dpos)):
-                    index[(pos, ni)] = len(self.pos)
-                    self.pos.append(pos)
-                    self.node_ids.append(ni)
-        self.index = index
-        self.edges = []         # (ia, ib, weight)
-        for (pos, ni), ia in index.items():
-            node = graph.nodes[ni]
-            for orb in graph.orbits:
-                if graph.node_index(orb.u) != ni:
-                    continue
-                dd, _ = orb.displacement(graph.T)
-                tpos = tuple(p + q for p, q in zip(pos, dd))
-                ib = index.get((tpos, graph.node_index(orb.v)))
-                if ib is not None:
-                    self.edges.append((ia, ib, orb.weight))
-        self.pos = np.array(self.pos, dtype=int)
-        self.node_ids = np.array(self.node_ids, dtype=int)
-
-    def n(self):
-        return len(self.pos)
-
-    def vertices_in(self, box):
-        m = np.ones(self.n(), dtype=bool)
-        for ax, (lo, hi) in enumerate(box):
-            m &= (self.pos[:, ax] >= lo) & (self.pos[:, ax] <= hi)
-        return m
-
-    def edge_subset(self, box):
-        mask = self.vertices_in(box)
-        return [(a, b, w) for a, b, w in self.edges if mask[a] and mask[b]]
-
-    def cell_mean(self, u, cell):
-        T = self.graph.T
-        box = [(c * T, (c + 1) * T - 1) for c in cell]
-        m = self.vertices_in(box)
-        return float(u[m].sum() / self.graph.n_cell)
-
-
-def _trial_field(seed, universe, t):
+def _trial_field(seed, pos, node_ids, t):
     """Deterministic per-trial families: gaussian, affine, indicator, checkerboard.
 
     Each trial draws from its own (seed, t)-keyed stream, so trials can run
-    in any order (or in parallel) without changing the outcome.
+    in any order without changing the outcome.
     """
     rng = np.random.default_rng((seed, t))
-    n = universe.n()
+    n = len(pos)
     fam = ("gaussian", "affine", "indicator", "checkerboard")[t % 4]
     if fam == "gaussian":
         return rng.standard_normal(n), fam
     if fam == "affine":
-        slope = rng.standard_normal(universe.graph.d)
-        vals = universe.pos @ slope + rng.standard_normal()
+        slope = rng.standard_normal(pos.shape[1])
+        vals = pos @ slope + rng.standard_normal()
         return vals, fam
     if fam == "indicator":
         vals = np.zeros(n)
         vals[rng.integers(n)] = 1.0
         return vals, fam
-    vals = ((universe.pos.sum(axis=1) + universe.node_ids) % 2).astype(float) * 2 - 1
+    vals = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
     return vals, fam
+
+
+def _inside(pos, lo, hi):
+    """Mask of the rows of `pos` with lo <= pos <= hi on every axis."""
+    return np.all((pos >= lo) & (pos <= hi), axis=1)
 
 
 def check_two_connectedness(graph, trials=200, seed=7):
@@ -350,28 +305,25 @@ def check_two_connectedness(graph, trials=200, seed=7):
     """
     consts = compute_path_constants(graph)
     T, d, M = graph.T, graph.d, consts.M
-    box = [(-(M - 1), 2 * T - 1 + (M - 1))] * d
-    uni = _Universe(graph, box)
+    pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
+    in_cell = _inside(pos, 0, T - 1)
     pairs = []
-    for m in range(d):
-        cell = (0,) * d
-        other = tuple(1 if mm == m else 0 for mm in range(d))
-        pbox = []
-        for mm in range(d):
-            hi_cell = 2 * T - 1 if mm == m else T - 1
-            pbox.append((-(M - 1), hi_cell + (M - 1)))
-        pairs.append((cell, other, uni.edge_subset(pbox)))
+    for other in np.eye(d, dtype=int):
+        inner = ends[_inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
+        pairs.append((tuple(other.tolist()), _inside(pos, T * other, T * other + T - 1),
+                      inner, np.full(len(inner), 2.0)))
 
     worst, witness = 0.0, ""
     for t in range(trials):
-        u, fam = _trial_field(seed, uni, t)
-        for cell, other, edges in pairs:
-            lhs = (uni.cell_mean(u, cell) - uni.cell_mean(u, other)) ** 2
-            rhs = 2.0 * sum((u[a] - u[b]) ** 2 for a, b, _ in edges)
+        u, fam = _trial_field(seed, pos, node_ids, t)
+        for other, in_other, inner, coef in pairs:
+            lhs = (float(u[in_cell].sum() / graph.n_cell)
+                   - float(u[in_other].sum() / graph.n_cell)) ** 2
+            rhs = edge_energy(inner, coef, u)
             ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
                                           else lhs / (consts.C_two * rhs))
             if ratio > worst:
-                worst, witness = ratio, f"trial {t} ({fam}), pair {cell}->{other}"
+                worst, witness = ratio, f"trial {t} ({fam}), pair {(0,) * d}->{other}"
     return InequalityReport("two-connectedness", consts.C_two, worst, trials, witness)
 
 
@@ -379,25 +331,24 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy."""
     consts = compute_path_constants(graph)
     T, d, M = graph.T, graph.d, consts.M
-    box = [(-(M - 1), 2 * T - 1 + (M - 1))] * d
-    uni = _Universe(graph, box)
-    cells = [(0,) * d]
+    pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
+                                                [2 * T - 1 + (M - 1)] * d)
+    cells = [np.zeros(d, dtype=int)]
     if T - 1 + (M - 1) >= 2 * T - 1:   # a second full enlarged cell fits
-        cells.append(tuple(1 if mm == 0 else 0 for mm in range(d)))
+        cells.append(np.eye(d, dtype=int)[0])
     cell_data = []
     for cell in cells:
-        cbox = [(cell[mm] * T - (M - 1), (cell[mm] + 1) * T - 1 + (M - 1))
-                for mm in range(d)]
-        inbox = [(cell[mm] * T, (cell[mm] + 1) * T - 1) for mm in range(d)]
-        cell_data.append((cell, uni.vertices_in(inbox), uni.edge_subset(cbox)))
+        keep = _inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
+        cell_data.append((tuple(cell.tolist()), _inside(pos, cell * T, (cell + 1) * T - 1),
+                          ends[keep], 2.0 * weights[keep]))
 
     worst, witness = 0.0, ""
     for t in range(trials):
-        u, fam = _trial_field(seed, uni, t)
-        for cell, mask, edges in cell_data:
+        u, fam = _trial_field(seed, pos, node_ids, t)
+        for cell, mask, inner, coef in cell_data:
             mean = float(u[mask].sum() / graph.n_cell)
             lhs = float(((u[mask] - mean) ** 2).sum())
-            rhs = 2.0 * sum(w * (u[a] - u[b]) ** 2 for a, b, w in edges)
+            rhs = edge_energy(inner, coef, u)
             ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
                                           else lhs / (consts.C_pw * rhs))
             if ratio > worst:
@@ -430,52 +381,39 @@ def check_poincare(graph, widths, trials=100, seed=7):
 
     Domains are boxes of `width` cells per axis at scale eps = 1; admissible
     fields vanish where the distance to the domain boundary is <= 2 sqrt(d) T.
-    Reports the empirical constant, the exact sharp constant (inverse of the
-    smallest eigenvalue of the constrained weighted Laplacian, which is also
-    fed back in as an extremal trial), and the constant normalized by the
-    squared diameter.
+    Reports the empirical constant, the sharp constant and the constant
+    normalized by the squared diameter.  The sharp constant is the inverse
+    Rayleigh quotient of the extremal field, the lowest eigenvector of the
+    constrained weighted Laplacian (sparse shift-invert from a fixed start
+    vector, so runs repeat exactly); that field is also the first trial.
     """
     d, T = graph.d, graph.T
     layer = 2.0 * math.sqrt(d) * T
     reports = []
     for width in widths:
         W = width * T
-        uni = _Universe(graph, [(0, W)] * d)
-        dist = np.minimum(uni.pos, W - uni.pos).min(axis=1).astype(float)
+        pos, node_ids, ends, weights = position_box(graph, [0] * d, [W] * d)
+        coef = 2.0 * weights
+        dist = np.minimum(pos, W - pos).min(axis=1).astype(float)
         free = dist > layer
         nf = int(free.sum())
         if nf == 0:
             raise ValueError(f"width {width} leaves no admissible vertex")
-        col = -np.ones(uni.n(), dtype=int)
-        col[free] = np.arange(nf)
-        B = np.zeros((nf, nf))
-        for a, b, w in uni.edges:
-            ca, cb = col[a], col[b]
-            c = 2.0 * w
-            if ca >= 0 and cb >= 0:
-                B[ca, ca] += c
-                B[cb, cb] += c
-                B[ca, cb] -= c
-                B[cb, ca] -= c
-            elif ca >= 0:
-                B[ca, ca] += c
-            elif cb >= 0:
-                B[cb, cb] += c
-        evals, evecs = scipy.linalg.eigh(B)
-        c_sharp = 1.0 / float(evals[0])
-        extremal = np.zeros(uni.n())
-        extremal[free] = evecs[:, 0]
+        A, _ = pinned_reduction(laplacian(len(pos), ends, coef), ~free, np.zeros(len(pos)))
+        extremal = np.zeros(len(pos))
+        extremal[free] = (spla.eigsh(A, k=1, sigma=0, v0=np.ones(nf))[1][:, 0]
+                          if nf > 1 else 1.0)
+        c_sharp = float(extremal @ extremal) / edge_energy(ends, coef, extremal)
 
         worst, witness = 0.0, ""
         fields = [("extremal", extremal),
                   ("tent", np.maximum(dist - layer, 0.0))]
         for t in range(trials):
-            u, fam = _trial_field(seed + width, uni, t)
-            u = u * free
-            fields.append((f"trial {t} ({fam})", u))
+            u, fam = _trial_field(seed + width, pos, node_ids, t)
+            fields.append((f"trial {t} ({fam})", u * free))
         for fam, u in fields:
             lhs = float(u @ u)
-            rhs = 2.0 * sum(w * (u[a] - u[b]) ** 2 for a, b, w in uni.edges)
+            rhs = edge_energy(ends, coef, u)
             if lhs == 0:
                 continue
             ratio = math.inf if rhs == 0 else lhs / rhs
@@ -496,6 +434,9 @@ def hypothesis_norms(u, domain):
 
     Returns (eps^d sum |u_i|^2, sum over interior adjacent cell pairs of the
     unweighted edge energy over the M-enlarged pair boxes, scaled eps^(d-2)).
+    The pair sum is taken edge by edge: each edge's energy counts once per
+    interior pair whose box holds both of its ends, and those counts are box
+    sums of a summed-area table over the interior pairs.
     """
     g = u.graph
     eps = float(u.scale)
@@ -504,42 +445,36 @@ def hypothesis_norms(u, domain):
     l2 = eps ** d * float(u.values @ u.values)
 
     layer = 2.0 * eps * math.sqrt(d) * T
-    interior = []
-    for cell in u.full_cells():
-        anchor = [eps * c * T for c in cell]
-        dist = min(min(x - a, b - x) for (a, b), x in zip(domain, anchor))
-        if dist > layer:
-            interior.append(cell)
-    interior_set = set(interior)
+    full = np.array(u.full_cells(), dtype=int).reshape(-1, d)
+    anchor = eps * full * T
+    lo_dom, hi_dom = np.array(domain, dtype=float).reshape(d, 2).T
+    interior = full[np.minimum(anchor - lo_dom, hi_dom - anchor).min(axis=1) > layer]
+    if not len(interior):
+        return l2, 0.0
 
-    pos_index = {}
-    for i, (p, ni) in enumerate(zip(map(tuple, u.positions), u.node_ids)):
-        pos_index[(p, int(ni))] = i
-    edges = []
-    for (p, ni), i in pos_index.items():
-        node = g.nodes[ni]
-        for orb in g.orbits:
-            if g.node_index(orb.u) != ni:
-                continue
-            dd, _ = orb.displacement(T)
-            q = tuple(a + b for a, b in zip(p, dd))
-            j = pos_index.get((q, g.node_index(orb.v)))
-            if j is not None:
-                edges.append((i, j))
-    epos = np.array([[a, b] for a, b in edges], dtype=int).reshape(-1, 2)
+    # the vertices' own cells span the box the edges are enumerated in
+    cells = (u.positions - g.operator.dpos[u.node_ids]) // T
+    box = CellBox(g, cells.min(axis=0), cells.max(axis=0) + 1)
+    ends, _ = box.edges_among(box.index(cells, u.node_ids))
+    ea, eb = u.positions[ends[:, 0]], u.positions[ends[:, 1]]
+    # pair (c, c + e_m) holds an edge iff, per axis, c <= floor((min + M - 1) / T)
+    # and c >= ceil((max - M + 2) / T) - 1 - [axis == m]
+    c_hi = (np.minimum(ea, eb) + M - 1) // T
+    c_lo = -((M - 2 - np.maximum(ea, eb)) // T) - 1
 
-    grad = 0.0
-    for cell in interior:
-        for m in range(d):
-            other = tuple(c + (1 if mm == m else 0) for mm, c in enumerate(cell))
-            if other not in interior_set:
-                continue
-            lo = [min(a, b) * T - (M - 1) for a, b in zip(cell, other)]
-            hi = [(max(a, b) + 1) * T - 1 + (M - 1) for a, b in zip(cell, other)]
-            for a, b in epos:
-                pa, pb = u.positions[a], u.positions[b]
-                if all(l <= x <= h for l, x, h in zip(lo, pa, hi)) and \
-                   all(l <= x <= h for l, x, h in zip(lo, pb, hi)):
-                    grad += 2.0 * (u.values[a] - u.values[b]) ** 2
-    grad *= eps ** (d - 2)
-    return l2, grad
+    base = interior.min(axis=0)
+    grid = np.zeros(tuple(interior.max(axis=0) - base + 2), dtype=bool)
+    grid[tuple((interior - base).T)] = True
+    count = np.zeros(len(ends), dtype=np.int64)
+    for m in range(d):
+        step = np.eye(d, dtype=int)[m]
+        pairs = grid & np.roll(grid, -1, axis=m)        # the padding row rolls in as False
+        table = np.pad(pairs.astype(np.int64), [(1, 0)] * d)
+        for m2 in range(d):
+            table = table.cumsum(axis=m2)
+        lo = np.clip(c_lo - step - base, 0, pairs.shape)
+        hi = np.maximum(np.clip(c_hi - base + 1, 0, pairs.shape), lo)
+        for corner in np.ndindex(*(2,) * d):
+            pick = np.where(np.array(corner, dtype=bool), hi, lo)
+            count += (-1) ** (d - sum(corner)) * table[tuple(pick.T)]
+    return l2, edge_energy(ends, 2.0 * count, u.values) * eps ** (d - 2)

@@ -32,9 +32,10 @@ class InvalidDirection(LatticeError):
 
 
 class NoConvergence(LatticeError):
-    """An iterative solve hit its iteration cap or broke down.
+    """An iterative solve hit its iteration cap or broke down, or a reduced
+    system is singular (a free component without a pinned neighbour).
 
-    `residual` holds the norm achieved when the solve stopped.
+    `residual` holds the norm achieved when an iterative solve stopped.
     """
 
     def __init__(self, message, residual=None):

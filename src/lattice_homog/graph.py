@@ -5,6 +5,11 @@ first d coordinate directions and carries positive weights on an edge set
 that is invariant under the same translations.  Everything is stored per
 fundamental cell: nodes with d-coordinates in [0, T) and one representative
 per translation orbit of edges.
+
+Finite pieces of the infinite graph (windows, boxes) are broadcast from the
+per-cell arrays of the PeriodicOperator by CellBox; `laplacian`,
+`pinned_reduction` and `pinned_solve` are the one Laplacian assembly and the
+one pinned-vertex elimination behind every finite problem.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .errors import CellOutOfWindow, DisconnectedGraph, EmptyWindow, UnknownNode
+from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
 
 
 @dataclass(frozen=True, order=True)
@@ -146,31 +153,32 @@ class LatticeGraph:
 class PeriodicOperator:
     """Orbit arrays and single-count cell quadratic data, shared and read-only.
 
-    Orbit e joins node u[e] to node v[e] + offset with weight w[e] and
-    d-displacement disp[e].  With D the incidence matrix (row e: -1 at u[e],
-    +1 at v[e]) and W = diag(w), the energy of z . x + chi is
-    chi^T L chi + 2 (B z) . chi + z^T C z, where L = D^T W D (n x n),
-    B = D^T W disp (n x d) and C = disp^T W disp (d x d).
+    Orbit e joins node u[e] to node v[e] of the cell `offset[e]` away, with
+    weight w[e] and d-displacement disp[e]; node i sits at d-position
+    dpos[i].  With D the incidence matrix (row e: -1 at u[e], +1 at v[e]) and
+    W = diag(w), the energy of z . x + chi is chi^T L chi + 2 (B z) . chi +
+    z^T C z, where L = D^T W D (n x n), B = D^T W disp (n x d) and
+    C = disp^T W disp (d x d).
     """
 
     def __init__(self, graph):
         n, d, index = graph.n_cell, graph.d, graph._index
-        rows = [(index[o.u], index[o.v], o.weight) + o.offset for o in graph.orbits]
-        table = np.array(rows, dtype=float).reshape(-1, 3 + d)
-        self.u, self.v = table[:, :2].T.astype(np.intp)
-        self.w = table[:, 2].copy()
-        pos = np.array([node.dpos for node in graph.nodes], dtype=float).reshape(n, d)
-        self.disp = pos[self.v] + graph.T * table[:, 3:] - pos[self.u]
+        orbits = graph.orbits
+        self.u = np.array([index[o.u] for o in orbits], dtype=np.intp)
+        self.v = np.array([index[o.v] for o in orbits], dtype=np.intp)
+        self.w = np.array([o.weight for o in orbits], dtype=float)
+        self.offset = np.array([o.offset for o in orbits], dtype=np.intp).reshape(-1, d)
+        self.dpos = np.array([node.dpos for node in graph.nodes], dtype=np.intp).reshape(n, d)
+        self.disp = (self.dpos[self.v] + graph.T * self.offset - self.dpos[self.u]).astype(float)
 
-        E = len(self.w)
-        ends = np.column_stack([self.u, self.v]).ravel()
-        D = sp.csr_matrix((np.tile([-1.0, 1.0], E), (np.repeat(np.arange(E), 2), ends)),
-                          shape=(E, n))
         wdisp = self.w[:, None] * self.disp
-        self.L = (D.T @ sp.diags(self.w) @ D).tocsr()
-        self.B = D.T @ wdisp
+        self.L = laplacian(n, np.column_stack([self.u, self.v]), self.w)
+        self.B = np.zeros((n, d))
+        np.add.at(self.B, self.v, wdisp)
+        np.add.at(self.B, self.u, -wdisp)
         self.C = self.disp.T @ wdisp
-        for a in (self.u, self.v, self.w, self.disp, self.B, self.C, self.L.data):
+        for a in (self.u, self.v, self.w, self.offset, self.dpos, self.disp,
+                  self.B, self.C, self.L.data):
             a.flags.writeable = False
 
 
@@ -446,56 +454,169 @@ def validate(graph):
 
 
 # ---------------------------------------------------------------------------
-# finite instantiation
+# finite lattices: boxes of cells, Laplacians, pinned solves
 
 
-@dataclass
-class FiniteVertex:
-    cell: tuple
-    node: CellNode
-    pos_d: tuple
-    pos_k: tuple
+class CellBox:
+    """The cells lo <= c < hi (per axis, hi exclusive) of a periodic graph.
+
+    Vertices are cells x nodes: vertex c * n + i is node i of the c-th cell
+    in row-major order (axis 0 slowest), at d-position `positions`.  Edge
+    instances are cells x orbits, anchored in the box (`instances`); their
+    far ends may lie outside it.  Everything is broadcast over the graph's
+    PeriodicOperator arrays.
+    """
+
+    def __init__(self, graph, lo, hi):
+        op = graph.operator
+        self.graph = graph
+        self.lo = np.asarray(lo, dtype=np.intp)
+        self.shape = tuple(int(x) for x in np.asarray(hi) - self.lo)
+        self._cells = np.indices(self.shape).reshape(graph.d, -1).T + self.lo
+        n = graph.n_cell
+        self.node_ids = np.tile(np.arange(n), len(self._cells))
+        self.positions = op.dpos[self.node_ids] + graph.T * np.repeat(self._cells, n, axis=0)
+
+    def index(self, cells, node_ids, wrap=False):
+        """Vertex of each (cell, node) pair: -1 outside the box, or with
+        `wrap` the vertex of the cell folded into the box modulo its extents."""
+        rel = np.asarray(cells) - self.lo
+        flat = np.ravel_multi_index(tuple(rel.T), self.shape, mode="wrap")
+        found = flat * self.graph.n_cell + node_ids
+        if wrap:
+            return found
+        return np.where(np.all((rel >= 0) & (rel < self.shape), axis=1), found, -1)
+
+    def instances(self, reverse=False):
+        """(near vertex, far cell, far node, weight) per cells x orbits instance.
+
+        Forward instances run from node u of their cell to node v of the cell
+        `offset` away; reversed ones from node v to node u of the cell
+        `-offset` away.
+        """
+        op = self.graph.operator
+        near, far, sign = (op.v, op.u, -1) if reverse else (op.u, op.v, 1)
+        count = len(self._cells)
+        anchors = (np.arange(count)[:, None] * self.graph.n_cell + near).ravel()
+        far_cells = (self._cells[:, None, :] + sign * op.offset).reshape(-1, self.graph.d)
+        return anchors, far_cells, np.tile(far, count), np.tile(op.w, count)
+
+    def edges_among(self, members):
+        """Instances with both ends among the vertices `members`: ends (E, 2)
+        as positions in `members`, and weights."""
+        where = np.full(len(self.node_ids) + 1, -1)     # the last slot maps "outside"
+        where[members] = np.arange(len(members))
+        near, far_cells, far_nodes, w = self.instances()
+        ends = np.column_stack([where[near], where[self.index(far_cells, far_nodes)]])
+        keep = np.flatnonzero(np.all(ends >= 0, axis=1))
+        keep = keep[np.argsort(ends[keep, 0], kind="stable")]
+        return ends[keep], w[keep]
+
+
+def position_box(graph, lo, hi):
+    """Vertices with lo <= d-position <= hi per axis, and the edges joining them.
+
+    Returns (positions (N, d), node_ids (N,), ends (E, 2), weights (E,)),
+    vertices ordered by position (row-major), then node.
+    """
+    op, T = graph.operator, graph.T
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    box = CellBox(graph, -((op.dpos.max(axis=0) - lo) // T),
+                  (hi - op.dpos.min(axis=0)) // T + 1)
+    pos = box.positions
+    inside = np.flatnonzero(np.all((pos >= lo) & (pos <= hi), axis=1))
+    members = inside[np.lexsort(np.vstack([box.node_ids[inside], pos[inside].T[::-1]]))]
+    ends, weights = box.edges_among(members)
+    return pos[members], box.node_ids[members], ends, weights
+
+
+def laplacian(n, ends, coef):
+    """Sparse L (n x n) with x^T L x = sum_e coef[e] (x[a_e] - x[b_e])^2.
+
+    Loops and zero coefficients leave no entry, so the sparsity pattern is
+    the graph of the nonzero couplings.
+    """
+    a, b = np.asarray(ends).reshape(-1, 2).T
+    c = np.asarray(coef, dtype=float)
+    keep = (a != b) & (c != 0)
+    a, b, c = a[keep], b[keep], c[keep]
+    return sp.csr_matrix((np.concatenate([c, c, -c, -c]),
+                          (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                         shape=(n, n))
+
+
+def edge_energy(ends, coef, x):
+    """sum_e coef[e] (x[a_e] - x[b_e])^2, as a running sum in edge order: the
+    total of a plain loop over the edges, bit for bit."""
+    diff = x[ends[:, 0]] - x[ends[:, 1]]
+    return float(np.cumsum(coef * (diff * diff))[-1]) if len(diff) else 0.0
+
+
+def pinned_reduction(L, pinned, values):
+    """(A_ff, rhs): minimizing x^T L x with x = values on the pinned vertices
+    leaves A_ff x_free = rhs.
+
+    Raises NoConvergence when a free component has no edge to a pinned
+    vertex, since A_ff is singular there.
+    """
+    free = ~pinned
+    rows = L[free]
+    A, coupling = rows[:, free], rows[:, pinned]
+    count, labels = connected_components(A, directed=False)
+    anchored = np.zeros(count, dtype=bool)
+    anchored[labels[np.diff(coupling.indptr) > 0]] = True
+    if not anchored.all():
+        members = np.flatnonzero(labels == np.flatnonzero(~anchored)[0])
+        raise NoConvergence(
+            f"a free component of size {members.size} (vertex "
+            f"{np.flatnonzero(free)[members[0]]} among its vertices) has no "
+            "pinned neighbour: the reduced system is singular")
+    return A, -(coupling @ values[pinned])
+
+
+def pinned_solve(L, pinned, values):
+    """`values` with every free entry set to the minimizer of x^T L x."""
+    if pinned.all():
+        return values.copy()
+    A, rhs = pinned_reduction(L, pinned, values)
+    solution = spla.spsolve(A, rhs)
+    if not np.all(np.isfinite(solution)):
+        raise NoConvergence("pinned solve produced non-finite values")
+    out = values.copy()
+    out[~pinned] = solution
+    return out
 
 
 @dataclass
 class FiniteGraph:
-    """A finite window of cells of a periodic graph.
+    """A finite window of cells of a periodic graph, as arrays.
 
-    `vertices` covers every (cell, node) pair of the window; `edges` holds
-    (ia, ib, weight) index pairs, one entry per orbit instance.  Under the
-    clamped policy, edges leaving the window keep their outside endpoint in
-    `boundary_vertices` and appear in `ghost_edges` as (inside index, ghost
-    index, weight).
+    Vertex i is node `node_ids[i]` at d-position `vertices[i]`, cells in
+    row-major order and nodes in cell order; `edges` (E, 2) holds the vertex
+    pairs of the orbit instances kept, with `weights`.  Under the clamped
+    policy an instance crossing the window boundary keeps its outside end, a
+    ghost at d-position `boundary_vertices[g]`, and appears in `ghost_edges`
+    (H, 2) as a (vertex, ghost) pair with `ghost_weights`.
     """
 
     graph: LatticeGraph
     window: tuple               # ((lo, hi), ...) per axis, hi exclusive, cell units
     wrap: str
-    vertices: list
-    edges: list
-    boundary_vertices: list
-    ghost_edges: list
-
-    def vertex_index(self, cell, node):
-        return self._vindex[(cell, self.graph.node_index(node))]
-
-    def cell_vertices(self, cell):
-        try:
-            return self._cells[tuple(cell)]
-        except KeyError:
-            raise CellOutOfWindow(f"cell {tuple(cell)} outside window {self.window}") from None
-
-    @property
-    def cells(self):
-        return list(self._cells)
+    vertices: np.ndarray
+    node_ids: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
+    boundary_vertices: np.ndarray
+    ghost_edges: np.ndarray
+    ghost_weights: np.ndarray
 
 
 def instantiate_window(graph, window, wrap="open"):
     """Materialize the cells of `window` ((lo, hi) per axis, hi exclusive).
 
     wrap policy: "open" drops edges leaving the window, "clamped" keeps them
-    with the outside endpoint marked as boundary, "periodic" wraps cell
-    indices modulo the window extents.
+    with the outside endpoint as a ghost, "periodic" wraps cell indices
+    modulo the window extents.
     """
     if wrap not in ("open", "clamped", "periodic"):
         raise ValueError(f"unknown wrap policy {wrap!r}")
@@ -505,60 +626,24 @@ def instantiate_window(graph, window, wrap="open"):
     if any(hi <= lo for lo, hi in window):
         raise EmptyWindow(f"empty window {window}")
 
-    cells = list(product(*(range(lo, hi) for lo, hi in window)))
-    vertices = []
-    vindex = {}
-    cmap = {}
-    for cell in cells:
-        cmap[cell] = []
-        for ni, node in enumerate(graph.nodes):
-            pos_d = tuple(node.dpos[m] + graph.T * cell[m] for m in range(graph.d))
-            vindex[(cell, ni)] = len(vertices)
-            cmap[cell].append(len(vertices))
-            vertices.append(FiniteVertex(cell, node, pos_d, node.kpos))
-
-    extents = tuple(hi - lo for lo, hi in window)
-    edges = []
-    boundary = []
-    bindex = {}
-    ghost_edges = []
-    for cell in cells:
-        for orb in graph.orbits:
-            ia = vindex[(cell, graph.node_index(orb.u))]
-            tcell = tuple(c + o for c, o in zip(cell, orb.offset))
-            if all(lo <= t < hi for (lo, hi), t in zip(window, tcell)):
-                edges.append((ia, vindex[(tcell, graph.node_index(orb.v))], orb.weight))
-            elif wrap == "open":
-                continue
-            elif wrap == "periodic":
-                wcell = tuple(lo + (t - lo) % ext
-                              for (lo, hi), ext, t in zip(window, extents, tcell))
-                edges.append((ia, vindex[(wcell, graph.node_index(orb.v))], orb.weight))
-            else:  # clamped: ghost endpoint
-                key = (tcell, graph.node_index(orb.v))
-                if key not in bindex:
-                    bindex[key] = len(boundary)
-                    pos_d = tuple(orb.v.dpos[m] + graph.T * tcell[m] for m in range(graph.d))
-                    boundary.append(FiniteVertex(tcell, orb.v, pos_d, orb.v.kpos))
-                ghost_edges.append((ia, bindex[key], orb.weight))
-        if wrap == "clamped":
-            # instances anchored outside the window but ending inside it
-            for orb in graph.orbits:
-                scell = tuple(c - o for c, o in zip(cell, orb.offset))
-                if all(lo <= s < hi for (lo, hi), s in zip(window, scell)):
-                    continue
-                ib = vindex[(cell, graph.node_index(orb.v))]
-                key = (scell, graph.node_index(orb.u))
-                if key not in bindex:
-                    bindex[key] = len(boundary)
-                    pos_d = tuple(orb.u.dpos[m] + graph.T * scell[m] for m in range(graph.d))
-                    boundary.append(FiniteVertex(scell, orb.u, pos_d, orb.u.kpos))
-                ghost_edges.append((ib, bindex[key], orb.weight))
-
-    fg = FiniteGraph(graph, window, wrap, vertices, edges, boundary, ghost_edges)
-    fg._vindex = vindex
-    fg._cells = cmap
-    return fg
+    box = CellBox(graph, *zip(*window))
+    near, far_cells, far_nodes, w = box.instances()
+    far = box.index(far_cells, far_nodes, wrap=wrap == "periodic")
+    kept = far >= 0
+    # clamped: ghosts at the outside ends of the instances leaving the window
+    # and of those anchored outside it and ending inside
+    r_near, r_cells, r_nodes, r_w = box.instances(reverse=True)
+    leaving = ~kept & (wrap == "clamped")
+    entering = (box.index(r_cells, r_nodes) < 0) & (wrap == "clamped")
+    keys = np.concatenate([np.column_stack([far_cells, far_nodes])[leaving],
+                           np.column_stack([r_cells, r_nodes])[entering]])
+    keys, ghost = np.unique(keys, axis=0, return_inverse=True)
+    boundary = graph.operator.dpos[keys[:, -1]] + graph.T * keys[:, :-1]
+    ghost_edges = np.column_stack([np.concatenate([near[leaving], r_near[entering]]),
+                                   ghost.reshape(-1)])
+    return FiniteGraph(graph, window, wrap, box.positions, box.node_ids,
+                       np.column_stack([near[kept], far[kept]]), w[kept], boundary,
+                       ghost_edges, np.concatenate([w[leaving], r_w[entering]]))
 
 
 def graph_from_edges(d, k, T, node_coords, edge_list, M=None):

@@ -27,14 +27,13 @@ def test_window_too_small(chain):
         finite_window_value(chain, [1.0], 1)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_window_singular_free_region():
     from lattice_homog import NoConvergence, graph_from_edges
     # a chain plus an isolated second row: interior isolated vertices have
     # zero matrix rows, which the solver must reject rather than return junk
     g = graph_from_edges(1, 1, 1, [(0, 0), (0, 1)],
                          [((0, 0), (0, 0), (1,), 1.0)])
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="size 1 .* no pinned neighbour"):
         finite_window_value(g, [1.0], 8)
 
 

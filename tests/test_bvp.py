@@ -6,7 +6,9 @@ import pytest
 from lattice_homog import (
     DatumUndefined,
     EmptyInterior,
+    NoConvergence,
     UnsupportedDimension,
+    graph_from_edges,
     homogenized_tensor,
 )
 from lattice_homog.bvp import (
@@ -148,9 +150,18 @@ def test_affine_interpolant_bounds_minimum(examples):
     shifted = np.array([float(eps) * pos[0] + float(eps) / 2.0
                         for pos in system.positions])
     scale = 2.0 * float(eps) ** (g.d - 2)
-    affine_energy = sum(scale * w * (shifted[a] - shifted[b]) ** 2
-                        for a, b, w in system.edges)
+    a, b = system.edges.T
+    affine_energy = float(np.sum(scale * system.weights * (shifted[a] - shifted[b]) ** 2))
     assert energy <= affine_energy + 1e-12
+
+
+def test_dirichlet_singular_free_region():
+    # a chain plus an isolated second row: the row's free vertices touch no
+    # constrained vertex, so the reduced system is singular
+    g = graph_from_edges(1, 1, 1, [(0, 0), (0, 1)],
+                         [((0, 0), (0, 0), (1,), 1.0)])
+    with pytest.raises(NoConvergence, match="size 1 .* no pinned neighbour"):
+        solve_dirichlet(DirichletProblem(g, ((0, 1),), Fraction(1, 8), X))
 
 
 def test_minimum_nonnegative(examples):

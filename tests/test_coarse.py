@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lattice_homog import CellOutOfWindow, DisconnectedGraph, graph_from_edges, instantiate_window
+from lattice_homog.graph import position_box
 from lattice_homog.coarse import (
     LatticeFunction,
     check_poincare,
@@ -41,7 +42,7 @@ def test_coarse_mean_chain_consecutive_integers():
                          [((0,), (1,), (0,), 1.0), ((1,), (2,), (0,), 1.0),
                           ((2,), (0,), (1,), 1.0)])
     fg, u = _window_function(g, 3)
-    u.values[:] = [v.pos_d[0] for v in fg.vertices]
+    u.values[:] = fg.vertices[:, 0]
     for l in range(3):
         assert coarse_mean(u, (l,)) == l * 3 + 1.0  # lT + (T-1)/2
 
@@ -50,7 +51,7 @@ def test_coarse_mean_affine_closed_form(examples):
     g = examples["ex1"]
     fg, u = _window_function(g, 4)
     z = 2.0
-    u.values[:] = [z * v.pos_d[0] for v in fg.vertices]
+    u.values[:] = z * fg.vertices[:, 0]
     dbar = np.mean([n.dpos[0] for n in g.nodes])
     for l in range(4):
         assert coarse_mean(u, (l,)) == pytest.approx(z * (l * g.T + dbar), abs=1e-12)
@@ -128,34 +129,42 @@ def test_path_constants_weighted():
 def test_path_constants_dominate_sharp_constants(examples):
     # the computed constants must make the inequalities hold for *every*
     # field, which is exactly "constant >= the sharp generalized eigenvalue"
-    from lattice_homog.coarse import _Universe
     for name, g in examples.items():
         pc = compute_path_constants(g)
         T, d, M = g.T, g.d, pc.M
-        uni = _Universe(g, [(-(M - 1), 2 * T - 1 + (M - 1))] * d)
-        n = uni.n()
+        pos, _, ends, weights = position_box(g, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
+        n = len(pos)
+
+        def vertices_in(box):
+            lo, hi = np.array(box).T
+            return np.all((pos >= lo) & (pos <= hi), axis=1)
+
+        def edge_subset(box):
+            keep = vertices_in(box)[ends].all(axis=1)
+            return zip(ends[keep, 0], ends[keep, 1], weights[keep])
+
         pbox = [(-(M - 1), 2 * T - 1 + (M - 1))] + \
                [(-(M - 1), T - 1 + (M - 1))] * (d - 1)
         B = np.zeros((n, n))
-        for a, b, _ in uni.edge_subset(pbox):
+        for a, b, _ in edge_subset(pbox):
             B[a, a] += 2
             B[b, b] += 2
             B[a, b] -= 2
             B[b, a] -= 2
-        cell0 = uni.vertices_in([(0, T - 1)] * d)
-        cell1 = uni.vertices_in([(T, 2 * T - 1)] + [(0, T - 1)] * (d - 1))
+        cell0 = vertices_in([(0, T - 1)] * d)
+        cell1 = vertices_in([(T, 2 * T - 1)] + [(0, T - 1)] * (d - 1))
         v = (cell0.astype(float) - cell1.astype(float)) / g.n_cell
         sharp_two = float(v @ np.linalg.pinv(B) @ v)
         assert pc.C_two >= sharp_two - 1e-9, (name, pc.C_two, sharp_two)
 
         cbox = [(-(M - 1), T - 1 + (M - 1))] * d
         Bw = np.zeros((n, n))
-        for a, b, w in uni.edge_subset(cbox):
+        for a, b, w in edge_subset(cbox):
             Bw[a, a] += 2 * w
             Bw[b, b] += 2 * w
             Bw[a, b] -= 2 * w
             Bw[b, a] -= 2 * w
-        mask = uni.vertices_in([(0, T - 1)] * d).astype(float)
+        mask = vertices_in([(0, T - 1)] * d).astype(float)
         P = np.diag(mask) - np.outer(mask, mask) / g.n_cell
         evals, evecs = np.linalg.eigh(Bw)
         keep = evals > 1e-9
@@ -197,11 +206,10 @@ def test_harness_deterministic(examples):
 
 def test_constant_field_gives_zero_ratio(examples):
     # the constant family is not among the trial families, so check directly
-    from lattice_homog.coarse import _Universe
     g = examples["ex2"]
-    uni = _Universe(g, [(-1, 2)])
-    u = np.full(uni.n(), 4.0)
-    assert uni.cell_mean(u, (0,)) == uni.cell_mean(u, (1,)) == 4.0
+    pos, node_ids, _, _ = position_box(g, [-1], [2])
+    u = LatticeFunction(g, pos, node_ids, np.full(len(pos), 4.0), 1.0)
+    assert coarse_mean(u, (0,)) == coarse_mean(u, (1,)) == 4.0
 
 
 def test_poincare_constant_grows_quadratically(chain):
@@ -234,7 +242,31 @@ def test_coarse_l2_contraction(examples, rng):
 
 def test_hypothesis_norms_scaling(chain):
     fg, u = _window_function(chain, 16, scale=1.0 / 16)
-    u.values[:] = [v.pos_d[0] / 16.0 for v in fg.vertices]
+    u.values[:] = fg.vertices[:, 0] / 16.0
     l2, grad = hypothesis_norms(u, [(0.0, 1.0)])
     assert 0 < l2 < 1.0
     assert grad > 0
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6"])
+def test_poincare_sharp_constant_exact(examples, name):
+    # c_sharp is the extremal field's own inverse Rayleigh quotient, that
+    # field is a trial, and it agrees with a dense eigensolve of the same
+    # constrained Laplacian
+    import scipy.linalg
+    from lattice_homog.graph import laplacian, pinned_reduction
+    g = examples[name]
+    widths = (64, 256)
+    reps = check_poincare(g, widths, trials=8, seed=5)
+    again = check_poincare(g, widths, trials=8, seed=5)
+    assert [r.to_dict() for r in reps] == [r.to_dict() for r in again]
+    layer = 2.0 * math.sqrt(g.d) * g.T
+    for width, rep in zip(widths, reps):
+        assert rep.c_empirical >= rep.c_sharp
+        W = width * g.T
+        pos, _, ends, weights = position_box(g, [0] * g.d, [W] * g.d)
+        free = np.minimum(pos, W - pos).min(axis=1) > layer
+        A, _ = pinned_reduction(laplacian(len(pos), ends, 2.0 * weights), ~free,
+                                np.zeros(len(pos)))
+        lowest = scipy.linalg.eigh(A.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert rep.c_sharp == pytest.approx(1.0 / lowest, rel=1e-9, abs=0), (name, width)

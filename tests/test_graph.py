@@ -278,7 +278,7 @@ def test_window_chain_open(chain):
     fg = instantiate_window(chain, [(0, 4)], wrap="open")
     assert len(fg.vertices) == 4
     assert len(fg.edges) == 3
-    assert not fg.ghost_edges
+    assert len(fg.ghost_edges) == 0
 
 
 def test_window_chain_periodic(chain):
@@ -292,7 +292,27 @@ def test_window_chain_clamped(chain):
     assert len(fg.edges) == 3
     # one outgoing instance at the right edge, one incoming at the left
     assert len(fg.ghost_edges) == 2
-    assert {v.cell for v in fg.boundary_vertices} == {(-1,), (4,)}
+    assert sorted(fg.boundary_vertices[:, 0].tolist()) == [-1, 4]
+
+
+def test_window_clamped_ghosts_far_outside():
+    # offsets 9 and 10 (gcd 1): every ghost lies 9 or 10 cells outside
+    g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                           ((0,), (0,), (10,), 1.0)])
+    fg = instantiate_window(g, [(0, 4)], wrap="clamped")
+    assert fg.boundary_vertices[:, 0].tolist() == [-10, -9, -8, -7, -6, 9, 10, 11, 12, 13]
+    inside, ghost = fg.ghost_edges.T
+    assert np.all(np.abs(fg.boundary_vertices[ghost, 0] - fg.vertices[inside, 0]) >= 9)
+
+
+def test_window_vertex_order(examples):
+    # vertex c * n + i is node i of the c-th cell, cells in row-major order
+    g = examples["ex6"]
+    fg = instantiate_window(g, [(1, 3)], wrap="open")
+    dpos = np.array([node.dpos for node in g.nodes])
+    cells = np.repeat([1, 2], g.n_cell)
+    assert fg.node_ids.tolist() == list(range(g.n_cell)) * 2
+    assert np.array_equal(fg.vertices[:, 0], dpos[fg.node_ids, 0] + g.T * cells)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -318,8 +338,9 @@ def test_window_deterministic_order(examples):
     g = examples["ex1"]
     a = instantiate_window(g, [(0, 3)], wrap="clamped")
     b = instantiate_window(g, [(0, 3)], wrap="clamped")
-    assert [(v.cell, v.node) for v in a.vertices] == [(v.cell, v.node) for v in b.vertices]
-    assert a.edges == b.edges and a.ghost_edges == b.ghost_edges
+    for field in ("vertices", "node_ids", "edges", "weights", "boundary_vertices",
+                  "ghost_edges", "ghost_weights"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 # ---------------------------------------------------------------------------
