@@ -1,6 +1,6 @@
-"""Finite-lattice results pinned to values computed before the box and
-pinned-solve core was shared (relative 1e-12), plus a literal reference for
-the hypothesis norms."""
+"""Finite-lattice results pinned at relative 1e-12: window values, Dirichlet
+minima, hypothesis norms (also against a literal per-pair reference) and the
+counts of a clamped window whose ghosts lie far outside it."""
 
 import math
 from fractions import Fraction
