@@ -365,7 +365,7 @@ class PoincareReport:
     width_cells: int
     diameter: float
     c_empirical: float          # smallest C with lhs <= C * rhs over all trials
-    c_sharp: float              # exact sharp constant (eigenvalue)
+    c_sharp: float              # sharp constant: 1 / lowest eigenvalue, from its eigenvector
     c0: float                   # c_empirical / diameter^2
     trials: int
     witness: str = ""

@@ -221,6 +221,13 @@ def test_poincare_constant_grows_quadratically(chain):
     assert abs(ratios[-1] - 4.0) < 0.7
 
 
+def test_poincare_one_and_two_free_vertices(chain):
+    # widths 6 and 7 leave one and two free vertices: c_sharp = 1/4 and 1/2
+    reps = check_poincare(chain, widths=(6, 7), trials=4, seed=3)
+    assert [r.c_sharp for r in reps] == pytest.approx([0.25, 0.5], rel=1e-12)
+    assert all(r.witness == "extremal" for r in reps)
+
+
 def test_poincare_doubling_within_factor(examples):
     for name, g in examples.items():
         r1, r2 = check_poincare(g, widths=(32, 64), trials=40, seed=7)
