@@ -25,6 +25,7 @@ from .graph import (
     neighbors,
     normalize_period,
     validate,
+    witness_path,
 )
 from .lgf import ParseError, builtin_examples, parse, serialize
 from .cell import (

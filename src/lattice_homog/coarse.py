@@ -15,15 +15,15 @@ the shared pinned-vertex reduction (graph.pinned_reduction).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import CellOutOfWindow, DisconnectedGraph
-from .graph import (CellBox, connectedness_certificate, edge_energy, laplacian,
-                    pinned_reduction, position_box)
+from .graph import (CellBox, box_search, connectedness_certificate, edge_energy,
+                    laplacian, neighbor_lists, pinned_reduction, position_box)
 
 
 @dataclass
@@ -121,45 +121,15 @@ class PathConstants:
     pair_multiplicity: int = 1
 
 
-def _incidence(graph):
-    inc = [[] for _ in range(graph.n_cell)]
-    for orb in graph.orbits:
-        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        dd, _ = orb.displacement(graph.T)
-        inc[a].append((b, dd))
-        inc[b].append((a, tuple(-x for x in dd)))
-    return inc
-
-
-def _bfs_path(graph, inc, start, target, box):
-    """States of a shortest path inside `box` (inclusive d-coordinate bounds)."""
-    s = (tuple(graph.nodes[start].dpos), start)
-    if s == target:
-        return [s]
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        pos, ni = queue.popleft()
-        for nj, dd in inc[ni]:
-            npos = tuple(p + q for p, q in zip(pos, dd))
-            if any(not (lo <= c <= hi) for c, (lo, hi) in zip(npos, box)):
-                continue
-            state = (npos, nj)
-            if state in parent:
-                continue
-            parent[state] = (pos, ni)
-            if state == target:
-                path = [state]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(state)
-    return None
-
-
-def _path_edges(path):
-    return [tuple(sorted((a, b))) for a, b in zip(path, path[1:])]
+def _family(paths):
+    """(longest length, largest edge multiplicity) of a family of paths, or
+    None when one of them is missing."""
+    if None in paths:
+        return None
+    counts = Counter(tuple(sorted(edge))
+                     for path in paths for edge in zip(path, path[1:]))
+    return (max((len(path) - 1 for path in paths), default=0),
+            max(counts.values(), default=1))
 
 
 def compute_path_constants(graph):
@@ -172,54 +142,36 @@ def compute_path_constants(graph):
     times the stacked path sums makes N * mu / #cell a valid constant for
     the unweighted local edge energy.  The per-cell constant is built the
     same way from the in-cell pair witnesses, divided by the smallest
-    weight.  If a witness does not fit inside the M-enlarged box, M grows by
-    T (re-tiling argument); a connected graph always terminates.
+    weight.  Every witness is a shortest path inside the M-enlarged box,
+    from one graph.box_search per source node for the pairs and one per
+    source node and axis for the translations.  If a witness does not fit,
+    M grows by T (re-tiling argument); a connected graph always terminates.
     """
     connectedness_certificate(graph)  # raises DisconnectedGraph on failure
-    inc = _incidence(graph)
-    T, d = graph.T, graph.d
+    nbrs = neighbor_lists(graph)
+    T, d, n_cell = graph.T, graph.d, graph.n_cell
 
     def translation_paths(M):
         # per axis: (longest witness) * (max edge multiplicity of the family)
-        worst_cand = 0
-        worst_len = 0
-        worst_mu = 1
+        worst = (0, 0, 1)
         for m in range(d):
-            box = []
-            for mm in range(d):
-                hi_cell = 2 * T - 1 if mm == m else T - 1
-                box.append((-(M - 1), hi_cell + (M - 1)))
-            counts = {}
-            longest = 0
-            for i, node in enumerate(graph.nodes):
-                tpos = tuple(node.dpos[mm] + (T if mm == m else 0) for mm in range(d))
-                path = _bfs_path(graph, inc, i, (tpos, i), box)
-                if path is None:
-                    return None
-                longest = max(longest, len(path) - 1)
-                for e in _path_edges(path):
-                    counts[e] = counts.get(e, 0) + 1
-            mu = max(counts.values(), default=1)
-            if longest * mu > worst_cand:
-                worst_cand, worst_len, worst_mu = longest * mu, longest, mu
-        return worst_cand, worst_len, worst_mu
+            unit = tuple(int(mm == m) for mm in range(d))
+            hi = [T - 1 + (M - 1) + T * u for u in unit]
+            family = _family([box_search(graph, nbrs, i, [-(M - 1)] * d, hi)(i, unit)
+                              for i in range(n_cell)])
+            if family is None:
+                return None
+            longest, mu = family
+            if longest * mu > worst[0]:
+                worst = (longest * mu, longest, mu)
+        return worst
 
     def pair_paths(M):
-        box = [(-(M - 1), T - 1 + (M - 1))] * d
-        counts = {}
-        longest = 0
-        for i in range(graph.n_cell):
-            for j in range(graph.n_cell):
-                if i == j:
-                    continue
-                path = _bfs_path(graph, inc, i,
-                                 (tuple(graph.nodes[j].dpos), j), box)
-                if path is None:
-                    return None
-                longest = max(longest, len(path) - 1)
-                for e in _path_edges(path):
-                    counts[e] = counts.get(e, 0) + 1
-        return longest, max(counts.values(), default=1)
+        paths = []
+        for i in range(n_cell):
+            path_to = box_search(graph, nbrs, i, [-(M - 1)] * d, [T - 1 + (M - 1)] * d)
+            paths += [path_to(j, (0,) * d) for j in range(n_cell) if j != i]
+        return _family(paths)
 
     M = T
     for _ in range(8):
@@ -234,7 +186,6 @@ def compute_path_constants(graph):
     cand_two, n_two, mu_two = two
     n_pw, mu_pw = pw
     min_w = min(o.weight for o in graph.orbits)
-    n_cell = graph.n_cell
     return PathConstants(C_two=cand_two / n_cell,
                          C_pw=n_pw * mu_pw / n_cell / min_w,
                          M=M,
@@ -296,6 +247,21 @@ def _inside(pos, lo, hi):
     return np.all((pos >= lo) & (pos <= hi), axis=1)
 
 
+def _worst(ratios):
+    """(largest ratio, label of the earliest ratio within relative 1e-12 of
+    it) over (ratio, label) pairs, or (0.0, "") when no ratio is positive.
+
+    Trials whose ratios are equal in exact arithmetic differ only by
+    rounding, so the earliest of them is the witness that does not depend on
+    it.
+    """
+    worst = max((r for r, _ in ratios), default=0.0)
+    if worst <= 0:
+        return 0.0, ""
+    return worst, next(label for r, label in ratios
+                       if math.isclose(r, worst, rel_tol=1e-12))
+
+
 def check_two_connectedness(graph, trials=200, seed=7):
     """Adjacent cell-mean differences vs. unweighted local edge energy.
 
@@ -313,7 +279,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
         pairs.append((tuple(other.tolist()), _inside(pos, T * other, T * other + T - 1),
                       inner, np.full(len(inner), 2.0)))
 
-    worst, witness = 0.0, ""
+    ratios = []
     for t in range(trials):
         u, fam = _trial_field(seed, pos, node_ids, t)
         for other, in_other, inner, coef in pairs:
@@ -322,8 +288,8 @@ def check_two_connectedness(graph, trials=200, seed=7):
             rhs = edge_energy(inner, coef, u)
             ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
                                           else lhs / (consts.C_two * rhs))
-            if ratio > worst:
-                worst, witness = ratio, f"trial {t} ({fam}), pair {(0,) * d}->{other}"
+            ratios.append((ratio, f"trial {t} ({fam}), pair {(0,) * d}->{other}"))
+    worst, witness = _worst(ratios)
     return InequalityReport("two-connectedness", consts.C_two, worst, trials, witness)
 
 
@@ -342,7 +308,7 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
         cell_data.append((tuple(cell.tolist()), _inside(pos, cell * T, (cell + 1) * T - 1),
                           ends[keep], 2.0 * weights[keep]))
 
-    worst, witness = 0.0, ""
+    ratios = []
     for t in range(trials):
         u, fam = _trial_field(seed, pos, node_ids, t)
         for cell, mask, inner, coef in cell_data:
@@ -351,8 +317,8 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
             rhs = edge_energy(inner, coef, u)
             ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
                                           else lhs / (consts.C_pw * rhs))
-            if ratio > worst:
-                worst, witness = ratio, f"trial {t} ({fam}), cell {cell}"
+            ratios.append((ratio, f"trial {t} ({fam}), cell {cell}"))
+    worst, witness = _worst(ratios)
     return InequalityReport("poincare-wirtinger", consts.C_pw, worst, trials, witness)
 
 
@@ -405,20 +371,18 @@ def check_poincare(graph, widths, trials=100, seed=7):
                           if nf > 1 else 1.0)
         c_sharp = float(extremal @ extremal) / edge_energy(ends, coef, extremal)
 
-        worst, witness = 0.0, ""
         fields = [("extremal", extremal),
                   ("tent", np.maximum(dist - layer, 0.0))]
         for t in range(trials):
             u, fam = _trial_field(seed + width, pos, node_ids, t)
             fields.append((f"trial {t} ({fam})", u * free))
+        ratios = []
         for fam, u in fields:
             lhs = float(u @ u)
             rhs = edge_energy(ends, coef, u)
-            if lhs == 0:
-                continue
-            ratio = math.inf if rhs == 0 else lhs / rhs
-            if ratio > worst:
-                worst, witness = ratio, fam
+            if lhs != 0:
+                ratios.append((math.inf if rhs == 0 else lhs / rhs, fam))
+        worst, witness = _worst(ratios)
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,
                                       worst / diam ** 2, trials, witness))

@@ -185,17 +185,11 @@ class PeriodicOperator:
 def neighbors(graph, node):
     """All neighbours of `node`, both orientations of every incident orbit.
 
-    Returns a list of (cell node, cell offset, weight); the actual neighbour
-    position is neighbour.dpos + T * offset.
+    Returns a list of (cell node, cell offset, weight) in orbit order; the
+    actual neighbour position is neighbour.dpos + T * offset.
     """
     i = graph.node_index(node)
-    out = []
-    for orb in graph.orbits:
-        if graph.node_index(orb.u) == i:
-            out.append((orb.v, orb.offset, orb.weight))
-        if graph.node_index(orb.v) == i:
-            out.append((orb.u, tuple(-o for o in orb.offset), orb.weight))
-    return out
+    return [(graph.nodes[j], off, w) for j, off, w in neighbor_lists(graph)[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +198,13 @@ def neighbors(graph, node):
 
 @dataclass
 class ConnectivityResult:
+    """Exact connectivity verdict with its proof; paths come from `witness_path`."""
+
     connected: bool
     quotient_connected: bool
     lattice_index: int          # |det| of the translation subgroup basis, 0 if rank-deficient
     components: list            # node partitions of the quotient graph
     sublattice_basis: list      # reduced integer basis rows of the offset subgroup
-    witnesses: dict             # (i_node, j_node, m) -> list of (CellNode, cell tuple)
 
     @property
     def failure(self):
@@ -246,65 +241,73 @@ def _hnf_rows(vectors, d):
     return basis
 
 
-def _neighbor_lists(graph):
-    """Per cell node, (neighbour index, cell offset) for both ends of every orbit."""
+def neighbor_lists(graph):
+    """Per cell node, (neighbour index, cell offset, weight) for both ends of
+    every orbit, in orbit order."""
     nbrs = [[] for _ in range(graph.n_cell)]
     for orb in graph.orbits:
-        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        nbrs[a].append((b, orb.offset))
-        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+        a, b = graph._index[orb.u], graph._index[orb.v]
+        nbrs[a].append((b, orb.offset, orb.weight))
+        nbrs[b].append((a, tuple(-o for o in orb.offset), orb.weight))
     return nbrs
 
 
-def _quotient_components(nbrs):
-    seen = [False] * len(nbrs)
+def _quotient_components(nbrs, d):
+    """Components of the quotient graph, and per node the summed cell offset
+    of the breadth-first tree path from the first node of its component."""
+    pot = [None] * len(nbrs)
     comps = []
     for s in range(len(nbrs)):
-        if seen[s]:
+        if pot[s] is not None:
             continue
         comp = []
         queue = deque([s])
-        seen[s] = True
+        pot[s] = (0,) * d
         while queue:
             x = queue.popleft()
             comp.append(x)
-            for y, _ in nbrs[x]:
-                if not seen[y]:
-                    seen[y] = True
+            for y, off, _ in nbrs[x]:
+                if pot[y] is None:
+                    pot[y] = tuple(p + o for p, o in zip(pot[x], off))
                     queue.append(y)
         comps.append(sorted(comp))
-    return comps
+    return comps, pot
 
 
-def _window_bfs_paths(nbrs, d, radius):
-    """BFS shortest paths from (cell 0, node) over a window of +-radius cells.
+def box_search(graph, nbrs, source, lo, hi):
+    """Breadth-first search from node `source` of cell 0 over the vertices
+    whose d-position lies in [lo, hi] per axis.
 
-    Returns parent maps keyed by (node index, cell tuple) per source node.
+    Neighbours are visited in orbit order and a vertex's parent is fixed when
+    it is first reached, so the path to any target is the one a search that
+    stops at that target would return.  Returns path(node, cell): the
+    (node index, cell tuple) states from the source to node `node` of cell
+    `cell`, or None when the box does not reach it.
     """
-    parents = []
-    inside = lambda cell: all(-radius <= c <= radius for c in cell)
-    zero = (0,) * d
-    for s in range(len(nbrs)):
-        par = {(s, zero): None}
-        queue = deque([(s, zero)])
-        while queue:
-            x, cell = queue.popleft()
-            for y, off in nbrs[x]:
-                ncell = tuple(c + o for c, o in zip(cell, off))
-                if inside(ncell) and (y, ncell) not in par:
-                    par[(y, ncell)] = (x, cell)
-                    queue.append((y, ncell))
-        parents.append(par)
-    return parents
+    T, dpos = graph.T, [node.dpos for node in graph.nodes]
+    start = (source, (0,) * graph.d)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        x, cell = state
+        for y, off, _ in nbrs[x]:
+            ncell = tuple(c + o for c, o in zip(cell, off))
+            if ((y, ncell) not in parent
+                    and all(a <= p + T * c <= b
+                            for p, c, a, b in zip(dpos[y], ncell, lo, hi))):
+                parent[(y, ncell)] = state
+                queue.append((y, ncell))
 
-
-def _extract_path(par, target):
-    path = []
-    cur = target
-    while cur is not None:
-        path.append(cur)
-        cur = par[cur]
-    path.reverse()
+    def path(node, cell):
+        state = (node, tuple(cell))
+        if state not in parent:
+            return None
+        states = []
+        while state is not None:
+            states.append(state)
+            state = parent[state]
+        return states[::-1]
     return path
 
 
@@ -314,28 +317,18 @@ def connectedness_certificate(graph, raise_on_failure=True):
     The graph is connected iff (a) the quotient multigraph on cell nodes is
     connected and (b) closed-walk offset sums generate all of Z^d.  (b) is
     decided exactly from the reduced integer basis of the cycle-offset
-    subgroup.  On success the result carries, for every ordered node pair and
-    every unit translation e_m, a shortest witness path found by BFS on a
-    window of +-r cells, r starting at 4 and doubling until every witness fits.
+    subgroup.  Neither step searches the infinite graph: a path between two
+    of its vertices comes from `witness_path` on demand.
     """
     if graph.n_cell == 0:
         raise ValueError("graph has no nodes")
-    nbrs = _neighbor_lists(graph)
-    comps = _quotient_components(nbrs)
+    comps, pot = _quotient_components(neighbor_lists(graph), graph.d)
     quotient_ok = len(comps) == 1
 
     lattice_index = 0
     basis = []
     if quotient_ok:
-        # spanning-tree potentials, then fundamental cycle offsets
-        pot = {0: (0,) * graph.d}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, off in nbrs[x]:
-                if y not in pot:
-                    pot[y] = tuple(p + o for p, o in zip(pot[x], off))
-                    queue.append(y)
+        # fundamental cycle offsets from the spanning-tree potentials
         cycles = []
         for orb in graph.orbits:
             a, b = graph.node_index(orb.u), graph.node_index(orb.v)
@@ -350,25 +343,9 @@ def connectedness_certificate(graph, raise_on_failure=True):
             lattice_index = abs(det)
 
     connected = quotient_ok and lattice_index == 1
-    witnesses = {}
-    if connected:
-        units = [tuple(1 if mm == m else 0 for mm in range(graph.d)) for m in range(graph.d)]
-        wanted = [(si, tj, m) for si in range(graph.n_cell)
-                  for tj in range(graph.n_cell) for m in range(graph.d)]
-        # every witness exists in a connected graph, so the doubling ends
-        radius = 4
-        parents = _window_bfs_paths(nbrs, graph.d, radius)
-        while not all((tj, units[m]) in parents[si] for si, tj, m in wanted):
-            radius *= 2
-            parents = _window_bfs_paths(nbrs, graph.d, radius)
-        for si, tj, m in wanted:
-            path = _extract_path(parents[si], (tj, units[m]))
-            witnesses[(graph.nodes[si], graph.nodes[tj], m)] = [
-                (graph.nodes[x], c) for x, c in path]
-
     result = ConnectivityResult(connected, quotient_ok, lattice_index,
                                 [[graph.nodes[i] for i in comp] for comp in comps],
-                                basis, witnesses)
+                                basis)
     if not connected and raise_on_failure:
         if not quotient_ok:
             raise DisconnectedGraph(
@@ -379,6 +356,29 @@ def connectedness_certificate(graph, raise_on_failure=True):
             f"(index {lattice_index if lattice_index else 'infinite'})",
             reason="sublattice", detail=basis)
     return result
+
+
+def witness_path(graph, src, tgt, m):
+    """A path from node `src` of cell 0 to node `tgt` of cell e_m.
+
+    It is a shortest path inside a box of +-r cells, r = 4 and doubling until
+    one fits, which ends because the graph is certified connected first.
+    Returns the path as a list of (CellNode, cell tuple).  Raises
+    DisconnectedGraph when the infinite graph is not connected.
+    """
+    if not 0 <= m < graph.d:
+        raise ValueError(f"axis {m} is not in 0..{graph.d - 1}")
+    connectedness_certificate(graph)
+    nbrs = neighbor_lists(graph)
+    i, j = graph.node_index(src), graph.node_index(tgt)
+    unit = tuple(int(a == m) for a in range(graph.d))
+    radius = 4
+    while True:
+        path = box_search(graph, nbrs, i, [-radius * graph.T] * graph.d,
+                          [(radius + 1) * graph.T - 1] * graph.d)(j, unit)
+        if path is not None:
+            return [(graph.nodes[x], cell) for x, cell in path]
+        radius *= 2
 
 
 # ---------------------------------------------------------------------------

