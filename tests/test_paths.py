@@ -1,14 +1,17 @@
-"""Path constants and inequality-harness ratios pinned exactly (==): every
-field of compute_path_constants and the worst ratios of both harnesses at 60
-trials, seed 5, on the fixtures, the conftest lattices and the layered
-lattice re-tiled to periods 2 and 4."""
+"""Path constants, harness ratios and witness paths pinned exactly (==):
+every field of compute_path_constants and the worst ratios of both harnesses
+at 60 trials, seed 5, on the fixtures, the conftest lattices and the layered
+lattice re-tiled to periods 2 and 4; the constants alone at period 8; and
+every witness_path on the fixtures and on a graph whose witness leaves the
+first search box."""
 
 import dataclasses
 
 import pytest
 
 from lattice_homog import (check_poincare_wirtinger, check_two_connectedness,
-                           compute_path_constants, normalize_period)
+                           compute_path_constants, graph_from_edges, normalize_period,
+                           witness_path)
 
 from conftest import (chain_graph, layered_square_lattice, random_square_lattice,
                       skew_lattice, square_lattice)
@@ -63,3 +66,122 @@ def test_pinned_path_constants_and_ratios(name, examples, rng):
     assert dataclasses.astuple(compute_path_constants(g)) == consts
     assert check_two_connectedness(g, trials=60, seed=5).worst_ratio == two
     assert check_poincare_wirtinger(g, trials=60, seed=5).worst_ratio == pw
+
+
+def test_pinned_path_constants_period_8():
+    # n = 128; the harnesses are left out at this size
+    g = normalize_period(layered_square_lattice(), 8)
+    assert dataclasses.astuple(compute_path_constants(g)) == (
+        0.5, 227.8125, 8, 8, 15, 0.3333333333333333, 8, 648)
+
+
+def gcd_9_10_graph():
+    """Z with bonds of lengths 9 and 10: the e_1 witness 0 -> -9 -> 1 leaves +-4 cells."""
+    return graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                           ((0,), (0,), (10,), 1.0)])
+
+
+# name: {(source index, target index, axis): [(node index, cell), ...]}, d = 1
+WITNESSES = {
+    'ex1': {
+        (0, 0, 0): [(0, 0), (2, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (2, 0), (3, 0), (4, 0), (1, 1)],
+        (0, 2, 0): [(0, 0), (2, 0), (0, 1), (2, 1)],
+        (0, 3, 0): [(0, 0), (2, 0), (0, 1), (2, 1), (3, 1)],
+        (0, 4, 0): [(0, 0), (2, 0), (0, 1), (2, 1), (3, 1), (4, 1)],
+        (1, 0, 0): [(1, 0), (4, 0), (3, 0), (2, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (4, 0), (1, 1)],
+        (1, 2, 0): [(1, 0), (4, 0), (1, 1), (4, 1), (3, 1), (2, 1)],
+        (1, 3, 0): [(1, 0), (4, 0), (1, 1), (4, 1), (3, 1)],
+        (1, 4, 0): [(1, 0), (4, 0), (1, 1), (4, 1)],
+        (2, 0, 0): [(2, 0), (0, 1)],
+        (2, 1, 0): [(2, 0), (3, 0), (4, 0), (1, 1)],
+        (2, 2, 0): [(2, 0), (0, 1), (2, 1)],
+        (2, 3, 0): [(2, 0), (0, 1), (2, 1), (3, 1)],
+        (2, 4, 0): [(2, 0), (0, 1), (2, 1), (3, 1), (4, 1)],
+        (3, 0, 0): [(3, 0), (2, 0), (0, 1)],
+        (3, 1, 0): [(3, 0), (4, 0), (1, 1)],
+        (3, 2, 0): [(3, 0), (2, 0), (0, 1), (2, 1)],
+        (3, 3, 0): [(3, 0), (2, 0), (0, 1), (2, 1), (3, 1)],
+        (3, 4, 0): [(3, 0), (4, 0), (1, 1), (4, 1)],
+        (4, 0, 0): [(4, 0), (3, 0), (2, 0), (0, 1)],
+        (4, 1, 0): [(4, 0), (1, 1)],
+        (4, 2, 0): [(4, 0), (1, 1), (4, 1), (3, 1), (2, 1)],
+        (4, 3, 0): [(4, 0), (1, 1), (4, 1), (3, 1)],
+        (4, 4, 0): [(4, 0), (1, 1), (4, 1)],
+    },
+    'ex2': {
+        (0, 0, 0): [(0, 0), (1, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (1, 1)],
+        (1, 0, 0): [(1, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (0, 1), (1, 1)],
+    },
+    'ex3': {
+        (0, 0, 0): [(0, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (1, 1)],
+        (1, 0, 0): [(1, 0), (0, -1), (0, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (1, 1)],
+    },
+    'ex4': {
+        (0, 0, 0): [(0, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (1, 1)],
+        (1, 0, 0): [(1, 0), (0, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (1, 1)],
+    },
+    'ex5': {
+        (0, 0, 0): [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)],
+        (0, 2, 0): [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1)],
+        (0, 3, 0): [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1)],
+        (0, 4, 0): [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (4, 1)],
+        (1, 0, 0): [(1, 0), (2, 0), (3, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1)],
+        (1, 2, 0): [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1)],
+        (1, 3, 0): [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1)],
+        (1, 4, 0): [(1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (4, 1)],
+        (2, 0, 0): [(2, 0), (3, 0), (0, 1)],
+        (2, 1, 0): [(2, 0), (3, 0), (0, 1), (1, 1)],
+        (2, 2, 0): [(2, 0), (3, 0), (0, 1), (1, 1), (2, 1)],
+        (2, 3, 0): [(2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1)],
+        (2, 4, 0): [(2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (4, 1)],
+        (3, 0, 0): [(3, 0), (0, 1)],
+        (3, 1, 0): [(3, 0), (0, 1), (1, 1)],
+        (3, 2, 0): [(3, 0), (0, 1), (1, 1), (2, 1)],
+        (3, 3, 0): [(3, 0), (0, 1), (1, 1), (2, 1), (3, 1)],
+        (3, 4, 0): [(3, 0), (0, 1), (1, 1), (2, 1), (4, 1)],
+        (4, 0, 0): [(4, 0), (0, 1)],
+        (4, 1, 0): [(4, 0), (0, 1), (1, 1)],
+        (4, 2, 0): [(4, 0), (0, 1), (1, 1), (2, 1)],
+        (4, 3, 0): [(4, 0), (0, 1), (1, 1), (2, 1), (3, 1)],
+        (4, 4, 0): [(4, 0), (0, 1), (1, 1), (2, 1), (4, 1)],
+    },
+    'ex6': {
+        (0, 0, 0): [(0, 0), (1, 0), (2, 0), (0, 1)],
+        (0, 1, 0): [(0, 0), (3, 0), (1, 1)],
+        (0, 2, 0): [(0, 0), (3, 0), (1, 1), (2, 1)],
+        (0, 3, 0): [(0, 0), (1, 0), (2, 0), (0, 1), (3, 1)],
+        (1, 0, 0): [(1, 0), (2, 0), (0, 1)],
+        (1, 1, 0): [(1, 0), (0, 0), (3, 0), (1, 1)],
+        (1, 2, 0): [(1, 0), (0, 0), (3, 0), (1, 1), (2, 1)],
+        (1, 3, 0): [(1, 0), (2, 0), (0, 1), (3, 1)],
+        (2, 0, 0): [(2, 0), (0, 1)],
+        (2, 1, 0): [(2, 0), (0, 1), (1, 1)],
+        (2, 2, 0): [(2, 0), (0, 1), (1, 1), (2, 1)],
+        (2, 3, 0): [(2, 0), (0, 1), (3, 1)],
+        (3, 0, 0): [(3, 0), (1, 1), (0, 1)],
+        (3, 1, 0): [(3, 0), (1, 1)],
+        (3, 2, 0): [(3, 0), (1, 1), (2, 1)],
+        (3, 3, 0): [(3, 0), (1, 1), (0, 1), (3, 1)],
+    },
+    'gcd_9_10': {
+        (0, 0, 0): [(0, 0), (0, -9), (0, 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESSES))
+def test_pinned_witness_paths(name, examples):
+    g = examples[name] if name in examples else gcd_9_10_graph()
+    for (i, j, m), path in WITNESSES[name].items():
+        assert witness_path(g, g.nodes[i], g.nodes[j], m) == [
+            (g.nodes[x], (c,)) for x, c in path]
