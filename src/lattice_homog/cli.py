@@ -179,9 +179,7 @@ def cmd_asymptotic(args):
     Ks = _parse_list(args.k, int, "K")
     if not Ks:
         raise UsageError("--k list must be non-empty")
-    z = _parse_list(args.z, float, "z") if args.z else [0.0] * graph.d
-    if not args.z:
-        z[0] = 1.0
+    z = _parse_list(args.z, float, "z") if args.z else [1.0] + [0.0] * (graph.d - 1)
     table = asymptotic.convergence_study(graph, z, sorted(Ks), tol=args.tol,
                                          convention=args.convention)
     rows = table.to_rows()
@@ -208,11 +206,16 @@ def cmd_asymptotic(args):
 
 def cmd_inequalities(args):
     graph = _load_graph(args.file)
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    widths = _parse_list(args.widths, int, "width")
     two = coarse.check_two_connectedness(graph, trials=args.trials, seed=args.seed)
     pw = coarse.check_poincare_wirtinger(graph, trials=args.trials, seed=args.seed)
-    widths = _parse_list(args.widths, int, "width")
-    poincare = coarse.check_poincare(graph, widths, trials=max(10, args.trials // 4),
-                                     seed=args.seed)
+    try:
+        poincare = coarse.check_poincare(graph, widths, trials=max(10, args.trials // 4),
+                                         seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--widths: {exc}") from exc
     ratios = [b.c_empirical / a.c_empirical
               for a, b in zip(poincare, poincare[1:])]
     ok = two.holds and pw.holds
@@ -247,12 +250,15 @@ def cmd_bvp(args):
         raise UsageError(f"--omega needs {2 * graph.d} numbers for d={graph.d}")
     omega = tuple((omega_vals[2 * m], omega_vals[2 * m + 1]) for m in range(graph.d))
     eps_list = _parse_list(args.eps, _parse_fraction, "eps")
-    if not eps_list:
-        raise UsageError("--eps list must be non-empty")
+    if not eps_list or min(eps_list) <= 0:
+        raise UsageError("--eps must list positive rationals")
     phi = parse_datum(args.phi, graph.d)
-    result = bvp.epsilon_convergence_study(graph, omega, phi,
-                                           sorted(eps_list, reverse=True),
-                                           r=args.r)
+    try:
+        result = bvp.epsilon_convergence_study(graph, omega, phi,
+                                               sorted(eps_list, reverse=True),
+                                               r=args.r)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = [r.to_dict() for r in result.rows]
     human = [f"{args.file}: Dirichlet study, omega={args.omega}, phi={args.phi}, "
              f"r={args.r or graph.T}",
@@ -366,6 +372,7 @@ def run(argv=None):
         return _USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         report, code = args.fn(args)
+        data = emit(report, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
@@ -377,11 +384,6 @@ def run(argv=None):
         else:
             print(f"error: {exc}", file=sys.stderr)
         return _CHECK_FAILED
-    try:
-        data = emit(report, args.format)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
     sys.stdout.write(data.decode())
     return code
 

@@ -7,7 +7,8 @@ per-cell deviation from the mean controlled by weighted edge differences —
 are verified empirically with constants computed from shortest-path structure,
 as is the domain-scale Poincare inequality for fields vanishing near the
 boundary.  Every box of vertices and edges comes from the shared box
-enumerator (graph.position_box, graph.CellBox), every energy is
+enumerator (graph.position_box, graph.CellBox), every path from its
+breadth-first search (graph.box_adjacency), every energy is
 graph.edge_energy over its edge arrays, and the Poincare constant's matrix is
 the shared pinned-vertex reduction (graph.pinned_reduction).
 """
@@ -15,15 +16,15 @@ the shared pinned-vertex reduction (graph.pinned_reduction).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CellOutOfWindow, DisconnectedGraph
-from .graph import (CellBox, box_search, connectedness_certificate, edge_energy,
-                    laplacian, neighbor_lists, pinned_reduction, position_box)
+from .graph import (CellBox, box_adjacency, connectedness_certificate, edge_energy,
+                    laplacian, pinned_reduction, position_box)
 
 
 @dataclass
@@ -121,15 +122,36 @@ class PathConstants:
     pair_multiplicity: int = 1
 
 
-def _family(paths):
-    """(longest length, largest edge multiplicity) of a family of paths, or
-    None when one of them is missing."""
-    if None in paths:
-        return None
-    counts = Counter(tuple(sorted(edge))
-                     for path in paths for edge in zip(path, path[1:]))
-    return (max((len(path) - 1 for path in paths), default=0),
-            max(counts.values(), default=1))
+def _tree_paths(graph, lo, hi, cell, targets):
+    """(longest length, largest edge multiplicity) of the breadth-first tree
+    paths inside the d-positions [lo, hi] from node i of cell 0 to the nodes
+    targets[i] of `cell`, over the cell nodes i; None when one does not fit.
+
+    In one source's tree a path is as long as its target is deep, and an
+    edge is used by the targets below it, counted by pushing the target
+    counts up one level per step; edges sum their use over the sources.
+    """
+    box, adjacency = box_adjacency(graph, lo, hi)
+    size, nodes = len(box.node_ids), np.arange(graph.n_cell)
+    sources = box.index(np.zeros((len(nodes), graph.d), dtype=np.intp), nodes)
+    ends = box.index(np.broadcast_to(cell, (len(nodes), graph.d)), nodes)[targets]
+    longest, keys, counts = 0, [], []
+    for source, target in zip(sources, ends):
+        order, pred = breadth_first_order(adjacency, source, directed=True,
+                                          return_predecessors=True)
+        if np.any(target < 0) or np.any(pred[target] < 0):
+            return None
+        child, parent = order[1:], pred[order[1:]]
+        step = below = np.bincount(target, minlength=size).astype(float)
+        depth = 0
+        while (step := np.bincount(parent, weights=step[child], minlength=size)).any():
+            below, depth = below + step, depth + 1
+        longest = max(longest, depth)
+        used = child[below[child] > 0]
+        keys.append(np.minimum(used, pred[used]) * size + np.maximum(used, pred[used]))
+        counts.append(below[used])
+    _, edge = np.unique(np.concatenate(keys), return_inverse=True)
+    return longest, int(np.bincount(edge, weights=np.concatenate(counts)).max(initial=1))
 
 
 def compute_path_constants(graph):
@@ -142,51 +164,31 @@ def compute_path_constants(graph):
     times the stacked path sums makes N * mu / #cell a valid constant for
     the unweighted local edge energy.  The per-cell constant is built the
     same way from the in-cell pair witnesses, divided by the smallest
-    weight.  Every witness is a shortest path inside the M-enlarged box,
-    from one graph.box_search per source node for the pairs and one per
-    source node and axis for the translations.  If a witness does not fit,
-    M grows by T (re-tiling argument); a connected graph always terminates.
+    weight.  Every witness is a shortest path inside the M-enlarged box, a
+    breadth-first tree path on graph.box_adjacency: d + 1 boxes per M (the
+    translations per axis, the pairs), one search per box and source node.
+    If a witness does not fit, M grows by T (re-tiling argument); a
+    connected graph always terminates.
     """
     connectedness_certificate(graph)  # raises DisconnectedGraph on failure
-    nbrs = neighbor_lists(graph)
     T, d, n_cell = graph.T, graph.d, graph.n_cell
-
-    def translation_paths(M):
-        # per axis: (longest witness) * (max edge multiplicity of the family)
-        worst = (0, 0, 1)
-        for m in range(d):
-            unit = tuple(int(mm == m) for mm in range(d))
-            hi = [T - 1 + (M - 1) + T * u for u in unit]
-            family = _family([box_search(graph, nbrs, i, [-(M - 1)] * d, hi)(i, unit)
-                              for i in range(n_cell)])
-            if family is None:
-                return None
-            longest, mu = family
-            if longest * mu > worst[0]:
-                worst = (longest * mu, longest, mu)
-        return worst
-
-    def pair_paths(M):
-        paths = []
-        for i in range(n_cell):
-            path_to = box_search(graph, nbrs, i, [-(M - 1)] * d, [T - 1 + (M - 1)] * d)
-            paths += [path_to(j, (0,) * d) for j in range(n_cell) if j != i]
-        return _family(paths)
-
-    M = T
-    for _ in range(8):
-        two = translation_paths(M)
-        pw = pair_paths(M)
-        if two is not None and pw is not None:
+    nodes = np.arange(n_cell)
+    others = np.array([np.delete(nodes, i) for i in nodes])
+    for M in range(T, 9 * T, T):
+        lo, hi = [-(M - 1)] * d, T - 1 + (M - 1)
+        axes = [_tree_paths(graph, lo, hi + T * unit, unit, nodes[:, None])
+                for unit in np.eye(d, dtype=np.intp)]
+        pw = _tree_paths(graph, lo, [hi] * d, np.zeros(d, dtype=np.intp), others)
+        if pw is not None and None not in axes:
             break
-        M += T
     else:
         raise DisconnectedGraph("witness paths do not fit any tested enlargement")
 
-    cand_two, n_two, mu_two = two
+    # the first axis with the largest (longest witness) * (multiplicity)
+    n_two, mu_two = max(axes, key=lambda family: family[0] * family[1])
     n_pw, mu_pw = pw
     min_w = min(o.weight for o in graph.orbits)
-    return PathConstants(C_two=cand_two / n_cell,
+    return PathConstants(C_two=n_two * mu_two / n_cell,
                          C_pw=n_pw * mu_pw / n_cell / min_w,
                          M=M,
                          max_translation_path=n_two,

@@ -6,10 +6,10 @@ that is invariant under the same translations.  Everything is stored per
 fundamental cell: nodes with d-coordinates in [0, T) and one representative
 per translation orbit of edges.
 
-Finite pieces of the infinite graph (windows, boxes) are broadcast from the
-per-cell arrays of the PeriodicOperator by CellBox; `laplacian`,
-`pinned_reduction` and `pinned_solve` are the one Laplacian assembly and the
-one pinned-vertex elimination behind every finite problem.
+Finite pieces of the infinite graph (windows, boxes, the graph that every
+path search runs on) are broadcast from the PeriodicOperator by CellBox;
+`laplacian`, `pinned_reduction` and `pinned_solve` are the one Laplacian
+assembly and the one pinned-vertex elimination behind every finite problem.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
 
@@ -243,7 +243,7 @@ def _hnf_rows(vectors, d):
 
 def neighbor_lists(graph):
     """Per cell node, (neighbour index, cell offset, weight) for both ends of
-    every orbit, in orbit order."""
+    every orbit, in (orbit, end) order (forward end first), as box_adjacency rows."""
     nbrs = [[] for _ in range(graph.n_cell)]
     for orb in graph.orbits:
         a, b = graph._index[orb.u], graph._index[orb.v]
@@ -272,43 +272,6 @@ def _quotient_components(nbrs, d):
                     queue.append(y)
         comps.append(sorted(comp))
     return comps, pot
-
-
-def box_search(graph, nbrs, source, lo, hi):
-    """Breadth-first search from node `source` of cell 0 over the vertices
-    whose d-position lies in [lo, hi] per axis.
-
-    Neighbours are visited in orbit order and a vertex's parent is fixed when
-    it is first reached, so the path to any target is the one a search that
-    stops at that target would return.  Returns path(node, cell): the
-    (node index, cell tuple) states from the source to node `node` of cell
-    `cell`, or None when the box does not reach it.
-    """
-    T, dpos = graph.T, [node.dpos for node in graph.nodes]
-    start = (source, (0,) * graph.d)
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        x, cell = state
-        for y, off, _ in nbrs[x]:
-            ncell = tuple(c + o for c, o in zip(cell, off))
-            if ((y, ncell) not in parent
-                    and all(a <= p + T * c <= b
-                            for p, c, a, b in zip(dpos[y], ncell, lo, hi))):
-                parent[(y, ncell)] = state
-                queue.append((y, ncell))
-
-    def path(node, cell):
-        state = (node, tuple(cell))
-        if state not in parent:
-            return None
-        states = []
-        while state is not None:
-            states.append(state)
-            state = parent[state]
-        return states[::-1]
-    return path
 
 
 def connectedness_certificate(graph, raise_on_failure=True):
@@ -361,23 +324,29 @@ def connectedness_certificate(graph, raise_on_failure=True):
 def witness_path(graph, src, tgt, m):
     """A path from node `src` of cell 0 to node `tgt` of cell e_m.
 
-    It is a shortest path inside a box of +-r cells, r = 4 and doubling until
-    one fits, which ends because the graph is certified connected first.
-    Returns the path as a list of (CellNode, cell tuple).  Raises
-    DisconnectedGraph when the infinite graph is not connected.
+    It is a breadth-first tree path on box_adjacency in a box of +-r cells,
+    r = 4 and doubling until one fits, which ends because the graph is
+    certified connected first.  Returns the path as a list of (CellNode,
+    cell tuple).  Raises DisconnectedGraph when the graph is not connected.
     """
     if not 0 <= m < graph.d:
         raise ValueError(f"axis {m} is not in 0..{graph.d - 1}")
     connectedness_certificate(graph)
-    nbrs = neighbor_lists(graph)
-    i, j = graph.node_index(src), graph.node_index(tgt)
-    unit = tuple(int(a == m) for a in range(graph.d))
+    d, T = graph.d, graph.T
+    nodes = np.array([graph.node_index(src), graph.node_index(tgt)])
+    cells = np.outer([0, 1], np.eye(d, dtype=np.intp)[m])
     radius = 4
     while True:
-        path = box_search(graph, nbrs, i, [-radius * graph.T] * graph.d,
-                          [(radius + 1) * graph.T - 1] * graph.d)(j, unit)
-        if path is not None:
-            return [(graph.nodes[x], cell) for x, cell in path]
+        box, adjacency = box_adjacency(graph, [-radius * T] * d, [(radius + 1) * T - 1] * d)
+        source, target = box.index(cells, nodes)
+        _, pred = breadth_first_order(adjacency, source, directed=True,
+                                     return_predecessors=True)
+        if target >= 0 and pred[target] >= 0:
+            path = [target]
+            while path[-1] != source:
+                path.append(pred[path[-1]])
+            return [(graph.nodes[box.node_ids[x]], tuple(box._cells[x // graph.n_cell].tolist()))
+                    for x in reversed(path)]
         radius *= 2
 
 
@@ -519,15 +488,41 @@ def position_box(graph, lo, hi):
     Returns (positions (N, d), node_ids (N,), ends (E, 2), weights (E,)),
     vertices ordered by position (row-major), then node.
     """
+    box, inside = _position_cells(graph, lo, hi)
+    pos, inside = box.positions, np.flatnonzero(inside)
+    members = inside[np.lexsort(np.vstack([box.node_ids[inside], pos[inside].T[::-1]]))]
+    ends, weights = box.edges_among(members)
+    return pos[members], box.node_ids[members], ends, weights
+
+
+def _position_cells(graph, lo, hi):
+    """The CellBox covering lo <= d-position <= hi, and its in-range mask."""
     op, T = graph.operator, graph.T
     lo, hi = np.asarray(lo), np.asarray(hi)
     box = CellBox(graph, -((op.dpos.max(axis=0) - lo) // T),
                   (hi - op.dpos.min(axis=0)) // T + 1)
-    pos = box.positions
-    inside = np.flatnonzero(np.all((pos >= lo) & (pos <= hi), axis=1))
-    members = inside[np.lexsort(np.vstack([box.node_ids[inside], pos[inside].T[::-1]]))]
-    ends, weights = box.edges_among(members)
-    return pos[members], box.node_ids[members], ends, weights
+    return box, np.all((box.positions >= lo) & (box.positions <= hi), axis=1)
+
+
+def box_adjacency(graph, lo, hi):
+    """The CellBox covering lo <= d-position <= hi per axis, and a CSR
+    adjacency into that range: row x lists the in-range neighbours of
+    vertex x in (orbit, end) order, the order of neighbor_lists, built
+    from (data, indices, indptr) since a COO build sorts rows.  scipy's
+    breadth_first_order on it, the one search for paths, visits a row in
+    stored order and fixes a predecessor on first discovery.
+    """
+    box, inside = _position_cells(graph, lo, hi)
+    size = len(box.node_ids)
+    ends = [box.instances(reverse) for reverse in (False, True)]
+    # (cell, orbit, end) order; the last slot of `inside` maps "outside"
+    near = np.column_stack([anchors for anchors, *_ in ends]).ravel()
+    far = np.column_stack([box.index(cells, nodes) for _, cells, nodes, _ in ends]).ravel()
+    keep = np.append(inside, False)[far]
+    near, far = near[keep], far[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=size))])
+    return box, sp.csr_matrix((np.ones(len(far)), far[np.argsort(near, kind="stable")],
+                               indptr), shape=(size, size))
 
 
 def laplacian(n, ends, coef):

@@ -130,6 +130,36 @@ def test_bvp_rejects_bad_eps(ex_path, capsys):
     assert code == 2
 
 
+def test_bvp_eps_off_the_period_is_usage_error(ex_path, capsys):
+    # ex1 has T = 2, so 1/eps = 3 is not a multiple of it
+    code, out, err = run_cli(capsys, "bvp", ex_path("ex1"), "--omega", "0,1",
+                             "--phi", "x", "--eps", "1/3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "multiple of T=2" in err
+
+
+def test_bvp_rejects_zero_eps(ex_path, capsys):
+    code, _, err = run_cli(capsys, "bvp", ex_path("ex1"), "--omega", "0,1",
+                           "--phi", "x", "--eps", "0")
+    assert code == 2
+    assert err == "error: --eps must list positive rationals\n"
+
+
+def test_inequalities_width_without_free_vertex_is_usage_error(ex_path, capsys):
+    code, out, err = run_cli(capsys, "inequalities", ex_path("ex1"), "--trials", "4",
+                             "--widths", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --widths: width 1 leaves no admissible vertex\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_inequalities_rejects_trials_below_one(ex_path, capsys, trials):
+    code, out, err = run_cli(capsys, "inequalities", ex_path("ex2"), "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == "error: --trials must be at least 1\n"
+
+
 def test_examples_listing_and_export(tmp_path, capsys):
     out_dir = tmp_path / "exported"
     code, out, _ = run_cli(capsys, "examples", "--export", str(out_dir))

@@ -1,13 +1,20 @@
 """Property-based invariants over randomized graphs and fields."""
 
+import dataclasses
+from collections import Counter, deque
+
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lattice_homog import (
     CellNode,
+    DisconnectedGraph,
     EdgeOrbit,
     LatticeGraph,
     brute_force_cell_oracle,
+    compute_path_constants,
+    connectedness_certificate,
     f_hom,
     graph_from_edges,
     neighbors,
@@ -141,6 +148,91 @@ def test_validate_and_witness_paths_large_offsets(graph, data):
         assert any((o.u, o.v, o.offset) == (a, b, step)
                    or (o.u, o.v, o.offset) == (b, a, tuple(-s for s in step))
                    for o in graph.orbits), (a, ca, b, cb)
+
+
+def _search_by_states(graph, source, lo, hi):
+    """Breadth-first search over (node, cell) states from node `source` of
+    cell 0, inside lo <= d-position <= hi, neighbours in (orbit, end) order
+    and parents fixed on first discovery.  Returns path(node, cell): the
+    states from the source, or None when the box does not reach it."""
+    nbrs = [[] for _ in range(graph.n_cell)]
+    for orb in graph.orbits:
+        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
+        nbrs[a].append((b, orb.offset))
+        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    start = (source, (0,) * graph.d)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        x, cell = state
+        for y, off in nbrs[x]:
+            ncell = tuple(c + o for c, o in zip(cell, off))
+            if ((y, ncell) not in parent
+                    and all(a <= p + graph.T * c <= b
+                            for p, c, a, b in zip(graph.nodes[y].dpos, ncell, lo, hi))):
+                parent[(y, ncell)] = state
+                queue.append((y, ncell))
+
+    def path(node, cell):
+        state = (node, tuple(cell))
+        if state not in parent:
+            return None
+        states = []
+        while state is not None:
+            states.append(state)
+            state = parent[state]
+        return states[::-1]
+    return path
+
+
+def _family_by_counter(paths):
+    """(longest length, largest edge multiplicity) of a family of paths, or
+    None when one of them is missing."""
+    if None in paths:
+        return None
+    counts = Counter(tuple(sorted(edge)) for path in paths for edge in zip(path, path[1:]))
+    return (max((len(path) - 1 for path in paths), default=0),
+            max(counts.values(), default=1))
+
+
+def _path_constants_by_states(graph):
+    """compute_path_constants by one state search per source and family."""
+    T, d, n = graph.T, graph.d, graph.n_cell
+    for M in range(T, 9 * T, T):
+        worst, fits = (0, 0, 1), True
+        for m in range(d):
+            unit = tuple(int(a == m) for a in range(d))
+            hi = [T - 1 + (M - 1) + T * u for u in unit]
+            family = _family_by_counter([_search_by_states(graph, i, [-(M - 1)] * d, hi)(i, unit)
+                                         for i in range(n)])
+            if family is None:
+                fits = False
+            elif family[0] * family[1] > worst[0]:
+                worst = (family[0] * family[1],) + family
+        paths = []
+        for i in range(n):
+            path_to = _search_by_states(graph, i, [-(M - 1)] * d, [T - 1 + (M - 1)] * d)
+            paths += [path_to(j, (0,) * d) for j in range(n) if j != i]
+        pair = _family_by_counter(paths)
+        if fits and pair is not None:
+            min_w = min(o.weight for o in graph.orbits)
+            return (worst[0] / n, pair[0] * pair[1] / n / min_w, M, worst[1], pair[0],
+                    min_w, worst[2], pair[1])
+    return "no fit"
+
+
+@pytest.mark.parametrize("max_offset", [1, 3])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_path_constants_match_state_search(max_offset, data):
+    graph = data.draw(lattice_graphs(max_offset=max_offset))
+    assume(connectedness_certificate(graph, raise_on_failure=False).connected)
+    try:
+        got = dataclasses.astuple(compute_path_constants(graph))
+    except DisconnectedGraph:
+        got = "no fit"
+    assert got == _path_constants_by_states(graph)
 
 
 @given(lattice_graphs(connected_only=True),
