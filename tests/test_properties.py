@@ -89,6 +89,17 @@ def test_neighbors_symmetry_random(graph):
             assert (node, tuple(-o for o in off), w) in neighbors(graph, other)
 
 
+def _orbit_neighbours(graph):
+    """Per cell node, (neighbour index, cell offset) for both ends of every
+    orbit, in (orbit, end) order."""
+    nbrs = [[] for _ in range(graph.n_cell)]
+    for orb in graph.orbits:
+        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
+        nbrs[a].append((b, orb.offset))
+        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    return nbrs
+
+
 def _reaches_all(graph, cap=128):
     """Whether node 0 of cell 0 reaches every node of cell 0 and node 0 of
     every cell e_m, by a breadth-first search whose box of +-r cells starts
@@ -99,11 +110,7 @@ def _reaches_all(graph, cap=128):
     orbits), none needed r > 32.
     """
     from collections import deque
-    nbrs = [[] for _ in range(graph.n_cell)]
-    for orb in graph.orbits:
-        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        nbrs[a].append((b, orb.offset))
-        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    nbrs = _orbit_neighbours(graph)
     zero = (0,) * graph.d
     targets = ({(j, zero) for j in range(graph.n_cell)}
                | {(0, tuple(int(a == m) for a in range(graph.d))) for m in range(graph.d)})
@@ -155,11 +162,7 @@ def _search_by_states(graph, source, lo, hi):
     cell 0, inside lo <= d-position <= hi, neighbours in (orbit, end) order
     and parents fixed on first discovery.  Returns path(node, cell): the
     states from the source, or None when the box does not reach it."""
-    nbrs = [[] for _ in range(graph.n_cell)]
-    for orb in graph.orbits:
-        a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-        nbrs[a].append((b, orb.offset))
-        nbrs[b].append((a, tuple(-o for o in orb.offset)))
+    nbrs = _orbit_neighbours(graph)
     start = (source, (0,) * graph.d)
     parent = {start: None}
     queue = deque([start])
