@@ -1,0 +1,171 @@
+"""Bloch symbol of a sub-periodic cell, and the FFT preconditioner built on it.
+
+A cell of period T is a re-tiling of a base cell of period t | T when
+shifting every node by t e_m, on every axis m, maps nodes onto nodes and
+edge orbits onto orbits.  Node i is then base node base[i] of translate
+dpos[i] // t in a (T/t)^d grid, and every orbit is one of the (T/t)^d
+translates of a base orbit from base node a to base node b of the base cell
+s away.  Giving each base orbit the mean weight of its translates makes a
+reference Laplacian that commutes with the shifts, so the discrete Fourier
+transform over the translate grid turns it into one n0 x n0 Hermitian
+matrix per frequency theta, the symbol
+
+    L0(theta) = sum_e w_e (delta_a - e^{i theta.s} delta_b)^* (delta_a - e^{i theta.s} delta_b)
+
+(Floquet-Bloch theory; Kuchment, Bull. AMS 53, 2016).  Inverting it by FFT
+is the constant-reference-medium step of FFT homogenization (Moulinec &
+Suquet, CMAME 157, 1998), used here to precondition the corrector CG.  The
+test for a sub-period reads the structure only, never the weights.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+# Relative eigenvalue cut of the per-frequency pseudo-inverse: far above the
+# roundoff of the zero eigenvalue at theta = 0 (about n0 * 1e-16 of the
+# largest) and far below the smallest nonzero one of any grid that fits in
+# memory (about |2 pi / grid|^2 of the largest).
+PINV_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class BaseCell:
+    """The base cell of period t that a cell re-tiles, with mean weights.
+
+    Node i of the cell sits at slot[i] = (flat translate) * n0 + base node
+    of the translate-major grid; base orbit e joins base node a[e] to base
+    node b[e] of the base cell shift[e] away and carries the mean weight of
+    its translates.
+    """
+
+    t: int
+    grid: tuple             # (T // t,) * d translates
+    slot: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    shift: np.ndarray       # (E0, d)
+    weight: np.ndarray
+
+    @property
+    def n0(self):
+        return len(self.slot) // int(np.prod(self.grid))
+
+
+def base_cell(op):
+    """The BaseCell of the smallest t | T, t < T, that `op`'s cell re-tiles,
+    or None.
+
+    t qualifies when every base node (dpos mod t, kpos) and every base orbit
+    (base u, base v, base-cell shift), taken in the orientation of the
+    smaller of its two int64 keys, occurs exactly (T/t)^d times.  Nodes
+    are distinct and orbits are distinct undirected edges, so each occurs
+    at most once per translate, and the counts say that each occurs in
+    every translate.
+    """
+    n, d = op.dpos.shape
+    T = op.T
+    if n == 0 or op.dpos.min() < 0 or op.dpos.max() >= T:
+        return None
+    kpos = op.kpos - op.kpos.min(axis=0)
+    kdims = tuple(int(m) + 1 for m in kpos.max(axis=0))
+    far = op.dpos[op.v] + T * op.offset
+    for t in range(1, T):
+        grid = (T // t,) * d
+        copies = int(np.prod(grid))
+        if T % t or n % copies:
+            continue
+        node_keys = np.ravel_multi_index(tuple((op.dpos % t).T) + tuple(kpos.T),
+                                         (t,) * d + kdims)
+        _, base, counts = np.unique(node_keys, return_inverse=True, return_counts=True)
+        if np.any(counts != copies):
+            continue
+        n0 = len(counts)
+        shift = far // t - op.dpos[op.u] // t
+        reach = np.abs(shift).max(axis=0, initial=0)
+        dims = (n0, n0) + tuple(int(r) * 2 + 1 for r in reach)
+        forward = np.ravel_multi_index((base[op.u], base[op.v]) + tuple((shift + reach).T),
+                                       dims)
+        backward = np.ravel_multi_index((base[op.v], base[op.u]) + tuple((reach - shift).T),
+                                        dims)
+        keys, orbit, counts = np.unique(np.minimum(forward, backward),
+                                        return_inverse=True, return_counts=True)
+        if np.any(counts != copies):
+            continue
+        a, b, *s = np.unravel_index(keys, dims)
+        translate = np.ravel_multi_index(tuple((op.dpos // t).T), grid)
+        return BaseCell(t, grid, translate * n0 + base, a, b,
+                        np.column_stack(s).reshape(-1, d) - reach,
+                        np.bincount(orbit, weights=op.w, minlength=len(keys)) / copies)
+    return None
+
+
+def symbol(cell, theta):
+    """L0(theta) for each row of `theta` (F, d): an (F, n0, n0) Hermitian stack."""
+    n0 = cell.n0
+    phase = np.exp(1j * (np.asarray(theta, dtype=float) @ cell.shift.T))
+    w = cell.weight
+    out = np.zeros((len(phase), n0, n0), dtype=complex)
+    every = slice(None)
+    np.add.at(out, (every, cell.a, cell.a), w)
+    np.add.at(out, (every, cell.b, cell.b), w)
+    np.add.at(out, (every, cell.a, cell.b), -w * phase)
+    np.add.at(out, (every, cell.b, cell.a), -w * phase.conj())
+    return out
+
+
+class FFTPreconditioner:
+    """r -> L_ref^+ r for the mean-weight reference Laplacian of a BaseCell.
+
+    rfftn over the translate grid, one n0 x n0 product per frequency with
+    the pseudo-inverse of L0(theta), irfftn back.  Vectors are laid out
+    grid axes first and base node last, which for a t = 1 re-tiling is the
+    cell's own node order, so no gather is needed there.
+    """
+
+    def __init__(self, cell):
+        self.t, self.n0, self.grid = cell.t, cell.n0, cell.grid
+        d = len(self.grid)
+        K = self.grid[0]
+        freqs = [2.0 * np.pi * np.fft.fftfreq(K)] * (d - 1) + [2.0 * np.pi * np.fft.rfftfreq(K)]
+        theta = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1)
+        # Pseudo-inverse of each symbol through its real form [[Re, -Im], [Im, Re]],
+        # whose pseudo-inverse is the real form of the symbol's: LAPACK's real
+        # symmetric solver pages in under a fifth of the complex one's code.
+        sym = symbol(cell, theta.reshape(-1, d))
+        vals, vecs = np.linalg.eigh(np.block([[sym.real, -sym.imag], [sym.imag, sym.real]]))
+        keep = vals > PINV_RTOL * vals[:, -1:]
+        inverse_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+        real = (vecs * inverse_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+        n0 = self.n0
+        inverse = real[:, :n0, :n0] + 1j * real[:, n0:, :n0]
+        self.inverse = inverse.reshape(theta.shape[:-1] + (n0, n0))
+        identity = np.array_equal(cell.slot, np.arange(len(cell.slot)))
+        self.slot = None if identity else cell.slot
+        self.order = None if identity else np.argsort(cell.slot)
+        for a in (self.inverse, self.slot, self.order):
+            if a is not None:
+                a.flags.writeable = False
+
+    def __call__(self, r):
+        axes = tuple(range(len(self.grid)))
+        x = r if self.order is None else r[self.order]
+        spectrum = np.fft.rfftn(x.reshape(self.grid + (self.n0,)), axes=axes)
+        spectrum = np.einsum("...ab,...b->...a", self.inverse, spectrum)
+        y = np.fft.irfftn(spectrum, s=self.grid, axes=axes).reshape(-1)
+        return y if self.slot is None else y[self.slot]
+
+
+def fft_preconditioner(op):
+    """The FFTPreconditioner of `op`'s smallest sub-period, or None.
+
+    None also when the base cell has more nodes than there are translates
+    (n0^2 > n): the dense per-frequency blocks then hold about n * n0 / 2
+    entries, more than n^(3/2) / 2.
+    """
+    cell = base_cell(op)
+    if cell is None or cell.n0 ** 2 > len(cell.slot):
+        return None
+    return FFTPreconditioner(cell)

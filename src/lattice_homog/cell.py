@@ -4,7 +4,11 @@ For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
 unconstrained positive-semidefinite solve on the quotient graph with the
 graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is d
-conjugate-gradient solves against that one L.  The energy is reported per
+conjugate-gradient solves against that one L.  A cell of at least
+PCG_MIN_NODES nodes that re-tiles a smaller base cell is solved by CG
+preconditioned with the FFT inverse of the base cell's mean-weight Bloch
+symbol (bloch.py), which keeps the step count nearly flat in T where the
+weights vary little; every other cell runs plain CG.  The energy is reported per
 cell volume T^d under one of two edge-counting conventions: "double" counts
 every undirected orbit from both endpoints (the energy written as a sum over
 ordered pairs), "single" counts each orbit once; the double value is exactly
@@ -13,6 +17,7 @@ twice the single one.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,11 @@ import numpy as np
 from .errors import InvalidDirection, NoConvergence
 
 CONVENTIONS = ("double", "single")
+
+# Smallest cell that runs preconditioned CG (the sweep is in solve_corrector).
+PCG_MIN_NODES = 256
+
+_log = logging.getLogger("lattice_homog")
 
 
 def convention_factor(convention):
@@ -42,6 +52,7 @@ class CorrectorField:
     values: np.ndarray
     direction: np.ndarray
     residual: float
+    iterations: int = 0         # CG steps taken (one mat-vec with L each)
 
     def as_dict(self, graph):
         return {str(node): float(v) for node, v in zip(graph.nodes, self.values)}
@@ -72,14 +83,29 @@ def assemble_quotient_system(graph, z):
     return op.L, op.B @ z, float(z @ op.C @ z)
 
 
-def solve_corrector(L, b, tol=1e-10, max_iterations=None):
+def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
     """Minimize chi^T L chi + 2 b.chi over mean-zero chi by conjugate gradients.
 
     L must be PSD with kernel spanned by constants (connected quotient); b is
     orthogonal to constants by construction.  The mean is projected out every
     step so roundoff cannot drift along the kernel.  Stops when
     ||L chi + b|| <= tol * ||b|| (or <= tol for b = 0); raises NoConvergence
-    at 10 * n iterations, or on breakdown (p.Lp <= 0: L indefinite).
+    at 10 * n iterations, or on breakdown (p.Lp <= 0: L indefinite, or
+    r.Mr <= 0: preconditioner indefinite).
+
+    `precondition`, when given, maps a residual r to M r with M a PSD
+    approximate inverse of L, and the loop is preconditioned CG on the same
+    stopping rule; PeriodicOperator.preconditioner is one (bloch.py).  When
+    None, the loop is plain CG with no extra work per step.
+
+    `corrector` passes the preconditioner from PCG_MIN_NODES = 256 nodes
+    up.  Axis-0 corrector of the random square cell R(T) (n = T^2, t = 1),
+    best of 50 solves on a 2-vCPU x86 host, plain -> preconditioned:
+    R(4) 0.52 -> 1.42 ms (15 -> 12 iterations), R(8) 0.67 -> 1.05 ms
+    (36 -> 16), R(10) 1.45 -> 1.90 ms (46 -> 16), R(12) 1.16 -> 1.96 ms
+    (58 -> 17), R(16) 1.59 -> 1.28 ms (76 -> 18), R(32) 3.76 -> 1.65 ms
+    (136 -> 18).  Below the crossover the FFT pair of each step costs more
+    than the steps it saves.
     """
     n = b.shape[0]
     project = lambda v: v - v.mean()
@@ -87,38 +113,57 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None):
     x = np.zeros(n)
     r = project(-b - L @ x)
     if np.linalg.norm(r) <= target:
-        return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)))
-    p = r.copy()
-    rs = r @ r
+        return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)), 0)
+    p = r.copy() if precondition is None else project(precondition(r))
+    rs = r @ p
     cap = max_iterations if max_iterations is not None else 10 * n
     for it in range(cap):
         Lp = L @ p
         denom = p @ Lp
-        if denom <= 0:
-            stop = f"broke down at iteration {it} (p.Lp = {denom:.3e} <= 0)"
+        if denom <= 0 or rs <= 0:
+            name, value = ("p.Lp", denom) if denom <= 0 else ("r.Mr", rs)
+            stop = f"broke down at iteration {it} ({name} = {value:.3e} <= 0)"
             break
         alpha = rs / denom
         x = project(x + alpha * p)
         r = project(r - alpha * Lp)
-        rs_new = r @ r
-        if np.sqrt(rs_new) <= target:
-            return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)))
-        p = r + (rs_new / rs) * p
+        rr = r @ r
+        if np.sqrt(rr) <= target:
+            return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)), it + 1)
+        if precondition is None:
+            s, rs_new = r, rr
+        else:
+            s = project(precondition(r))
+            rs_new = r @ s
+        p = s + (rs_new / rs) * p
         rs = rs_new
     else:
+        it = cap
         stop = f"hit the {cap}-iteration cap"
     achieved = float(np.linalg.norm(L @ x + b))
     if achieved <= target:
-        return CorrectorField(x, np.array([]), achieved)
+        return CorrectorField(x, np.array([]), achieved, it)
     raise NoConvergence(f"corrector CG {stop} (residual {achieved:.3e})", residual=achieved)
 
 
 def corrector(graph, z, tol=1e-10):
-    """Solve the cell problem for direction z."""
+    """Solve the cell problem for direction z.
+
+    Cells of at least PCG_MIN_NODES nodes that re-tile a smaller base cell
+    run CG preconditioned by the operator's FFT preconditioner; all others
+    run plain CG.  The solver, n, iterations and residual go to the
+    `lattice_homog` logger at debug level.
+    """
     z = _check_direction(graph, z)
     op = graph.operator
-    field = solve_corrector(op.L, op.B @ z, tol=tol)
+    precondition = op.preconditioner if graph.n_cell >= PCG_MIN_NODES else None
+    field = solve_corrector(op.L, op.B @ z, tol=tol, precondition=precondition)
     field.direction = z
+    if _log.isEnabledFor(logging.DEBUG):
+        solver = ("cg" if precondition is None else
+                  f"fft-pcg (t={precondition.t}, n0={precondition.n0})")
+        _log.debug("corrector: solver %s, n %d, iterations %d, residual %.3e",
+                   solver, graph.n_cell, field.iterations, field.residual)
     return field
 
 

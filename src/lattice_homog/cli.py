@@ -142,6 +142,8 @@ def cmd_validate(args):
 
 def cmd_cell(args):
     graph = _load_graph(args.file)
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
     tensor = cell.homogenized_tensor(graph, tol=args.tol, convention=args.convention)
     other = "single" if args.convention == "double" else "double"
     factor = 0.5 if args.convention == "double" else 2.0

@@ -25,6 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from .bloch import fft_preconditioner
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
 
 
@@ -159,16 +160,23 @@ class PeriodicOperator:
     W = diag(w), the energy of z . x + chi is chi^T L chi + 2 (B z) . chi +
     z^T C z, where L = D^T W D (n x n), B = D^T W disp (n x d) and
     C = disp^T W disp (d x d).
+
+    `preconditioner` is built on first use: the FFT preconditioner of the
+    cell's smallest sub-period t | T (bloch.py), an approximate inverse of
+    L for the corrector CG, or None when the cell re-tiles no smaller one.
     """
 
     def __init__(self, graph):
         n, d, index = graph.n_cell, graph.d, graph._index
+        self.T = graph.T
         orbits = graph.orbits
         self.u = np.array([index[o.u] for o in orbits], dtype=np.intp)
         self.v = np.array([index[o.v] for o in orbits], dtype=np.intp)
         self.w = np.array([o.weight for o in orbits], dtype=float)
         self.offset = np.array([o.offset for o in orbits], dtype=np.intp).reshape(-1, d)
         self.dpos = np.array([node.dpos for node in graph.nodes], dtype=np.intp).reshape(n, d)
+        self.kpos = np.array([node.kpos for node in graph.nodes],
+                             dtype=np.intp).reshape(n, graph.k)
         self.disp = (self.dpos[self.v] + graph.T * self.offset - self.dpos[self.u]).astype(float)
 
         wdisp = self.w[:, None] * self.disp
@@ -177,9 +185,13 @@ class PeriodicOperator:
         np.add.at(self.B, self.v, wdisp)
         np.add.at(self.B, self.u, -wdisp)
         self.C = self.disp.T @ wdisp
-        for a in (self.u, self.v, self.w, self.offset, self.dpos, self.disp,
+        for a in (self.u, self.v, self.w, self.offset, self.dpos, self.kpos, self.disp,
                   self.B, self.C, self.L.data):
             a.flags.writeable = False
+
+    @cached_property
+    def preconditioner(self):
+        return fft_preconditioner(self)
 
 
 def neighbors(graph, node):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lattice_homog import builtin_examples, graph_from_edges
+from lattice_homog import builtin_examples, graph_from_edges, solve_corrector
 
 
 def chain_graph():
@@ -47,6 +47,26 @@ def random_square_lattice(T, rng):
             edges.append(((x, y), (x, (y + 1) % T), (0, int(y == T - 1)),
                           float(rng.uniform(0.5, 2.0))))
     return graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
+
+
+def random_strip(P, rng):
+    """d=1, k=1 two-rail strip of period P, U(0.5, 2) rails, rungs at 0 and
+    at each other x with probability 1/2: a cell with no sub-period unless
+    the rungs repeat."""
+    edges = [((x, r), ((x + 1) % P, r), (int(x == P - 1),), float(rng.uniform(0.5, 2.0)))
+             for r in range(2) for x in range(P)]
+    edges += [((x, 0), (x, 1), (0,), 1.0)
+              for x in range(P) if x == 0 or rng.random() < 0.5]
+    return graph_from_edges(1, 1, P, [(x, r) for x in range(P) for r in range(2)], edges)
+
+
+def plain_cg_tensor(graph):
+    """The doubled tensor from axis correctors by plain (unpreconditioned) CG."""
+    op = graph.operator
+    X = np.column_stack([solve_corrector(op.L, op.B @ e).values for e in np.eye(graph.d)])
+    BX = op.B.T @ X
+    A = op.C + BX + BX.T + X.T @ (op.L @ X)
+    return (A + A.T) / graph.T ** graph.d
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 from lattice_homog import (
+    EdgeOrbit,
     InvalidDirection,
+    LatticeGraph,
     NoConvergence,
     TooLarge,
     assemble_quotient_system,
     brute_force_cell_oracle,
+    builtin_examples,
     cell_energy,
     corrector,
     f_hom,
@@ -15,12 +20,15 @@ from lattice_homog import (
     normalize_period,
     solve_corrector,
 )
-from lattice_homog.cell import convention_factor
+from lattice_homog.bloch import base_cell
+from lattice_homog.cell import PCG_MIN_NODES, convention_factor
 from lattice_homog.graph import PeriodicOperator
 
 from conftest import (
     layered_square_lattice,
+    plain_cg_tensor,
     random_square_lattice,
+    random_strip,
     skew_lattice,
     square_lattice,
 )
@@ -97,6 +105,11 @@ def test_operator_is_lazy_and_read_only(rng):
         op.L.data[0] = 0.0
     with pytest.raises(ValueError):
         op.B[0, 0] = 0.0
+    assert "preconditioner" not in vars(op)
+    pre = op.preconditioner
+    assert op.preconditioner is pre
+    with pytest.raises(ValueError):
+        pre.inverse[0, 0] = 0.0
 
 
 def test_operator_built_once_per_graph(monkeypatch, rng):
@@ -283,10 +296,11 @@ def test_tensor_skew_lattice_polarization(rng):
 
 
 def test_tensor_layered_lattice_exact():
-    t = homogenized_tensor(normalize_period(layered_square_lattice(), 8))
     expect = np.array([[20.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 14.0 / 3.0]])
-    assert np.all(np.abs(t.entries - expect) <= 1e-9 * np.abs(expect))
-    assert t.entries[0, 1] == t.entries[1, 0]
+    for T in (8, 48):    # plain CG, and the preconditioned solve with exact reference
+        t = homogenized_tensor(normalize_period(layered_square_lattice(), T))
+        assert np.all(np.abs(t.entries - expect) <= 1e-9 * np.abs(expect))
+        assert t.entries[0, 1] == t.entries[1, 0]
 
 
 def test_tensor_quadratic_form_equals_f_hom_multi_node(rng):
@@ -344,3 +358,89 @@ def test_oracle_size_cap():
     g = graph_from_edges(1, 0, 65, nodes, edges)
     with pytest.raises(TooLarge):
         brute_force_cell_oracle(g, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# sub-periods and the FFT-preconditioned corrector
+
+
+def _checkerboard(T):
+    """A T = 2 square cell with one diagonal, re-tiled to period T: t = 2,
+    n0 = 4, and a node order that is not the translate-major one."""
+    nodes = [(x, y) for x in range(2) for y in range(2)]
+    edges = [((x, y), ((x + 1) % 2, y), (x, 0), 1.0) for x, y in nodes]
+    edges += [((x, y), (x, (y + 1) % 2), (0, y), 1.0) for x, y in nodes]
+    edges.append(((0, 0), (1, 1), (0, 0), 0.5))
+    return normalize_period(graph_from_edges(2, 0, 2, nodes, edges), T)
+
+
+def test_sub_period_of_tilings(examples, rng):
+    for g, t, n0 in [(random_square_lattice(4, rng), 1, 1),
+                     (random_square_lattice(16, rng), 1, 1),
+                     (normalize_period(layered_square_lattice(), 4), 1, 2),
+                     (normalize_period(layered_square_lattice(), 16), 1, 2),
+                     (_checkerboard(8), 2, 4)]:
+        pre = g.operator.preconditioner
+        assert (pre.t, pre.n0) == (t, n0)
+    g = normalize_period(examples["ex5"], 256)
+    assert (g.d, g.k, g.n_cell) == (1, 1, 320)
+    pre = g.operator.preconditioner
+    assert (pre.t, pre.n0) == (4, 5)
+
+
+def test_no_sub_period_gives_no_preconditioner(examples):
+    graphs = list(examples.values())
+    graphs += [random_strip(P, np.random.default_rng(P)) for P in (8, 16, 64)]
+    l2 = normalize_period(layered_square_lattice(), 16)
+    graphs.append(LatticeGraph(l2.d, l2.k, l2.T, l2.nodes, l2.orbits[1:], M=l2.M))
+    for g in graphs:
+        assert base_cell(g.operator) is None, g
+        assert g.operator.preconditioner is None
+
+
+def test_base_cell_with_more_nodes_than_translates_gives_no_preconditioner():
+    # n = 256 with n0 = 128 base nodes in 2 translates: the dense blocks
+    # would outgrow the cell
+    g = normalize_period(random_strip(64, np.random.default_rng(64)), 128)
+    cell = base_cell(g.operator)
+    assert (cell.t, cell.n0) == (64, 128)
+    assert g.operator.preconditioner is None
+
+
+def test_preconditioned_tensor_matches_plain_cg(examples, rng):
+    graphs = [random_square_lattice(32, rng), normalize_period(layered_square_lattice(), 16),
+              normalize_period(examples["ex5"], 256), _checkerboard(32)]
+    for g in graphs:
+        assert g.n_cell >= PCG_MIN_NODES and g.operator.preconditioner is not None
+        A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), g
+
+
+def test_preconditioned_iterations_stay_flat(rng):
+    fields = homogenized_tensor(random_square_lattice(64, rng)).correctors
+    assert all(0 < f.iterations <= 30 for f in fields)
+
+
+def test_small_cells_run_plain_cg(rng):
+    # fresh fixtures: the session's copies may have built a preconditioner
+    graphs = list(builtin_examples().values())
+    graphs += [random_square_lattice(T, rng) for T in (4, 8, 15)]
+    graphs.append(normalize_period(layered_square_lattice(), 8))
+    for g in graphs:
+        assert g.n_cell < PCG_MIN_NODES
+        op = g.operator
+        for e in np.eye(g.d):
+            ours, plain = corrector(g, e), solve_corrector(op.L, op.B @ e)
+            assert ours.iterations == plain.iterations
+            assert np.array_equal(ours.values, plain.values)
+        assert "preconditioner" not in vars(op)
+
+
+def test_corrector_logs_its_solver(examples, rng, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        corrector(examples["ex4"], [1.0])
+        field = corrector(random_square_lattice(16, rng), [1.0, 0.0])
+    small, large = [r.getMessage() for r in caplog.records]
+    assert small.startswith("corrector: solver cg, n 2, iterations 1, residual ")
+    assert large == (f"corrector: solver fft-pcg (t=1, n0=1), n 256, iterations "
+                     f"{field.iterations}, residual {field.residual:.3e}")

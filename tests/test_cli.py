@@ -160,6 +160,13 @@ def test_inequalities_rejects_trials_below_one(ex_path, capsys, trials):
     assert err == "error: --trials must be at least 1\n"
 
 
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_cell_rejects_non_positive_tol(ex_path, capsys, tol):
+    code, out, err = run_cli(capsys, "cell", ex_path("ex1"), f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == "error: --tol must be positive\n"
+
+
 def test_examples_listing_and_export(tmp_path, capsys):
     out_dir = tmp_path / "exported"
     code, out, _ = run_cli(capsys, "examples", "--export", str(out_dir))

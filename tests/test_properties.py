@@ -17,6 +17,7 @@ from lattice_homog import (
     connectedness_certificate,
     f_hom,
     graph_from_edges,
+    homogenized_tensor,
     neighbors,
     normalize_period,
     parse,
@@ -25,7 +26,9 @@ from lattice_homog import (
     witness_path,
 )
 
-from conftest import random_square_lattice
+from lattice_homog.cell import PCG_MIN_NODES
+
+from conftest import plain_cg_tensor, random_square_lattice
 
 
 @st.composite
@@ -257,6 +260,24 @@ def test_solver_matches_oracle_random(graph):
     ours = f_hom(graph, z)
     ref = brute_force_cell_oracle(graph, z)
     assert abs(ours - ref) <= 1e-8 * max(abs(ref), 1e-12)
+
+
+@given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_preconditioned_tensor_matches_plain_cg_random(graph, seed):
+    # re-tiled to at least PCG_MIN_NODES nodes, every orbit reweighted, so
+    # the mean-weight reference is inexact
+    reps = 2
+    while graph.n_cell * reps ** graph.d < PCG_MIN_NODES:
+        reps += 1
+    tiled = normalize_period(graph, graph.T * reps)
+    weights = np.random.default_rng(seed).uniform(0.25, 4.0, len(tiled.orbits))
+    g = LatticeGraph(tiled.d, tiled.k, tiled.T, tiled.nodes,
+                     [EdgeOrbit(o.u, o.v, o.offset, float(w))
+                      for o, w in zip(tiled.orbits, weights)], M=tiled.M)
+    assert g.operator.preconditioner is not None
+    A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+    assert np.abs(A - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def _window_by_loops(graph, window, wrap):
