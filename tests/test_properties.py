@@ -351,3 +351,50 @@ def test_position_box_matches_position_loop(graph, lo, hi):
                 if b is not None:
                     edges.append((a, b, orb.weight))
     assert list(zip(*ends.T.tolist(), weights.tolist())) == edges
+
+
+def _canonical_by_objects(orb):
+    """The object canonicalization: the smaller endpoint first, and a
+    self-orbit with the lexicographically positive offset."""
+    back = tuple(-o for o in orb.offset)
+    if orb.v < orb.u or (orb.v == orb.u and orb.offset < back):
+        return EdgeOrbit(orb.v, orb.u, back, orb.weight)
+    return orb
+
+
+def _retile_by_loops(graph, T2):
+    """normalize_period by nested loops over nodes, orbits and shifts, the
+    orbits canonicalized and sorted here: (nodes, orbits)."""
+    from itertools import product
+    T, d = graph.T, graph.d
+    shifts = list(product(range(T2 // T), repeat=d))
+    nodes = [CellNode(tuple(p + T * s for p, s in zip(node.dpos, shift)), node.kpos)
+             for node in graph.nodes for shift in shifts]
+    orbits = []
+    for orb in graph.orbits:
+        for shift in shifts:
+            u = CellNode(tuple(p + T * s for p, s in zip(orb.u.dpos, shift)), orb.u.kpos)
+            far = tuple(p + T * (s + o) for p, s, o in zip(orb.v.dpos, shift, orb.offset))
+            off = tuple(c // T2 for c in far)
+            v = CellNode(tuple(c - T2 * o for c, o in zip(far, off)), orb.v.kpos)
+            orbits.append(_canonical_by_objects(EdgeOrbit(u, v, off, orb.weight)))
+    return tuple(sorted(nodes)), tuple(sorted(orbits, key=lambda o: (o.u, o.v, o.offset)))
+
+
+@pytest.mark.parametrize("max_offset", [1, 3])
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_normalize_period_matches_nested_loops(max_offset, data, reps):
+    graph = data.draw(lattice_graphs(max_offset=max_offset))
+    T2 = reps * graph.T
+    got = normalize_period(graph, T2)
+    nodes, orbits = _retile_by_loops(graph, T2)
+    assert got.nodes == nodes and got.orbits == orbits
+    ref = LatticeGraph(graph.d, graph.k, T2, nodes, orbits, M=graph.M)
+    assert got == ref and serialize(got) == serialize(ref)
+    for node in got.nodes:
+        assert type(node.dpos) is tuple and type(node.kpos) is tuple
+        assert all(type(c) is int for c in node.dpos + node.kpos)
+    for orb in got.orbits:
+        assert type(orb.offset) is tuple and all(type(c) is int for c in orb.offset)
+        assert type(orb.weight) is float
