@@ -55,8 +55,8 @@ class BaseCell:
 
 
 def base_cell(op):
-    """The BaseCell of the smallest t | T, t < T, that `op`'s cell re-tiles,
-    or None.
+    """The BaseCell of the smallest t | T, t < T, that the cell of `op`'s
+    graph re-tiles, or None; it reads the graph's node and orbit arrays.
 
     t qualifies when every base node (dpos mod t, kpos) and every base orbit
     (base u, base v, base-cell shift), taken in the orientation of the
@@ -65,40 +65,41 @@ def base_cell(op):
     at most once per translate, and the counts say that each occurs in
     every translate.
     """
-    n, d = op.dpos.shape
-    T = op.T
-    if n == 0 or op.dpos.min() < 0 or op.dpos.max() >= T:
+    g = op.graph
+    n, d = g.dpos.shape
+    T = g.T
+    if n == 0 or g.dpos.min() < 0 or g.dpos.max() >= T:
         return None
-    kpos = op.kpos - op.kpos.min(axis=0)
+    kpos = g.kpos - g.kpos.min(axis=0)
     kdims = tuple(int(m) + 1 for m in kpos.max(axis=0))
-    far = op.dpos[op.v] + T * op.offset
+    far = g.dpos[g.v] + T * g.offset
     for t in range(1, T):
         grid = (T // t,) * d
         copies = int(np.prod(grid))
         if T % t or n % copies:
             continue
-        node_keys = np.ravel_multi_index(tuple((op.dpos % t).T) + tuple(kpos.T),
+        node_keys = np.ravel_multi_index(tuple((g.dpos % t).T) + tuple(kpos.T),
                                          (t,) * d + kdims)
         _, base, counts = np.unique(node_keys, return_inverse=True, return_counts=True)
         if np.any(counts != copies):
             continue
         n0 = len(counts)
-        shift = far // t - op.dpos[op.u] // t
+        shift = far // t - g.dpos[g.u] // t
         reach = np.abs(shift).max(axis=0, initial=0)
         dims = (n0, n0) + tuple(int(r) * 2 + 1 for r in reach)
-        forward = np.ravel_multi_index((base[op.u], base[op.v]) + tuple((shift + reach).T),
+        forward = np.ravel_multi_index((base[g.u], base[g.v]) + tuple((shift + reach).T),
                                        dims)
-        backward = np.ravel_multi_index((base[op.v], base[op.u]) + tuple((reach - shift).T),
+        backward = np.ravel_multi_index((base[g.v], base[g.u]) + tuple((reach - shift).T),
                                         dims)
         keys, orbit, counts = np.unique(np.minimum(forward, backward),
                                         return_inverse=True, return_counts=True)
         if np.any(counts != copies):
             continue
         a, b, *s = np.unravel_index(keys, dims)
-        translate = np.ravel_multi_index(tuple((op.dpos // t).T), grid)
+        translate = np.ravel_multi_index(tuple((g.dpos // t).T), grid)
         return BaseCell(t, grid, translate * n0 + base, a, b,
                         np.column_stack(s).reshape(-1, d) - reach,
-                        np.bincount(orbit, weights=op.w, minlength=len(keys)) / copies)
+                        np.bincount(orbit, weights=g.w, minlength=len(keys)) / copies)
     return None
 
 

@@ -129,10 +129,10 @@ def cmd_validate(args):
     out = {
         "config": {"command": "validate", "input": args.file},
         "graph": {"d": graph.d, "k": graph.k, "T": graph.T, "M": graph.M,
-                  "nodes": graph.n_cell, "orbits": len(graph.orbits)},
+                  "nodes": graph.n_cell, "orbits": len(graph.w)},
         "report": report.to_dict(),
         "human": [f"{args.file}: d={graph.d} k={graph.k} T={graph.T} M={graph.M} "
-                  f"nodes={graph.n_cell} orbits={len(graph.orbits)}"]
+                  f"nodes={graph.n_cell} orbits={len(graph.w)}"]
                  + [f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}"
                     for c in report.checks]
                  + [f"  R = {report.R}"],
@@ -293,9 +293,9 @@ def cmd_examples(args):
     for name, g in graphs.items():
         rep = validate(g)
         rows.append({"name": name, "d": g.d, "k": g.k, "T": g.T, "M": g.M,
-                     "nodes": g.n_cell, "orbits": len(g.orbits), "valid": rep.ok})
+                     "nodes": g.n_cell, "orbits": len(g.w), "valid": rep.ok})
         human.append(f"  {name}: d={g.d} k={g.k} T={g.T} M={g.M} "
-                     f"nodes={g.n_cell} orbits={len(g.orbits)} valid={rep.ok}")
+                     f"nodes={g.n_cell} orbits={len(g.w)} valid={rep.ok}")
     if args.export:
         import os
         os.makedirs(args.export, exist_ok=True)

@@ -42,9 +42,10 @@ class LatticeFunction:
         self.node_ids = np.asarray(self.node_ids, dtype=int)
         self.values = np.asarray(self.values, dtype=float)
         self.cells = self.positions // self.graph.T
-        self._cell_map = {}
-        for i, c in enumerate(map(tuple, self.cells)):
-            self._cell_map.setdefault(c, []).append(i)
+        keys, inverse, counts = np.unique(self.cells, axis=0, return_inverse=True,
+                                          return_counts=True)
+        members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+        self._cell_map = dict(zip(map(tuple, keys.tolist()), (m.tolist() for m in members)))
 
     def cell_indices(self, cell):
         try:
@@ -129,27 +130,35 @@ def _tree_paths(graph, lo, hi, cell, targets):
 
     In one source's tree a path is as long as its target is deep, and an
     edge is used by the targets below it, counted by pushing the target
-    counts up one level per step; edges sum their use over the sources.
+    counts up one tree level (a run of the breadth-first order) at a time;
+    edges sum their use over the sources.
     """
     box, adjacency = box_adjacency(graph, lo, hi)
     size, nodes = len(box.node_ids), np.arange(graph.n_cell)
     sources = box.index(np.zeros((len(nodes), graph.d), dtype=np.intp), nodes)
     ends = box.index(np.broadcast_to(cell, (len(nodes), graph.d)), nodes)[targets]
     longest, keys, counts = 0, [], []
+    position = np.empty(size, dtype=np.intp)
     for source, target in zip(sources, ends):
         order, pred = breadth_first_order(adjacency, source, directed=True,
                                           return_predecessors=True)
         if np.any(target < 0) or np.any(pred[target] < 0):
             return None
-        child, parent = order[1:], pred[order[1:]]
-        step = below = np.bincount(target, minlength=size).astype(float)
-        depth = 0
-        while (step := np.bincount(parent, weights=step[child], minlength=size)).any():
-            below, depth = below + step, depth + 1
-        longest = max(longest, depth)
-        used = child[below[child] > 0]
+        position[order] = np.arange(len(order))
+        up = position[pred[order[1:]]]      # parent position of each later position
+        deepest = position[target].max(initial=0)
+        bounds = [0, 1]                     # level l holds positions bounds[l]:bounds[l + 1]
+        while bounds[-1] <= deepest:
+            bounds.append(1 + int(up.searchsorted(bounds[-1])))
+        below = np.bincount(position[target], minlength=bounds[-1]).astype(float)
+        for level in range(len(bounds) - 2, 0, -1):
+            a, b = bounds[level], bounds[level + 1]
+            np.add.at(below, up[a - 1:b - 1], below[a:b])
+        longest = max(longest, len(bounds) - 2)
+        carrying = np.flatnonzero(below[1:]) + 1
+        used = order[carrying]
         keys.append(np.minimum(used, pred[used]) * size + np.maximum(used, pred[used]))
-        counts.append(below[used])
+        counts.append(below[carrying])
     _, edge = np.unique(np.concatenate(keys), return_inverse=True)
     return longest, int(np.bincount(edge, weights=np.concatenate(counts)).max(initial=1))
 
@@ -187,7 +196,7 @@ def compute_path_constants(graph):
     # the first axis with the largest (longest witness) * (multiplicity)
     n_two, mu_two = max(axes, key=lambda family: family[0] * family[1])
     n_pw, mu_pw = pw
-    min_w = min(o.weight for o in graph.orbits)
+    min_w = float(graph.w.min())
     return PathConstants(C_two=n_two * mu_two / n_cell,
                          C_pw=n_pw * mu_pw / n_cell / min_w,
                          M=M,
@@ -419,7 +428,7 @@ def hypothesis_norms(u, domain):
         return l2, 0.0
 
     # the vertices' own cells span the box the edges are enumerated in
-    cells = (u.positions - g.operator.dpos[u.node_ids]) // T
+    cells = (u.positions - g.dpos[u.node_ids]) // T
     box = CellBox(g, cells.min(axis=0), cells.max(axis=0) + 1)
     ends, _ = box.edges_among(box.index(cells, u.node_ids))
     ea, eb = u.positions[ends[:, 0]], u.positions[ends[:, 1]]

@@ -15,10 +15,8 @@ assembly and the one pinned-vertex elimination behind every finite problem.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,48 +76,85 @@ class EdgeOrbit:
 
 
 class LatticeGraph:
-    """Immutable periodic graph; safe to share, all operations are pure."""
+    """Immutable periodic graph; safe to share, all operations are pure.
+
+    It is stored as read-only arrays: `coords` (n, d + k) int64 node
+    coordinates sorted lexicographically (`dpos` and `kpos` its columns),
+    and per orbit the node indices `u` and `v`, the cell `offset` (E, d)
+    int64 and the weight `w`, sorted by (u, v, offset).  Every constructor
+    ends in `_store`, the one canonicalization.  `nodes` and `orbits` are a
+    CellNode / EdgeOrbit view of the arrays, built on first use.
+    """
 
     def __init__(self, d, k, T, nodes, orbits, M=None):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        nodes = tuple(sorted(nodes))
-        for n in nodes:
-            if len(n.dpos) != d or len(n.kpos) != k:
-                raise ValueError(f"node {n} has wrong arity for d={d}, k={k}")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate nodes")
-        canon = []
-        seen = {}
+        _check_sizes(d, k, T)
+        nodes, orbits = list(nodes), list(orbits)
+        _check_arity([n for n in nodes if (len(n.dpos), len(n.kpos)) != (d, k)], d, k)
+        index = {n: i for i, n in enumerate(nodes)}
         for orb in orbits:
             if len(orb.offset) != d:
                 raise ValueError(f"orbit offset {orb.offset} has wrong arity")
-            c = orb.canonical()
-            key = (c.u, c.v, c.offset)
-            if key in seen:
-                raise ValueError(f"duplicate orbit {key}")
-            seen[key] = c
-            canon.append(c)
-        self.d = d
-        self.k = k
-        self.T = T
-        self.nodes = nodes
-        self.orbits = tuple(sorted(canon, key=lambda o: (o.u, o.v, o.offset)))
+            if orb.u not in index or orb.v not in index:
+                raise ValueError(f"orbit endpoint not among nodes: {orb.canonical()}")
+        self._store(d, k, T, [n.dpos + n.kpos for n in nodes], [index[o.u] for o in orbits],
+                    [index[o.v] for o in orbits], [o.offset for o in orbits],
+                    [o.weight for o in orbits], M)
+
+    def _store(self, d, k, T, coords, u, v, offset, w, M):
+        """Keep the arrays read-only, nodes sorted and orbits canonical: each
+        oriented with u < v, or u == v and its first nonzero offset
+        component positive, and sorted by (u, v, offset).  Orbit e joins row
+        u[e] of `coords` to row v[e] of the cell offset[e] away."""
+        coords = np.array(coords, dtype=np.int64).reshape(-1, d + k)
+        order = np.lexsort(coords.T[::-1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        u, v = rank[np.asarray(u, dtype=np.intp)], rank[np.asarray(v, dtype=np.intp)]
+        offset = np.array(offset, dtype=np.int64).reshape(-1, d)
+        lead = offset[np.arange(len(offset)), np.argmax(offset != 0, axis=1)]
+        flip = (v < u) | ((v == u) & (lead < 0))
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        offset = np.where(flip[:, None], -offset, offset)
+        edges = np.lexsort(tuple(offset.T[::-1]) + (v, u))
+        self.d, self.k, self.T = d, k, T
+        self.coords, self.u, self.v = coords[order], u[edges], v[edges]
+        self.offset, self.w = offset[edges], np.array(w, dtype=float).reshape(-1)[edges]
+        for a in (self.coords, self.u, self.v, self.offset, self.w):
+            a.flags.writeable = False
+        self.dpos, self.kpos = self.coords[:, :d], self.coords[:, d:]
         if M is None:
-            M = max((max(n.kpos) + 1 for n in nodes if n.kpos), default=1)
+            M = self.kpos.max() + 1 if k and len(coords) else 1
         self.M = max(int(M), 1)
-        self._index = {n: i for i, n in enumerate(nodes)}
-        for orb in self.orbits:
-            if orb.u not in self._index or orb.v not in self._index:
-                raise ValueError(f"orbit endpoint not among nodes: {orb}")
+        if np.any(np.all(self.coords[1:] == self.coords[:-1], axis=1)):
+            raise ValueError("duplicate nodes")
+        key = np.column_stack([self.u, self.v, self.offset])
+        repeats = np.flatnonzero(np.all(key[1:] == key[:-1], axis=1)) + 1
+        if len(repeats):
+            a, b, *off = key[repeats[np.argmin(edges[repeats])]].tolist()   # first in input
+            raise ValueError(f"duplicate orbit {(self.nodes[a], self.nodes[b], tuple(off))}")
+        return self
 
     @property
     def n_cell(self):
-        return len(self.nodes)
+        return len(self.coords)
+
+    @cached_property
+    def nodes(self):
+        """The CellNodes of the rows of `coords`."""
+        d = self.d
+        return tuple(CellNode(tuple(c[:d]), tuple(c[d:])) for c in self.coords.tolist())
+
+    @cached_property
+    def orbits(self):
+        """The EdgeOrbits of the orbit arrays."""
+        nodes = self.nodes
+        return tuple(EdgeOrbit(nodes[a], nodes[b], tuple(off), w) for a, b, off, w in
+                     zip(self.u.tolist(), self.v.tolist(), self.offset.tolist(),
+                         self.w.tolist()))
+
+    @cached_property
+    def _index(self):
+        return {node: i for i, node in enumerate(self.nodes)}
 
     @cached_property
     def operator(self):
@@ -135,31 +170,43 @@ class LatticeGraph:
     def __eq__(self, other):
         return (isinstance(other, LatticeGraph)
                 and (self.d, self.k, self.T, self.M) == (other.d, other.k, other.T, other.M)
-                and self.nodes == other.nodes
-                and self.orbits == other.orbits)
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("coords", "u", "v", "offset", "w")))
 
     def __repr__(self):
         return (f"LatticeGraph(d={self.d}, k={self.k}, T={self.T}, M={self.M}, "
-                f"{len(self.nodes)} nodes, {len(self.orbits)} orbits)")
+                f"{self.n_cell} nodes, {len(self.w)} orbits)")
+
+    def _displacements(self):
+        """(E, d + k) int64: the d- and k-displacement of each orbit's edge."""
+        return np.column_stack([self.dpos[self.v] + self.T * self.offset - self.dpos[self.u],
+                                self.kpos[self.v] - self.kpos[self.u]])
 
     def max_displacement(self):
         """R: largest max-norm of an edge displacement (0 for edgeless graphs)."""
-        R = 0
-        for orb in self.orbits:
-            dd, dk = orb.displacement(self.T)
-            R = max(R, max(abs(c) for c in dd + dk))
-        return R
+        return int(np.abs(self._displacements()).max(initial=0))
+
+
+def _check_sizes(d, k, T):
+    for name, value, least in (("d", d, 1), ("k", k, 0), ("T", T, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_arity(bad, d, k):
+    if bad:
+        raise ValueError(f"node {min(bad)} has wrong arity for d={d}, k={k}")
 
 
 class PeriodicOperator:
-    """Orbit arrays and single-count cell quadratic data, shared and read-only.
+    """Single-count cell quadratic data of a graph, shared and read-only.
 
+    It reads the graph's arrays and keeps only what it derives from them.
     Orbit e joins node u[e] to node v[e] of the cell `offset[e]` away, with
-    weight w[e] and d-displacement disp[e]; node i sits at d-position
-    dpos[i].  With D the incidence matrix (row e: -1 at u[e], +1 at v[e]) and
-    W = diag(w), the energy of z . x + chi is chi^T L chi + 2 (B z) . chi +
-    z^T C z, where L = D^T W D (n x n), B = D^T W disp (n x d) and
-    C = disp^T W disp (d x d).
+    weight w[e] and d-displacement disp[e].  With D the incidence matrix
+    (row e: -1 at u[e], +1 at v[e]) and W = diag(w), the energy of
+    z . x + chi is chi^T L chi + 2 (B z) . chi + z^T C z, where
+    L = D^T W D (n x n), B = D^T W disp (n x d) and C = disp^T W disp (d x d).
 
     `preconditioner` is built on first use: the FFT preconditioner of the
     cell's smallest sub-period t | T (bloch.py), an approximate inverse of
@@ -167,26 +214,16 @@ class PeriodicOperator:
     """
 
     def __init__(self, graph):
-        n, d, index = graph.n_cell, graph.d, graph._index
-        self.T = graph.T
-        orbits = graph.orbits
-        self.u = np.array([index[o.u] for o in orbits], dtype=np.intp)
-        self.v = np.array([index[o.v] for o in orbits], dtype=np.intp)
-        self.w = np.array([o.weight for o in orbits], dtype=float)
-        self.offset = np.array([o.offset for o in orbits], dtype=np.intp).reshape(-1, d)
-        self.dpos = np.array([node.dpos for node in graph.nodes], dtype=np.intp).reshape(n, d)
-        self.kpos = np.array([node.kpos for node in graph.nodes],
-                             dtype=np.intp).reshape(n, graph.k)
-        self.disp = (self.dpos[self.v] + graph.T * self.offset - self.dpos[self.u]).astype(float)
-
-        wdisp = self.w[:, None] * self.disp
-        self.L = laplacian(n, np.column_stack([self.u, self.v]), self.w)
+        n, d = graph.n_cell, graph.d
+        self.graph = graph
+        self.disp = graph._displacements()[:, :d].astype(float)
+        wdisp = graph.w[:, None] * self.disp
+        self.L = laplacian(n, np.column_stack([graph.u, graph.v]), graph.w)
         self.B = np.zeros((n, d))
-        np.add.at(self.B, self.v, wdisp)
-        np.add.at(self.B, self.u, -wdisp)
+        np.add.at(self.B, graph.v, wdisp)
+        np.add.at(self.B, graph.u, -wdisp)
         self.C = self.disp.T @ wdisp
-        for a in (self.u, self.v, self.w, self.offset, self.dpos, self.kpos, self.disp,
-                  self.B, self.C, self.L.data):
+        for a in (self.disp, self.B, self.C, self.L.data):
             a.flags.writeable = False
 
     @cached_property
@@ -200,8 +237,14 @@ def neighbors(graph, node):
     Returns a list of (cell node, cell offset, weight) in orbit order; the
     actual neighbour position is neighbour.dpos + T * offset.
     """
-    i = graph.node_index(node)
-    return [(graph.nodes[j], off, w) for j, off, w in neighbor_lists(graph)[i]]
+    graph.node_index(node)
+    out = []
+    for orb in graph.orbits:
+        if orb.u == node:
+            out.append((orb.v, orb.offset, orb.weight))
+        if orb.v == node:
+            out.append((orb.u, tuple(-o for o in orb.offset), orb.weight))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +258,15 @@ class ConnectivityResult:
     connected: bool
     quotient_connected: bool
     lattice_index: int          # |det| of the translation subgroup basis, 0 if rank-deficient
-    components: list            # node partitions of the quotient graph
+    component_ids: list         # node-index partitions of the quotient graph
     sublattice_basis: list      # reduced integer basis rows of the offset subgroup
+    graph: LatticeGraph = field(repr=False, compare=False)
+
+    @property
+    def components(self):
+        """The partitions of `component_ids` as CellNode lists."""
+        nodes = self.graph.nodes
+        return [[nodes[i] for i in comp] for comp in self.component_ids]
 
     @property
     def failure(self):
@@ -253,37 +303,30 @@ def _hnf_rows(vectors, d):
     return basis
 
 
-def neighbor_lists(graph):
-    """Per cell node, (neighbour index, cell offset, weight) for both ends of
-    every orbit, in (orbit, end) order (forward end first), as box_adjacency rows."""
-    nbrs = [[] for _ in range(graph.n_cell)]
-    for orb in graph.orbits:
-        a, b = graph._index[orb.u], graph._index[orb.v]
-        nbrs[a].append((b, orb.offset, orb.weight))
-        nbrs[b].append((a, tuple(-o for o in orb.offset), orb.weight))
-    return nbrs
+def _rows_in_order(near, far, size):
+    """CSR adjacency whose row x lists far[j] over the j with near[j] == x,
+    in the order of j (a COO build would sort rows), and that stable order
+    of `near`.  scipy's breadth_first_order visits a row in stored order."""
+    order = np.argsort(near, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=size))])
+    return sp.csr_matrix((np.ones(len(far)), far[order], indptr), shape=(size, size)), order
 
 
-def _quotient_components(nbrs, d):
-    """Components of the quotient graph, and per node the summed cell offset
-    of the breadth-first tree path from the first node of its component."""
-    pot = [None] * len(nbrs)
-    comps = []
-    for s in range(len(nbrs)):
-        if pot[s] is not None:
-            continue
-        comp = []
-        queue = deque([s])
-        pot[s] = (0,) * d
-        while queue:
-            x = queue.popleft()
-            comp.append(x)
-            for y, off, _ in nbrs[x]:
-                if pot[y] is None:
-                    pot[y] = tuple(p + o for p, o in zip(pot[x], off))
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps, pot
+def _tree_potentials(graph, adjacency, order):
+    """Per node, the summed cell offset of its breadth-first tree path from
+    node 0, each node entered by the first entry of its parent's row."""
+    n, d = graph.n_cell, graph.d
+    steps = np.stack([graph.offset, -graph.offset], axis=1).reshape(-1, d)[order]
+    tree, pred = breadth_first_order(adjacency, 0, directed=True, return_predecessors=True)
+    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    entries = np.flatnonzero(rows == pred[adjacency.indices])
+    child, first = np.unique(adjacency.indices[entries], return_index=True)
+    pot = np.zeros((n, d), dtype=np.int64)
+    pot[child] = steps[entries[first]]
+    up = np.maximum(pred, 0)    # pointer doubling: pot[x] sums the steps from x to up[x]
+    while np.any(up):
+        pot, up = pot + pot[up], up[up]
+    return pot
 
 
 def connectedness_certificate(graph, raise_on_failure=True):
@@ -292,25 +335,28 @@ def connectedness_certificate(graph, raise_on_failure=True):
     The graph is connected iff (a) the quotient multigraph on cell nodes is
     connected and (b) closed-walk offset sums generate all of Z^d.  (b) is
     decided exactly from the reduced integer basis of the cycle-offset
-    subgroup.  Neither step searches the infinite graph: a path between two
-    of its vertices comes from `witness_path` on demand.
+    subgroup, the fundamental cycles of a breadth-first spanning tree.
+    Neither step searches the infinite graph: a path between two of its
+    vertices comes from `witness_path` on demand.
     """
     if graph.n_cell == 0:
         raise ValueError("graph has no nodes")
-    comps, pot = _quotient_components(neighbor_lists(graph), graph.d)
-    quotient_ok = len(comps) == 1
+    n = graph.n_cell
+    # both ends of every orbit, in (orbit, end) order
+    adjacency, order = _rows_in_order(np.column_stack([graph.u, graph.v]).ravel(),
+                                      np.column_stack([graph.v, graph.u]).ravel(), n)
+    # scipy numbers the components in the order of their smallest nodes
+    count, labels = connected_components(adjacency, directed=False)
+    comps = [c.tolist() for c in np.split(np.argsort(labels, kind="stable"),
+                                          np.cumsum(np.bincount(labels))[:-1])]
+    quotient_ok = count == 1
 
     lattice_index = 0
     basis = []
     if quotient_ok:
-        # fundamental cycle offsets from the spanning-tree potentials
-        cycles = []
-        for orb in graph.orbits:
-            a, b = graph.node_index(orb.u), graph.node_index(orb.v)
-            vec = tuple(pot[a][m] + orb.offset[m] - pot[b][m] for m in range(graph.d))
-            if any(vec):
-                cycles.append(vec)
-        basis = _hnf_rows(cycles, graph.d)
+        pot = _tree_potentials(graph, adjacency, order)
+        cycles = pot[graph.u] + graph.offset - pot[graph.v]
+        basis = _hnf_rows(cycles[cycles.any(axis=1)].tolist(), graph.d)
         if len(basis) == graph.d:
             det = 1
             for row in basis:
@@ -318,9 +364,7 @@ def connectedness_certificate(graph, raise_on_failure=True):
             lattice_index = abs(det)
 
     connected = quotient_ok and lattice_index == 1
-    result = ConnectivityResult(connected, quotient_ok, lattice_index,
-                                [[graph.nodes[i] for i in comp] for comp in comps],
-                                basis)
+    result = ConnectivityResult(connected, quotient_ok, lattice_index, comps, basis, graph)
     if not connected and raise_on_failure:
         if not quotient_ok:
             raise DisconnectedGraph(
@@ -395,23 +439,21 @@ def validate(graph):
     """Check the standing assumptions; failures are reported, not raised."""
     checks = []
 
-    bad = [n for n in graph.nodes
-           if any(not (0 <= c < graph.T) for c in n.dpos)
-           or any(not (0 <= c < graph.M) for c in n.kpos)]
+    bad = np.flatnonzero(np.any((graph.dpos < 0) | (graph.dpos >= graph.T), axis=1)
+                         | np.any((graph.kpos < 0) | (graph.kpos >= graph.M), axis=1))
     checks.append(CheckResult(
-        "node-ranges", not bad,
-        "all node coordinates in range" if not bad else f"out of range: {bad[:3]}"))
+        "node-ranges", not len(bad), "all node coordinates in range" if not len(bad)
+        else f"out of range: {[graph.nodes[i] for i in bad[:3]]}"))
 
-    bad_w = [o for o in graph.orbits if not (o.weight > 0 and math.isfinite(o.weight))]
+    bad_w = np.flatnonzero(~((graph.w > 0) & np.isfinite(graph.w)))
     checks.append(CheckResult(
-        "weight-positivity", not bad_w,
-        "all weights positive" if not bad_w else f"non-positive weight on {bad_w[0]}"))
+        "weight-positivity", not len(bad_w), "all weights positive" if not len(bad_w)
+        else f"non-positive weight on {graph.orbits[bad_w[0]]}"))
 
-    loops = [o for o in graph.orbits
-             if not any(o.displacement(graph.T)[0] + o.displacement(graph.T)[1])]
+    loops = np.flatnonzero(~graph._displacements().any(axis=1))
     checks.append(CheckResult(
-        "no-self-loop", not loops,
-        "no zero-displacement orbit" if not loops else f"self loop: {loops[0]}"))
+        "no-self-loop", not len(loops), "no zero-displacement orbit" if not len(loops)
+        else f"self loop: {graph.orbits[loops[0]]}"))
 
     R = graph.max_displacement()
     checks.append(CheckResult(
@@ -424,7 +466,7 @@ def validate(graph):
         if ok:
             detail = "connected (quotient connected, lattice index 1)"
         elif not cert.quotient_connected:
-            detail = f"quotient graph has {len(cert.components)} components"
+            detail = f"quotient graph has {len(cert.component_ids)} components"
         else:
             detail = f"offset sublattice has index {cert.lattice_index or 'infinite'}"
     except ValueError as exc:
@@ -445,18 +487,17 @@ class CellBox:
     in row-major order (axis 0 slowest), at d-position `positions`.  Edge
     instances are cells x orbits, anchored in the box (`instances`); their
     far ends may lie outside it.  Everything is broadcast over the graph's
-    PeriodicOperator arrays.
+    node and orbit arrays.
     """
 
     def __init__(self, graph, lo, hi):
-        op = graph.operator
         self.graph = graph
         self.lo = np.asarray(lo, dtype=np.intp)
         self.shape = tuple(int(x) for x in np.asarray(hi) - self.lo)
         self._cells = np.indices(self.shape).reshape(graph.d, -1).T + self.lo
         n = graph.n_cell
         self.node_ids = np.tile(np.arange(n), len(self._cells))
-        self.positions = op.dpos[self.node_ids] + graph.T * np.repeat(self._cells, n, axis=0)
+        self.positions = graph.dpos[self.node_ids] + graph.T * np.repeat(self._cells, n, axis=0)
 
     def index(self, cells, node_ids, wrap=False):
         """Vertex of each (cell, node) pair: -1 outside the box, or with
@@ -475,12 +516,12 @@ class CellBox:
         `offset` away; reversed ones from node v to node u of the cell
         `-offset` away.
         """
-        op = self.graph.operator
-        near, far, sign = (op.v, op.u, -1) if reverse else (op.u, op.v, 1)
+        g = self.graph
+        near, far, sign = (g.v, g.u, -1) if reverse else (g.u, g.v, 1)
         count = len(self._cells)
-        anchors = (np.arange(count)[:, None] * self.graph.n_cell + near).ravel()
-        far_cells = (self._cells[:, None, :] + sign * op.offset).reshape(-1, self.graph.d)
-        return anchors, far_cells, np.tile(far, count), np.tile(op.w, count)
+        anchors = (np.arange(count)[:, None] * g.n_cell + near).ravel()
+        far_cells = (self._cells[:, None, :] + sign * g.offset).reshape(-1, g.d)
+        return anchors, far_cells, np.tile(far, count), np.tile(g.w, count)
 
     def edges_among(self, members):
         """Instances with both ends among the vertices `members`: ends (E, 2)
@@ -509,20 +550,19 @@ def position_box(graph, lo, hi):
 
 def _position_cells(graph, lo, hi):
     """The CellBox covering lo <= d-position <= hi, and its in-range mask."""
-    op, T = graph.operator, graph.T
+    T = graph.T
     lo, hi = np.asarray(lo), np.asarray(hi)
-    box = CellBox(graph, -((op.dpos.max(axis=0) - lo) // T),
-                  (hi - op.dpos.min(axis=0)) // T + 1)
+    box = CellBox(graph, -((graph.dpos.max(axis=0) - lo) // T),
+                  (hi - graph.dpos.min(axis=0)) // T + 1)
     return box, np.all((box.positions >= lo) & (box.positions <= hi), axis=1)
 
 
 def box_adjacency(graph, lo, hi):
     """The CellBox covering lo <= d-position <= hi per axis, and a CSR
-    adjacency into that range: row x lists the in-range neighbours of
-    vertex x in (orbit, end) order, the order of neighbor_lists, built
-    from (data, indices, indptr) since a COO build sorts rows.  scipy's
-    breadth_first_order on it, the one search for paths, visits a row in
-    stored order and fixes a predecessor on first discovery.
+    adjacency into that range (`_rows_in_order`): row x lists the in-range
+    neighbours of vertex x in (orbit, end) order, the order the quotient
+    search of connectedness_certificate uses too.  scipy's
+    breadth_first_order on it is the one search for paths.
     """
     box, inside = _position_cells(graph, lo, hi)
     size = len(box.node_ids)
@@ -531,10 +571,7 @@ def box_adjacency(graph, lo, hi):
     near = np.column_stack([anchors for anchors, *_ in ends]).ravel()
     far = np.column_stack([box.index(cells, nodes) for _, cells, nodes, _ in ends]).ravel()
     keep = np.append(inside, False)[far]
-    near, far = near[keep], far[keep]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(near, minlength=size))])
-    return box, sp.csr_matrix((np.ones(len(far)), far[np.argsort(near, kind="stable")],
-                               indptr), shape=(size, size))
+    return box, _rows_in_order(near[keep], far[keep], size)[0]
 
 
 def laplacian(n, ends, coef):
@@ -645,7 +682,7 @@ def instantiate_window(graph, window, wrap="open"):
     keys = np.concatenate([np.column_stack([far_cells, far_nodes])[leaving],
                            np.column_stack([r_cells, r_nodes])[entering]])
     keys, ghost = np.unique(keys, axis=0, return_inverse=True)
-    boundary = graph.operator.dpos[keys[:, -1]] + graph.T * keys[:, :-1]
+    boundary = graph.dpos[keys[:, -1]] + graph.T * keys[:, :-1]
     ghost_edges = np.column_stack([np.concatenate([near[leaving], r_near[entering]]),
                                    ghost.reshape(-1)])
     return FiniteGraph(graph, window, wrap, box.positions, box.node_ids,
@@ -654,43 +691,46 @@ def instantiate_window(graph, window, wrap="open"):
 
 
 def graph_from_edges(d, k, T, node_coords, edge_list, M=None):
-    """Convenience constructor from plain tuples.
+    """Convenience constructor from plain tuples, straight to the arrays.
 
     `node_coords` is an iterable of (dpos..., kpos...) integer tuples;
-    `edge_list` holds (from coords, to coords, offset, weight).
+    `edge_list` holds (from coords, to coords, offset, weight); an edge end
+    not among the nodes raises KeyError.
     """
-    nodes = [CellNode(tuple(c[:d]), tuple(c[d:])) for c in node_coords]
-    by_coords = {tuple(n.dpos + n.kpos): n for n in nodes}
-    orbits = []
-    for a, b, off, w in edge_list:
-        orbits.append(EdgeOrbit(by_coords[tuple(a)], by_coords[tuple(b)],
-                                tuple(off), float(w)))
-    return LatticeGraph(d, k, T, nodes, orbits, M=M)
+    _check_sizes(d, k, T)
+    rows = [tuple(c) for c in node_coords]
+    _check_arity([CellNode(c[:d], c[d:]) for c in rows if len(c) != d + k], d, k)
+    index = {c: i for i, c in enumerate(rows)}
+    a, b, offsets, weights = list(zip(*edge_list)) or [()] * 4
+    for off in offsets:
+        if len(off) != d:
+            raise ValueError(f"orbit offset {tuple(off)} has wrong arity")
+    ends = np.array([index[tuple(c)] for pair in zip(a, b) for c in pair], dtype=np.intp)
+    return LatticeGraph.__new__(LatticeGraph)._store(d, k, T, rows, ends[0::2], ends[1::2],
+                                                     offsets, weights, M)
 
 
 def normalize_period(graph, new_T=None):
     """Re-tile the cell to period lcm(T, M) so that the cross-section fits.
 
-    The infinite graph is unchanged; only the bookkeeping period grows.
+    The infinite graph is unchanged; only the bookkeeping period grows.  The
+    new cell holds node i shifted by s old cells, s in [0, T2 / T)^d, and
+    orbit e shifted by s joins node (u[e], s) to node (v[e], s') of the new
+    cell `cells` away, where s + offset[e] = s' + (T2 / T) * cells.
     """
     T2 = new_T if new_T is not None else math.lcm(graph.T, graph.M)
     if T2 % graph.T != 0:
         raise ValueError("new period must be a multiple of the current one")
-    reps = T2 // graph.T
-    nodes = []
-    for node in graph.nodes:
-        for shift in product(range(reps), repeat=graph.d):
-            nodes.append(CellNode(
-                tuple(node.dpos[m] + graph.T * shift[m] for m in range(graph.d)),
-                node.kpos))
-    orbits = []
-    for orb in graph.orbits:
-        for shift in product(range(reps), repeat=graph.d):
-            u = CellNode(tuple(orb.u.dpos[m] + graph.T * shift[m] for m in range(graph.d)),
-                         orb.u.kpos)
-            vabs = tuple(orb.v.dpos[m] + graph.T * (shift[m] + orb.offset[m])
-                         for m in range(graph.d))
-            off = tuple(c // T2 for c in vabs)
-            v = CellNode(tuple(c - T2 * o for c, o in zip(vabs, off)), orb.v.kpos)
-            orbits.append(EdgeOrbit(u, v, off, orb.weight))
-    return LatticeGraph(graph.d, graph.k, T2, nodes, orbits, M=graph.M)
+    reps, d = T2 // graph.T, graph.d
+    shifts = np.indices((reps,) * d).reshape(d, -1).T
+    count = len(shifts)
+    # node (i, s) is row i * count + s
+    dpos = (graph.dpos[:, None, :] + graph.T * shifts).reshape(-1, d)
+    coords = np.column_stack([dpos, np.repeat(graph.kpos, count, axis=0)])
+    cells, wrapped = np.divmod(shifts + graph.offset[:, None, :], reps)
+    flat = wrapped @ reps ** np.arange(d - 1, -1, -1)
+    u = graph.u[:, None] * count + np.arange(count)
+    v = graph.v[:, None] * count + flat
+    return LatticeGraph.__new__(LatticeGraph)._store(
+        d, graph.k, T2, coords, u.ravel(), v.ravel(), cells.reshape(-1, d),
+        np.repeat(graph.w, count), graph.M)

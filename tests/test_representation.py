@@ -12,7 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from lattice_homog import normalize_period, serialize
+from lattice_homog import (homogenized_tensor, instantiate_window, normalize_period,
+                           serialize, validate)
 
 from conftest import layered_square_lattice, random_square_lattice, random_strip
 
@@ -70,3 +71,19 @@ def test_object_fields_are_python_scalars(name):
     for orb in g.orbits:
         assert type(orb.offset) is tuple and all(type(c) is int for c in orb.offset)
         assert type(orb.weight) is float
+
+
+def test_views_are_lazy_and_arrays_read_only(rng):
+    graphs = [random_square_lattice(4, rng), normalize_period(layered_square_lattice(), 4)]
+    for g in graphs:
+        homogenized_tensor(g)
+        instantiate_window(g, [(-1, 2)] * g.d, wrap="clamped")
+        assert validate(g).ok
+        assert not {"nodes", "orbits", "_index"} & set(vars(g))
+        for a in (g.coords, g.dpos, g.kpos, g.u, g.v, g.offset, g.w):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            g.w[0] = 1.0
+        nodes = g.nodes
+        assert g.nodes is nodes and g.orbits is g.orbits
+        assert len(nodes) == g.n_cell and len(g.orbits) == len(g.w)
