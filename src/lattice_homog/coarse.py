@@ -42,10 +42,14 @@ class LatticeFunction:
         self.node_ids = np.asarray(self.node_ids, dtype=int)
         self.values = np.asarray(self.values, dtype=float)
         self.cells = self.positions // self.graph.T
-        keys, inverse, counts = np.unique(self.cells, axis=0, return_inverse=True,
-                                          return_counts=True)
-        members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-        self._cell_map = dict(zip(map(tuple, keys.tolist()), (m.tolist() for m in members)))
+        # one stable sort groups the vertices by cell, ascending within a cell
+        order = np.lexsort(self.cells.T[::-1])
+        cells = self.cells[order]
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+        starts, members = np.flatnonzero(first).tolist(), order.tolist()
+        self._cell_map = {tuple(c): members[a:b] for c, a, b in
+                          zip(cells[first].tolist(), starts, starts[1:] + [len(members)])}
 
     def cell_indices(self, cell):
         try:

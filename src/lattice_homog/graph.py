@@ -3,11 +3,14 @@
 A graph lives on a node set X inside Z^d x {0..M-1}^k, is T-periodic in the
 first d coordinate directions and carries positive weights on an edge set
 that is invariant under the same translations.  Everything is stored per
-fundamental cell: nodes with d-coordinates in [0, T) and one representative
-per translation orbit of edges.
+fundamental cell, as the arrays of a LatticeGraph: the coordinates of the
+nodes, d-coordinates in [0, T), and one (u, v, offset, weight) row per
+translation orbit of edges.  The CellNode / EdgeOrbit objects are a view of
+those arrays, built on first use for parsing, printing and the reference
+loops; no solver reads them.
 
 Finite pieces of the infinite graph (windows, boxes, the graph that every
-path search runs on) are broadcast from the PeriodicOperator by CellBox;
+path search runs on) are broadcast from the graph's arrays by CellBox;
 `laplacian`, `pinned_reduction` and `pinned_solve` are the one Laplacian
 assembly and the one pinned-vertex elimination behind every finite problem.
 """
@@ -130,7 +133,7 @@ class LatticeGraph:
         key = np.column_stack([self.u, self.v, self.offset])
         repeats = np.flatnonzero(np.all(key[1:] == key[:-1], axis=1)) + 1
         if len(repeats):
-            a, b, *off = key[repeats[np.argmin(edges[repeats])]].tolist()   # first in input
+            a, b, *off = key[repeats[np.argmin(edges[repeats])]].tolist()  # earliest input
             raise ValueError(f"duplicate orbit {(self.nodes[a], self.nodes[b], tuple(off))}")
         return self
 
@@ -724,13 +727,12 @@ def normalize_period(graph, new_T=None):
     reps, d = T2 // graph.T, graph.d
     shifts = np.indices((reps,) * d).reshape(d, -1).T
     count = len(shifts)
-    # node (i, s) is row i * count + s
-    dpos = (graph.dpos[:, None, :] + graph.T * shifts).reshape(-1, d)
-    coords = np.column_stack([dpos, np.repeat(graph.kpos, count, axis=0)])
-    cells, wrapped = np.divmod(shifts + graph.offset[:, None, :], reps)
-    flat = wrapped @ reps ** np.arange(d - 1, -1, -1)
+    # node (i, s) is row i * count + s, s counted row-major
+    coords = np.column_stack([(graph.dpos[:, None] + graph.T * shifts).reshape(-1, d),
+                              np.repeat(graph.kpos, count, axis=0)])
+    cells, wrapped = np.divmod(shifts + graph.offset[:, None], reps)
     u = graph.u[:, None] * count + np.arange(count)
-    v = graph.v[:, None] * count + flat
+    v = graph.v[:, None] * count + wrapped @ reps ** np.arange(d - 1, -1, -1)
     return LatticeGraph.__new__(LatticeGraph)._store(
         d, graph.k, T2, coords, u.ravel(), v.ravel(), cells.reshape(-1, d),
         np.repeat(graph.w, count), graph.M)

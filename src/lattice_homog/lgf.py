@@ -174,14 +174,12 @@ def parse(text):
 
 def serialize(graph):
     """Canonical LGF text: sorted nodes, canonically oriented sorted orbits."""
-    out = [f"d {graph.d}", f"k {graph.k}", f"T {graph.T}"]
-    for node in graph.nodes:
-        out.append("node " + " ".join(str(c) for c in node.dpos + node.kpos))
-    for orb in graph.orbits:
-        off = "" if not any(orb.offset) else "".join(f"{o:+d}" for o in orb.offset)
-        ca = " ".join(str(c) for c in orb.u.dpos + orb.u.kpos)
-        cb = " ".join(str(c) for c in orb.v.dpos + orb.v.kpos)
-        out.append(f"edge ({ca}) ({cb}){off} {orb.weight!r}")
+    coords = [" ".join(map(str, row)) for row in graph.coords.tolist()]
+    out = [f"d {graph.d}", f"k {graph.k}", f"T {graph.T}"] + [f"node {c}" for c in coords]
+    for a, b, off, w in zip(graph.u.tolist(), graph.v.tolist(), graph.offset.tolist(),
+                            graph.w.tolist()):
+        shift = "".join(f"{o:+d}" for o in off) if any(off) else ""
+        out.append(f"edge ({coords[a]}) ({coords[b]}){shift} {w!r}")
     return "\n".join(out) + "\n"
 
 
