@@ -204,9 +204,9 @@ def _check_arity(bad, d, k):
 class PeriodicOperator:
     """Single-count cell quadratic data of a graph, shared and read-only.
 
-    It reads the graph's arrays and keeps only what it derives from them.
-    Orbit e joins node u[e] to node v[e] of the cell `offset[e]` away, with
-    weight w[e] and d-displacement disp[e].  With D the incidence matrix
+    It reads the graph's arrays and keeps only what it derives from them:
+    orbit e of the graph joins node u[e] to node v[e] of the cell offset[e]
+    away, with weight w[e] and d-displacement disp[e].  With D the incidence matrix
     (row e: -1 at u[e], +1 at v[e]) and W = diag(w), the energy of
     z . x + chi is chi^T L chi + 2 (B z) . chi + z^T C z, where
     L = D^T W D (n x n), B = D^T W disp (n x d) and C = disp^T W disp (d x d).
