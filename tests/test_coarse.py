@@ -1,9 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lattice_homog import CellOutOfWindow, DisconnectedGraph, graph_from_edges, instantiate_window
+from lattice_homog import (CellOutOfWindow, DisconnectedGraph, graph_from_edges,
+                           instantiate_window, normalize_period)
 from lattice_homog.graph import position_box
 from lattice_homog.coarse import (
     LatticeFunction,
@@ -16,6 +19,8 @@ from lattice_homog.coarse import (
     function_on_window,
     hypothesis_norms,
 )
+
+from conftest import layered_square_lattice
 
 
 def _window_function(graph, cells, values=None, scale=1.0):
@@ -290,3 +295,20 @@ def test_poincare_sharp_constant_exact(examples, name):
                                 np.zeros(len(pos)))
         lowest = scipy.linalg.eigh(A.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
         assert rep.c_sharp == pytest.approx(1.0 / lowest, rel=1e-9, abs=0), (name, width)
+
+
+# ---------------------------------------------------------------------------
+# pinned harness reports
+
+PINNED_REPORTS = json.loads((Path(__file__).parent / "harness_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_harness_reports_pinned(examples, name):
+    """The full reports of all three harnesses, equal to the last float."""
+    g = (normalize_period(layered_square_lattice(), 2) if name == "L2 x2"
+         else examples[name])
+    assert {"two_connectedness": check_two_connectedness(g, trials=60, seed=5).to_dict(),
+            "poincare_wirtinger": check_poincare_wirtinger(g, trials=60, seed=5).to_dict(),
+            "poincare": [r.to_dict() for r in check_poincare(g, (8, 16), trials=25)],
+            } == PINNED_REPORTS[name]

@@ -72,6 +72,23 @@ MALFORMED = [
     ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\nedge (0) (0)-1 2.0\n",
      "AsymmetricWeight", 6),
     ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 heavy\n", "Syntax", 5),
+    # several faults: the earliest faulty line is the one reported
+    ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\n  edge (0) (0)+1 1.0\nedge (0) 1.0\n",
+     "DuplicateOrbit", 6),
+    ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\nedge (0) (0)+1 0.5\n"
+     "edge (0) (1)+1 1.0\n", "AsymmetricWeight", 6),
+    ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\nedge (0) (0)-1 1.0\n"
+     "edge (0) (0)+1 3.0\n", "DuplicateOrbit", 6),
+    ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0) 1.0\nedge (0) (0)+1 1.0\n"
+     "edge (0) (0)+1 1.0\n", "RangeViolation", 5),
+    ("d 1\nk 1\nT 1\nnode 0 0\nnode 0 1\nedge (0 1) (0 0)+1 1.0\n"
+     "edge (0 0) (0 1)-1 1.0\n", "DuplicateOrbit", 7),
+    ("d 1\nk 0\nT 2\nnode 0\nnode 1\nedge (1) (1)-1 1.0\nedge (0) (1) 1.0\n"
+     "edge (1) (1)+1 1.0\n", "DuplicateOrbit", 8),
+    ("d 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\nedge (0) (0)+1 1.0\nT 1\n",
+     "DuplicateOrbit", 6),
+    ("d 1\nk 0\nT 2\nnode 0\nnode 1\nedge (1) (0)+1 1.0\nedge (0) (1) 1.0\n"
+     "edge (1) (0) 2.0\nedge (0) (1)-1 1.0\n", "AsymmetricWeight", 8),
 ]
 
 
@@ -82,6 +99,58 @@ def test_malformed_inputs(text, kind, line):
     assert err.value.kind == kind
     assert err.value.line == line
     assert err.value.column >= 1
+
+
+# str(err) of each MALFORMED row, in order: kind, position and message
+MALFORMED_MESSAGES = [
+    "line 1, col 1: [MissingHeader] header 'k' out of order (expected 'd')",
+    "line 3, col 1: [MissingHeader] 'node' before the d/k/T header lines",
+    "line 7, col 1: [Syntax] unknown directive 'bogus'",
+    'line 4, col 6: [Syntax] node: expected 1 integers, got 2',
+    'line 4, col 1: [RangeViolation] node d-coordinates (3,) outside [0, 2)',
+    'line 4, col 1: [RangeViolation] node k-coordinates (-1,) negative',
+    'line 5, col 1: [DuplicateNode] node (0) already declared on line 4',
+    'line 5, col 11: [Syntax] edge references undeclared node (1)',
+    'line 5, col 16: [RangeViolation] weight must be a positive finite number, got 0.0',
+    'line 5, col 1: [RangeViolation] zero-displacement edge (self loop)',
+    'line 6, col 1: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) already declared on line 5',
+    'line 6, col 1: [AsymmetricWeight] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) re-declared with weight 2.0 (was 1.0 on line 5)',
+    "line 5, col 16: [Syntax] bad weight 'heavy'",
+    'line 6, col 3: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) already declared on line 5',
+    'line 6, col 1: [AsymmetricWeight] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) re-declared with weight 0.5 (was 1.0 on line 5)',
+    'line 6, col 1: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) already declared on line 5',
+    'line 5, col 1: [RangeViolation] zero-displacement edge (self loop)',
+    'line 7, col 1: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(0,), kpos=(0,)),'
+    ' CellNode(dpos=(0,), kpos=(1,)), (-1,)) already declared on line 6',
+    'line 8, col 1: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(1,), kpos=()),'
+    ' CellNode(dpos=(1,), kpos=()), (1,)) already declared on line 6',
+    'line 6, col 1: [DuplicateOrbit] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(0,), kpos=()), (1,)) already declared on line 5',
+    'line 8, col 1: [AsymmetricWeight] '
+    'orbit (CellNode(dpos=(0,), kpos=()),'
+    ' CellNode(dpos=(1,), kpos=()), (0,)) re-declared with weight 2.0 (was 1.0 on line 7)',
+]
+
+
+def test_malformed_messages_pinned():
+    assert len(MALFORMED_MESSAGES) == len(MALFORMED)
+    for (text, _, _), message in zip(MALFORMED, MALFORMED_MESSAGES):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_comments_and_blank_lines():

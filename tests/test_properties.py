@@ -84,6 +84,24 @@ def test_serialize_parse_roundtrip(graph):
     assert serialize(again) == text
 
 
+@given(lattice_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_ignores_line_order_and_orientation(graph, data):
+    """Shuffled node and edge lines, some edges written reversed, parse to
+    the same graph."""
+    lines = serialize(graph).splitlines()
+    nodes = [ln for ln in lines if ln.startswith("node ")]
+    edges = [ln for ln in lines if ln.startswith("edge ")]
+    flip = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    for e, orb in enumerate(graph.orbits):
+        if flip[e]:
+            rev = orb.reversed()
+            shift = "".join(f"{o:+d}" for o in rev.offset) if any(rev.offset) else ""
+            edges[e] = f"edge {rev.u} {rev.v}{shift} {rev.weight!r}"
+    body = data.draw(st.permutations(nodes)) + data.draw(st.permutations(edges))
+    assert parse("\n".join(lines[:3] + body) + "\n") == graph
+
+
 @given(lattice_graphs())
 @settings(max_examples=40, deadline=None)
 def test_neighbors_symmetry_random(graph):
