@@ -35,15 +35,19 @@ class UsageError(Exception):
 
 def _load_graph(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"file not found: {path}" if isinstance(exc, FileNotFoundError)
-                         else f"cannot read {path}: {exc}") from exc
-    try:
-        return lgf.parse(text)
+        return lgf.load(path)
+    except FileNotFoundError as exc:
+        raise UsageError(f"file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     except lgf.ParseError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _check_tol(tol):
+    # CG stops once |r| <= tol |b|, which the zero corrector meets for tol >= 1
+    if not 0 < tol < 1:
+        raise UsageError("--tol must be " + ("below 1" if tol >= 1 else "positive"))
 
 
 def _parse_fraction(text):
@@ -142,8 +146,7 @@ def cmd_validate(args):
 
 def cmd_cell(args):
     graph = _load_graph(args.file)
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    _check_tol(args.tol)
     tensor = cell.homogenized_tensor(graph, tol=args.tol, convention=args.convention)
     other = "single" if args.convention == "double" else "double"
     factor = 0.5 if args.convention == "double" else 2.0
@@ -176,12 +179,15 @@ def cmd_cell(args):
 
 def cmd_asymptotic(args):
     graph = _load_graph(args.file)
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    _check_tol(args.tol)
     Ks = _parse_list(args.k, int, "K")
     if not Ks:
         raise UsageError("--k list must be non-empty")
+    if min(Ks) < 2:
+        raise UsageError("--k values must be at least 2")
     z = _parse_list(args.z, float, "z") if args.z else [1.0] + [0.0] * (graph.d - 1)
+    if len(z) != graph.d or not all(map(math.isfinite, z)):
+        raise UsageError(f"--z needs {graph.d} finite numbers for d={graph.d}")
     table = asymptotic.convergence_study(graph, z, sorted(Ks), tol=args.tol,
                                          convention=args.convention)
     rows = table.to_rows()

@@ -1,16 +1,16 @@
 """Coarse-graining and the structural inequalities behind compactness.
 
 The coarse field replaces a lattice function by its per-cell arithmetic mean
-(one cell = one period column times the full cross-section).  The two local
-inequalities — adjacent cell means controlled by local edge differences, and
-per-cell deviation from the mean controlled by weighted edge differences —
-are verified empirically with constants computed from shortest-path structure,
-as is the domain-scale Poincare inequality for fields vanishing near the
-boundary.  Every box of vertices and edges comes from the shared box
-enumerator (graph.position_box, graph.CellBox), every path from its
-breadth-first search (graph.box_adjacency), every energy is
-graph.edge_energy over its edge arrays, and the Poincare constant's matrix is
-the shared pinned-vertex reduction (graph.pinned_reduction).
+(one cell = one period column times the full cross-section).  Three
+inequalities make up the discrete p-connectedness: adjacent cell means and
+per-cell deviation from the mean, each controlled by local edge differences
+with constants from shortest-path structure, and the domain-scale Poincare
+inequality for fields vanishing near the boundary.  Each harness states its
+regions as data (label, left-hand side, edge ends, coefficients) and one
+loop, _worst_ratio, scores every trial field on every region.  Boxes come
+from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
+energies from graph.edge_energy, and the Poincare matrix from
+graph.pinned_reduction.
 """
 
 from __future__ import annotations
@@ -83,14 +83,6 @@ class CoarseField:
     scale: float
     period: int
     d: int
-
-    @property
-    def cell_volume(self):
-        return float(self.scale * self.period) ** self.d
-
-    def l2_norm(self, weight_nodes=1):
-        vals = np.array(list(self.means.values()))
-        return math.sqrt(weight_nodes * self.cell_volume * float(vals @ vals))
 
 
 def coarse_field(u, domain):
@@ -234,27 +226,28 @@ class InequalityReport:
                 "witness": self.witness, "holds": bool(self.holds), **self.extra}
 
 
-def _trial_field(seed, pos, node_ids, t):
-    """Deterministic per-trial families: gaussian, affine, indicator, checkerboard.
+def _trial_fields(seed, pos, node_ids, trials):
+    """Deterministic per-trial families: gaussian, affine, indicator,
+    checkerboard, yielded as (name, values).
 
     Each trial draws from its own (seed, t)-keyed stream, so trials can run
     in any order without changing the outcome.
     """
-    rng = np.random.default_rng((seed, t))
     n = len(pos)
-    fam = ("gaussian", "affine", "indicator", "checkerboard")[t % 4]
-    if fam == "gaussian":
-        return rng.standard_normal(n), fam
-    if fam == "affine":
-        slope = rng.standard_normal(pos.shape[1])
-        vals = pos @ slope + rng.standard_normal()
-        return vals, fam
-    if fam == "indicator":
-        vals = np.zeros(n)
-        vals[rng.integers(n)] = 1.0
-        return vals, fam
-    vals = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
-    return vals, fam
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        fam = ("gaussian", "affine", "indicator", "checkerboard")[t % 4]
+        if fam == "gaussian":
+            vals = rng.standard_normal(n)
+        elif fam == "affine":
+            slope = rng.standard_normal(pos.shape[1])
+            vals = pos @ slope + rng.standard_normal()
+        elif fam == "indicator":
+            vals = np.zeros(n)
+            vals[rng.integers(n)] = 1.0
+        else:
+            vals = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
+        yield f"trial {t} ({fam})", vals
 
 
 def _inside(pos, lo, hi):
@@ -262,14 +255,23 @@ def _inside(pos, lo, hi):
     return np.all((pos >= lo) & (pos <= hi), axis=1)
 
 
-def _worst(ratios):
-    """(largest ratio, label of the earliest ratio within relative 1e-12 of
-    it) over (ratio, label) pairs, or (0.0, "") when no ratio is positive.
+def _worst_ratio(fields, regions, constant):
+    """(largest ratio, witness) over every (field, region) pair.
 
-    Trials whose ratios are equal in exact arithmetic differ only by
-    rounding, so the earliest of them is the witness that does not depend on
-    it.
+    A field is (name, values u); a region is (label, lhs, ends, coef), and
+    its ratio for u is lhs(u) / (constant * edge_energy(ends, coef, u)): 0
+    when lhs(u) = 0, inf when the energy is 0.  The witness, name + label,
+    is that of the earliest pair within relative 1e-12 of the largest ratio:
+    pairs whose ratios are equal in exact arithmetic differ only by
+    rounding, so the earliest of them is the witness that does not depend
+    on it.  (0.0, "") when no ratio is positive.
     """
+    ratios = []
+    for name, u in fields:
+        for label, lhs, ends, coef in regions:
+            top, rhs = lhs(u), edge_energy(ends, coef, u)
+            ratios.append((0.0 if top == 0 else math.inf if rhs == 0
+                           else top / (constant * rhs), name + label))
     worst = max((r for r, _ in ratios), default=0.0)
     if worst <= 0:
         return 0.0, ""
@@ -285,55 +287,40 @@ def check_two_connectedness(graph, trials=200, seed=7):
     (-M, M)-enlarged pair box of |u_i - u_j|^2.
     """
     consts = compute_path_constants(graph)
-    T, d, M = graph.T, graph.d, consts.M
+    T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
     in_cell = _inside(pos, 0, T - 1)
-    pairs = []
+    regions = []
     for other in np.eye(d, dtype=int):
+        in_other = _inside(pos, T * other, T * other + T - 1)
         inner = ends[_inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
-        pairs.append((tuple(other.tolist()), _inside(pos, T * other, T * other + T - 1),
-                      inner, np.full(len(inner), 2.0)))
-
-    ratios = []
-    for t in range(trials):
-        u, fam = _trial_field(seed, pos, node_ids, t)
-        for other, in_other, inner, coef in pairs:
-            lhs = (float(u[in_cell].sum() / graph.n_cell)
-                   - float(u[in_other].sum() / graph.n_cell)) ** 2
-            rhs = edge_energy(inner, coef, u)
-            ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
-                                          else lhs / (consts.C_two * rhs))
-            ratios.append((ratio, f"trial {t} ({fam}), pair {(0,) * d}->{other}"))
-    worst, witness = _worst(ratios)
+        regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
+                        lambda u, m=in_other: (float(u[in_cell].sum() / n)
+                                               - float(u[m].sum() / n)) ** 2,
+                        inner, np.full(len(inner), 2.0)))
+    worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
+                                  consts.C_two)
     return InequalityReport("two-connectedness", consts.C_two, worst, trials, witness)
 
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy."""
     consts = compute_path_constants(graph)
-    T, d, M = graph.T, graph.d, consts.M
+    T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
                                                 [2 * T - 1 + (M - 1)] * d)
     cells = [np.zeros(d, dtype=int)]
     if T - 1 + (M - 1) >= 2 * T - 1:   # a second full enlarged cell fits
         cells.append(np.eye(d, dtype=int)[0])
-    cell_data = []
+    regions = []
     for cell in cells:
         keep = _inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
-        cell_data.append((tuple(cell.tolist()), _inside(pos, cell * T, (cell + 1) * T - 1),
-                          ends[keep], 2.0 * weights[keep]))
-
-    ratios = []
-    for t in range(trials):
-        u, fam = _trial_field(seed, pos, node_ids, t)
-        for cell, mask, inner, coef in cell_data:
-            mean = float(u[mask].sum() / graph.n_cell)
-            lhs = float(((u[mask] - mean) ** 2).sum())
-            rhs = edge_energy(inner, coef, u)
-            ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0
-                                          else lhs / (consts.C_pw * rhs))
-            ratios.append((ratio, f"trial {t} ({fam}), cell {cell}"))
-    worst, witness = _worst(ratios)
+        mask = _inside(pos, cell * T, (cell + 1) * T - 1)
+        regions.append((f", cell {tuple(cell.tolist())}",
+                        lambda u, m=mask: float(((u[m] - float(u[m].sum() / n)) ** 2).sum()),
+                        ends[keep], 2.0 * weights[keep]))
+    worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
+                                  consts.C_pw)
     return InequalityReport("poincare-wirtinger", consts.C_pw, worst, trials, witness)
 
 
@@ -386,18 +373,10 @@ def check_poincare(graph, widths, trials=100, seed=7):
                           if nf > 1 else 1.0)
         c_sharp = float(extremal @ extremal) / edge_energy(ends, coef, extremal)
 
-        fields = [("extremal", extremal),
-                  ("tent", np.maximum(dist - layer, 0.0))]
-        for t in range(trials):
-            u, fam = _trial_field(seed + width, pos, node_ids, t)
-            fields.append((f"trial {t} ({fam})", u * free))
-        ratios = []
-        for fam, u in fields:
-            lhs = float(u @ u)
-            rhs = edge_energy(ends, coef, u)
-            if lhs != 0:
-                ratios.append((math.inf if rhs == 0 else lhs / rhs, fam))
-        worst, witness = _worst(ratios)
+        fields = [("extremal", extremal), ("tent", np.maximum(dist - layer, 0.0))]
+        fields += [(name, u * free) for name, u in
+                   _trial_fields(seed + width, pos, node_ids, trials)]
+        worst, witness = _worst_ratio(fields, [("", lambda u: float(u @ u), ends, coef)], 1)
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,
                                       worst / diam ** 2, trials, witness))

@@ -6,8 +6,8 @@ that is invariant under the same translations.  Everything is stored per
 fundamental cell, as the arrays of a LatticeGraph: the coordinates of the
 nodes, d-coordinates in [0, T), and one (u, v, offset, weight) row per
 translation orbit of edges.  The CellNode / EdgeOrbit objects are a view of
-those arrays, built on first use for parsing, printing and the reference
-loops; no solver reads them.
+those arrays, built on first use for printing and the reference loops; no
+solver reads them, and parsing hands plain tuples to graph_from_edges.
 
 Finite pieces of the infinite graph (windows, boxes, the graph that every
 path search runs on) are broadcast from the graph's arrays by CellBox;
@@ -107,7 +107,9 @@ class LatticeGraph:
         """Keep the arrays read-only, nodes sorted and orbits canonical: each
         oriented with u < v, or u == v and its first nonzero offset
         component positive, and sorted by (u, v, offset).  Orbit e joins row
-        u[e] of `coords` to row v[e] of the cell offset[e] away."""
+        u[e] of `coords` to row v[e] of the cell offset[e] away.  A repeated
+        orbit raises ValueError with `positions` = the input indices of its
+        first declaration and of the earliest repeat."""
         coords = np.array(coords, dtype=np.int64).reshape(-1, d + k)
         order = np.lexsort(coords.T[::-1])
         rank = np.empty_like(order)
@@ -133,8 +135,11 @@ class LatticeGraph:
         key = np.column_stack([self.u, self.v, self.offset])
         repeats = np.flatnonzero(np.all(key[1:] == key[:-1], axis=1)) + 1
         if len(repeats):
-            a, b, *off = key[repeats[np.argmin(edges[repeats])]].tolist()  # earliest input
-            raise ValueError(f"duplicate orbit {(self.nodes[a], self.nodes[b], tuple(off))}")
+            r = repeats[np.argmin(edges[repeats])]     # stable sort: r - 1 is its first
+            a, b, *off = key[r].tolist()
+            err = ValueError(f"duplicate orbit {(self.nodes[a], self.nodes[b], tuple(off))}")
+            err.positions = (int(edges[r - 1]), int(edges[r]))
+            raise err
         return self
 
     @property

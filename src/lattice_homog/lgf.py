@@ -11,6 +11,10 @@ Grammar (UTF-8, one statement per line, `#` starts a comment):
 The offset is a run of signed integers like `+1` or `-2+0`, one per periodic
 axis, applied as a cell translation to the second endpoint; omitted means
 zero.  Weights are positive decimals.  Files use the extension `.lgf`.
+
+`parse` checks each line where it stands and leaves orienting the edges and
+finding repeated orbits to graph_from_edges; the earliest faulty line is
+the one reported.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import re
 from importlib import resources
 
-from .graph import CellNode, EdgeOrbit, LatticeGraph
+from .graph import graph_from_edges
 
 KINDS = ("Syntax", "RangeViolation", "DuplicateNode", "DuplicateOrbit",
          "AsymmetricWeight", "MissingHeader")
@@ -47,129 +51,132 @@ def _ints(text, line_no, col, what, count):
     if len(parts) != count:
         raise ParseError(line_no, col, "Syntax",
                          f"{what}: expected {count} integers, got {len(parts)}")
-    vals = []
     for p in parts:
         if not _INT.match(p):
             raise ParseError(line_no, col, "Syntax", f"{what}: bad integer {p!r}")
-        vals.append(int(p))
-    return tuple(vals)
+    return tuple(map(int, parts))
 
 
 def parse(text):
     """Parse LGF text into a LatticeGraph; raises ParseError on bad input.
 
-    The returned graph satisfies the representation invariants (declared
-    endpoints, positive weights, no zero-displacement orbit, nodes in range);
-    connectedness and the range bound are left to graph-core validation.
+    Each line is checked where it stands (headers, syntax, coordinate
+    ranges, repeated nodes, declared endpoints, weights, self loops); the
+    edges then go as plain tuples to graph_from_edges, whose canonical form
+    orients them and finds repeated orbits (DuplicateOrbit, AsymmetricWeight).
+    Of several faults, the earliest line's is raised.  Connectedness and the
+    range bound are left to graph-core validation.
     """
-    d = k = T = None
-    header_seen = 0
-    nodes = {}
-    node_lines = {}
-    orbits = {}
-    orbit_lines = {}
+    header = []                 # the values of d, k and T
+    nodes = {}                  # coordinates -> line
+    edges, where = [], []       # (a, b, offset, weight) and (line, column) per edge
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            if not line.strip():
+                continue
+            stripped = line.strip()
+            col = line.index(stripped[0]) + 1
+            fields = stripped.split(None, 1)
+            head, rest = fields[0], fields[1] if len(fields) > 1 else ""
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        col = line.index(stripped[0]) + 1
-        fields = stripped.split(None, 1)
-        head, rest = fields[0], fields[1] if len(fields) > 1 else ""
+            if head in ("d", "k", "T"):
+                expected = "dkT"[len(header)] if len(header) < 3 else None
+                if head != expected:
+                    raise ParseError(line_no, col, "MissingHeader",
+                                     f"header {head!r} out of order (expected {expected!r})")
+                if not _INT.match(rest.strip() or "x"):
+                    raise ParseError(line_no, col, "Syntax", f"bad header value {rest!r}")
+                val, least = int(rest), int(head != "k")
+                if val < least:
+                    raise ParseError(line_no, col, "RangeViolation", f"{head} must be >= {least}")
+                header.append(val)
+                if len(header) == 3:
+                    d, k, T = header
+                continue
 
-        if head in ("d", "k", "T"):
-            expected = ("d", "k", "T")[header_seen] if header_seen < 3 else None
-            if head != expected:
+            if len(header) < 3:
                 raise ParseError(line_no, col, "MissingHeader",
-                                 f"header {head!r} out of order (expected {expected!r})")
-            if not _INT.match(rest.strip() or "x"):
-                raise ParseError(line_no, col, "Syntax", f"bad header value {rest!r}")
-            val = int(rest)
-            if head == "d":
-                if val < 1:
-                    raise ParseError(line_no, col, "RangeViolation", "d must be >= 1")
-                d = val
-            elif head == "k":
-                if val < 0:
-                    raise ParseError(line_no, col, "RangeViolation", "k must be >= 0")
-                k = val
-            else:
-                if val < 1:
-                    raise ParseError(line_no, col, "RangeViolation", "T must be >= 1")
-                T = val
-            header_seen += 1
-            continue
+                                 f"{head!r} before the d/k/T header lines")
 
-        if header_seen < 3:
-            raise ParseError(line_no, col, "MissingHeader",
-                             f"{head!r} before the d/k/T header lines")
+            if head == "node":
+                coords = _ints(rest, line_no, col + len("node "), "node", d + k)
+                dpos, kpos = coords[:d], coords[d:]
+                if any(not (0 <= c < T) for c in dpos):
+                    raise ParseError(line_no, col, "RangeViolation",
+                                     f"node d-coordinates {dpos} outside [0, {T})")
+                if any(c < 0 for c in kpos):
+                    raise ParseError(line_no, col, "RangeViolation",
+                                     f"node k-coordinates {kpos} negative")
+                if coords in nodes:
+                    raise ParseError(line_no, col, "DuplicateNode", f"node {_text(coords)} "
+                                     f"already declared on line {nodes[coords]}")
+                nodes[coords] = line_no
+                continue
 
-        if head == "node":
-            coords = _ints(rest, line_no, col + len("node "), "node", d + k)
-            dpos, kpos = coords[:d], coords[d:]
-            if any(not (0 <= c < T) for c in dpos):
-                raise ParseError(line_no, col, "RangeViolation",
-                                 f"node d-coordinates {dpos} outside [0, {T})")
-            if any(c < 0 for c in kpos):
-                raise ParseError(line_no, col, "RangeViolation",
-                                 f"node k-coordinates {kpos} negative")
-            node = CellNode(dpos, kpos)
-            if node in nodes:
-                raise ParseError(line_no, col, "DuplicateNode",
-                                 f"node {node} already declared on line {node_lines[node]}")
-            nodes[node] = node
-            node_lines[node] = line_no
-            continue
+            if head == "edge":
+                m = _EDGE.match(stripped)
+                if not m:
+                    raise ParseError(line_no, col, "Syntax", "malformed edge line")
+                a = _ints(m.group(1), line_no, col + m.start(1), "endpoint", d + k)
+                b = _ints(m.group(2), line_no, col + m.start(2), "endpoint", d + k)
+                offs = _OFFSET.findall(m.group(3))
+                if m.group(3) and len(offs) != d:
+                    raise ParseError(line_no, col + m.start(3), "Syntax",
+                                     f"offset needs {d} signed integers, got {len(offs)}")
+                offset = tuple(int(o) for o in offs) if offs else (0,) * d
+                try:
+                    weight = float(m.group(4))
+                except ValueError:
+                    raise ParseError(line_no, col + m.start(4), "Syntax",
+                                     f"bad weight {m.group(4)!r}") from None
+                if not (weight > 0 and math.isfinite(weight)):
+                    raise ParseError(line_no, col + m.start(4), "RangeViolation",
+                                     f"weight must be a positive finite number, got {m.group(4)}")
+                for end, grp in ((a, 1), (b, 2)):
+                    if end not in nodes:
+                        raise ParseError(line_no, col + m.start(grp), "Syntax",
+                                         f"edge references undeclared node {_text(end)}")
+                # nodes lie in [0, T), so only a zero offset can close a loop
+                if a == b and not any(offset):
+                    raise ParseError(line_no, col, "RangeViolation",
+                                     "zero-displacement edge (self loop)")
+                edges.append((a, b, offset, weight))
+                where.append((line_no, col))
+                continue
 
-        if head == "edge":
-            m = _EDGE.match(stripped)
-            if not m:
-                raise ParseError(line_no, col, "Syntax", "malformed edge line")
-            a = _ints(m.group(1), line_no, col + m.start(1), "endpoint", d + k)
-            b = _ints(m.group(2), line_no, col + m.start(2), "endpoint", d + k)
-            offs = _OFFSET.findall(m.group(3))
-            if m.group(3) and len(offs) != d:
-                raise ParseError(line_no, col + m.start(3), "Syntax",
-                                 f"offset needs {d} signed integers, got {len(offs)}")
-            offset = tuple(int(o) for o in offs) if offs else (0,) * d
-            try:
-                weight = float(m.group(4))
-            except ValueError:
-                raise ParseError(line_no, col + m.start(4), "Syntax",
-                                 f"bad weight {m.group(4)!r}") from None
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ParseError(line_no, col + m.start(4), "RangeViolation",
-                                 f"weight must be a positive finite number, got {m.group(4)}")
-            na = CellNode(a[:d], a[d:])
-            nb = CellNode(b[:d], b[d:])
-            for n, grp in ((na, 1), (nb, 2)):
-                if n not in nodes:
-                    raise ParseError(line_no, col + m.start(grp), "Syntax",
-                                     f"edge references undeclared node {n}")
-            orb = EdgeOrbit(na, nb, offset, weight).canonical()
-            dd, dk = orb.displacement(T)
-            if not any(dd + dk):
-                raise ParseError(line_no, col, "RangeViolation",
-                                 "zero-displacement edge (self loop)")
-            key = (orb.u, orb.v, orb.offset)
-            if key in orbits:
-                if orbits[key].weight != weight:
-                    raise ParseError(line_no, col, "AsymmetricWeight",
-                                     f"orbit {key} re-declared with weight {weight} "
-                                     f"(was {orbits[key].weight} on line {orbit_lines[key]})")
-                raise ParseError(line_no, col, "DuplicateOrbit",
-                                 f"orbit {key} already declared on line {orbit_lines[key]}")
-            orbits[key] = orb
-            orbit_lines[key] = line_no
-            continue
+            raise ParseError(line_no, col, "Syntax", f"unknown directive {head!r}")
+    except ParseError:
+        if edges:
+            _build(d, k, T, nodes, edges, where)    # a repeat above the fault comes first
+        raise
 
-        raise ParseError(line_no, col, "Syntax", f"unknown directive {head!r}")
-
-    if header_seen < 3:
+    if len(header) < 3:
         raise ParseError(max(1, text.count("\n") + 1), 1, "MissingHeader",
                          "input ends before the d/k/T header is complete")
-    return LatticeGraph(d, k, T, list(nodes), list(orbits.values()))
+    return _build(d, k, T, nodes, edges, where)
+
+
+def _text(coords):
+    return "(" + " ".join(map(str, coords)) + ")"
+
+
+def _build(d, k, T, nodes, edges, where):
+    """The graph of the parsed lines, or the ParseError of the earliest
+    repeated orbit, at the line of its repeat."""
+    try:
+        return graph_from_edges(d, k, T, nodes, edges)
+    except ValueError as exc:               # only a repeated orbit is left to find
+        first, repeat = exc.positions
+        (line_no, col), was = where[repeat], where[first][0]
+        orbit = str(exc).removeprefix("duplicate ")
+        weight, before = edges[repeat][3], edges[first][3]
+        if weight != before:
+            raise ParseError(line_no, col, "AsymmetricWeight",
+                             f"{orbit} re-declared with weight {weight} "
+                             f"(was {before} on line {was})") from None
+        raise ParseError(line_no, col, "DuplicateOrbit",
+                         f"{orbit} already declared on line {was}") from None
 
 
 def serialize(graph):

@@ -167,6 +167,39 @@ def test_cell_rejects_non_positive_tol(ex_path, capsys, tol):
     assert err == "error: --tol must be positive\n"
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_undecodable_file_is_usage_error(tmp_path, capsys, fmt):
+    p = tmp_path / "latin1.lgf"
+    p.write_bytes(b"# caf\xe9\nd 1\nk 0\nT 1\nnode 0\nedge (0) (0)+1 1.0\n")
+    code, out, err = run_cli(capsys, "validate", str(p), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("command", ["cell", "asymptotic"])
+@pytest.mark.parametrize("tol,message", [("nan", "positive"), ("-inf", "positive"),
+                                         ("1", "below 1"), ("2.5", "below 1"),
+                                         ("inf", "below 1")])
+def test_tol_outside_unit_interval_is_usage_error(ex_path, capsys, command, tol, message):
+    code, out, err = run_cli(capsys, command, ex_path("ex3"), f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be {message}\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k", "1", "--k values must be at least 2"),
+    ("--k", "4,0", "--k values must be at least 2"),
+    ("--z", "1,2", "--z needs 1 finite numbers for d=1"),
+    ("--z", "nan", "--z needs 1 finite numbers for d=1"),
+    ("--z", "inf", "--z needs 1 finite numbers for d=1"),
+])
+def test_asymptotic_bad_window_or_direction_is_usage_error(ex_path, capsys, flag, value,
+                                                          message):
+    code, out, err = run_cli(capsys, "asymptotic", ex_path("ex1"), flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_examples_listing_and_export(tmp_path, capsys):
     out_dir = tmp_path / "exported"
     code, out, _ = run_cli(capsys, "examples", "--export", str(out_dir))
