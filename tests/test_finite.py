@@ -10,7 +10,8 @@ import pytest
 
 from lattice_homog import (BoundaryDatum, DirichletProblem, affine_datum,
                            finite_window_value, graph_from_edges,
-                           instantiate_window, solve_dirichlet)
+                           instantiate_window, normalize_period, solve_dirichlet)
+from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.coarse import hypothesis_norms
 
 from conftest import layered_square_lattice, random_square_lattice
@@ -47,6 +48,21 @@ def test_pinned_clamped_window_counts():
         fg = instantiate_window(g, [(0, K)], wrap="clamped")
         assert (len(fg.vertices), len(fg.edges), len(fg.ghost_edges),
                 len(fg.boundary_vertices)) == counts
+
+
+def test_pinned_clamped_window_problems():
+    # (value, free vertices, edges with a nonzero coefficient); every bond
+    # crossing the window boundary counts once, with its outside end pinned
+    g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                           ((0,), (0,), (10,), 1.0)])
+    l2 = normalize_period(layered_square_lattice(), 2)
+    cases = [(g, [1.0], 4, (362.0, 1, 16)),
+             (g, [1.0], 12, (354.2861111111111, 9, 43)),
+             (l2, [1.0, -0.5], 6, (7.166666666666667, 2, 935))]
+    for graph, z, K, (value, free, edges) in cases:
+        problem = build_window_problem(graph, z, K)
+        assert (np.count_nonzero(~problem.clamped), np.count_nonzero(problem.coef)) == (free, edges)
+        assert finite_window_value(graph, z, K) == pytest.approx(value, rel=REL, abs=0)
 
 
 def reference_hypothesis_norms(u, domain):

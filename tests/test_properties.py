@@ -346,6 +346,38 @@ def test_window_matches_cell_loop(graph, wrap):
     assert len(fg.boundary_vertices) == len({(p, i) for _, p, i, _ in ghosts})
 
 
+@given(lattice_graphs(connected_only=True, max_offset=2), st.integers(2, 8),
+       st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_window_value_matches_dense_loop(graph, K, z):
+    # the clamped window by the cell loop: window edges count twice (ordered
+    # pairs), edges to the outside ends once; the outside ends and every
+    # vertex within 2 sqrt(d) T of the box boundary are pinned at z . x
+    from lattice_homog.asymptotic import finite_window_value
+    d, T = graph.d, graph.T
+    z = np.array(z[:d])
+    positions, edges, ghosts = _window_by_loops(graph, [(0, K)] * d, "clamped")
+    outside = sorted({(p, i) for _, p, i, _ in ghosts})
+    where = {key: len(positions) + j for j, key in enumerate(outside)}
+    x = np.array(positions + [p for p, _ in outside], dtype=float).reshape(-1, d)
+    pairs = [(a, b, 2.0 * w) for a, b, w in edges]
+    pairs += [(a, where[(p, i)], w) for a, p, i, w in ghosts]
+    L = np.zeros((len(x), len(x)))
+    for a, b, c in pairs:
+        L[[a, b], [a, b]] += c
+        L[[a, b], [b, a]] -= c
+    dist = np.minimum(x, K * T - x).min(axis=1)
+    pinned = dist < 2.0 * np.sqrt(d) * T
+    pinned[len(positions):] = True
+    values = x @ z
+    free = ~pinned
+    if free.any():
+        values[free] = np.linalg.solve(L[np.ix_(free, free)],
+                                       -L[np.ix_(free, pinned)] @ values[pinned])
+    ref = sum(c * (values[a] - values[b]) ** 2 for a, b, c in pairs) / (K * T) ** d
+    assert finite_window_value(graph, z, K) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
 @given(lattice_graphs(), st.integers(-3, 0), st.integers(0, 4))
 @example(normalize_period(random_square_lattice(2, np.random.default_rng(1)), 4), -1, 5)
 @settings(max_examples=60, deadline=None)
