@@ -2,13 +2,14 @@
 
 The window value at size K minimizes the quadratic energy over the K^d-cell
 box with every vertex within Euclidean distance 2*sqrt(d)*T of the box
-boundary pinned to the affine field z . i^d.  Interactions reaching one step
-outside the box are kept, with the outside endpoint held at its affine
-value; this makes the periodic cell value a true lower bound for every K.
+boundary pinned to the affine field z . i^d.  Interactions reaching outside
+the box are kept, with the outside endpoint held at its affine value; this
+makes the periodic cell value a true lower bound for every K.
 
-The window comes from the shared box enumerator (graph.instantiate_window)
-and its minimizer from the shared pinned-vertex solve (graph.pinned_solve),
-with the outside endpoints as pinned ghost vertices.
+The box is an open window of the shared enumerator (graph.instantiate_window)
+padded by the longest orbit offset on every side, so every bond leaving the
+box ends in the padding, where every vertex is pinned.  The minimizer comes
+from the shared pinned-vertex solve (graph.pinned_solve).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import convention_factor, f_hom
+from .cell import _check_direction, convention_factor, f_hom
 from .errors import WindowTooSmall
 from .graph import edge_energy, instantiate_window, laplacian, pinned_solve
 from .util import parallel_map
@@ -29,11 +30,11 @@ from .util import parallel_map
 class WindowProblem:
     K: int
     direction: np.ndarray
-    finite: object                  # clamped FiniteGraph over {0..K-1}^d cells
-    clamped: np.ndarray             # bool per vertex: window vertices, then ghosts
+    finite: object                  # open FiniteGraph over {-r..K+r-1}^d cells
+    clamped: np.ndarray             # bool per vertex: outside {0..K-1}^d or in the layer
     affine: np.ndarray              # z . position per vertex
-    ends: np.ndarray                # (E, 2) vertex pairs: window edges, then ghost edges
-    coef: np.ndarray                # 2 w per window edge (ordered pairs), w per ghost edge
+    ends: np.ndarray                # (E, 2) vertex pairs with at least one end inside
+    coef: np.ndarray                # 2 w per inside pair (ordered pairs), w per crossing bond
 
 
 def boundary_layer_width(graph):
@@ -43,22 +44,24 @@ def boundary_layer_width(graph):
 def build_window_problem(graph, z, K):
     """Set up the clamped K-window problem; K < 2 is a degenerate window.
 
-    Ghosts (the outside ends of edges crossing the window boundary) are
-    pinned vertices after the window's own.
+    The window is padded by r = max |offset component| cells per side.  An
+    edge weighs w times the number of its ends inside the K-window, so
+    padding-only edges drop out and the outside ends of crossing bonds are
+    pinned padding vertices.
     """
     if K < 2:
         raise WindowTooSmall("window needs K >= 2 (a single period is entirely "
                              "inside the clamped boundary layer)")
-    z = np.asarray(z, dtype=float).reshape(-1)
-    fg = instantiate_window(graph, [(0, K)] * graph.d, wrap="clamped")
-    side = K * graph.T
-    dist = np.minimum(fg.vertices, side - fg.vertices).min(axis=1)
-    clamped = np.concatenate([dist < boundary_layer_width(graph),
-                              np.ones(len(fg.boundary_vertices), dtype=bool)])
-    affine = np.concatenate([fg.vertices, fg.boundary_vertices]) @ z
-    ends = np.concatenate([fg.edges, fg.ghost_edges + [0, len(fg.vertices)]])
-    coef = np.concatenate([2.0 * fg.weights, fg.ghost_weights])
-    return WindowProblem(K, z, fg, clamped, affine, ends, coef)
+    z = _check_direction(graph, z)
+    r = int(np.abs(graph.offset).max(initial=0))
+    fg = instantiate_window(graph, [(-r, K + r)] * graph.d)
+    cells = (fg.vertices - graph.dpos[fg.node_ids]) // graph.T
+    inside = np.all((cells >= 0) & (cells < K), axis=1)
+    dist = np.minimum(fg.vertices, K * graph.T - fg.vertices).min(axis=1)
+    clamped = ~inside | (dist < boundary_layer_width(graph))
+    coef = fg.weights * inside[fg.edges].sum(axis=1)
+    keep = coef > 0
+    return WindowProblem(K, z, fg, clamped, fg.vertices @ z, fg.edges[keep], coef[keep])
 
 
 def _solve_window(problem):
@@ -87,7 +90,7 @@ def finite_window_value(graph, z, K, convention="double"):
 
 def affine_energy_density(graph, z, convention="double"):
     """Energy density of the uncorrected affine field z . i^d: factor z^T C z / T^d."""
-    z = np.asarray(z, dtype=float).reshape(-1)
+    z = _check_direction(graph, z)
     return convention_factor(convention) * float(z @ graph.operator.C @ z) / graph.T ** graph.d
 
 
@@ -116,13 +119,15 @@ def convergence_study(graph, z, Ks, tol=1e-10, convention="double"):
     """Window values for each K with gaps against the periodic cell value.
 
     Also fits gap ~ c / K^p on the rows with positive gap and reports p;
-    the fit is a diagnostic, the theory only gives gap -> 0.
+    the fit is a diagnostic, the theory only gives gap -> 0.  Ks must be
+    strictly increasing: a repeated K adds no point to the fit.
     """
     Ks = list(Ks)
-    if Ks != sorted(Ks):
-        raise ValueError("Ks must be sorted ascending")
+    if any(a >= b for a, b in zip(Ks, Ks[1:])):
+        raise ValueError("Ks must be strictly increasing")
     cell_value = f_hom(graph, z, tol=tol, convention=convention)
-    table = ConvergenceTable(tuple(np.asarray(z, dtype=float)), convention, cell_value)
+    table = ConvergenceTable(tuple(np.asarray(z, dtype=float).tolist()), convention,
+                             cell_value)
 
     def run(K):
         t0 = time.perf_counter()

@@ -185,6 +185,8 @@ def cmd_asymptotic(args):
         raise UsageError("--k list must be non-empty")
     if min(Ks) < 2:
         raise UsageError("--k values must be at least 2")
+    if len(set(Ks)) != len(Ks):
+        raise UsageError("--k values must be distinct")
     z = _parse_list(args.z, float, "z") if args.z else [1.0] + [0.0] * (graph.d - 1)
     if len(z) != graph.d or not all(map(math.isfinite, z)):
         raise UsageError(f"--z needs {graph.d} finite numbers for d={graph.d}")

@@ -16,7 +16,7 @@ graph.pinned_reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -214,7 +214,6 @@ class InequalityReport:
     worst_ratio: float
     trials: int
     witness: str = ""
-    extra: dict = field(default_factory=dict)
 
     @property
     def holds(self):
@@ -223,7 +222,7 @@ class InequalityReport:
     def to_dict(self):
         return {"name": self.name, "constant": self.constant_used,
                 "worst_ratio": self.worst_ratio, "trials": self.trials,
-                "witness": self.witness, "holds": bool(self.holds), **self.extra}
+                "witness": self.witness, "holds": bool(self.holds)}
 
 
 def _trial_fields(seed, pos, node_ids, trials):

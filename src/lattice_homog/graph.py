@@ -10,7 +10,10 @@ those arrays, built on first use for printing and the reference loops; no
 solver reads them, and parsing hands plain tuples to graph_from_edges.
 
 Finite pieces of the infinite graph (windows, boxes, the graph that every
-path search runs on) are broadcast from the graph's arrays by CellBox;
+path search runs on) are broadcast from the graph's arrays by CellBox.  A
+window is open: it keeps the edges with both ends among its cells, and a
+problem that needs the outside ends of its boundary bonds (the clamped
+window of asymptotic) takes a window padded by the longest orbit offset.
 `laplacian`, `pinned_reduction` and `pinned_solve` are the one Laplacian
 assembly and the one pinned-vertex elimination behind every finite problem.
 """
@@ -507,15 +510,12 @@ class CellBox:
         self.node_ids = np.tile(np.arange(n), len(self._cells))
         self.positions = graph.dpos[self.node_ids] + graph.T * np.repeat(self._cells, n, axis=0)
 
-    def index(self, cells, node_ids, wrap=False):
-        """Vertex of each (cell, node) pair: -1 outside the box, or with
-        `wrap` the vertex of the cell folded into the box modulo its extents."""
+    def index(self, cells, node_ids):
+        """Vertex of each (cell, node) pair, -1 outside the box."""
         rel = np.asarray(cells) - self.lo
         flat = np.ravel_multi_index(tuple(rel.T), self.shape, mode="wrap")
-        found = flat * self.graph.n_cell + node_ids
-        if wrap:
-            return found
-        return np.where(np.all((rel >= 0) & (rel < self.shape), axis=1), found, -1)
+        return np.where(np.all((rel >= 0) & (rel < self.shape), axis=1),
+                        flat * self.graph.n_cell + node_ids, -1)
 
     def instances(self, reverse=False):
         """(near vertex, far cell, far node, weight) per cells x orbits instance.
@@ -645,33 +645,21 @@ class FiniteGraph:
 
     Vertex i is node `node_ids[i]` at d-position `vertices[i]`, cells in
     row-major order and nodes in cell order; `edges` (E, 2) holds the vertex
-    pairs of the orbit instances kept, with `weights`.  Under the clamped
-    policy an instance crossing the window boundary keeps its outside end, a
-    ghost at d-position `boundary_vertices[g]`, and appears in `ghost_edges`
-    (H, 2) as a (vertex, ghost) pair with `ghost_weights`.
+    pairs of the orbit instances with both ends in the window, anchor vertex
+    first and in (cell, orbit) order, with `weights`.
     """
 
     graph: LatticeGraph
     window: tuple               # ((lo, hi), ...) per axis, hi exclusive, cell units
-    wrap: str
     vertices: np.ndarray
     node_ids: np.ndarray
     edges: np.ndarray
     weights: np.ndarray
-    boundary_vertices: np.ndarray
-    ghost_edges: np.ndarray
-    ghost_weights: np.ndarray
 
 
-def instantiate_window(graph, window, wrap="open"):
-    """Materialize the cells of `window` ((lo, hi) per axis, hi exclusive).
-
-    wrap policy: "open" drops edges leaving the window, "clamped" keeps them
-    with the outside endpoint as a ghost, "periodic" wraps cell indices
-    modulo the window extents.
-    """
-    if wrap not in ("open", "clamped", "periodic"):
-        raise ValueError(f"unknown wrap policy {wrap!r}")
+def instantiate_window(graph, window):
+    """Materialize the cells of `window` ((lo, hi) per axis, hi exclusive);
+    edges leaving the window are dropped."""
     window = tuple((int(lo), int(hi)) for lo, hi in window)
     if len(window) != graph.d:
         raise ValueError("window arity != d")
@@ -680,22 +668,10 @@ def instantiate_window(graph, window, wrap="open"):
 
     box = CellBox(graph, *zip(*window))
     near, far_cells, far_nodes, w = box.instances()
-    far = box.index(far_cells, far_nodes, wrap=wrap == "periodic")
+    far = box.index(far_cells, far_nodes)
     kept = far >= 0
-    # clamped: ghosts at the outside ends of the instances leaving the window
-    # and of those anchored outside it and ending inside
-    r_near, r_cells, r_nodes, r_w = box.instances(reverse=True)
-    leaving = ~kept & (wrap == "clamped")
-    entering = (box.index(r_cells, r_nodes) < 0) & (wrap == "clamped")
-    keys = np.concatenate([np.column_stack([far_cells, far_nodes])[leaving],
-                           np.column_stack([r_cells, r_nodes])[entering]])
-    keys, ghost = np.unique(keys, axis=0, return_inverse=True)
-    boundary = graph.dpos[keys[:, -1]] + graph.T * keys[:, :-1]
-    ghost_edges = np.column_stack([np.concatenate([near[leaving], r_near[entering]]),
-                                   ghost.reshape(-1)])
-    return FiniteGraph(graph, window, wrap, box.positions, box.node_ids,
-                       np.column_stack([near[kept], far[kept]]), w[kept], boundary,
-                       ghost_edges, np.concatenate([w[leaving], r_w[entering]]))
+    return FiniteGraph(graph, window, box.positions, box.node_ids,
+                       np.column_stack([near[kept], far[kept]]), w[kept])
 
 
 def graph_from_edges(d, k, T, node_coords, edge_list, M=None):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lattice_homog import WindowTooSmall, f_hom
+from lattice_homog import InvalidDirection, WindowTooSmall, f_hom
 from lattice_homog.asymptotic import (
     affine_energy_density,
     build_window_problem,
@@ -78,7 +78,8 @@ def test_convention_halves_window_value(examples):
 
 def test_convergence_study_table(examples):
     g = examples["ex4"]
-    table = convergence_study(g, [1.0], [2, 4, 8, 16])
+    table = convergence_study(g, np.array([1.0]), [2, 4, 8, 16])
+    assert table.direction == (1.0,) and type(table.direction[0]) is float
     assert [r.K for r in table.rows] == [2, 4, 8, 16]
     assert all(r.gap >= -1e-8 for r in table.rows)
     assert all(r.seconds >= 0 for r in table.rows)
@@ -86,8 +87,21 @@ def test_convergence_study_table(examples):
 
 
 def test_convergence_study_requires_sorted(chain):
-    with pytest.raises(ValueError):
-        convergence_study(chain, [1.0], [4, 2])
+    # a repeated K would put two identical points into the gap fit
+    for Ks in ([4, 2], [2, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            convergence_study(chain, [1.0], Ks)
+
+
+@pytest.mark.parametrize("z", [[float("nan")], [float("inf")], [1.0, 0.0], []])
+def test_window_direction_is_checked(examples, z):
+    g = examples["ex5"]
+    for call in (lambda: build_window_problem(g, z, 4),
+                 lambda: finite_window_value(g, z, 4),
+                 lambda: tiling_check(g, z, 2),
+                 lambda: affine_energy_density(g, z)):
+        with pytest.raises(InvalidDirection, match="finite vector of length 1"):
+            call()
 
 
 def test_chain_study_all_zero_gaps(chain):

@@ -82,6 +82,12 @@ def test_emit_deterministic(ex_path, capsys):
     assert da == db
 
 
+def test_asymptotic_human_direction_is_plain(ex_path, capsys):
+    code, out, _ = run_cli(capsys, "asymptotic", ex_path("ex5"), "--k", "2,4")
+    assert code == 0
+    assert ": window study, z=[1.0], f_hom=" in out.splitlines()[0]
+
+
 def test_asymptotic_csv_header(ex_path, capsys):
     code, out, _ = run_cli(capsys, "asymptotic", ex_path("ex1"), "--k", "2,4",
                            "--format", "csv")
@@ -188,6 +194,8 @@ def test_tol_outside_unit_interval_is_usage_error(ex_path, capsys, command, tol,
 @pytest.mark.parametrize("flag,value,message", [
     ("--k", "1", "--k values must be at least 2"),
     ("--k", "4,0", "--k values must be at least 2"),
+    ("--k", "2,2", "--k values must be distinct"),
+    ("--k", "4,2,4", "--k values must be distinct"),
     ("--z", "1,2", "--z needs 1 finite numbers for d=1"),
     ("--z", "nan", "--z needs 1 finite numbers for d=1"),
     ("--z", "inf", "--z needs 1 finite numbers for d=1"),

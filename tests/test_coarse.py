@@ -24,7 +24,7 @@ from conftest import layered_square_lattice
 
 
 def _window_function(graph, cells, values=None, scale=1.0):
-    fg = instantiate_window(graph, [(0, cells)] * graph.d, wrap="open")
+    fg = instantiate_window(graph, [(0, cells)] * graph.d)
     if values is None:
         values = np.zeros(len(fg.vertices))
     return fg, function_on_window(fg, values, scale)

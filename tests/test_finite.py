@@ -1,6 +1,6 @@
 """Finite-lattice results pinned at relative 1e-12: window values, Dirichlet
 minima, hypothesis norms (also against a literal per-pair reference) and the
-counts of a clamped window whose ghosts lie far outside it."""
+counts of a clamped window whose crossing bonds reach far outside it."""
 
 import math
 from fractions import Fraction
@@ -40,14 +40,14 @@ def test_pinned_dirichlet_minima(examples):
 
 
 def test_pinned_clamped_window_counts():
-    # connected through offsets 9 and 10 (gcd 1): every ghost lies 9 or 10
-    # cells outside the window
+    # connected through offsets 9 and 10 (gcd 1): the plain window keeps only
+    # the bonds with both ends inside; test_pinned_clamped_window_problems
+    # counts the crossing bonds, whose outside ends lie 9 or 10 cells out
     g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
                                            ((0,), (0,), (10,), 1.0)])
-    for K, counts in ((4, (4, 0, 16, 10)), (12, (12, 5, 38, 20))):
-        fg = instantiate_window(g, [(0, K)], wrap="clamped")
-        assert (len(fg.vertices), len(fg.edges), len(fg.ghost_edges),
-                len(fg.boundary_vertices)) == counts
+    for K, counts in ((4, (4, 0)), (12, (12, 5))):
+        fg = instantiate_window(g, [(0, K)])
+        assert (len(fg.vertices), len(fg.edges)) == counts
 
 
 def test_pinned_clamped_window_problems():

@@ -17,6 +17,7 @@ from lattice_homog import (
     validate,
     witness_path,
 )
+from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.graph import _hnf_rows
 
 
@@ -283,40 +284,42 @@ def test_neighbors_degree_ex4(examples):
 
 
 def test_window_chain_open(chain):
-    fg = instantiate_window(chain, [(0, 4)], wrap="open")
+    fg = instantiate_window(chain, [(0, 4)])
     assert len(fg.vertices) == 4
     assert len(fg.edges) == 3
-    assert len(fg.ghost_edges) == 0
-
-
-def test_window_chain_periodic(chain):
-    fg = instantiate_window(chain, [(0, 4)], wrap="periodic")
-    assert len(fg.vertices) == 4
-    assert len(fg.edges) == 4  # one orbit instance per cell
 
 
 def test_window_chain_clamped(chain):
-    fg = instantiate_window(chain, [(0, 4)], wrap="clamped")
-    assert len(fg.edges) == 3
-    # one outgoing instance at the right edge, one incoming at the left
-    assert len(fg.ghost_edges) == 2
-    assert sorted(fg.boundary_vertices[:, 0].tolist()) == [-1, 4]
+    problem = build_window_problem(chain, [1.0], 4)
+    # padded by one cell per side: three inside pairs at 2 w and one
+    # crossing bond per side at w; the outside ends -1 and 4 are pinned, and
+    # so is every vertex nearer than 2 to the box boundary
+    x = problem.finite.vertices[:, 0]
+    assert x.tolist() == [-1, 0, 1, 2, 3, 4]
+    assert x[problem.ends].tolist() == [[-1, 0], [0, 1], [1, 2], [2, 3], [3, 4]]
+    assert problem.coef.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
+    assert problem.clamped.tolist() == [True, True, True, False, True, True]
 
 
 def test_window_clamped_ghosts_far_outside():
-    # offsets 9 and 10 (gcd 1): every ghost lies 9 or 10 cells outside
+    # offsets 9 and 10 (gcd 1): every crossing bond ends 9 or 10 cells
+    # outside the window, in the padding of r = 10 cells
     g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
                                            ((0,), (0,), (10,), 1.0)])
-    fg = instantiate_window(g, [(0, 4)], wrap="clamped")
-    assert fg.boundary_vertices[:, 0].tolist() == [-10, -9, -8, -7, -6, 9, 10, 11, 12, 13]
-    inside, ghost = fg.ghost_edges.T
-    assert np.all(np.abs(fg.boundary_vertices[ghost, 0] - fg.vertices[inside, 0]) >= 9)
+    problem = build_window_problem(g, [1.0], 4)
+    x = problem.finite.vertices[:, 0]
+    assert (x.min(), x.max()) == (-10, 13)
+    a, b = problem.ends.T
+    assert np.all(problem.coef == 1.0) and np.all(np.abs(x[a] - x[b]) >= 9)
+    ends = np.where((x[a] >= 0) & (x[a] < 4), b, a)
+    assert sorted(set(x[ends].tolist())) == [-10, -9, -8, -7, -6, 9, 10, 11, 12, 13]
+    assert problem.clamped[ends].all()
 
 
 def test_window_vertex_order(examples):
     # vertex c * n + i is node i of the c-th cell, cells in row-major order
     g = examples["ex6"]
-    fg = instantiate_window(g, [(1, 3)], wrap="open")
+    fg = instantiate_window(g, [(1, 3)])
     dpos = np.array([node.dpos for node in g.nodes])
     cells = np.repeat([1, 2], g.n_cell)
     assert fg.node_ids.tolist() == list(range(g.n_cell)) * 2
@@ -325,16 +328,17 @@ def test_window_vertex_order(examples):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_window_counts_closed_form(chain, n):
-    fg = instantiate_window(chain, [(0, n)], wrap="open")
+    fg = instantiate_window(chain, [(0, n)])
     assert len(fg.vertices) == n * chain.n_cell
     assert len(fg.edges) == n - 1
 
 
 def test_window_vertex_count_invariant(examples):
+    # an orbit with offset o has prod(3 - |o_m|) instances inside 3^d cells
     for g in examples.values():
-        fg = instantiate_window(g, [(0, 3)] * g.d, wrap="periodic")
+        fg = instantiate_window(g, [(0, 3)] * g.d)
         assert len(fg.vertices) == 3 ** g.d * g.n_cell
-        assert len(fg.edges) == 3 ** g.d * len(g.orbits)
+        assert len(fg.edges) == np.prod(np.maximum(3 - np.abs(g.offset), 0), axis=1).sum()
 
 
 def test_window_empty(chain):
@@ -344,10 +348,9 @@ def test_window_empty(chain):
 
 def test_window_deterministic_order(examples):
     g = examples["ex1"]
-    a = instantiate_window(g, [(0, 3)], wrap="clamped")
-    b = instantiate_window(g, [(0, 3)], wrap="clamped")
-    for field in ("vertices", "node_ids", "edges", "weights", "boundary_vertices",
-                  "ghost_edges", "ghost_weights"):
+    a = instantiate_window(g, [(0, 3)])
+    b = instantiate_window(g, [(0, 3)])
+    for field in ("vertices", "node_ids", "edges", "weights"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 

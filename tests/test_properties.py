@@ -298,8 +298,10 @@ def test_preconditioned_tensor_matches_plain_cg_random(graph, seed):
     assert np.abs(A - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-def _window_by_loops(graph, window, wrap):
-    """instantiate_window by a loop over cells and orbits: (positions, edges, ghosts)."""
+def _window_by_loops(graph, window):
+    """The window by a loop over cells and orbits: (positions, edges,
+    crossings), a crossing being (inside vertex, outside position, outside
+    node, weight) for an edge with one end outside the window."""
     from itertools import product
     cells = list(product(*(range(lo, hi) for lo, hi in window)))
     index, positions = {}, []
@@ -314,36 +316,30 @@ def _window_by_loops(graph, window, wrap):
     def position(node, cell):
         return tuple(p + graph.T * c for p, c in zip(node.dpos, cell))
 
-    edges, ghosts = [], []
+    edges, crossings = [], []
     for cell in cells:
         for orb in graph.orbits:
             u, v = graph.node_index(orb.u), graph.node_index(orb.v)
             far = tuple(c + o for c, o in zip(cell, orb.offset))
-            if wrap == "periodic":
-                far = tuple(lo + (c - lo) % (hi - lo) for (lo, hi), c in zip(window, far))
             if inside(far):
                 edges.append((index[(cell, u)], index[(far, v)], orb.weight))
-            elif wrap == "clamped":
-                ghosts.append((index[(cell, u)], position(orb.v, far), v, orb.weight))
+            else:
+                crossings.append((index[(cell, u)], position(orb.v, far), v, orb.weight))
             near = tuple(c - o for c, o in zip(cell, orb.offset))
-            if wrap == "clamped" and not inside(near):
-                ghosts.append((index[(cell, v)], position(orb.u, near), u, orb.weight))
-    return positions, edges, ghosts
+            if not inside(near):
+                crossings.append((index[(cell, v)], position(orb.u, near), u, orb.weight))
+    return positions, edges, crossings
 
 
-@given(lattice_graphs(), st.sampled_from(["open", "clamped", "periodic"]))
+@given(lattice_graphs())
 @settings(max_examples=60, deadline=None)
-def test_window_matches_cell_loop(graph, wrap):
+def test_window_matches_cell_loop(graph):
     from lattice_homog import instantiate_window
     window = [(-1, 2)] + [(0, 2)] * (graph.d - 1)
-    fg = instantiate_window(graph, window, wrap=wrap)
-    positions, edges, ghosts = _window_by_loops(graph, window, wrap)
+    fg = instantiate_window(graph, window)
+    positions, edges, _ = _window_by_loops(graph, window)
     assert [tuple(p) for p in fg.vertices.tolist()] == positions
     assert list(zip(*fg.edges.T.tolist(), fg.weights.tolist())) == edges
-    got = sorted((a, tuple(fg.boundary_vertices[g].tolist()), w)
-                 for (a, g), w in zip(fg.ghost_edges.tolist(), fg.ghost_weights.tolist()))
-    assert got == sorted((a, p, w) for a, p, _, w in ghosts)
-    assert len(fg.boundary_vertices) == len({(p, i) for _, p, i, _ in ghosts})
 
 
 @given(lattice_graphs(connected_only=True, max_offset=2), st.integers(2, 8),
@@ -351,17 +347,17 @@ def test_window_matches_cell_loop(graph, wrap):
 @settings(max_examples=60, deadline=None)
 def test_window_value_matches_dense_loop(graph, K, z):
     # the clamped window by the cell loop: window edges count twice (ordered
-    # pairs), edges to the outside ends once; the outside ends and every
-    # vertex within 2 sqrt(d) T of the box boundary are pinned at z . x
+    # pairs), crossing edges once; the outside ends and every vertex within
+    # 2 sqrt(d) T of the box boundary are pinned at z . x
     from lattice_homog.asymptotic import finite_window_value
     d, T = graph.d, graph.T
     z = np.array(z[:d])
-    positions, edges, ghosts = _window_by_loops(graph, [(0, K)] * d, "clamped")
-    outside = sorted({(p, i) for _, p, i, _ in ghosts})
+    positions, edges, crossings = _window_by_loops(graph, [(0, K)] * d)
+    outside = sorted({(p, i) for _, p, i, _ in crossings})
     where = {key: len(positions) + j for j, key in enumerate(outside)}
     x = np.array(positions + [p for p, _ in outside], dtype=float).reshape(-1, d)
     pairs = [(a, b, 2.0 * w) for a, b, w in edges]
-    pairs += [(a, where[(p, i)], w) for a, p, i, w in ghosts]
+    pairs += [(a, where[(p, i)], w) for a, p, i, w in crossings]
     L = np.zeros((len(x), len(x)))
     for a, b, c in pairs:
         L[[a, b], [a, b]] += c

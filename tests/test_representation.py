@@ -77,7 +77,7 @@ def test_views_are_lazy_and_arrays_read_only(rng):
     graphs = [random_square_lattice(4, rng), normalize_period(layered_square_lattice(), 4)]
     for g in graphs:
         homogenized_tensor(g)
-        instantiate_window(g, [(-1, 2)] * g.d, wrap="clamped")
+        instantiate_window(g, [(-1, 2)] * g.d)
         assert validate(g).ok
         assert not {"nodes", "orbits", "_index"} & set(vars(g))
         for a in (g.coords, g.dpos, g.kpos, g.u, g.v, g.offset, g.w):
