@@ -1,8 +1,11 @@
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from lattice_homog import cli
 from lattice_homog import (
     DatumUndefined,
     EmptyInterior,
@@ -23,7 +26,7 @@ from lattice_homog.bvp import (
     solve_dirichlet,
 )
 
-from conftest import square_lattice
+from conftest import layered_square_lattice, square_lattice
 
 X = BoundaryDatum(lambda x: x[0], name="x")
 EPS_LIST = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
@@ -66,6 +69,68 @@ def test_datum_undefined():
     nanny = BoundaryDatum(lambda x: float("nan"))
     with pytest.raises(DatumUndefined):
         nanny([0.0])
+
+
+LOG_FAILED_AT = ("log(x - 0.3) {} [np.float64(0.0012409419844519945), "
+                 "np.float64(0.0012409419844519945)]")
+
+
+def test_datum_undefined_on_band_names_first_point():
+    # undefined for x < 0.3: the first band position's first Gauss point is named
+    phi = BoundaryDatum(lambda x: np.log(x[0] - 0.3), name="log(x - 0.3)")
+    problem = DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), Fraction(1, 16), phi)
+    with pytest.raises(DatumUndefined) as info:
+        build_system(problem)       # RuntimeWarning is an error under pytest's settings
+    assert str(info.value) == (LOG_FAILED_AT.format("failed at")
+                               + ": invalid value encountered in log")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DatumUndefined) as info:
+            build_system(problem)
+    assert str(info.value) == LOG_FAILED_AT.format("is not finite at")
+
+
+def scalar_loop_values(system):
+    """Boundary values by the scalar per-position loop: 8^d calls of the
+    datum per band vertex, axis weights multiplied and summed in
+    itertools.product order."""
+    phi, eps = system.problem.phi, float(system.problem.eps)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes1, w1 = 0.5 * (nodes + 1.0), 0.5 * weights
+    values = np.zeros(len(system.positions))
+    for i in np.flatnonzero(system.constrained):
+        pos = system.positions[i]
+        total = 0.0
+        for idx in product(range(8), repeat=len(pos)):
+            x = [eps * pos[m] + eps * nodes1[idx[m]] for m in range(len(pos))]
+            w = 1.0
+            for m in range(len(pos)):
+                w *= w1[idx[m]]
+            total += w * phi(x)
+        values[i] = total
+    return values
+
+
+QUADRATIC = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
+SINE = BoundaryDatum(lambda x: np.sin(3 * x[0]), name="sin(3x)")
+
+
+@pytest.mark.parametrize("case", [
+    ("L2", QUADRATIC, "1/4"), ("L2", QUADRATIC, "1/8"), ("L2", QUADRATIC, "1/16"),
+    ("L2", QUADRATIC, "1/64"),
+    ("ex5", SINE, "1/32"),
+    ("L2", cli.parse_datum("x*x - y", 2), "1/16"),            # scalar-only callable
+    ("L2", BoundaryDatum(lambda x: max(x[0], x[1])), "1/16"),  # raises on arrays
+    ("L2", BoundaryDatum(lambda x: np.sum(x)), "1/16"),        # one number for a batch
+    ("L2", BoundaryDatum(lambda x: x[0] * 0 + x.size), "1/16"),  # right shape, wrong values
+], ids=lambda case: f"{case[0]}-{case[1].name}-{case[2]}")
+def test_boundary_values_match_scalar_loop(examples, case):
+    name, phi, eps = case
+    graph = layered_square_lattice() if name == "L2" else examples[name]
+    system = build_system(DirichletProblem(graph, ((0, 1),) * graph.d, Fraction(eps), phi))
+    want = scalar_loop_values(system)
+    assert np.array_equal(system.boundary_values, want)
+    assert np.array_equal(np.signbit(system.boundary_values), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +269,17 @@ def test_continuum_2d_harmonic_saddle():
     assert abs(sol.energy - 8.0 / 3.0) < 1e-3
     assert abs(sol.energy - 8.0 / 3.0) <= sol.error_estimate + 1e-9
     assert sol.minimizer([0.5, 0.25]) == pytest.approx(0.1875, abs=1e-6)
+
+
+def test_continuum_reference_same_with_scalar_only_datum():
+    # float() refuses an array of points, so this copy of QUADRATIC is called point by point
+    scalar_only = BoundaryDatum(lambda x: float(x[0] * x[0] - x[1]), name="x*x - y")
+    A = np.array([[20 / 3, 2 / 3], [2 / 3, 14 / 3]])
+    batch = continuum_reference(A, ((0, 1), (0, 1)), QUADRATIC, h=1.0 / 32)
+    scalar = continuum_reference(A, ((0, 1), (0, 1)), scalar_only, h=1.0 / 32)
+    assert (batch.energy, batch.error_estimate) == (scalar.energy, scalar.error_estimate)
+    for point in ([0.3, 0.7], [0.0, 1.0], [0.51, 0.02]):
+        assert batch.minimizer(point) == scalar.minimizer(point)
 
 
 def test_continuum_rejects_3d():
