@@ -27,8 +27,42 @@ from .util import parallel_map
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
+def _gauss_points(eps, positions):
+    """Gauss points (d, N, 8^d) of the cells eps*pos + [0, eps)^d, N positions,
+    points in itertools.product order, and their weights (8^d,).
+
+    Tensor-product 8-point Gauss quadrature per axis: exact for polynomials
+    up to degree 15 per variable, in particular for affine data.
+    """
+    eps = float(eps)
+    base = eps * np.asarray(positions)                  # (N, d)
+    idx = np.array(list(product(range(len(_GAUSS_NODES)), repeat=base.shape[1])))
+    nodes1 = 0.5 * (_GAUSS_NODES + 1.0)                 # map to [0, 1]
+    w1 = 0.5 * _GAUSS_WEIGHTS
+    points = base.T[:, :, None] + eps * nodes1[idx.T][:, None, :]
+    weights = np.ones(len(idx))
+    for m in range(base.shape[1]):
+        weights = weights * w1[idx[:, m]]
+    return points, weights
+
+
 class BoundaryDatum:
-    """A boundary datum given as a callable on R^d points."""
+    """A boundary datum given as a callable on R^d points.
+
+    `fn` is called with one point, a (d,) array.  `evaluate` and
+    `cell_averages` first try one call on a (d, M) array of M points,
+    under np.errstate(all="ignore").  The batch is used only if it returns
+    M finite floats whose first entry equals the call at the first point;
+    otherwise (an exception, another shape, a non-finite value, a
+    different first value) the datum is called point by point, in the same
+    order, so a DatumUndefined names the same point.  A callable written
+    with elementwise numpy operations batches; a scalar-only one, such as
+    `affine_datum` or `cli.parse_datum`, is called point by point.  The
+    batch gives the scalar values bit for bit when `fn` rounds each point
+    as it does alone, as elementwise +, -, * and / do; numpy's array `**`
+    can differ from its scalar power in the last bit, and so can a SIMD
+    build of its transcendental functions.
+    """
 
     def __init__(self, fn, name="datum"):
         self.fn = fn
@@ -43,25 +77,38 @@ class BoundaryDatum:
             raise DatumUndefined(f"{self.name} is not finite at {x}")
         return v
 
-    def cell_average(self, eps, pos):
-        """Average over the scaled unit cell eps*pos + [0, eps)^d.
+    def evaluate(self, points):
+        """The datum at each column of `points` (d, M), M >= 1."""
+        points = np.asarray(points, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                values = np.asarray(self.fn(points))
+        except Exception:
+            values = None
+        if (values is not None and values.shape == points.shape[1:]
+                and values.dtype.kind == "f" and np.isfinite(values).all()
+                and values[0] == self(list(points[:, 0]))):
+            return values.astype(float)
+        return np.array([self(list(x)) for x in points.T])
 
-        Tensor-product 8-point Gauss quadrature per axis: exact for
-        polynomials up to degree 15 per variable, in particular for affine
-        data.
-        """
-        eps = float(eps)
-        d = len(pos)
-        base = [eps * p for p in pos]
-        nodes1 = 0.5 * (_GAUSS_NODES + 1.0)          # map to [0, 1]
-        w1 = 0.5 * _GAUSS_WEIGHTS
+    def cell_average(self, eps, pos):
+        """Average over the scaled unit cell eps*pos + [0, eps)^d, by scalar calls."""
+        points, weights = _gauss_points(eps, [pos])
         total = 0.0
-        for idx in product(range(len(nodes1)), repeat=d):
-            x = [base[m] + eps * nodes1[idx[m]] for m in range(d)]
-            w = 1.0
-            for m in range(d):
-                w *= w1[idx[m]]
-            total += w * self(x)
+        for x, w in zip(points[:, 0].T, weights):
+            total += w * self(list(x))
+        return total
+
+    def cell_averages(self, eps, positions):
+        """`cell_average` at each row of `positions` (N, d), N >= 1, from one
+        `evaluate` call.  The weighted values are summed per Gauss point in
+        product order, so an average equals cell_average's bit for bit
+        whenever the datum's values do (see the class docstring)."""
+        points, weights = _gauss_points(eps, positions)
+        values = self.evaluate(points.reshape(len(points), -1)).reshape(points.shape[1:])
+        total = np.zeros(len(values))
+        for column, w in zip(values.T, weights):      # running sum in product order
+            total += w * column
         return total
 
 
@@ -127,9 +174,9 @@ def build_system(problem):
         raise EmptyInterior("every vertex is constrained")
     if not constrained.any():
         raise EmptyInterior("no vertex is constrained; the problem is singular")
-    # the datum is a scalar callable: one cell average per distinct band position
+    # one cell average per distinct band position
     band, slot = np.unique(positions[constrained], axis=0, return_inverse=True)
-    averages = np.array([problem.phi.cell_average(problem.eps, p) for p in band], dtype=float)
+    averages = problem.phi.cell_averages(problem.eps, band)
     values = np.zeros(len(positions))
     values[constrained] = averages[slot.reshape(-1)]
     return DirichletSystem(problem, positions, node_ids, constrained, values, edges, weights)
@@ -215,12 +262,11 @@ def _fd_solve(A, omega, phi, h):
     xs = np.linspace(ax, bx, nx + 1)
     ys = np.linspace(ay, by, ny + 1)
     u = np.zeros((nx + 1, ny + 1))
-    for i in (0, nx):
-        for j in range(ny + 1):
-            u[i, j] = phi([xs[i], ys[j]])
-    for j in (0, ny):
-        for i in range(nx + 1):
-            u[i, j] = phi([xs[i], ys[j]])
+    # boundary columns x = ax, bx, then rows y = ay, by (corners twice)
+    rows, cols = np.arange(nx + 1), np.arange(ny + 1)
+    i = np.concatenate([np.zeros_like(cols), np.full_like(cols, nx), rows, rows])
+    j = np.concatenate([cols, cols, np.zeros_like(rows), np.full_like(rows, ny)])
+    u[i, j] = phi.evaluate(np.array([xs[i], ys[j]]))
 
     # the 9-point stencil as a grid graph: axis neighbours and both diagonals
     cxx = A[0, 0] / hx ** 2

@@ -69,17 +69,20 @@ def _parse_list(text, conv, what):
 _PHI_FUNCS = {name: getattr(math, name)
               for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")}
 _PHI_FUNCS["abs"] = abs
-_PHI_NAMES = set(_PHI_FUNCS) | {"x", "y", "z", "pi", "e"}
+_PHI_NAMES = set(_PHI_FUNCS) | {"pi", "e"}
 
 
 def parse_datum(expr, d):
-    """Compile a boundary-datum expression in x (and y, z) to a callable."""
+    """Compile a boundary-datum expression in x (and y, z up to d) to a callable."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise UsageError(f"bad --phi expression {expr!r}: {exc}") from exc
+    coords = set("xyz"[:d])
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id not in _PHI_NAMES:
+        if isinstance(node, ast.Name) and node.id in set("xyz") - coords:
+            raise UsageError(f"--phi uses {node.id!r}, but the graph has d={d}")
+        if isinstance(node, ast.Name) and node.id not in _PHI_NAMES | coords:
             raise UsageError(f"unknown name {node.id!r} in --phi")
         if isinstance(node, ast.Call) and not (
                 isinstance(node.func, ast.Name) and node.func.id in _PHI_FUNCS):

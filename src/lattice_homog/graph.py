@@ -627,11 +627,18 @@ def pinned_reduction(L, pinned, values):
 
 
 def pinned_solve(L, pinned, values):
-    """`values` with every free entry set to the minimizer of x^T L x."""
+    """`values` with every free entry set to the minimizer of x^T L x.
+
+    The one sparse direct solve of the package (window, Dirichlet and the
+    continuum grid).  A is symmetric positive definite (pinned_reduction), so
+    SuperLU orders its columns by minimum degree on the pattern of A + A^T
+    (George & Liu, 1981) instead of its default COLAMD, which does not use
+    the symmetry: less fill, less time and memory on every call.
+    """
     if pinned.all():
         return values.copy()
     A, rhs = pinned_reduction(L, pinned, values)
-    solution = spla.spsolve(A, rhs)
+    solution = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.all(np.isfinite(solution)):
         raise NoConvergence("pinned solve produced non-finite values")
     out = values.copy()

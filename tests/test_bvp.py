@@ -271,6 +271,31 @@ def test_continuum_2d_harmonic_saddle():
     assert sol.minimizer([0.5, 0.25]) == pytest.approx(0.1875, abs=1e-6)
 
 
+def test_batched_datum_is_one_array_call():
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return x[0] * x[0] - x[1]
+
+    system = build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)),
+                                           Fraction(1, 16), BoundaryDatum(fn)))
+    band = np.unique(system.positions[system.constrained], axis=0)
+    # the batch, then the scalar call at its first point
+    assert calls == [(2, 64 * len(band)), (2,)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_averages_equal_cell_average(d):
+    # no `**`: numpy's array power may round differently from its scalar power
+    phi = BoundaryDatum(lambda x: np.cos(x[0]) * x[-1] - x[0] * x[0] * x[0], name="mixed")
+    positions = np.random.default_rng(d).integers(-40, 40, size=(7, d))
+    eps = Fraction(1, 24)
+    want = [phi.cell_average(eps, p) for p in positions]
+    assert phi.cell_averages(eps, positions).tolist() == want
+    assert phi.cell_average(eps, tuple(int(p) for p in positions[0])) == want[0]
+
+
 def test_continuum_reference_same_with_scalar_only_datum():
     # float() refuses an array of points, so this copy of QUADRATIC is called point by point
     scalar_only = BoundaryDatum(lambda x: float(x[0] * x[0] - x[1]), name="x*x - y")

@@ -130,6 +130,17 @@ def test_bvp_rejects_malformed_phi(ex_path, capsys):
     assert "phi" in err
 
 
+def test_bvp_rejects_coordinates_beyond_d(ex_path, capsys):
+    code, out, err = run_cli(capsys, "bvp", ex_path("ex5"), "--omega", "0,1",
+                             "--phi", "y", "--eps", "1/4")
+    assert (code, out, err) == (2, "", "error: --phi uses 'y', but the graph has d=1\n")
+    with pytest.raises(cli.UsageError, match="uses 'z', but the graph has d=2"):
+        cli.parse_datum("x + z", 2)
+    with pytest.raises(cli.UsageError, match="unknown name 'xy'"):
+        cli.parse_datum("xy", 2)
+    assert cli.parse_datum("x * y", 2)([2.0, 3.0]) == 6.0
+
+
 def test_bvp_rejects_bad_eps(ex_path, capsys):
     code, _, err = run_cli(capsys, "bvp", ex_path("ex1"), "--omega", "0,1",
                            "--phi", "x", "--eps", "1/nope")

@@ -18,7 +18,10 @@ from lattice_homog import (
     witness_path,
 )
 from lattice_homog.asymptotic import build_window_problem
-from lattice_homog.graph import _hnf_rows
+from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
+from lattice_homog.graph import _hnf_rows, laplacian, pinned_reduction, pinned_solve
+
+from conftest import layered_square_lattice, random_square_lattice
 
 
 def test_validate_example2_passes(examples):
@@ -352,6 +355,32 @@ def test_window_deterministic_order(examples):
     b = instantiate_window(g, [(0, 3)])
     for field in ("vertices", "node_ids", "edges", "weights"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+# ---------------------------------------------------------------------------
+# pinned solve
+
+
+def _pinned_systems():
+    """(L, pinned, values) of the L2 Dirichlet problem at eps 1/16 and of the
+    R4 window at z = (1, 1), K = 16."""
+    phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
+    s = build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/16", phi))
+    yield (laplacian(len(s.positions), s.edges, 2.0 * s.weights), s.constrained,
+           s.boundary_values)
+    w = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                             [1.0, 1.0], 16)
+    yield laplacian(len(w.affine), w.ends, w.coef), w.clamped, w.affine
+
+
+@pytest.mark.parametrize("system", list(_pinned_systems()), ids=["L2-dirichlet", "R4-window"])
+def test_pinned_solve_matches_dense_solve(system):
+    L, pinned, values = system
+    A, rhs = pinned_reduction(L, pinned, values)
+    dense = np.linalg.solve(A.toarray(), rhs)
+    x = pinned_solve(L, pinned, values)
+    assert np.array_equal(x[pinned], values[pinned])
+    assert np.abs(x[~pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 # ---------------------------------------------------------------------------
