@@ -83,12 +83,12 @@ class BoundaryDatum:
         try:
             with np.errstate(all="ignore"):
                 values = np.asarray(self.fn(points))
-        except Exception:
+        except Exception:       # no batch; the scalar calls below report any fault
             values = None
         if (values is not None and values.shape == points.shape[1:]
                 and values.dtype.kind == "f" and np.isfinite(values).all()
                 and values[0] == self(list(points[:, 0]))):
-            return values.astype(float)
+            return np.asarray(values, dtype=float)
         return np.array([self(list(x)) for x in points.T])
 
     def cell_average(self, eps, pos):
@@ -262,7 +262,8 @@ def _fd_solve(A, omega, phi, h):
     xs = np.linspace(ax, bx, nx + 1)
     ys = np.linspace(ay, by, ny + 1)
     u = np.zeros((nx + 1, ny + 1))
-    # boundary columns x = ax, bx, then rows y = ay, by (corners twice)
+    # columns x = ax, bx, then rows y = ay, by (corners twice): the order in
+    # which a datum undefined on the boundary is reported
     rows, cols = np.arange(nx + 1), np.arange(ny + 1)
     i = np.concatenate([np.zeros_like(cols), np.full_like(cols, nx), rows, rows])
     j = np.concatenate([cols, cols, np.zeros_like(rows), np.full_like(rows, ny)])
