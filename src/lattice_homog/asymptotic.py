@@ -4,12 +4,13 @@ The window value at size K minimizes the quadratic energy over the K^d-cell
 box with every vertex within Euclidean distance 2*sqrt(d)*T of the box
 boundary pinned to the affine field z . i^d.  Interactions reaching outside
 the box are kept, with the outside endpoint held at its affine value; this
-makes the periodic cell value a true lower bound for every K.
+makes the periodic cell value a lower bound for every K in exact arithmetic
+(in floating point, ex1 at K = 16 falls one rounding below it).
 
 The box is an open window of the shared enumerator (graph.instantiate_window)
 padded by the longest orbit offset on every side, so every bond leaving the
-box ends in the padding, where every vertex is pinned.  The minimizer comes
-from the shared pinned-vertex solve (graph.pinned_solve).
+box ends in the padding, where every vertex is pinned.  It is a
+graph.PinnedProblem with band ceil(2*sqrt(d)*T).
 """
 
 from __future__ import annotations
@@ -22,23 +23,8 @@ import numpy as np
 
 from .cell import _check_direction, convention_factor, f_hom
 from .errors import WindowTooSmall
-from .graph import edge_energy, instantiate_window, laplacian, pinned_solve
+from .graph import PinnedProblem, inside, instantiate_window
 from .util import parallel_map
-
-
-@dataclass
-class WindowProblem:
-    K: int
-    direction: np.ndarray
-    finite: object                  # open FiniteGraph over {-r..K+r-1}^d cells
-    clamped: np.ndarray             # bool per vertex: outside {0..K-1}^d or in the layer
-    affine: np.ndarray              # z . position per vertex
-    ends: np.ndarray                # (E, 2) vertex pairs with at least one end inside
-    coef: np.ndarray                # 2 w per inside pair (ordered pairs), w per crossing bond
-
-
-def boundary_layer_width(graph):
-    return 2.0 * math.sqrt(graph.d) * graph.T
 
 
 def build_window_problem(graph, z, K):
@@ -47,7 +33,7 @@ def build_window_problem(graph, z, K):
     The window is padded by r = max |offset component| cells per side.  An
     edge weighs w times the number of its ends inside the K-window, so
     padding-only edges drop out and the outside ends of crossing bonds are
-    pinned padding vertices.
+    pinned padding vertices, as is a vertex nearer than 2 sqrt(d) T to the box.
     """
     if K < 2:
         raise WindowTooSmall("window needs K >= 2 (a single period is entirely "
@@ -55,19 +41,15 @@ def build_window_problem(graph, z, K):
     z = _check_direction(graph, z)
     r = int(np.abs(graph.offset).max(initial=0))
     fg = instantiate_window(graph, [(-r, K + r)] * graph.d)
+    # by cell, not by position: graph_from_edges does not check dpos in [0, T)
     cells = (fg.vertices - graph.dpos[fg.node_ids]) // graph.T
-    inside = np.all((cells >= 0) & (cells < K), axis=1)
-    dist = np.minimum(fg.vertices, K * graph.T - fg.vertices).min(axis=1)
-    clamped = ~inside | (dist < boundary_layer_width(graph))
-    coef = fg.weights * inside[fg.edges].sum(axis=1)
+    in_window = np.all((cells >= 0) & (cells < K), axis=1)
+    band = math.isqrt(4 * graph.d * graph.T ** 2 - 1) + 1      # ceil(2 sqrt(d) T)
+    pinned = ~in_window | ~inside(fg.vertices, band, K * graph.T - band)
+    coef = fg.weights * in_window[fg.edges].sum(axis=1)
     keep = coef > 0
-    return WindowProblem(K, z, fg, clamped, fg.vertices @ z, fg.edges[keep], coef[keep])
-
-
-def _solve_window(problem):
-    """Values per vertex minimizing the clamped window energy."""
-    L = laplacian(len(problem.affine), problem.ends, problem.coef)
-    return pinned_solve(L, problem.clamped, problem.affine)
+    return PinnedProblem(fg.vertices, fg.node_ids, fg.edges[keep], coef[keep], pinned,
+                         fg.vertices @ z)
 
 
 def window_energy(problem, values, convention="double"):
@@ -76,14 +58,13 @@ def window_energy(problem, values, convention="double"):
     Interior orbit instances count twice (ordered pairs), interactions into
     the affine ring once; the single-count value is exactly half.
     """
-    e = edge_energy(problem.ends, problem.coef, values)
-    return float(convention_factor(convention) / 2.0 * e)
+    return float(convention_factor(convention) / 2.0 * problem.energy(values))
 
 
 def finite_window_value(graph, z, K, convention="double"):
     """Energy density of the K-window problem: minimum energy / (KT)^d."""
     problem = build_window_problem(graph, z, K)
-    values = _solve_window(problem)
+    values = problem.solve()
     vol = float(K * graph.T) ** graph.d
     return window_energy(problem, values, convention=convention) / vol
 

@@ -4,8 +4,8 @@ Boundary data are imposed on a band of lattice width r around the complement
 of the box domain, each constrained vertex carrying the average of the datum
 over its scaled unit cell.  Energies use the scaling eps^(d-2) and count
 ordered pairs, matching the homogenized tensor's double convention.  The
-vertices and edges come from the shared box enumerator (graph.position_box)
-and the minimizer from the shared pinned-vertex solve (graph.pinned_solve).
+vertices and edges come from the shared box enumerator (graph.position_box),
+and the problem is a graph.PinnedProblem with band r.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, coarse_field, hypothesis_norms
 from .errors import DatumUndefined, EmptyInterior, UnsupportedDimension
-from .graph import edge_energy, laplacian, pinned_solve, position_box
+from .graph import PinnedProblem, inside, laplacian, pinned_solve, position_box
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -142,22 +142,11 @@ class DirichletProblem:
             self.r = self.graph.T
 
 
-@dataclass
-class DirichletSystem:
-    problem: DirichletProblem
-    positions: np.ndarray
-    node_ids: np.ndarray
-    constrained: np.ndarray     # bool mask
-    boundary_values: np.ndarray
-    edges: np.ndarray           # (E, 2) vertex pairs, one row per orbit instance
-    weights: np.ndarray         # (E,)
-
-
 def build_system(problem):
-    """Vertices of eps*X inside the closed box, edges, constraint data.
+    """The PinnedProblem of eps*X inside the closed box, coef 2 eps^(d-2) w.
 
-    A vertex is constrained when its open r-neighbourhood (in scaled units)
-    meets the complement of the domain; its value is the cell average of the
+    A vertex is pinned when its open r-neighbourhood (in scaled units) meets
+    the complement of the domain; its value is the cell average of the
     datum.  Raises EmptyInterior when no vertex is left free.
     """
     g = problem.graph
@@ -169,17 +158,18 @@ def build_system(problem):
     if not len(positions):
         raise EmptyInterior("domain contains no lattice vertex")
     # for integer p: p - r < a/eps iff p - r < lo, and p + r > b/eps iff p + r > hi
-    constrained = np.any((positions - problem.r < lo) | (positions + problem.r > hi), axis=1)
-    if constrained.all():
+    pinned = ~inside(positions, lo + problem.r, hi - problem.r)
+    if pinned.all():
         raise EmptyInterior("every vertex is constrained")
-    if not constrained.any():
+    if not pinned.any():
         raise EmptyInterior("no vertex is constrained; the problem is singular")
     # one cell average per distinct band position
-    band, slot = np.unique(positions[constrained], axis=0, return_inverse=True)
+    band, slot = np.unique(positions[pinned], axis=0, return_inverse=True)
     averages = problem.phi.cell_averages(problem.eps, band)
     values = np.zeros(len(positions))
-    values[constrained] = averages[slot.reshape(-1)]
-    return DirichletSystem(problem, positions, node_ids, constrained, values, edges, weights)
+    values[pinned] = averages[slot.reshape(-1)]
+    coef = 2.0 * float(problem.eps) ** (g.d - 2) * weights     # ordered pairs
+    return PinnedProblem(positions, node_ids, edges, coef, pinned, values)
 
 
 def discretize_boundary_datum(phi, eps, graph, omega, r=0):
@@ -190,8 +180,7 @@ def discretize_boundary_datum(phi, eps, graph, omega, r=0):
     """
     system = build_system(DirichletProblem(graph, omega, eps, phi, r=r))
     return {tuple(pos): float(v)
-            for pos, c, v in zip(system.positions, system.constrained,
-                                 system.boundary_values) if c}
+            for pos, c, v in zip(system.positions, system.pinned, system.values) if c}
 
 
 def solve_dirichlet(problem):
@@ -201,14 +190,11 @@ def solve_dirichlet(problem):
     (ordered-pair counting).
     """
     system = build_system(problem)
-    g = problem.graph
-    eps = float(problem.eps)
-    coef = 2.0 * eps ** (g.d - 2) * system.weights     # ordered pairs
-    L = laplacian(len(system.positions), system.edges, coef)
-    values = pinned_solve(L, system.constrained, system.boundary_values)
-    fn = LatticeFunction(g, system.positions, system.node_ids, values, eps)
-    fn.constrained = system.constrained
-    return fn, edge_energy(system.edges, coef, values)
+    values = system.solve()
+    fn = LatticeFunction(problem.graph, system.positions, system.node_ids, values,
+                         float(problem.eps))
+    fn.constrained = system.pinned
+    return fn, system.energy(values)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ inequality for fields vanishing near the boundary.  Each harness states its
 regions as data (label, left-hand side, edge ends, coefficients) and one
 loop, _worst_ratio, scores every trial field on every region.  Boxes come
 from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
-energies from graph.edge_energy, and the Poincare matrix from
-graph.pinned_reduction.
+energies from graph.edge_energy, the Poincare problem is a graph.PinnedProblem
+and the path constants are LatticeGraph.path_constants, one per graph.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CellOutOfWindow, DisconnectedGraph
-from .graph import (CellBox, box_adjacency, connectedness_certificate, edge_energy,
-                    laplacian, pinned_reduction, position_box)
+from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certificate,
+                    edge_energy, inside, pinned_reduction, position_box)
 
 
 @dataclass
@@ -249,11 +249,6 @@ def _trial_fields(seed, pos, node_ids, trials):
         yield f"trial {t} ({fam})", vals
 
 
-def _inside(pos, lo, hi):
-    """Mask of the rows of `pos` with lo <= pos <= hi on every axis."""
-    return np.all((pos >= lo) & (pos <= hi), axis=1)
-
-
 def _worst_ratio(fields, regions, constant):
     """(largest ratio, witness) over every (field, region) pair.
 
@@ -285,14 +280,14 @@ def check_two_connectedness(graph, trials=200, seed=7):
     |mean_l - mean_l'|^2 <= C * sum over ordered edge pairs inside the
     (-M, M)-enlarged pair box of |u_i - u_j|^2.
     """
-    consts = compute_path_constants(graph)
+    consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
-    in_cell = _inside(pos, 0, T - 1)
+    in_cell = inside(pos, 0, T - 1)
     regions = []
     for other in np.eye(d, dtype=int):
-        in_other = _inside(pos, T * other, T * other + T - 1)
-        inner = ends[_inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
+        in_other = inside(pos, T * other, T * other + T - 1)
+        inner = ends[inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
                         lambda u, m=in_other: (float(u[in_cell].sum() / n)
                                                - float(u[m].sum() / n)) ** 2,
@@ -304,7 +299,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy."""
-    consts = compute_path_constants(graph)
+    consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
                                                 [2 * T - 1 + (M - 1)] * d)
@@ -313,8 +308,8 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
         cells.append(np.eye(d, dtype=int)[0])
     regions = []
     for cell in cells:
-        keep = _inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
-        mask = _inside(pos, cell * T, (cell + 1) * T - 1)
+        keep = inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
+        mask = inside(pos, cell * T, (cell + 1) * T - 1)
         regions.append((f", cell {tuple(cell.tolist())}",
                         lambda u, m=mask: float(((u[m] - float(u[m].sum() / n)) ** 2).sum()),
                         ends[keep], 2.0 * weights[keep]))
@@ -356,26 +351,27 @@ def check_poincare(graph, widths, trials=100, seed=7):
     """
     d, T = graph.d, graph.T
     layer = 2.0 * math.sqrt(d) * T
+    band = math.isqrt(4 * d * T * T) + 1       # floor(2 sqrt(d) T) + 1
     reports = []
     for width in widths:
         W = width * T
         pos, node_ids, ends, weights = position_box(graph, [0] * d, [W] * d)
-        coef = 2.0 * weights
-        dist = np.minimum(pos, W - pos).min(axis=1).astype(float)
-        free = dist > layer
+        free = inside(pos, band, W - band)
+        p = PinnedProblem(pos, node_ids, ends, 2.0 * weights, ~free, np.zeros(len(pos)))
         nf = int(free.sum())
         if nf == 0:
             raise ValueError(f"width {width} leaves no admissible vertex")
-        A, _ = pinned_reduction(laplacian(len(pos), ends, coef), ~free, np.zeros(len(pos)))
+        A, _ = pinned_reduction(p.laplacian(), p.pinned, p.values)
         extremal = np.zeros(len(pos))
         extremal[free] = (spla.eigsh(A, k=1, sigma=0, v0=np.ones(nf))[1][:, 0]
                           if nf > 1 else 1.0)
-        c_sharp = float(extremal @ extremal) / edge_energy(ends, coef, extremal)
+        c_sharp = float(extremal @ extremal) / p.energy(extremal)
 
+        dist = np.minimum(pos, W - pos).min(axis=1).astype(float)
         fields = [("extremal", extremal), ("tent", np.maximum(dist - layer, 0.0))]
         fields += [(name, u * free) for name, u in
                    _trial_fields(seed + width, pos, node_ids, trials)]
-        worst, witness = _worst_ratio(fields, [("", lambda u: float(u @ u), ends, coef)], 1)
+        worst, witness = _worst_ratio(fields, [("", lambda u: float(u @ u), p.ends, p.coef)], 1)
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,
                                       worst / diam ** 2, trials, witness))

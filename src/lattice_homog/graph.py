@@ -15,7 +15,8 @@ window is open: it keeps the edges with both ends among its cells, and a
 problem that needs the outside ends of its boundary bonds (the clamped
 window of asymptotic) takes a window padded by the longest orbit offset.
 `laplacian`, `pinned_reduction` and `pinned_solve` are the one Laplacian
-assembly and the one pinned-vertex elimination behind every finite problem.
+assembly and pinned-vertex elimination; a PinnedProblem (window, Dirichlet,
+Poincare) pins the band ~inside(positions, lo + band, hi - band), band an integer.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ class LatticeGraph:
     def operator(self):
         """The graph's PeriodicOperator, built on first use and then shared."""
         return PeriodicOperator(self)
+
+    @cached_property
+    def path_constants(self):
+        """The graph's coarse.PathConstants, computed on first use and then shared."""
+        from . import coarse        # coarse imports this module
+        return coarse.compute_path_constants(self)
 
     def node_index(self, node):
         try:
@@ -562,7 +569,12 @@ def _position_cells(graph, lo, hi):
     lo, hi = np.asarray(lo), np.asarray(hi)
     box = CellBox(graph, -((graph.dpos.max(axis=0) - lo) // T),
                   (hi - graph.dpos.min(axis=0)) // T + 1)
-    return box, np.all((box.positions >= lo) & (box.positions <= hi), axis=1)
+    return box, inside(box.positions, lo, hi)
+
+
+def inside(pos, lo, hi):
+    """Mask of the rows of `pos` with lo <= pos <= hi on every axis."""
+    return np.all((pos >= lo) & (pos <= hi), axis=1)
 
 
 def box_adjacency(graph, lo, hi):
@@ -644,6 +656,28 @@ def pinned_solve(L, pinned, values):
     out = values.copy()
     out[~pinned] = solution
     return out
+
+
+@dataclass
+class PinnedProblem:
+    """sum_e coef[e] (x[a_e] - x[b_e])^2 over x = values on the pinned vertices;
+    vertex i is node node_ids[i] at d-position positions[i]."""
+
+    positions: np.ndarray
+    node_ids: np.ndarray
+    ends: np.ndarray
+    coef: np.ndarray
+    pinned: np.ndarray
+    values: np.ndarray
+
+    def laplacian(self):
+        return laplacian(len(self.positions), self.ends, self.coef)
+
+    def solve(self):
+        return pinned_solve(self.laplacian(), self.pinned, self.values)
+
+    def energy(self, x):
+        return edge_energy(self.ends, self.coef, x)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from lattice_homog.asymptotic import (
     finite_window_value,
     tiling_check,
     window_energy,
-    _solve_window,
 )
 
 from conftest import square_lattice
@@ -40,9 +39,9 @@ def test_window_singular_free_region():
 def test_clamped_values_are_affine_bitwise(examples):
     g = examples["ex4"]
     problem = build_window_problem(g, np.array([1.0]), 8)
-    values = _solve_window(problem)
-    for i in np.flatnonzero(problem.clamped):
-        assert values[i] == problem.affine[i]
+    values = problem.solve()
+    for i in np.flatnonzero(problem.pinned):
+        assert values[i] == problem.values[i]
 
 
 def test_all_clamped_window_gives_affine_density(examples):
@@ -126,7 +125,7 @@ def test_tiling_check_fields(examples):
 def test_window_energy_evaluation_consistency(examples):
     g = examples["ex6"]
     problem = build_window_problem(g, np.array([1.0]), 4)
-    values = _solve_window(problem)
+    values = problem.solve()
     e_double = window_energy(problem, values, convention="double")
     e_single = window_energy(problem, values, convention="single")
     assert abs(e_double - 2.0 * e_single) < 1e-12 * e_double

@@ -90,15 +90,15 @@ def test_datum_undefined_on_band_names_first_point():
     assert str(info.value) == LOG_FAILED_AT.format("is not finite at")
 
 
-def scalar_loop_values(system):
-    """Boundary values by the scalar per-position loop: 8^d calls of the
-    datum per band vertex, axis weights multiplied and summed in
-    itertools.product order."""
-    phi, eps = system.problem.phi, float(system.problem.eps)
+def scalar_loop_values(problem, system):
+    """Boundary values of build_system(problem) by the scalar per-position
+    loop: 8^d calls of the datum per band vertex, axis weights multiplied and
+    summed in itertools.product order."""
+    phi, eps = problem.phi, float(problem.eps)
     nodes, weights = np.polynomial.legendre.leggauss(8)
     nodes1, w1 = 0.5 * (nodes + 1.0), 0.5 * weights
     values = np.zeros(len(system.positions))
-    for i in np.flatnonzero(system.constrained):
+    for i in np.flatnonzero(system.pinned):
         pos = system.positions[i]
         total = 0.0
         for idx in product(range(8), repeat=len(pos)):
@@ -127,10 +127,11 @@ SINE = BoundaryDatum(lambda x: np.sin(3 * x[0]), name="sin(3x)")
 def test_boundary_values_match_scalar_loop(examples, case):
     name, phi, eps = case
     graph = layered_square_lattice() if name == "L2" else examples[name]
-    system = build_system(DirichletProblem(graph, ((0, 1),) * graph.d, Fraction(eps), phi))
-    want = scalar_loop_values(system)
-    assert np.array_equal(system.boundary_values, want)
-    assert np.array_equal(np.signbit(system.boundary_values), np.signbit(want))
+    problem = DirichletProblem(graph, ((0, 1),) * graph.d, Fraction(eps), phi)
+    system = build_system(problem)
+    want = scalar_loop_values(problem, system)
+    assert np.array_equal(system.values, want)
+    assert np.array_equal(np.signbit(system.values), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +152,11 @@ def test_r_defaults_to_period(examples):
 def test_constrained_band(chain):
     p = DirichletProblem(chain, ((0, 1),), Fraction(1, 8), X)
     system = build_system(p)
-    cons = {int(pos[0]) for pos, c in zip(system.positions, system.constrained) if c}
+    cons = {int(pos[0]) for pos, c in zip(system.positions, system.pinned) if c}
     assert cons == {0, 8}
     p2 = DirichletProblem(chain, ((0, 1),), Fraction(1, 8), X, r=3)
     cons2 = {int(pos[0]) for pos, c
-             in zip(build_system(p2).positions, build_system(p2).constrained) if c}
+             in zip(build_system(p2).positions, build_system(p2).pinned) if c}
     assert cons2 == {0, 1, 2, 6, 7, 8}
 
 
@@ -214,9 +215,8 @@ def test_affine_interpolant_bounds_minimum(examples):
     system = build_system(p)
     shifted = np.array([float(eps) * pos[0] + float(eps) / 2.0
                         for pos in system.positions])
-    scale = 2.0 * float(eps) ** (g.d - 2)
-    a, b = system.edges.T
-    affine_energy = float(np.sum(scale * system.weights * (shifted[a] - shifted[b]) ** 2))
+    a, b = system.ends.T     # coef is 2 eps^(d-2) w
+    affine_energy = float(np.sum(system.coef * (shifted[a] - shifted[b]) ** 2))
     assert energy <= affine_energy + 1e-12
 
 
@@ -280,7 +280,7 @@ def test_batched_datum_is_one_array_call():
 
     system = build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)),
                                            Fraction(1, 16), BoundaryDatum(fn)))
-    band = np.unique(system.positions[system.constrained], axis=0)
+    band = np.unique(system.positions[system.pinned], axis=0)
     # the batch, then the scalar call at its first point
     assert calls == [(2, 64 * len(band)), (2,)]
 

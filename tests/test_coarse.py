@@ -7,7 +7,9 @@ import pytest
 
 from lattice_homog import (CellOutOfWindow, DisconnectedGraph, graph_from_edges,
                            instantiate_window, normalize_period)
+from lattice_homog import cli, coarse
 from lattice_homog.graph import position_box
+from lattice_homog.lgf import builtin_example_text
 from lattice_homog.coarse import (
     LatticeFunction,
     check_poincare,
@@ -176,6 +178,29 @@ def test_path_constants_dominate_sharp_constants(examples):
         W = evecs[:, keep] / np.sqrt(evals[keep])
         sharp_pw = float(np.linalg.eigvalsh(W.T @ P @ W).max())
         assert pc.C_pw >= sharp_pw - 1e-9, (name, pc.C_pw, sharp_pw)
+
+
+def test_path_constants_computed_once_per_graph(monkeypatch, tmp_path):
+    # one `inequalities` run: two harnesses, one computation
+    computed = []
+    compute = coarse.compute_path_constants
+
+    def counting(graph):
+        computed.append(graph)
+        return compute(graph)
+
+    monkeypatch.setattr(coarse, "compute_path_constants", counting)
+    path = tmp_path / "ex5.lgf"
+    path.write_text(builtin_example_text("ex5"), encoding="utf-8")
+    assert cli.run(["inequalities", str(path), "--trials", "8", "--widths", "8"]) == 0
+    assert len(computed) == 1
+    g = layered_square_lattice()
+    assert "path_constants" not in vars(g)
+    consts = g.path_constants
+    check_two_connectedness(g, trials=4)
+    check_poincare_wirtinger(g, trials=4)
+    assert len(computed) == 2 and g.path_constants is consts
+    assert consts == compute(g)
 
 
 def test_path_constants_disconnected():

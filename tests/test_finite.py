@@ -61,7 +61,7 @@ def test_pinned_clamped_window_problems():
              (l2, [1.0, -0.5], 6, (7.166666666666667, 2, 935))]
     for graph, z, K, (value, free, edges) in cases:
         problem = build_window_problem(graph, z, K)
-        assert (np.count_nonzero(~problem.clamped), np.count_nonzero(problem.coef)) == (free, edges)
+        assert (np.count_nonzero(~problem.pinned), np.count_nonzero(problem.coef)) == (free, edges)
         assert finite_window_value(graph, z, K) == pytest.approx(value, rel=REL, abs=0)
 
 

@@ -10,6 +10,7 @@ from lattice_homog import (
     UnknownNode,
     connectedness_certificate,
     f_hom,
+    finite_window_value,
     graph_from_edges,
     instantiate_window,
     neighbors,
@@ -19,7 +20,8 @@ from lattice_homog import (
 )
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
-from lattice_homog.graph import _hnf_rows, laplacian, pinned_reduction, pinned_solve
+from lattice_homog.coarse import check_poincare
+from lattice_homog.graph import PinnedProblem, _hnf_rows, pinned_reduction, pinned_solve
 
 from conftest import layered_square_lattice, random_square_lattice
 
@@ -297,11 +299,11 @@ def test_window_chain_clamped(chain):
     # padded by one cell per side: three inside pairs at 2 w and one
     # crossing bond per side at w; the outside ends -1 and 4 are pinned, and
     # so is every vertex nearer than 2 to the box boundary
-    x = problem.finite.vertices[:, 0]
+    x = problem.positions[:, 0]
     assert x.tolist() == [-1, 0, 1, 2, 3, 4]
     assert x[problem.ends].tolist() == [[-1, 0], [0, 1], [1, 2], [2, 3], [3, 4]]
     assert problem.coef.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0]
-    assert problem.clamped.tolist() == [True, True, True, False, True, True]
+    assert problem.pinned.tolist() == [True, True, True, False, True, True]
 
 
 def test_window_clamped_ghosts_far_outside():
@@ -310,13 +312,13 @@ def test_window_clamped_ghosts_far_outside():
     g = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
                                            ((0,), (0,), (10,), 1.0)])
     problem = build_window_problem(g, [1.0], 4)
-    x = problem.finite.vertices[:, 0]
+    x = problem.positions[:, 0]
     assert (x.min(), x.max()) == (-10, 13)
     a, b = problem.ends.T
     assert np.all(problem.coef == 1.0) and np.all(np.abs(x[a] - x[b]) >= 9)
     ends = np.where((x[a] >= 0) & (x[a] < 4), b, a)
     assert sorted(set(x[ends].tolist())) == [-10, -9, -8, -7, -6, 9, 10, 11, 12, 13]
-    assert problem.clamped[ends].all()
+    assert problem.pinned[ends].all()
 
 
 def test_window_vertex_order(examples):
@@ -366,11 +368,10 @@ def _pinned_systems():
     R4 window at z = (1, 1), K = 16."""
     phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
     s = build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/16", phi))
-    yield (laplacian(len(s.positions), s.edges, 2.0 * s.weights), s.constrained,
-           s.boundary_values)
+    yield s.laplacian(), s.pinned, s.values
     w = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                              [1.0, 1.0], 16)
-    yield laplacian(len(w.affine), w.ends, w.coef), w.clamped, w.affine
+    yield w.laplacian(), w.pinned, w.values
 
 
 @pytest.mark.parametrize("system", list(_pinned_systems()), ids=["L2-dirichlet", "R4-window"])
@@ -381,6 +382,38 @@ def test_pinned_solve_matches_dense_solve(system):
     x = pinned_solve(L, pinned, values)
     assert np.array_equal(x[pinned], values[pinned])
     assert np.abs(x[~pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _free_positions(monkeypatch, run):
+    """The sorted distinct free d-positions of each PinnedProblem solved or
+    reduced by `run()`."""
+    seen = []
+    build = PinnedProblem.laplacian
+
+    def recording(problem):
+        seen.append(sorted({tuple(x) for x in problem.positions[~problem.pinned].tolist()}))
+        return build(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PinnedProblem, "laplacian", recording)
+        run()
+    return seen
+
+
+def test_layer_conventions_share_one_band_rule(examples, monkeypatch):
+    # the window frees a vertex exactly 2 sqrt(d) T from the box boundary and
+    # the Poincare problem pins it: on ex5 (4 d T^2 = 64) the bands are 8 and 9
+    g = examples["ex5"]
+    window = _free_positions(monkeypatch, lambda: finite_window_value(g, [1.0], 8))
+    poincare = _free_positions(monkeypatch, lambda: check_poincare(g, [8], trials=2))
+    assert window == [[(x,) for x in range(8, 25)]]
+    assert poincare == [[(x,) for x in range(9, 24)]]
+    # no vertex lies at that distance when 4 d T^2 is not a square: on R4
+    # both bands are 12
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    window = _free_positions(monkeypatch, lambda: finite_window_value(r4, [1.0, 1.0], 8))
+    poincare = _free_positions(monkeypatch, lambda: check_poincare(r4, [8], trials=2))
+    assert window == poincare == [[(x, y) for x in range(12, 21) for y in range(12, 21)]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The package has one sparse direct solve: graph.pinned_solve.
+"""The package has one sparse direct solve and one pinned-box problem.
 
 The window, the Dirichlet problems and the continuum grid all reach SuperLU
-through it, so a change of solver or ordering is made in one function.  The
-source is read with ast, and any use of a scipy sparse solver or factorization
-by name elsewhere (a call, a reference or an import) fails this test.
+through graph.pinned_solve, so a change of solver or ordering is made in one
+function.  The window, Dirichlet and Poincare problems are each a
+graph.PinnedProblem, which assembles and solves them, so outside graph.py
+only the continuum grid (bvp._fd_solve, which has no lattice vertices) calls
+`laplacian` or `pinned_solve`.  The source is read with ast, and any use of
+these names by name elsewhere (a call, a reference or an import) fails.
 """
 
 import ast
@@ -11,23 +14,25 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
 SOLVERS = {"spsolve", "splu", "spilu", "factorized"}
+PINNED = {"laplacian", "pinned_solve"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _solver_uses():
-    """(module.scope, name) for each use of a solver name in src/."""
+def _uses(names, attribute):
+    """(module.scope, name) for each use of a name in `names` in src/: a bare
+    name, an import, or an attribute for which `attribute(node)` holds."""
     uses = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             name = None
-            if isinstance(child, ast.Attribute):
+            if isinstance(child, ast.Attribute) and attribute(child):
                 name = child.attr
             elif isinstance(child, ast.Name):
                 name = child.id
             elif isinstance(child, ast.alias):
                 name = child.name.rsplit(".", 1)[-1]
-            if name in SOLVERS:
+            if name in names:
                 uses.append((scope, name))
             visit(child, f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope)
 
@@ -37,4 +42,13 @@ def _solver_uses():
 
 
 def test_one_sparse_solve():
-    assert _solver_uses() == [("graph.pinned_solve", "spsolve")]
+    assert _uses(SOLVERS, lambda node: True) == [("graph.pinned_solve", "spsolve")]
+
+
+def test_one_pinned_problem():
+    # a method call such as problem.laplacian() is not a use; graph.laplacian(...) is
+    uses = _uses(PINNED, lambda node: isinstance(node.value, ast.Name)
+                 and node.value.id == "graph")
+    assert sorted(use for use in uses if use[0].split(".")[0] != "graph") == [
+        ("bvp", "laplacian"), ("bvp", "pinned_solve"),                # the import
+        ("bvp._fd_solve", "laplacian"), ("bvp._fd_solve", "pinned_solve")]
