@@ -9,8 +9,9 @@ makes the periodic cell value a lower bound for every K in exact arithmetic
 
 The box is an open window of the shared enumerator (graph.instantiate_window)
 padded by the longest orbit offset on every side, so every bond leaving the
-box ends in the padding, where every vertex is pinned.  It is a
-graph.PinnedProblem with band ceil(2*sqrt(d)*T).
+box ends in the padding, where every vertex is pinned; a vertex is in the
+box when its d-position is in [0, K*T - 1].  It is a graph.PinnedProblem
+with band ceil(2*sqrt(d)*T).
 """
 
 from __future__ import annotations
@@ -40,16 +41,12 @@ def build_window_problem(graph, z, K):
                              "inside the clamped boundary layer)")
     z = _check_direction(graph, z)
     r = int(np.abs(graph.offset).max(initial=0))
-    fg = instantiate_window(graph, [(-r, K + r)] * graph.d)
-    # by cell, not by position: graph_from_edges does not check dpos in [0, T)
-    cells = (fg.vertices - graph.dpos[fg.node_ids]) // graph.T
-    in_window = np.all((cells >= 0) & (cells < K), axis=1)
+    pos, node_ids, ends, weights = instantiate_window(graph, [(-r, K + r)] * graph.d)
     band = math.isqrt(4 * graph.d * graph.T ** 2 - 1) + 1      # ceil(2 sqrt(d) T)
-    pinned = ~in_window | ~inside(fg.vertices, band, K * graph.T - band)
-    coef = fg.weights * in_window[fg.edges].sum(axis=1)
+    coef = weights * inside(pos, 0, K * graph.T - 1)[ends].sum(axis=1)
     keep = coef > 0
-    return PinnedProblem(fg.vertices, fg.node_ids, fg.edges[keep], coef[keep], pinned,
-                         fg.vertices @ z)
+    return PinnedProblem(pos, node_ids, ends[keep], coef[keep],
+                         ~inside(pos, band, K * graph.T - band), pos @ z)
 
 
 def window_energy(problem, values, convention="double"):
@@ -125,6 +122,9 @@ def convergence_study(graph, z, Ks, tol=1e-10, convention="double"):
     return table
 
 
+TILING_SLACK = 1e-6        # absolute tolerance of TilingCheck.holds
+
+
 @dataclass
 class TilingCheck:
     K: int
@@ -139,7 +139,7 @@ class TilingCheck:
         return self.lhs <= self.rhs + self.slack
 
 
-def tiling_check(graph, z, K, convention="double", slack=1e-6):
+def tiling_check(graph, z, K, convention="double"):
     """Verify the tiling bound relating the 2K-window to the K-window.
 
     Placing floor(H/(K+1))^d copies of a K-window minimizer on a grid of
@@ -157,4 +157,4 @@ def tiling_check(graph, z, K, convention="double", slack=1e-6):
     alpha = affine_energy_density(graph, z, convention=convention)
     covered = (m ** d) * (K ** d) / float(H ** d)
     rhs = covered * (fK + 1.0 / K) + alpha * (1.0 - covered)
-    return TilingCheck(K, H, m ** d, fH, rhs, slack)
+    return TilingCheck(K, H, m ** d, fH, rhs, TILING_SLACK)

@@ -68,7 +68,7 @@ def base_cell(op):
     g = op.graph
     n, d = g.dpos.shape
     T = g.T
-    if n == 0 or g.dpos.min() < 0 or g.dpos.max() >= T:
+    if n == 0:
         return None
     kpos = g.kpos - g.kpos.min(axis=0)
     kdims = tuple(int(m) + 1 for m in kpos.max(axis=0))

@@ -56,8 +56,8 @@ class BoundaryDatum:
     otherwise (an exception, another shape, a non-finite value, a
     different first value) the datum is called point by point, in the same
     order, so a DatumUndefined names the same point.  A callable written
-    with elementwise numpy operations batches; a scalar-only one, such as
-    `affine_datum` or `cli.parse_datum`, is called point by point.  The
+    with elementwise numpy operations, such as `affine_datum`, batches; a
+    scalar-only one, such as `cli.parse_datum`, is called point by point.  The
     batch gives the scalar values bit for bit when `fn` rounds each point
     as it does alone, as elementwise +, -, * and / do; numpy's array `**`
     can differ from its scalar power in the last bit, and so can a SIMD
@@ -113,8 +113,10 @@ class BoundaryDatum:
 
 
 def affine_datum(constant, gradient):
+    """constant + gradient . x, elementwise, so one point and a batch alike;
+    a gradient of another length than x raises."""
     g = np.asarray(gradient, dtype=float)
-    return BoundaryDatum(lambda x: constant + float(g @ np.asarray(x, dtype=float)),
+    return BoundaryDatum(lambda x: constant + sum(a * b for a, b in zip(g, x, strict=True)),
                          name=f"affine({constant}, {list(g)})")
 
 
@@ -332,13 +334,12 @@ def l2_error_against(u, omega, minimizer):
     return math.sqrt(total)
 
 
-def epsilon_convergence_study(graph, omega, phi, eps_list, r=0, tensor=None):
+def epsilon_convergence_study(graph, omega, phi, eps_list, r=0):
     """Discrete minima along an eps refinement vs. the continuum minimum."""
     eps_list = [Fraction(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if tensor is None:
-        tensor = homogenized_tensor(graph, convention="double")
+    tensor = homogenized_tensor(graph, convention="double")
     omega_f = tuple((Fraction(a), Fraction(b)) for a, b in omega)
     cont = continuum_reference(tensor, omega_f, phi,
                                h=float(min(eps_list)) / 2.0 if graph.d == 2 else None)

@@ -1,7 +1,8 @@
 """Coarse-graining and the structural inequalities behind compactness.
 
 The coarse field replaces a lattice function by its per-cell arithmetic mean
-(one cell = one period column times the full cross-section).  Three
+(one cell = one period column times the full cross-section); the cell of a
+vertex is its d-position // T, as node d-coordinates lie in [0, T).  Three
 inequalities make up the discrete p-connectedness: adjacent cell means and
 per-cell deviation from the mean, each controlled by local edge differences
 with constants from shortest-path structure, and the domain-scale Poincare
@@ -60,11 +61,6 @@ class LatticeFunction:
     def full_cells(self):
         n = self.graph.n_cell
         return sorted(c for c, idx in self._cell_map.items() if len(idx) == n)
-
-
-def function_on_window(fg, values, scale=1.0):
-    """Wrap FiniteGraph vertex values as a LatticeFunction."""
-    return LatticeFunction(fg.graph, fg.vertices, fg.node_ids, np.asarray(values, float), scale)
 
 
 def coarse_mean(u, cell):
@@ -406,9 +402,8 @@ def hypothesis_norms(u, domain):
         return l2, 0.0
 
     # the vertices' own cells span the box the edges are enumerated in
-    cells = (u.positions - g.dpos[u.node_ids]) // T
-    box = CellBox(g, cells.min(axis=0), cells.max(axis=0) + 1)
-    ends, _ = box.edges_among(box.index(cells, u.node_ids))
+    box = CellBox(g, u.cells.min(axis=0), u.cells.max(axis=0) + 1)
+    ends, _ = box.edges_among(box.index(u.cells, u.node_ids))
     ea, eb = u.positions[ends[:, 0]], u.positions[ends[:, 1]]
     # pair (c, c + e_m) holds an edge iff, per axis, c <= floor((min + M - 1) / T)
     # and c >= ceil((max - M + 2) / T) - 1 - [axis == m]

@@ -4,13 +4,16 @@ A graph lives on a node set X inside Z^d x {0..M-1}^k, is T-periodic in the
 first d coordinate directions and carries positive weights on an edge set
 that is invariant under the same translations.  Everything is stored per
 fundamental cell, as the arrays of a LatticeGraph: the coordinates of the
-nodes, d-coordinates in [0, T), and one (u, v, offset, weight) row per
+nodes, d-coordinates in [0, T) (every constructor rejects others, so the cell
+of a vertex is its d-position // T), and one (u, v, offset, weight) row per
 translation orbit of edges.  The CellNode / EdgeOrbit objects are a view of
 those arrays, built on first use for printing and the reference loops; no
 solver reads them, and parsing hands plain tuples to graph_from_edges.
 
 Finite pieces of the infinite graph (windows, boxes, the graph that every
-path search runs on) are broadcast from the graph's arrays by CellBox.  A
+path search runs on) are broadcast from the graph's arrays by CellBox; a
+window of cells (instantiate_window) and a box of positions (position_box)
+are both a FiniteGraph of positions, node ids, edge ends and weights.  A
 window is open: it keeps the edges with both ends among its cells, and a
 problem that needs the outside ends of its boundary bonds (the clamped
 window of asymptotic) takes a window padded by the longest orbit offset.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,8 +115,9 @@ class LatticeGraph:
         """Keep the arrays read-only, nodes sorted and orbits canonical: each
         oriented with u < v, or u == v and its first nonzero offset
         component positive, and sorted by (u, v, offset).  Orbit e joins row
-        u[e] of `coords` to row v[e] of the cell offset[e] away.  A repeated
-        orbit raises ValueError with `positions` = the input indices of its
+        u[e] of `coords` to row v[e] of the cell offset[e] away.  A node with
+        a d-coordinate outside [0, T) raises ValueError.  A repeated orbit
+        raises ValueError with `positions` = the input indices of its
         first declaration and of the earliest repeat."""
         coords = np.array(coords, dtype=np.int64).reshape(-1, d + k)
         order = np.lexsort(coords.T[::-1])
@@ -134,6 +139,10 @@ class LatticeGraph:
         if M is None:
             M = self.kpos.max() + 1 if k and len(coords) else 1
         self.M = max(int(M), 1)
+        outside = np.flatnonzero(np.any((self.dpos < 0) | (self.dpos >= T), axis=1))
+        if len(outside):
+            raise ValueError(f"node {self.nodes[outside[0]]} has a d-coordinate "
+                             f"outside [0, {T})")
         if np.any(np.all(self.coords[1:] == self.coords[:-1], axis=1)):
             raise ValueError("duplicate nodes")
         key = np.column_stack([self.u, self.v, self.offset])
@@ -550,17 +559,25 @@ class CellBox:
         return ends[keep], w[keep]
 
 
-def position_box(graph, lo, hi):
-    """Vertices with lo <= d-position <= hi per axis, and the edges joining them.
+class FiniteGraph(NamedTuple):
+    """A finite piece of a periodic graph, as arrays: vertex i is node
+    `node_ids[i]` at d-position `positions[i]` (N, d), and `ends` (E, 2)
+    holds the vertex pairs of the edges with both ends in the piece, with
+    `weights` (E,)."""
 
-    Returns (positions (N, d), node_ids (N,), ends (E, 2), weights (E,)),
-    vertices ordered by position (row-major), then node.
-    """
+    positions: np.ndarray
+    node_ids: np.ndarray
+    ends: np.ndarray
+    weights: np.ndarray
+
+
+def position_box(graph, lo, hi):
+    """The FiniteGraph of the vertices with lo <= d-position <= hi per axis,
+    ordered by position (row-major), then node."""
     box, inside = _position_cells(graph, lo, hi)
     pos, inside = box.positions, np.flatnonzero(inside)
     members = inside[np.lexsort(np.vstack([box.node_ids[inside], pos[inside].T[::-1]]))]
-    ends, weights = box.edges_among(members)
-    return pos[members], box.node_ids[members], ends, weights
+    return FiniteGraph(pos[members], box.node_ids[members], *box.edges_among(members))
 
 
 def _position_cells(graph, lo, hi):
@@ -680,27 +697,11 @@ class PinnedProblem:
         return edge_energy(self.ends, self.coef, x)
 
 
-@dataclass
-class FiniteGraph:
-    """A finite window of cells of a periodic graph, as arrays.
-
-    Vertex i is node `node_ids[i]` at d-position `vertices[i]`, cells in
-    row-major order and nodes in cell order; `edges` (E, 2) holds the vertex
-    pairs of the orbit instances with both ends in the window, anchor vertex
-    first and in (cell, orbit) order, with `weights`.
-    """
-
-    graph: LatticeGraph
-    window: tuple               # ((lo, hi), ...) per axis, hi exclusive, cell units
-    vertices: np.ndarray
-    node_ids: np.ndarray
-    edges: np.ndarray
-    weights: np.ndarray
-
-
 def instantiate_window(graph, window):
-    """Materialize the cells of `window` ((lo, hi) per axis, hi exclusive);
-    edges leaving the window are dropped."""
+    """The FiniteGraph of the cells of `window` ((lo, hi) per axis, hi
+    exclusive): vertex c * n + i is node i of the c-th cell in row-major
+    order, and the edges are the instances with both ends in the window,
+    anchor first, in (cell, orbit) order."""
     window = tuple((int(lo), int(hi)) for lo, hi in window)
     if len(window) != graph.d:
         raise ValueError("window arity != d")
@@ -711,7 +712,7 @@ def instantiate_window(graph, window):
     near, far_cells, far_nodes, w = box.instances()
     far = box.index(far_cells, far_nodes)
     kept = far >= 0
-    return FiniteGraph(graph, window, box.positions, box.node_ids,
+    return FiniteGraph(box.positions, box.node_ids,
                        np.column_stack([near[kept], far[kept]]), w[kept])
 
 

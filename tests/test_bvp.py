@@ -285,6 +285,20 @@ def test_batched_datum_is_one_array_call():
     assert calls == [(2, 64 * len(band)), (2,)]
 
 
+def test_affine_datum_is_one_array_call():
+    phi = affine_datum(0.25, [1.0, 0.5])
+    calls, fn = [], phi.fn
+    phi.fn = lambda x: calls.append(np.shape(x)) or fn(x)
+    problem = DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), Fraction(1, 16), phi)
+    system = build_system(problem)
+    band = np.unique(system.positions[system.pinned], axis=0)
+    assert calls == [(2, 64 * len(band)), (2,)]
+    assert np.array_equal(system.values, scalar_loop_values(problem, system))
+    for gradient in ([1.0], [1.0, 0.5, 2.0]):
+        with pytest.raises(DatumUndefined):
+            affine_datum(0.25, gradient)([0.5, 0.5])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cell_averages_equal_cell_average(d):
     # no `**`: numpy's array power may round differently from its scalar power

@@ -18,7 +18,6 @@ from lattice_homog.coarse import (
     coarse_field,
     coarse_mean,
     compute_path_constants,
-    function_on_window,
     hypothesis_norms,
 )
 
@@ -28,8 +27,8 @@ from conftest import layered_square_lattice
 def _window_function(graph, cells, values=None, scale=1.0):
     fg = instantiate_window(graph, [(0, cells)] * graph.d)
     if values is None:
-        values = np.zeros(len(fg.vertices))
-    return fg, function_on_window(fg, values, scale)
+        values = np.zeros(len(fg.positions))
+    return fg, LatticeFunction(graph, fg.positions, fg.node_ids, values, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +48,7 @@ def test_coarse_mean_chain_consecutive_integers():
                          [((0,), (1,), (0,), 1.0), ((1,), (2,), (0,), 1.0),
                           ((2,), (0,), (1,), 1.0)])
     fg, u = _window_function(g, 3)
-    u.values[:] = fg.vertices[:, 0]
+    u.values[:] = fg.positions[:, 0]
     for l in range(3):
         assert coarse_mean(u, (l,)) == l * 3 + 1.0  # lT + (T-1)/2
 
@@ -58,7 +57,7 @@ def test_coarse_mean_affine_closed_form(examples):
     g = examples["ex1"]
     fg, u = _window_function(g, 4)
     z = 2.0
-    u.values[:] = z * fg.vertices[:, 0]
+    u.values[:] = z * fg.positions[:, 0]
     dbar = np.mean([n.dpos[0] for n in g.nodes])
     for l in range(4):
         assert coarse_mean(u, (l,)) == pytest.approx(z * (l * g.T + dbar), abs=1e-12)
@@ -67,11 +66,11 @@ def test_coarse_mean_affine_closed_form(examples):
 def test_coarse_mean_linearity(examples, rng):
     g = examples["ex6"]
     fg, _ = _window_function(g, 3)
-    a = rng.standard_normal(len(fg.vertices))
-    b = rng.standard_normal(len(fg.vertices))
-    ua = function_on_window(fg, a)
-    ub = function_on_window(fg, b)
-    uc = function_on_window(fg, 2.0 * a - 3.0 * b)
+    a = rng.standard_normal(len(fg.positions))
+    b = rng.standard_normal(len(fg.positions))
+    ua = LatticeFunction(g, fg.positions, fg.node_ids, a, 1.0)
+    ub = LatticeFunction(g, fg.positions, fg.node_ids, b, 1.0)
+    uc = LatticeFunction(g, fg.positions, fg.node_ids, 2.0 * a - 3.0 * b, 1.0)
     for cell in ua.full_cells():
         got = coarse_mean(uc, cell)
         want = 2.0 * coarse_mean(ua, cell) - 3.0 * coarse_mean(ub, cell)
@@ -283,7 +282,7 @@ def test_coarse_l2_contraction(examples, rng):
     # Jensen: per-cell mean energy never exceeds the vertex energy
     g = examples["ex5"]
     fg, u = _window_function(g, 6, scale=0.5)
-    u.values[:] = rng.standard_normal(len(fg.vertices))
+    u.values[:] = rng.standard_normal(len(fg.positions))
     field = coarse_field(u, [(-1.0, 100.0)])
     lhs = sum(g.n_cell * 0.5 ** g.d * v * v for v in field.means.values())
     rhs = sum(0.5 ** g.d * v * v for v in u.values)
@@ -292,7 +291,7 @@ def test_coarse_l2_contraction(examples, rng):
 
 def test_hypothesis_norms_scaling(chain):
     fg, u = _window_function(chain, 16, scale=1.0 / 16)
-    u.values[:] = fg.vertices[:, 0] / 16.0
+    u.values[:] = fg.positions[:, 0] / 16.0
     l2, grad = hypothesis_norms(u, [(0.0, 1.0)])
     assert 0 < l2 < 1.0
     assert grad > 0

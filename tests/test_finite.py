@@ -47,7 +47,7 @@ def test_pinned_clamped_window_counts():
                                            ((0,), (0,), (10,), 1.0)])
     for K, counts in ((4, (4, 0)), (12, (12, 5))):
         fg = instantiate_window(g, [(0, K)])
-        assert (len(fg.vertices), len(fg.edges)) == counts
+        assert (len(fg.positions), len(fg.ends)) == counts
 
 
 def test_pinned_clamped_window_problems():

@@ -21,7 +21,8 @@ from lattice_homog import (
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
-from lattice_homog.graph import PinnedProblem, _hnf_rows, pinned_reduction, pinned_solve
+from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_reduction,
+                                 pinned_solve, position_box)
 
 from conftest import layered_square_lattice, random_square_lattice
 
@@ -74,6 +75,17 @@ def test_duplicate_orbits_rejected():
     rev = EdgeOrbit(n, n, (-1,), 1.0)  # same orbit, reversed orientation
     with pytest.raises(ValueError, match="duplicate orbit"):
         LatticeGraph(1, 0, 1, [n], [orb, rev])
+
+
+@pytest.mark.parametrize("x", [-1, 3])
+def test_node_outside_period_rejected(x):
+    # T = 3: the d-coordinates of a node lie in [0, 3)
+    rows = [(0, 0), (x, 1)]
+    with pytest.raises(ValueError, match=rf"node \({x} 1\) has a d-coordinate outside \[0, 3\)"):
+        graph_from_edges(1, 1, 3, rows, [(rows[0], rows[1], (0,), 1.0)])
+    a, b = (CellNode(r[:1], r[1:]) for r in rows)
+    with pytest.raises(ValueError, match=rf"node \({x} 1\) has a d-coordinate"):
+        LatticeGraph(1, 1, 3, [a, b], [EdgeOrbit(a, b, (0,), 1.0)])
 
 
 def test_canonical_orientation():
@@ -290,8 +302,8 @@ def test_neighbors_degree_ex4(examples):
 
 def test_window_chain_open(chain):
     fg = instantiate_window(chain, [(0, 4)])
-    assert len(fg.vertices) == 4
-    assert len(fg.edges) == 3
+    assert len(fg.positions) == 4
+    assert len(fg.ends) == 3
 
 
 def test_window_chain_clamped(chain):
@@ -328,22 +340,43 @@ def test_window_vertex_order(examples):
     dpos = np.array([node.dpos for node in g.nodes])
     cells = np.repeat([1, 2], g.n_cell)
     assert fg.node_ids.tolist() == list(range(g.n_cell)) * 2
-    assert np.array_equal(fg.vertices[:, 0], dpos[fg.node_ids, 0] + g.T * cells)
+    assert np.array_equal(fg.positions[:, 0], dpos[fg.node_ids, 0] + g.T * cells)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_window_counts_closed_form(chain, n):
     fg = instantiate_window(chain, [(0, n)])
-    assert len(fg.vertices) == n * chain.n_cell
-    assert len(fg.edges) == n - 1
+    assert len(fg.positions) == n * chain.n_cell
+    assert len(fg.ends) == n - 1
 
 
 def test_window_vertex_count_invariant(examples):
     # an orbit with offset o has prod(3 - |o_m|) instances inside 3^d cells
     for g in examples.values():
         fg = instantiate_window(g, [(0, 3)] * g.d)
-        assert len(fg.vertices) == 3 ** g.d * g.n_cell
-        assert len(fg.edges) == np.prod(np.maximum(3 - np.abs(g.offset), 0), axis=1).sum()
+        assert len(fg.positions) == 3 ** g.d * g.n_cell
+        assert len(fg.ends) == np.prod(np.maximum(3 - np.abs(g.offset), 0), axis=1).sum()
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_window_and_position_box_are_one_piece(examples, K):
+    # the cells [0, K) and the positions [0, K*T - 1] hold the same vertices
+    # and the same edges, in a different order
+    graphs = dict(examples, R4=random_square_lattice(4, np.random.default_rng(20240811)),
+                  L2=layered_square_lattice())
+    for name, g in graphs.items():
+        pieces = [instantiate_window(g, [(0, K)] * g.d),
+                  position_box(g, [0] * g.d, [K * g.T - 1] * g.d)]
+        vertex_sets, edge_sets = [], []
+        for fg in pieces:
+            assert isinstance(fg, FiniteGraph)
+            keys = [(tuple(p), i) for p, i in zip(fg.positions.tolist(), fg.node_ids.tolist())]
+            vertex_sets.append(set(keys))
+            edge_sets.append(sorted((tuple(sorted((keys[a], keys[b]))), w)
+                                    for (a, b), w in zip(fg.ends.tolist(), fg.weights.tolist())))
+        assert len(vertex_sets[0]) == len(pieces[0].positions) == K ** g.d * g.n_cell, name
+        assert vertex_sets[0] == vertex_sets[1], name
+        assert edge_sets[0] == edge_sets[1], name
 
 
 def test_window_empty(chain):
@@ -355,7 +388,7 @@ def test_window_deterministic_order(examples):
     g = examples["ex1"]
     a = instantiate_window(g, [(0, 3)])
     b = instantiate_window(g, [(0, 3)])
-    for field in ("vertices", "node_ids", "edges", "weights"):
+    for field in ("positions", "node_ids", "ends", "weights"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 

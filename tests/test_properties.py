@@ -338,8 +338,8 @@ def test_window_matches_cell_loop(graph):
     window = [(-1, 2)] + [(0, 2)] * (graph.d - 1)
     fg = instantiate_window(graph, window)
     positions, edges, _ = _window_by_loops(graph, window)
-    assert [tuple(p) for p in fg.vertices.tolist()] == positions
-    assert list(zip(*fg.edges.T.tolist(), fg.weights.tolist())) == edges
+    assert [tuple(p) for p in fg.positions.tolist()] == positions
+    assert list(zip(*fg.ends.T.tolist(), fg.weights.tolist())) == edges
 
 
 @given(lattice_graphs(connected_only=True, max_offset=2), st.integers(2, 8),
