@@ -4,15 +4,19 @@ For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
 unconstrained positive-semidefinite solve on the quotient graph with the
 graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is d
-conjugate-gradient solves against that one L.  A cell of at least
-PCG_MIN_NODES nodes that re-tiles a smaller base cell is solved by CG
-preconditioned with the FFT inverse of the base cell's mean-weight Bloch
-symbol (bloch.py), which keeps the step count nearly flat in T where the
-weights vary little; every other cell runs plain CG.  The energy is reported per
-cell volume T^d under one of two edge-counting conventions: "double" counts
-every undirected orbit from both endpoints (the energy written as a sum over
-ordered pairs), "single" counts each orbit once; the double value is exactly
-twice the single one.
+conjugate-gradient solves against that one L, in one of three regimes by
+the cell's node count n (the crossover table is in solve_corrector):
+  * n <= DENSE_MAX_NODES: CG preconditioned by the operator's exact
+    inverse, dense and built once per graph, which converges in one step;
+  * n >= PCG_MIN_NODES and the cell re-tiles a smaller base cell: CG
+    preconditioned with the FFT inverse of the base cell's mean-weight
+    Bloch symbol (bloch.py), which keeps the step count nearly flat in T
+    where the weights vary little;
+  * every other cell: plain CG.
+The energy is reported per cell volume T^d under one of two edge-counting
+conventions: "double" counts every undirected orbit from both endpoints (the
+energy written as a sum over ordered pairs), "single" counts each orbit
+once; the double value is exactly twice the single one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .errors import InvalidDirection, NoConvergence
 
 CONVENTIONS = ("double", "single")
 
-# Smallest cell that runs preconditioned CG (the sweep is in solve_corrector).
+# Largest cell solved with the dense exact inverse, and smallest cell that
+# runs FFT-preconditioned CG (the sweep is in solve_corrector).
+DENSE_MAX_NODES = 160
 PCG_MIN_NODES = 256
 
 _log = logging.getLogger("lattice_homog")
@@ -86,34 +92,55 @@ def assemble_quotient_system(graph, z):
 def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
     """Minimize chi^T L chi + 2 b.chi over mean-zero chi by conjugate gradients.
 
-    L must be PSD with kernel spanned by constants (connected quotient); b is
-    orthogonal to constants by construction.  The mean is projected out every
-    step so roundoff cannot drift along the kernel.  Stops when
-    ||L chi + b|| <= tol * ||b|| (or <= tol for b = 0); raises NoConvergence
-    at 10 * n iterations, or on breakdown (p.Lp <= 0: L indefinite, or
-    r.Mr <= 0: preconditioner indefinite).
+    L must be PSD and b orthogonal to its kernel, the fields constant on
+    each connected component of the quotient (b is by construction).  The
+    mean is projected out every step so roundoff cannot drift along the
+    constants.  Stops when ||L chi + b|| <= tol * ||b|| (or <= tol for
+    b = 0); raises NoConvergence at 10 * n iterations, or on breakdown
+    (p.Lp <= 0: L indefinite, or r.Mr <= 0: preconditioner indefinite).
 
     `precondition`, when given, maps a residual r to M r with M a PSD
     approximate inverse of L, and the loop is preconditioned CG on the same
-    stopping rule; PeriodicOperator.preconditioner is one (bloch.py).  When
-    None, the loop is plain CG with no extra work per step.
+    stopping rule.  PeriodicOperator.exact_inverse.dot is one whose M
+    inverts L on the residuals, so the loop stops after one step;
+    PeriodicOperator.preconditioner is another (bloch.py).  When None, the
+    loop is plain CG with no extra work per step.
 
-    `corrector` passes the preconditioner from PCG_MIN_NODES = 256 nodes
-    up.  Axis-0 corrector of the random square cell R(T) (n = T^2, t = 1),
-    best of 50 solves on a 2-vCPU x86 host, plain -> preconditioned:
-    R(4) 0.52 -> 1.42 ms (15 -> 12 iterations), R(8) 0.67 -> 1.05 ms
-    (36 -> 16), R(10) 1.45 -> 1.90 ms (46 -> 16), R(12) 1.16 -> 1.96 ms
-    (58 -> 17), R(16) 1.59 -> 1.28 ms (76 -> 18), R(32) 3.76 -> 1.65 ms
-    (136 -> 18).  Below the crossover the FFT pair of each step costs more
-    than the steps it saves.
+    `corrector` passes the exact inverse up to DENSE_MAX_NODES = 160 nodes,
+    the FFT preconditioner (or None) from PCG_MIN_NODES = 256 up, and None
+    in between.  One tensor, that is the d axis correctors with the inverse
+    or preconditioner built first, of the random square cell R(T)
+    (n = T^2, t = 1), the two-rail strip S(P) (n = 2P, no sub-period) and
+    the random cube C(6) (d = 3, n = 216), on a 2-vCPU x86 host with one
+    BLAS thread, in ms (median of three best-of-15 runs):
+
+        cell     n     plain CG   exact inverse   FFT-PCG
+        R(4)     16    0.49       0.19            2.08
+        R(8)     64    1.16       0.30            2.93
+        S(64)    128   2.75       1.23            -
+        R(12)    144   2.10       1.20            3.63
+        S(80)    160   2.55       1.30            -
+        R(13)    169   2.00       2.12            4.16
+        S(96)    192   2.46       2.53            -
+        C(6)     216   2.06       3.42            -
+        R(15)    225   2.28       3.34            2.96
+        S(127)   254   3.12       6.02            -
+        R(16)    256   2.60       4.62            3.03
+        R(32)    1024  6.19       139             5.66
+
+    The dense build grows as n^3 and plain CG as about n^(3/2) in d = 2,
+    so for one tensor they meet between 160 and 190 nodes; below that the
+    inverse wins by 1.7x or more even when it serves a single tensor.
+    Below a few hundred nodes, building the FFT preconditioner and the FFT
+    pair of each step cost more than the steps they save.
     """
     n = b.shape[0]
-    project = lambda v: v - v.mean()
+    project = lambda v: v - v.sum() / n
     target = tol * np.linalg.norm(b) if np.linalg.norm(b) > 0 else tol
     x = np.zeros(n)
-    r = project(-b - L @ x)
+    r = project(-b)
     if np.linalg.norm(r) <= target:
-        return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)), 0)
+        return CorrectorField(x, np.array([]), float(np.linalg.norm(b)), 0)
     p = r.copy() if precondition is None else project(precondition(r))
     rs = r @ p
     cap = max_iterations if max_iterations is not None else 10 * n
@@ -149,18 +176,21 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
 def corrector(graph, z, tol=1e-10):
     """Solve the cell problem for direction z.
 
-    Cells of at least PCG_MIN_NODES nodes that re-tile a smaller base cell
-    run CG preconditioned by the operator's FFT preconditioner; all others
-    run plain CG.  The solver, n, iterations and residual go to the
-    `lattice_homog` logger at debug level.
+    Cells of at most DENSE_MAX_NODES nodes run CG preconditioned by the
+    operator's exact inverse, one step; cells of at least PCG_MIN_NODES
+    nodes that re-tile a smaller base cell run CG preconditioned by its FFT
+    preconditioner, and all others plain CG.  The solver, n, iterations and
+    residual go to the `lattice_homog` logger at debug level.
     """
     z = _check_direction(graph, z)
     op = graph.operator
-    precondition = op.preconditioner if graph.n_cell >= PCG_MIN_NODES else None
+    small = graph.n_cell <= DENSE_MAX_NODES
+    precondition = (op.exact_inverse.dot if small else
+                    op.preconditioner if graph.n_cell >= PCG_MIN_NODES else None)
     field = solve_corrector(op.L, op.B @ z, tol=tol, precondition=precondition)
     field.direction = z
     if _log.isEnabledFor(logging.DEBUG):
-        solver = ("cg" if precondition is None else
+        solver = ("exact-inverse" if small else "cg" if precondition is None else
                   f"fft-pcg (t={precondition.t}, n0={precondition.n0})")
         _log.debug("corrector: solver %s, n %d, iterations %d, residual %.3e",
                    solver, graph.n_cell, field.iterations, field.residual)

@@ -8,14 +8,19 @@ per-cell deviation from the mean, each controlled by local edge differences
 with constants from shortest-path structure, and the domain-scale Poincare
 inequality for fields vanishing near the boundary.  Each harness states its
 regions as data (label, left-hand side, edge ends, coefficients) and one
-loop, _worst_ratio, scores every trial field on every region.  Boxes come
+loop, _worst_ratio, scores every trial field on every region.  The trial
+fields come in blocks of at most TRIAL_BLOCK = 16 rows of one array: a
+block's edge energies on a region are one array pass, its left-hand sides
+one call per row, and a block bounds the memory the trials take.  Boxes come
 from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
-energies from graph.edge_energy, the Poincare problem is a graph.PinnedProblem
-and the path constants are LatticeGraph.path_constants, one per graph.
+energies are graph.edge_energy's running sums, the Poincare problem is a
+graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
+one per graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,47 +226,68 @@ class InequalityReport:
                 "witness": self.witness, "holds": bool(self.holds)}
 
 
+# Trial fields built and scored at a time: bounds the (trials, vertices) arrays.
+TRIAL_BLOCK = 16
+FAMILIES = ("gaussian", "affine", "indicator", "checkerboard")
+
+
 def _trial_fields(seed, pos, node_ids, trials):
     """Deterministic per-trial families: gaussian, affine, indicator,
-    checkerboard, yielded as (name, values).
+    checkerboard, yielded in blocks of at most TRIAL_BLOCK trials as
+    (names, U), row j of U the values of trial names[j].
 
-    Each trial draws from its own (seed, t)-keyed stream, so trials can run
-    in any order without changing the outcome.
+    Each trial that draws draws from its own (seed, t)-keyed stream, so
+    trials can run in any order without changing the outcome; the
+    checkerboard draws nothing and opens no stream.
     """
     n = len(pos)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        fam = ("gaussian", "affine", "indicator", "checkerboard")[t % 4]
-        if fam == "gaussian":
-            vals = rng.standard_normal(n)
-        elif fam == "affine":
-            slope = rng.standard_normal(pos.shape[1])
-            vals = pos @ slope + rng.standard_normal()
-        elif fam == "indicator":
-            vals = np.zeros(n)
-            vals[rng.integers(n)] = 1.0
-        else:
-            vals = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
-        yield f"trial {t} ({fam})", vals
+    checkerboard = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
+        U = np.zeros((len(block), n))
+        for row, t in zip(U, block):
+            fam = FAMILIES[t % 4]
+            if fam == "checkerboard":
+                row[:] = checkerboard
+                continue
+            rng = np.random.default_rng((seed, t))
+            if fam == "gaussian":
+                row[:] = rng.standard_normal(n)
+            elif fam == "affine":
+                slope = rng.standard_normal(pos.shape[1])
+                row[:] = pos @ slope + rng.standard_normal()
+            else:
+                row[rng.integers(n)] = 1.0
+        yield [f"trial {t} ({FAMILIES[t % 4]})" for t in block], U
 
 
 def _worst_ratio(fields, regions, constant):
     """(largest ratio, witness) over every (field, region) pair.
 
-    A field is (name, values u); a region is (label, lhs, ends, coef), and
-    its ratio for u is lhs(u) / (constant * edge_energy(ends, coef, u)): 0
-    when lhs(u) = 0, inf when the energy is 0.  The witness, name + label,
-    is that of the earliest pair within relative 1e-12 of the largest ratio:
-    pairs whose ratios are equal in exact arithmetic differ only by
-    rounding, so the earliest of them is the witness that does not depend
-    on it.  (0.0, "") when no ratio is positive.
+    `fields` yields blocks (names, U), one field u per row of U; a region is
+    (label, lhs, ends, coef), and its ratio for u is
+    lhs(u) / (constant * edge_energy(ends, coef, u)): 0 when lhs(u) = 0,
+    inf when the energy is 0.  A block's energies on a region are one
+    row-wise running sum, edge_energy bit for bit, while lhs takes one row
+    at a time (a row sum of a 2-D array can differ from the 1-D sum in the
+    last bit).  The witness, name + label, is that of the earliest pair,
+    field by field and region by region, within relative 1e-12 of the
+    largest ratio: pairs whose ratios are equal in exact arithmetic differ
+    only by rounding, so the earliest of them is the witness that does not
+    depend on it.  (0.0, "") when no ratio is positive.
     """
     ratios = []
-    for name, u in fields:
-        for label, lhs, ends, coef in regions:
-            top, rhs = lhs(u), edge_energy(ends, coef, u)
-            ratios.append((0.0 if top == 0 else math.inf if rhs == 0
-                           else top / (constant * rhs), name + label))
+    for names, U in fields:
+        energies = []
+        for _, _, ends, coef in regions:
+            diff = U[:, ends[:, 0]] - U[:, ends[:, 1]]
+            energies.append(np.cumsum(coef * (diff * diff), axis=1)[:, -1].tolist()
+                            if len(ends) else [0.0] * len(U))
+        for name, u, rhs in zip(names, U, zip(*energies)):
+            for (label, lhs, _, _), energy in zip(regions, rhs):
+                top = lhs(u)
+                ratios.append((0.0 if top == 0 else math.inf if energy == 0
+                               else top / (constant * energy), name + label))
     worst = max((r for r, _ in ratios), default=0.0)
     if worst <= 0:
         return 0.0, ""
@@ -364,9 +390,10 @@ def check_poincare(graph, widths, trials=100, seed=7):
         c_sharp = float(extremal @ extremal) / p.energy(extremal)
 
         dist = np.minimum(pos, W - pos).min(axis=1).astype(float)
-        fields = [("extremal", extremal), ("tent", np.maximum(dist - layer, 0.0))]
-        fields += [(name, u * free) for name, u in
-                   _trial_fields(seed + width, pos, node_ids, trials)]
+        fields = itertools.chain(
+            [(["extremal", "tent"], np.stack([extremal, np.maximum(dist - layer, 0.0)]))],
+            ((names, U * free) for names, U in
+             _trial_fields(seed + width, pos, node_ids, trials)))
         worst, witness = _worst_ratio(fields, [("", lambda u: float(u @ u), p.ends, p.coef)], 1)
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,

@@ -238,6 +238,10 @@ class PeriodicOperator:
     `preconditioner` is built on first use: the FFT preconditioner of the
     cell's smallest sub-period t | T (bloch.py), an approximate inverse of
     L for the corrector CG, or None when the cell re-tiles no smaller one.
+    `exact_inverse` is built on first use too: the dense inverse of
+    L + sum_c 1_c 1_c^T / |c| over the quotient's connected components c,
+    which is SPD for any component structure and acts as the pseudo-inverse
+    of L on the mean-zero fields of every component.
     """
 
     def __init__(self, graph):
@@ -256,6 +260,15 @@ class PeriodicOperator:
     @cached_property
     def preconditioner(self):
         return fft_preconditioner(self)
+
+    @cached_property
+    def exact_inverse(self):
+        _, labels = connected_components(self.L, directed=False)
+        K = self.L.toarray()
+        K += (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels]
+        inverse = np.linalg.inv(K)
+        inverse.flags.writeable = False
+        return inverse
 
 
 def neighbors(graph, node):

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from lattice_homog import (
     EdgeOrbit,
@@ -21,7 +22,7 @@ from lattice_homog import (
     solve_corrector,
 )
 from lattice_homog.bloch import base_cell
-from lattice_homog.cell import PCG_MIN_NODES, convention_factor
+from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES, convention_factor
 from lattice_homog.graph import PeriodicOperator
 
 from conftest import (
@@ -110,6 +111,11 @@ def test_operator_is_lazy_and_read_only(rng):
     assert op.preconditioner is pre
     with pytest.raises(ValueError):
         pre.inverse[0, 0] = 0.0
+    assert "exact_inverse" not in vars(op)
+    inverse = op.exact_inverse
+    assert op.exact_inverse is inverse
+    with pytest.raises(ValueError):
+        inverse[0, 0] = 0.0
 
 
 def test_operator_built_once_per_graph(monkeypatch, rng):
@@ -297,7 +303,7 @@ def test_tensor_skew_lattice_polarization(rng):
 
 def test_tensor_layered_lattice_exact():
     expect = np.array([[20.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 14.0 / 3.0]])
-    for T in (8, 48):    # plain CG, and the preconditioned solve with exact reference
+    for T in (8, 48):    # the exact inverse (n = 128), and FFT-PCG with exact reference
         t = homogenized_tensor(normalize_period(layered_square_lattice(), T))
         assert np.all(np.abs(t.entries - expect) <= 1e-9 * np.abs(expect))
         assert t.entries[0, 1] == t.entries[1, 0]
@@ -421,19 +427,71 @@ def test_preconditioned_iterations_stay_flat(rng):
     assert all(0 < f.iterations <= 30 for f in fields)
 
 
-def test_small_cells_run_plain_cg(rng):
+def test_small_cells_solve_in_one_step(rng):
     # fresh fixtures: the session's copies may have built a preconditioner
     graphs = list(builtin_examples().values())
-    graphs += [random_square_lattice(T, rng) for T in (4, 8, 15)]
+    graphs += [random_square_lattice(T, rng) for T in (4, 8, 12)]
     graphs.append(normalize_period(layered_square_lattice(), 8))
     for g in graphs:
-        assert g.n_cell < PCG_MIN_NODES
+        assert g.n_cell <= DENSE_MAX_NODES
         op = g.operator
         for e in np.eye(g.d):
-            ours, plain = corrector(g, e), solve_corrector(op.L, op.B @ e)
-            assert ours.iterations == plain.iterations
-            assert np.array_equal(ours.values, plain.values)
+            field, b = corrector(g, e), op.B @ e
+            assert field.iterations <= 1
+            assert (np.linalg.norm(op.L @ field.values + b)
+                    <= 1e-12 * max(np.linalg.norm(b), 1.0))
+        A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), g
         assert "preconditioner" not in vars(op)
+
+
+def test_disconnected_quotient_solves_in_one_step(rng):
+    # two uncoupled layers: L has a two-dimensional kernel, one constant per layer
+    nodes = [(x, y, r) for x in range(3) for y in range(3) for r in range(2)]
+    edges = [((x, y, r), ((x + 1) % 3, y, r), (int(x == 2), 0), float(rng.uniform(0.5, 2.0)))
+             for x, y, r in nodes]
+    edges += [((x, y, r), (x, (y + 1) % 3, r), (0, int(y == 2)), float(rng.uniform(0.5, 2.0)))
+              for x, y, r in nodes]
+    g = graph_from_edges(2, 1, 3, nodes, edges)
+    op = g.operator
+    assert connected_components(op.L, directed=False)[0] == 2
+    for e in np.eye(2):
+        field, plain = corrector(g, e), solve_corrector(op.L, op.B @ e)
+        assert field.iterations <= 1 < plain.iterations
+        assert np.abs(field.values - plain.values).max() <= 1e-9 * np.abs(plain.values).max()
+    A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+    assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make", [lambda: random_strip(81, np.random.default_rng(81)),
+                                  lambda: random_square_lattice(15, np.random.default_rng(15)),
+                                  lambda: random_strip(128, np.random.default_rng(128))],
+                         ids=["S(81)", "R(15)", "S(128)"])
+def test_cells_past_the_dense_ceiling_run_plain_cg(make):
+    # n = 162 and 225 lie between the two thresholds; S(128) (n = 256) has no
+    # sub-period, so it keeps plain CG past PCG_MIN_NODES too
+    g = make()
+    assert DENSE_MAX_NODES < g.n_cell <= PCG_MIN_NODES
+    op = g.operator
+    for e in np.eye(g.d):
+        ours, plain = corrector(g, e), solve_corrector(op.L, op.B @ e)
+        assert ours.iterations == plain.iterations > 1
+        assert np.array_equal(ours.values, plain.values)
+    assert "exact_inverse" not in vars(op)
+    if g.n_cell < PCG_MIN_NODES:
+        assert "preconditioner" not in vars(op)
+    else:
+        assert op.preconditioner is None
+
+
+def test_projection_by_sum_equals_mean():
+    # solve_corrector projects with v - v.sum() / n, numpy's mean bit for bit
+    # (every n up to 16 384 agreed when it was written; all n up to 1024 and a
+    # sample above stay checked)
+    rng = np.random.default_rng(5)
+    for n in [*range(2, 1025), *range(1025, 16385, 127)]:
+        v = rng.standard_normal(n)
+        assert np.array_equal(v - v.sum() / n, v - v.mean()), n
 
 
 def test_corrector_logs_its_solver(examples, rng, caplog):
@@ -441,6 +499,6 @@ def test_corrector_logs_its_solver(examples, rng, caplog):
         corrector(examples["ex4"], [1.0])
         field = corrector(random_square_lattice(16, rng), [1.0, 0.0])
     small, large = [r.getMessage() for r in caplog.records]
-    assert small.startswith("corrector: solver cg, n 2, iterations 1, residual ")
+    assert small.startswith("corrector: solver exact-inverse, n 2, iterations 1, residual ")
     assert large == (f"corrector: solver fft-pcg (t=1, n0=1), n 256, iterations "
                      f"{field.iterations}, residual {field.residual:.3e}")

@@ -13,6 +13,7 @@ from lattice_homog import (
     EdgeOrbit,
     LatticeGraph,
     brute_force_cell_oracle,
+    builtin_examples,
     compute_path_constants,
     connectedness_certificate,
     f_hom,
@@ -26,9 +27,10 @@ from lattice_homog import (
     witness_path,
 )
 
-from lattice_homog.cell import PCG_MIN_NODES
+from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
 
 from conftest import plain_cg_tensor, random_square_lattice
+from harness_reference import harness_reports, reference_reports
 
 
 @st.composite
@@ -278,6 +280,27 @@ def test_solver_matches_oracle_random(graph):
     ours = f_hom(graph, z)
     ref = brute_force_cell_oracle(graph, z)
     assert abs(ours - ref) <= 1e-8 * max(abs(ref), 1e-12)
+
+
+@given(lattice_graphs(connected_only=True))
+@settings(max_examples=40, deadline=None)
+def test_small_cell_tensor_matches_plain_cg_random(graph):
+    assert graph.n_cell <= DENSE_MAX_NODES
+    A, ref = homogenized_tensor(graph), plain_cg_tensor(graph)
+    assert np.abs(A.entries - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert all(f.iterations <= 1 for f in A.correctors)
+
+
+@given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 61))
+@example(graph=builtin_examples()["ex5"], seed=5, trials=61)
+@settings(max_examples=30, deadline=None)
+def test_harness_blocks_match_per_trial_reference(graph, seed, trials):
+    # trial counts that end mid-block and mid-family; width 8 leaves free
+    # vertices for every T <= 3
+    assume(connectedness_certificate(graph, raise_on_failure=False).connected)
+    widths = (8,)
+    assert harness_reports(graph, trials, seed, widths) == reference_reports(
+        graph, trials, seed, widths)
 
 
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))

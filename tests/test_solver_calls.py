@@ -1,4 +1,5 @@
-"""The package has one sparse direct solve and one pinned-box problem.
+"""The package has one sparse direct solve, one pinned-box problem and two
+dense inverses.
 
 The window, the Dirichlet problems and the continuum grid all reach SuperLU
 through graph.pinned_solve, so a change of solver or ordering is made in one
@@ -7,6 +8,9 @@ graph.PinnedProblem, which assembles and solves them, so outside graph.py
 only the continuum grid (bvp._fd_solve, which has no lattice vertices) calls
 `laplacian` or `pinned_solve`.  The source is read with ast, and any use of
 these names by name elsewhere (a call, a reference or an import) fails.
+A dense inverse is taken only by the dense oracle (pinv) and by the
+periodic operator's exact inverse for small cells (inv), so the oracle
+stays a route independent of the solver it checks.
 """
 
 import ast
@@ -15,6 +19,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
 SOLVERS = {"spsolve", "splu", "spilu", "factorized"}
 PINNED = {"laplacian", "pinned_solve"}
+INVERSES = {"inv", "pinv"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -52,3 +57,11 @@ def test_one_pinned_problem():
     assert sorted(use for use in uses if use[0].split(".")[0] != "graph") == [
         ("bvp", "laplacian"), ("bvp", "pinned_solve"),                # the import
         ("bvp._fd_solve", "laplacian"), ("bvp._fd_solve", "pinned_solve")]
+
+
+def test_two_dense_inverses():
+    # bvp's local variable `inv` (the integer 1 / eps) is not a dense inverse
+    local = {"bvp.DirichletProblem.__post_init__", "bvp.build_system"}
+    assert [use for use in _uses(INVERSES, lambda node: True) if use[0] not in local] == [
+        ("graph.PeriodicOperator.exact_inverse", "inv"),
+        ("oracle.brute_force_cell_oracle", "pinv")]
