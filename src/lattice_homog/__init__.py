@@ -7,6 +7,7 @@ from .errors import (
     EmptyInterior,
     EmptyWindow,
     InvalidDirection,
+    InvalidTensor,
     LatticeError,
     NoConvergence,
     TooLarge,

@@ -10,6 +10,7 @@ and the problem is a graph.PinnedProblem with band r.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,11 +21,14 @@ import numpy as np
 
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, coarse_field, hypothesis_norms
-from .errors import DatumUndefined, EmptyInterior, UnsupportedDimension
-from .graph import PinnedProblem, inside, laplacian, pinned_solve, position_box
+from .errors import (DatumUndefined, EmptyInterior, InvalidTensor, NoConvergence,
+                     UnsupportedDimension)
+from .graph import PinnedProblem, inside, position_box
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+GRID_TOL = 1e-14                # relative residual of the continuum grid solve
+_log = logging.getLogger("lattice_homog")
 
 
 def _gauss_points(eps, positions):
@@ -217,10 +221,12 @@ def continuum_reference(tensor, omega, phi, h=None):
     d = 1 is exact (affine minimizer); d = 2 uses a finite-difference solve
     at steps h and h/2 with Richardson extrapolation of the energy.  The
     tensor is taken in the same counting convention as the discrete energies
-    being compared.
+    being compared; one that is not finite, symmetric and positive definite
+    raises InvalidTensor before anything is solved.
     """
     A = tensor.entries if hasattr(tensor, "entries") else np.asarray(tensor, float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    _check_tensor(A)
     d = A.shape[0]
     omega = tuple((float(a), float(b)) for a, b in omega)
     if d == 1:
@@ -241,7 +247,47 @@ def continuum_reference(tensor, omega, phi, h=None):
     return ContinuumSolution(energy, interp, abs(e_fine - e_coarse) / 3.0, h / 2.0)
 
 
+def _check_tensor(A):
+    """Raise InvalidTensor unless A is a finite symmetric positive definite matrix."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidTensor(f"tensor of shape {A.shape} is not square")
+    if not np.isfinite(A).all() or not np.array_equal(A, A.T):
+        raise InvalidTensor(f"tensor {A.tolist()} is not finite or not symmetric")
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise InvalidTensor(f"tensor {A.tolist()} is not positive definite") from None
+
+
+def _sine_basis(n):
+    """(S, m): the orthonormal DST-I matrix S[j, k] = sqrt(2/n) sin(pi jk/n),
+    j, k = 1..n-1, which is symmetric and its own inverse, and the eigenvalues
+    m[j] = 2 - 2 cos(pi j/n) of the second difference with zero ends, whose
+    eigenvectors are the columns of S."""
+    k = np.arange(1, n)
+    return (np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n),
+            2.0 - 2.0 * np.cos(np.pi * k / n))
+
+
 def _fd_solve(A, omega, phi, h):
+    """(energy, interpolant) of the 9-point finite-difference minimizer at step h.
+
+    The grid graph joins axis neighbours with cxx = A00/hx^2 and
+    cyy = A11/hy^2 and the two diagonals with +-cxy = +-A01/(2 hx hy); the
+    boundary carries the datum.  The interior is solved matrix-free by
+    conjugate gradients preconditioned with the exact inverse of the axis
+    part M, two sine transforms as dense products, to a relative residual of
+    GRID_TOL.  The mixed part is at most rho = |A01| / sqrt(A00 A11) < 1
+    times the axis part, so the preconditioned condition number kappa is at
+    most (1 + rho) / (1 - rho) at every h (Concus & Golub, SIAM J. Numer.
+    Anal. 10, 1973).  On the unit square that is 10-11 steps for the L2
+    tensor from h = 1/32 to 1/256, and 46-77 at rho = 0.95, rising towards
+    its ceiling as h shrinks; a diagonal tensor takes one step, or two once
+    the rounding of that exact step exceeds GRID_TOL (h <= 1/128).  Reaching
+    the cap raises NoConvergence with the relative residual.  The grid
+    shape, steps and relative residual go to the `lattice_homog` logger at
+    debug level.
+    """
     (ax, bx), (ay, by) = omega
     nx = max(2, round((bx - ax) / h))
     ny = max(2, round((by - ay) / h))
@@ -257,21 +303,60 @@ def _fd_solve(A, omega, phi, h):
     j = np.concatenate([cols, cols, np.zeros_like(rows), np.full_like(rows, ny)])
     u[i, j] = phi.evaluate(np.array([xs[i], ys[j]]))
 
-    # the 9-point stencil as a grid graph: axis neighbours and both diagonals
     cxx = A[0, 0] / hx ** 2
     cyy = A[1, 1] / hy ** 2
     cxy = 2.0 * A[0, 1] / (4.0 * hx * hy)
-    index = np.arange(u.size).reshape(u.shape)
-    ends, coef = [], []
-    for (di, dj), c in (((1, 0), cxx), ((0, 1), cyy), ((1, 1), cxy), ((1, -1), -cxy)):
-        a = index[:nx + 1 - di, max(-dj, 0):ny + 1 - max(dj, 0)]
-        b = index[di:, max(dj, 0):ny + 1 - max(-dj, 0)]
-        ends.append(np.column_stack([a.ravel(), b.ravel()]))
-        coef.append(np.full(a.size, c))
-    boundary = np.ones(u.shape, dtype=bool)
-    boundary[1:-1, 1:-1] = False
-    u = pinned_solve(laplacian(u.size, np.concatenate(ends), np.concatenate(coef)),
-                     boundary.ravel(), u.ravel()).reshape(u.shape)
+    rho = abs(A[0, 1]) / math.sqrt(A[0, 0] * A[1, 1])
+
+    def stencil(p):
+        """L p on the interior, p a padded grid: the 9-point stencil."""
+        return (2.0 * (cxx + cyy) * p[1:-1, 1:-1] - cxx * (p[:-2, 1:-1] + p[2:, 1:-1])
+                - cyy * (p[1:-1, :-2] + p[1:-1, 2:])
+                - cxy * (p[:-2, :-2] + p[2:, 2:] - p[2:, :-2] - p[:-2, 2:]))
+
+    padded = np.zeros_like(u)
+
+    def apply(x):
+        padded[1:-1, 1:-1] = x
+        return stencil(padded)
+
+    Sx, mx = _sine_basis(nx)
+    Sy, my = _sine_basis(ny)
+    axis = cxx * mx[:, None] + cyy * my[None, :]
+    precondition = lambda r: Sx @ ((Sx @ r @ Sy) / axis) @ Sy
+
+    b = -stencil(u)                     # the boundary's pull; the interior is 0
+    x, r, it = np.zeros_like(b), b.copy(), 0
+    norm_b = np.linalg.norm(b)
+    target = GRID_TOL * norm_b
+    # in exact arithmetic ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||b||, so CG
+    # meets GRID_TOL within `bound` steps (14, 29 and 122 at h = 1/128 for
+    # rho = 0.12, 0.5 and 0.95); the cap doubles it and adds 10 for rounding
+    kappa = (1.0 + rho) / (1.0 - rho)
+    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    bound = 1 if q == 0 else math.ceil(
+        math.log(2.0 * math.sqrt(kappa * axis.max() / axis.min()) / GRID_TOL) / -math.log(q))
+    cap = 2 * bound + 10
+    if norm_b > 0:
+        z = precondition(r)
+        p, rz = z, np.vdot(r, z)
+        for it in range(1, cap + 1):
+            Ap = apply(p)
+            alpha = rz / np.vdot(p, Ap)
+            x += alpha * p
+            r -= alpha * Ap
+            if np.linalg.norm(r) <= target:
+                break
+            z = precondition(r)
+            rz, rz_old = np.vdot(r, z), rz
+            p = z + (rz / rz_old) * p
+    achieved = float(np.linalg.norm(b - apply(x)) / norm_b) if norm_b > 0 else 0.0
+    if np.linalg.norm(r) > target:
+        raise NoConvergence(f"continuum grid CG hit the {cap}-iteration cap "
+                            f"(relative residual {achieved:.3e})", residual=achieved)
+    _log.debug("continuum grid: shape %dx%d, iterations %d, relative residual %.3e",
+               nx + 1, ny + 1, it, achieved)
+    u[1:-1, 1:-1] = x
 
     # energy by midpoint quadrature of A grad u . grad u on grid cells
     gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2.0 * hx)

@@ -31,6 +31,10 @@ class InvalidDirection(LatticeError):
     """A direction vector has the wrong length or non-finite entries."""
 
 
+class InvalidTensor(LatticeError):
+    """A coefficient tensor is not a finite symmetric positive definite matrix."""
+
+
 class NoConvergence(LatticeError):
     """An iterative solve hit its iteration cap or broke down, or a reduced
     system is singular (a free component without a pinned neighbour).

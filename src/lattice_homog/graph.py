@@ -671,11 +671,11 @@ def pinned_reduction(L, pinned, values):
 def pinned_solve(L, pinned, values):
     """`values` with every free entry set to the minimizer of x^T L x.
 
-    The one sparse direct solve of the package (window, Dirichlet and the
-    continuum grid).  A is symmetric positive definite (pinned_reduction), so
-    SuperLU orders its columns by minimum degree on the pattern of A + A^T
-    (George & Liu, 1981) instead of its default COLAMD, which does not use
-    the symmetry: less fill, less time and memory on every call.
+    The one sparse direct solve of the package (window and Dirichlet).  A is
+    symmetric positive definite (pinned_reduction), so SuperLU orders its
+    columns by minimum degree on the pattern of A + A^T (George & Liu, 1981)
+    instead of its default COLAMD, which does not use the symmetry: less
+    fill, less time and memory on every call.
     """
     if pinned.all():
         return values.copy()

@@ -1,3 +1,6 @@
+import logging
+import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -5,16 +8,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lattice_homog import cli
+from lattice_homog import bvp, cli
 from lattice_homog import (
     DatumUndefined,
     EmptyInterior,
+    InvalidTensor,
     NoConvergence,
     UnsupportedDimension,
     graph_from_edges,
     homogenized_tensor,
 )
 from lattice_homog.bvp import (
+    GRID_TOL,
     BoundaryDatum,
     DirichletProblem,
     affine_datum,
@@ -24,7 +29,9 @@ from lattice_homog.bvp import (
     epsilon_convergence_study,
     l2_error_against,
     solve_dirichlet,
+    _fd_solve,
 )
+from lattice_homog.graph import laplacian, pinned_solve
 
 from conftest import layered_square_lattice, square_lattice
 
@@ -319,6 +326,134 @@ def test_continuum_reference_same_with_scalar_only_datum():
     assert (batch.energy, batch.error_estimate) == (scalar.energy, scalar.error_estimate)
     for point in ([0.3, 0.7], [0.0, 1.0], [0.51, 0.02]):
         assert batch.minimizer(point) == scalar.minimizer(point)
+
+
+GRID_TENSORS = {
+    "L2": np.array([[20 / 3, 2 / 3], [2 / 3, 14 / 3]]),
+    "negative": np.array([[2.0, -0.7], [-0.7, 1.0]]),
+    # A01 / sqrt(A00 A11) = 0.95
+    "anisotropic": np.array([[1.0, 0.95 * 3 ** 0.5], [0.95 * 3 ** 0.5, 3.0]]),
+    "diagonal": np.array([[2.0, 0.0], [0.0, 0.5]]),
+}
+SQUARE = ((0.0, 1.0), (0.0, 1.0))
+WIDE = ((0.0, 2.0), (-0.5, 0.5))                 # nx = 2 ny
+WAVE = BoundaryDatum(lambda x: np.sin(3 * x[0]) * np.cos(2 * x[1]) + x[0] * x[1],
+                     name="sin(3x) cos(2y) + xy")
+
+
+def superlu_grid(A, omega, phi, h):
+    """(grid values, midpoint energy) of the 9-point stencil on the grid of
+    step h, assembled as a grid graph by graph.laplacian and solved by
+    graph.pinned_solve with the boundary pinned to the datum."""
+    (ax, bx), (ay, by) = omega
+    nx, ny = max(2, round((bx - ax) / h)), max(2, round((by - ay) / h))
+    hx, hy = (bx - ax) / nx, (by - ay) / ny
+    X, Y = np.meshgrid(np.linspace(ax, bx, nx + 1), np.linspace(ay, by, ny + 1),
+                       indexing="ij")
+    boundary = np.ones(X.shape, dtype=bool)
+    boundary[1:-1, 1:-1] = False
+    values = np.where(boundary, phi.evaluate(np.array([X.ravel(), Y.ravel()])).reshape(X.shape),
+                      0.0)
+    cxx, cyy, cxy = A[0, 0] / hx ** 2, A[1, 1] / hy ** 2, A[0, 1] / (2 * hx * hy)
+    index = np.arange(X.size).reshape(X.shape)
+    ends, coef = [], []
+    for (di, dj), c in (((1, 0), cxx), ((0, 1), cyy), ((1, 1), cxy), ((1, -1), -cxy)):
+        a = index[:nx + 1 - di, max(-dj, 0):ny + 1 - max(dj, 0)]
+        b = index[di:, max(dj, 0):ny + 1 - max(-dj, 0)]
+        ends.append(np.column_stack([a.ravel(), b.ravel()]))
+        coef.append(np.full(a.size, c))
+    u = pinned_solve(laplacian(X.size, np.concatenate(ends), np.concatenate(coef)),
+                     boundary.ravel(), values.ravel()).reshape(X.shape)
+    gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2 * hx)
+    gy = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2 * hy)
+    energy = (A[0, 0] * gx ** 2 + 2 * A[0, 1] * gx * gy + A[1, 1] * gy ** 2).sum() * hx * hy
+    return np.stack([X, Y]), u, float(energy)
+
+
+def grid_iterations(caplog, *args):
+    """(steps, grid shape) of _fd_solve(*args), read from its one debug line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        _fd_solve(*args)
+    message, = [r.getMessage() for r in caplog.records]
+    shape, iterations, residual = re.fullmatch(
+        r"continuum grid: shape (\d+x\d+), iterations (\d+), relative residual (\S+)",
+        message).groups()
+    assert float(residual) <= 2 * GRID_TOL
+    return int(iterations), shape
+
+
+@pytest.mark.parametrize("name", GRID_TENSORS)
+@pytest.mark.parametrize("omega, phi, h", [
+    (SQUARE, QUADRATIC, 1 / 8), (SQUARE, WAVE, 1 / 32), (SQUARE, QUADRATIC, 1 / 128),
+    (WIDE, WAVE, 1 / 8), (WIDE, QUADRATIC, 1 / 32)])
+def test_grid_cg_matches_superlu(name, omega, phi, h):
+    A = GRID_TENSORS[name]
+    points, want, want_energy = superlu_grid(A, omega, phi, h)
+    energy, interp = _fd_solve(A, omega, phi, h)
+    got = np.array([interp(p) for p in points.reshape(2, -1).T]).reshape(want.shape)
+    assert abs(energy - want_energy) <= 1e-10 * abs(want_energy)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def pcg_step_bound(A, h):
+    """Steps within which PCG reaches GRID_TOL on the unit square at step h,
+    in exact arithmetic: ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||r_0|| with
+    q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), M the axis part and
+    kappa = (1 + rho) / (1 - rho), rho = |A01| / sqrt(A00 A11) (Concus &
+    Golub).  It grows only as log(cond(M)), that is as log(1/h)."""
+    rho = abs(A[0, 1]) / np.sqrt(A[0, 0] * A[1, 1])
+    kappa = (1 + rho) / (1 - rho)
+    m = 2 - 2 * np.cos(np.pi * np.arange(1, round(1 / h)) / round(1 / h))
+    axis = A[0, 0] * m[:, None] + A[1, 1] * m[None, :]
+    q = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
+    return math.ceil(math.log(2 * np.sqrt(kappa * axis.max() / axis.min()) / GRID_TOL)
+                     / math.log(1 / q))
+
+
+@pytest.mark.parametrize("name", GRID_TENSORS)
+def test_grid_cg_steps_do_not_grow_with_refinement(name, caplog):
+    A = GRID_TENSORS[name]
+    coarse, shape = grid_iterations(caplog, A, SQUARE, WAVE, 1 / 32)
+    fine, fine_shape = grid_iterations(caplog, A, SQUARE, WAVE, 1 / 128)
+    assert (shape, fine_shape) == ("33x33", "129x129")
+    if name == "diagonal":
+        # the preconditioner is the exact inverse; a second step only when
+        # the rounding of the first already exceeds GRID_TOL
+        assert coarse == 1 and fine <= 2
+    else:
+        assert coarse <= pcg_step_bound(A, 1 / 32) and fine <= pcg_step_bound(A, 1 / 128)
+    if name != "anisotropic":
+        # at rho = 0.95 the count still rises towards its ceiling: 46-49 steps
+        # at h = 1/32, 64-72 at 1/128 and 68-77 at 1/256
+        assert abs(fine - coarse) <= 2
+
+
+def test_grid_cg_cap_raises_no_convergence(monkeypatch):
+    # eigenvalues paired with the wrong sine vectors: still a positive
+    # definite preconditioner, but far from the axis part's inverse
+    basis = bvp._sine_basis
+    monkeypatch.setattr(bvp, "_sine_basis", lambda n: (basis(n)[0], basis(n)[1][::-1]))
+    with pytest.raises(NoConvergence) as info:
+        _fd_solve(GRID_TENSORS["L2"], SQUARE, WAVE, 1 / 32)
+    assert GRID_TOL < info.value.residual < 1.0
+
+
+@pytest.mark.parametrize("tensor", [
+    [[1.0, 2.0], [2.0, 1.0]],          # indefinite
+    [[1.0, 0.0], [0.0, 0.0]],          # singular
+    [[1.0, 0.5], [0.4, 1.0]],          # not symmetric
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[-4.0]],
+])
+def test_continuum_rejects_tensor_that_is_not_spd(tensor):
+    calls = []
+    phi = BoundaryDatum(lambda x: calls.append(x) or 0.0)
+    omega = ((0, 1),) * len(tensor)
+    with pytest.raises(InvalidTensor):
+        continuum_reference(np.array(tensor), omega, phi, h=1.0 / 8)
+    assert calls == []
 
 
 def test_continuum_rejects_3d():

@@ -1,13 +1,15 @@
 """The package has one sparse direct solve, one pinned-box problem and two
 dense inverses.
 
-The window, the Dirichlet problems and the continuum grid all reach SuperLU
-through graph.pinned_solve, so a change of solver or ordering is made in one
+The window and the Dirichlet problems reach SuperLU through
+graph.pinned_solve, so a change of solver or ordering is made in one
 function.  The window, Dirichlet and Poincare problems are each a
-graph.PinnedProblem, which assembles and solves them, so outside graph.py
-only the continuum grid (bvp._fd_solve, which has no lattice vertices) calls
-`laplacian` or `pinned_solve`.  The source is read with ast, and any use of
-these names by name elsewhere (a call, a reference or an import) fails.
+graph.PinnedProblem, which assembles and solves them, so nothing outside
+graph.py calls `laplacian` or `pinned_solve`.  The continuum grid
+(bvp._fd_solve) applies its stencil matrix-free and solves it by
+sine-preconditioned conjugate gradients, so it reaches no sparse solver.
+The source is read with ast, and any use of these names by name elsewhere
+(a call, a reference or an import) fails.
 A dense inverse is taken only by the dense oracle (pinv) and by the
 periodic operator's exact inverse for small cells (inv), so the oracle
 stays a route independent of the solver it checks.
@@ -54,9 +56,7 @@ def test_one_pinned_problem():
     # a method call such as problem.laplacian() is not a use; graph.laplacian(...) is
     uses = _uses(PINNED, lambda node: isinstance(node.value, ast.Name)
                  and node.value.id == "graph")
-    assert sorted(use for use in uses if use[0].split(".")[0] != "graph") == [
-        ("bvp", "laplacian"), ("bvp", "pinned_solve"),                # the import
-        ("bvp._fd_solve", "laplacian"), ("bvp._fd_solve", "pinned_solve")]
+    assert [use for use in uses if use[0].split(".")[0] != "graph"] == []
 
 
 def test_two_dense_inverses():
