@@ -21,13 +21,12 @@ import numpy as np
 
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, coarse_field, hypothesis_norms
-from .errors import (DatumUndefined, EmptyInterior, InvalidTensor, NoConvergence,
-                     UnsupportedDimension)
-from .graph import PinnedProblem, inside, position_box
+from .errors import DatumUndefined, EmptyInterior, InvalidTensor, UnsupportedDimension
+from .graph import PinnedProblem, _preconditioned_cg, inside, position_box
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-GRID_TOL = 1e-14                # relative residual of the continuum grid solve
+GRID_TOL = 1e-14                # backward error of the continuum grid solve
 _log = logging.getLogger("lattice_homog")
 
 
@@ -276,17 +275,17 @@ def _fd_solve(A, omega, phi, h):
     cyy = A11/hy^2 and the two diagonals with +-cxy = +-A01/(2 hx hy); the
     boundary carries the datum.  The interior is solved matrix-free by
     conjugate gradients preconditioned with the exact inverse of the axis
-    part M, two sine transforms as dense products, to a relative residual of
-    GRID_TOL.  The mixed part is at most rho = |A01| / sqrt(A00 A11) < 1
+    part M, two sine transforms as dense products, to a backward error of
+    GRID_TOL (graph._preconditioned_cg, the stop of the multigrid pinned
+    solve too).  The mixed part is at most rho = |A01| / sqrt(A00 A11) < 1
     times the axis part, so the preconditioned condition number kappa is at
     most (1 + rho) / (1 - rho) at every h (Concus & Golub, SIAM J. Numer.
-    Anal. 10, 1973).  On the unit square that is 10-11 steps for the L2
-    tensor from h = 1/32 to 1/256, and 46-77 at rho = 0.95, rising towards
-    its ceiling as h shrinks; a diagonal tensor takes one step, or two once
-    the rounding of that exact step exceeds GRID_TOL (h <= 1/128).  Reaching
-    the cap raises NoConvergence with the relative residual.  The grid
-    shape, steps and relative residual go to the `lattice_homog` logger at
-    debug level.
+    Anal. 10, 1973).  On the unit square that is 9-10 steps for the L2
+    tensor from h = 1/32 to 1/256, and 45-65 at rho = 0.95, rising towards
+    its ceiling as h shrinks; a diagonal tensor takes one step at every h.
+    Reaching the cap raises NoConvergence with the backward error.  The
+    grid shape, steps and backward error go to the `lattice_homog` logger
+    at debug level.
     """
     (ax, bx), (ay, by) = omega
     nx = max(2, round((bx - ax) / h))
@@ -326,36 +325,20 @@ def _fd_solve(A, omega, phi, h):
     precondition = lambda r: Sx @ ((Sx @ r @ Sy) / axis) @ Sy
 
     b = -stencil(u)                     # the boundary's pull; the interior is 0
-    x, r, it = np.zeros_like(b), b.copy(), 0
-    norm_b = np.linalg.norm(b)
-    target = GRID_TOL * norm_b
     # in exact arithmetic ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||b||, so CG
-    # meets GRID_TOL within `bound` steps (14, 29 and 122 at h = 1/128 for
-    # rho = 0.12, 0.5 and 0.95); the cap doubles it and adds 10 for rounding
+    # reaches GRID_TOL ||b||, and with it the backward-error test, within
+    # `bound` steps (14, 29 and 122 at h = 1/128 for rho = 0.12, 0.5 and
+    # 0.95); the cap doubles it and adds 10 for rounding
     kappa = (1.0 + rho) / (1.0 - rho)
     q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     bound = 1 if q == 0 else math.ceil(
         math.log(2.0 * math.sqrt(kappa * axis.max() / axis.min()) / GRID_TOL) / -math.log(q))
-    cap = 2 * bound + 10
-    if norm_b > 0:
-        z = precondition(r)
-        p, rz = z, np.vdot(r, z)
-        for it in range(1, cap + 1):
-            Ap = apply(p)
-            alpha = rz / np.vdot(p, Ap)
-            x += alpha * p
-            r -= alpha * Ap
-            if np.linalg.norm(r) <= target:
-                break
-            z = precondition(r)
-            rz, rz_old = np.vdot(r, z), rz
-            p = z + (rz / rz_old) * p
-    achieved = float(np.linalg.norm(b - apply(x)) / norm_b) if norm_b > 0 else 0.0
-    if np.linalg.norm(r) > target:
-        raise NoConvergence(f"continuum grid CG hit the {cap}-iteration cap "
-                            f"(relative residual {achieved:.3e})", residual=achieved)
-    _log.debug("continuum grid: shape %dx%d, iterations %d, relative residual %.3e",
-               nx + 1, ny + 1, it, achieved)
+    # ||L||_inf, the largest absolute row sum of the stencil
+    norm = 4.0 * (cxx + cyy + abs(cxy))
+    x, it, backward = _preconditioned_cg(apply, b, precondition, norm, GRID_TOL,
+                                         2 * bound + 10, "continuum grid CG")
+    _log.debug("continuum grid: shape %dx%d, iterations %d, backward error %.3e",
+               nx + 1, ny + 1, it, backward)
     u[1:-1, 1:-1] = x
 
     # energy by midpoint quadrature of A grad u . grad u on grid cells

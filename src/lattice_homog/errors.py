@@ -39,7 +39,9 @@ class NoConvergence(LatticeError):
     """An iterative solve hit its iteration cap or broke down, or a reduced
     system is singular (a free component without a pinned neighbour).
 
-    `residual` holds the norm achieved when an iterative solve stopped.
+    `residual` holds what an iterative solve achieved when it stopped: the
+    residual norm of the corrector CG, the backward error of the continuum
+    grid and multigrid CG.
     """
 
     def __init__(self, message, residual=None):

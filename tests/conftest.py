@@ -37,15 +37,20 @@ def layered_square_lattice():
                              (b, b, (0, 1), 1.0), (a, b, (0, 0), 1.0)])
 
 
-def random_square_lattice(T, rng):
-    """T x T square cell with U(0.5, 2) bond weights: a multi-node d=2 cell."""
+def random_square_lattice(T, rng, contrast=None):
+    """T x T square cell with U(0.5, 2) bond weights: a multi-node d=2 cell.
+
+    With a `contrast` c the weights are i.i.d. log-uniform on [1/c, c]
+    instead (KD(T, c))."""
+    if contrast is None:
+        draw = lambda: float(rng.uniform(0.5, 2.0))
+    else:
+        draw = lambda: float(np.exp(rng.uniform(-np.log(contrast), np.log(contrast))))
     edges = []
     for x in range(T):
         for y in range(T):
-            edges.append(((x, y), ((x + 1) % T, y), (int(x == T - 1), 0),
-                          float(rng.uniform(0.5, 2.0))))
-            edges.append(((x, y), (x, (y + 1) % T), (0, int(y == T - 1)),
-                          float(rng.uniform(0.5, 2.0))))
+            edges.append(((x, y), ((x + 1) % T, y), (int(x == T - 1), 0), draw()))
+            edges.append(((x, y), (x, (y + 1) % T), (0, int(y == T - 1)), draw()))
     return graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
 
 

@@ -376,10 +376,10 @@ def grid_iterations(caplog, *args):
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         _fd_solve(*args)
     message, = [r.getMessage() for r in caplog.records]
-    shape, iterations, residual = re.fullmatch(
-        r"continuum grid: shape (\d+x\d+), iterations (\d+), relative residual (\S+)",
+    shape, iterations, backward = re.fullmatch(
+        r"continuum grid: shape (\d+x\d+), iterations (\d+), backward error (\S+)",
         message).groups()
-    assert float(residual) <= 2 * GRID_TOL
+    assert float(backward) <= 2 * GRID_TOL
     return int(iterations), shape
 
 
@@ -397,8 +397,9 @@ def test_grid_cg_matches_superlu(name, omega, phi, h):
 
 
 def pcg_step_bound(A, h):
-    """Steps within which PCG reaches GRID_TOL on the unit square at step h,
-    in exact arithmetic: ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||r_0|| with
+    """Steps within which PCG reaches a relative residual of GRID_TOL, and
+    with it the backward-error stop, on the unit square at step h, in exact
+    arithmetic: ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||r_0|| with
     q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1), M the axis part and
     kappa = (1 + rho) / (1 - rho), rho = |A01| / sqrt(A00 A11) (Concus &
     Golub).  It grows only as log(cond(M)), that is as log(1/h)."""
@@ -418,14 +419,14 @@ def test_grid_cg_steps_do_not_grow_with_refinement(name, caplog):
     fine, fine_shape = grid_iterations(caplog, A, SQUARE, WAVE, 1 / 128)
     assert (shape, fine_shape) == ("33x33", "129x129")
     if name == "diagonal":
-        # the preconditioner is the exact inverse; a second step only when
-        # the rounding of the first already exceeds GRID_TOL
-        assert coarse == 1 and fine <= 2
+        # the preconditioner is the exact inverse, and the rounding of its one
+        # step stays below the backward-error stop at every h
+        assert coarse == 1 and fine == 1
     else:
         assert coarse <= pcg_step_bound(A, 1 / 32) and fine <= pcg_step_bound(A, 1 / 128)
     if name != "anisotropic":
-        # at rho = 0.95 the count still rises towards its ceiling: 46-49 steps
-        # at h = 1/32, 64-72 at 1/128 and 68-77 at 1/256
+        # at rho = 0.95 the count still rises towards its ceiling: 45 steps
+        # at h = 1/32, 62 at 1/128 and 65 at 1/256
         assert abs(fine - coarse) <= 2
 
 

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from lattice_homog import (
     EdgeOrbit,
     EmptyWindow,
     LatticeGraph,
+    NoConvergence,
     UnknownNode,
     connectedness_certificate,
     f_hom,
@@ -18,6 +22,7 @@ from lattice_homog import (
     validate,
     witness_path,
 )
+from lattice_homog import graph
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
@@ -415,6 +420,79 @@ def test_pinned_solve_matches_dense_solve(system):
     x = pinned_solve(L, pinned, values)
     assert np.array_equal(x[pinned], values[pinned])
     assert np.abs(x[~pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _multigrid_lines(caplog, problem):
+    """(solution, the (free dofs, levels, steps, backward error) of each
+    multigrid debug line) of problem.solve()."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        x = problem.solve()
+    lines = [re.fullmatch(r"multigrid: free dofs (\d+), levels (\d+), iterations (\d+), "
+                          r"backward error (\S+)", r.getMessage()) for r in caplog.records]
+    return x, [(int(m[1]), int(m[2]), int(m[3]), float(m[4])) for m in lines if m]
+
+
+def _multigrid_problems():
+    """The L2 Dirichlet problem at eps 1/64 (7 938 free dofs) and the
+    KD(4, 100) window at z = (1, 1), K = 26 (6 561), both above the
+    multigrid threshold."""
+    phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
+    yield build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/64", phi))
+    kd = random_square_lattice(4, np.random.default_rng(20240811), contrast=100.0)
+    yield build_window_problem(kd, [1.0, 1.0], 26)
+
+
+@pytest.mark.parametrize("problem", list(_multigrid_problems()),
+                         ids=["L2-dirichlet", "KD-window"])
+def test_multigrid_matches_superlu(problem, caplog):
+    x, lines = _multigrid_lines(caplog, problem)
+    (dofs, levels, steps, backward), = lines
+    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and levels >= 2
+    assert backward <= graph._MG_TOL
+    want = pinned_solve(problem.laplacian(), problem.pinned, problem.values)   # SuperLU
+    assert np.array_equal(x[problem.pinned], want[problem.pinned])
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert abs(problem.energy(x) - problem.energy(want)) <= 1e-10 * problem.energy(want)
+
+
+def test_multigrid_steps_do_not_grow_with_window(caplog, monkeypatch):
+    # K = 16 is below the threshold; lower it so that every K runs multigrid
+    monkeypatch.setattr(graph, "_MG_MIN_DOFS", 0)
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    steps = {}
+    for K in (16, 32, 48, 64):
+        _, [(dofs, _, steps[K], backward)] = _multigrid_lines(
+            caplog, build_window_problem(r4, [1.0, 1.0], K))
+        assert dofs == (4 * K - 23) ** 2 and backward <= graph._MG_TOL
+    assert max(steps.values()) - steps[16] <= 3 and steps[16] - min(steps.values()) <= 3
+
+
+def test_multigrid_cap_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(graph, "_MG_MAX_STEPS", 3)
+    problem = next(_multigrid_problems())
+    with pytest.raises(NoConvergence, match="multigrid CG hit the 3-iteration cap") as info:
+        problem.solve()
+    assert graph._MG_TOL < info.value.residual < 1.0
+
+
+def test_small_and_one_dimensional_problems_reach_superlu(examples, monkeypatch):
+    calls = []
+    spsolve = graph.spla.spsolve
+
+    def spy(A, b, **options):
+        calls.append(A.shape[0])
+        return spsolve(A, b, **options)
+
+    monkeypatch.setattr(graph.spla, "spsolve", spy)
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
+    chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
+    above = next(_multigrid_problems())                           # d = 2, 7 938 free dofs
+    for problem in (below, chain, above):
+        problem.solve()
+    assert calls == [(~below.pinned).sum(), (~chain.pinned).sum()]
+    assert calls[0] < graph._MG_MIN_DOFS <= calls[1]
 
 
 def _free_positions(monkeypatch, run):

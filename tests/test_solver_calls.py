@@ -1,13 +1,17 @@
-"""The package has one sparse direct solve, one pinned-box problem and two
-dense inverses.
+"""The package has one sparse direct solve, one dense coarse factorization,
+one pinned-box problem and two dense inverses.
 
-The window and the Dirichlet problems reach SuperLU through
-graph.pinned_solve, so a change of solver or ordering is made in one
-function.  The window, Dirichlet and Poincare problems are each a
-graph.PinnedProblem, which assembles and solves them, so nothing outside
-graph.py calls `laplacian` or `pinned_solve`.  The continuum grid
-(bvp._fd_solve) applies its stencil matrix-free and solves it by
-sine-preconditioned conjugate gradients, so it reaches no sparse solver.
+The window and the Dirichlet problems are solved by graph.pinned_solve,
+so a change of solver or ordering is made in one function.  It has two
+routes: SuperLU (spsolve) for d = 1 and for small systems, and conjugate
+gradients preconditioned by a smoothed-aggregation V-cycle
+(graph._Multigrid) for large systems in d >= 2, whose coarsest level is
+solved by dense Cholesky (cho_factor / cho_solve), in graph.py only.  The
+window, Dirichlet and Poincare problems are each a graph.PinnedProblem,
+which assembles and solves them, so nothing outside graph.py calls
+`laplacian` or `pinned_solve`.  The continuum grid (bvp._fd_solve) applies
+its stencil matrix-free and solves it by sine-preconditioned conjugate
+gradients, so it reaches no sparse solver.
 The source is read with ast, and any use of these names by name elsewhere
 (a call, a reference or an import) fails.
 A dense inverse is taken only by the dense oracle (pinv) and by the
@@ -20,6 +24,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
 SOLVERS = {"spsolve", "splu", "spilu", "factorized"}
+DENSE_FACTORS = {"cho_factor", "cho_solve"}
 PINNED = {"laplacian", "pinned_solve"}
 INVERSES = {"inv", "pinv"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -50,6 +55,11 @@ def _uses(names, attribute):
 
 def test_one_sparse_solve():
     assert _uses(SOLVERS, lambda node: True) == [("graph.pinned_solve", "spsolve")]
+
+
+def test_dense_coarse_factorization_only_in_graph():
+    assert sorted(_uses(DENSE_FACTORS, lambda node: True)) == [
+        ("graph._Multigrid.__call__", "cho_solve"), ("graph._Multigrid.__init__", "cho_factor")]
 
 
 def test_one_pinned_problem():
