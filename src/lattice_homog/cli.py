@@ -221,6 +221,8 @@ def cmd_inequalities(args):
     graph = _load_graph(args.file)
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     widths = _parse_list(args.widths, int, "width")
     two = coarse.check_two_connectedness(graph, trials=args.trials, seed=args.seed)
     pw = coarse.check_poincare_wirtinger(graph, trials=args.trials, seed=args.seed)

@@ -10,8 +10,11 @@ inequality for fields vanishing near the boundary.  Each harness states its
 regions as data (label, left-hand side, edge ends, coefficients) and one
 loop, _worst_ratio, scores every trial field on every region.  The trial
 fields come in blocks of at most TRIAL_BLOCK = 16 rows of one array: a
-block's edge energies on a region are one array pass, its left-hand sides
-one call per row, and a block bounds the memory the trials take.  Boxes come
+block's edge energies and left-hand sides on a region are one array pass
+each, and a block bounds the memory the trials take.  Trial t draws from
+the stream of default_rng((seed, t)); the seed words of every trial of a
+call are computed in one array pass, so a report is a pure function of
+(graph, trials, seed).  Boxes come
 from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
 energies are graph.edge_energy's running sums, the Poincare problem is a
 graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
@@ -230,18 +235,82 @@ class InequalityReport:
 TRIAL_BLOCK = 16
 FAMILIES = ("gaussian", "affine", "indicator", "checkerboard")
 
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R, _WORD = 0xca01f9dd, 0x4973f715, 0xffffffff
+
+
+def _seed_states(seed, ts):
+    """SeedSequence((seed, t)).generate_state(4, np.uint64) for every t in
+    `ts` (each below 2**32), one row per t, in one uint32 array pass.
+
+    The entropy of (seed, t) is the little-endian 32-bit words of seed, then
+    t; the hash constants advance the same way for every t, so each step of
+    SeedSequence's pool mixing is one operation on a column of all the t.
+    The words stay in uint32 arrays, which wrap silently.
+    """
+    ts, seed = np.asarray(ts, dtype=np.uint32), operator.index(seed)
+    words = [seed & _WORD]
+    while seed > _WORD:
+        seed >>= 32
+        words.append(seed & _WORD)
+    entropy = [np.full(len(ts), w, dtype=np.uint32) for w in words] + [ts]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ts)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _WORD
+        value = value * const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+class _SeedState(ISeedSequence):
+    """One row of _seed_states, handed to PCG64 as its seed sequence: PCG64
+    asks for generate_state(4, np.uint64) once, so it starts from the state
+    of default_rng((seed, t)) and draws that stream."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
 
 def _trial_fields(seed, pos, node_ids, trials):
     """Deterministic per-trial families: gaussian, affine, indicator,
     checkerboard, yielded in blocks of at most TRIAL_BLOCK trials as
     (names, U), row j of U the values of trial names[j].
 
-    Each trial that draws draws from its own (seed, t)-keyed stream, so
-    trials can run in any order without changing the outcome; the
-    checkerboard draws nothing and opens no stream.
+    Each trial that draws draws from its own stream, that of
+    default_rng((seed, t)), so trials can run in any order without changing
+    the outcome; the checkerboard draws nothing.  The streams' seed states
+    are _seed_states of all trials at once: SeedSequence's own hash, so
+    each generator is PCG64 started from exactly default_rng's state.
     """
-    n = len(pos)
+    n, coords = len(pos), pos.astype(float)     # pos @ slope casts pos the same way
     checkerboard = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
+    states = _seed_states(seed, np.arange(trials))
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         U = np.zeros((len(block), n))
@@ -250,12 +319,12 @@ def _trial_fields(seed, pos, node_ids, trials):
             if fam == "checkerboard":
                 row[:] = checkerboard
                 continue
-            rng = np.random.default_rng((seed, t))
+            rng = np.random.Generator(np.random.PCG64(_SeedState(states[t])))
             if fam == "gaussian":
                 row[:] = rng.standard_normal(n)
             elif fam == "affine":
                 slope = rng.standard_normal(pos.shape[1])
-                row[:] = pos @ slope + rng.standard_normal()
+                row[:] = coords @ slope + rng.standard_normal()
             else:
                 row[rng.integers(n)] = 1.0
         yield [f"trial {t} ({FAMILIES[t % 4]})" for t in block], U
@@ -267,32 +336,52 @@ def _worst_ratio(fields, regions, constant):
     `fields` yields blocks (names, U), one field u per row of U; a region is
     (label, lhs, ends, coef), and its ratio for u is
     lhs(u) / (constant * edge_energy(ends, coef, u)): 0 when lhs(u) = 0,
-    inf when the energy is 0.  A block's energies on a region are one
-    row-wise running sum, edge_energy bit for bit, while lhs takes one row
-    at a time (a row sum of a 2-D array can differ from the 1-D sum in the
-    last bit).  The witness, name + label, is that of the earliest pair,
-    field by field and region by region, within relative 1e-12 of the
-    largest ratio: pairs whose ratios are equal in exact arithmetic differ
-    only by rounding, so the earliest of them is the witness that does not
-    depend on it.  (0.0, "") when no ratio is positive.
+    inf when the energy is 0.  lhs maps a block, or one field, to its values
+    by reductions over the last axis of C-ordered arrays, so each row sums
+    as its own 1-D field would; a block's energies on a region are one
+    row-wise running sum, edge_energy bit for bit.  The witness, name +
+    label, is that of the earliest pair, field by field and region by
+    region, within relative 1e-12 of the largest ratio: pairs whose ratios
+    are equal in exact arithmetic differ only by rounding, so the earliest
+    of them is the witness that does not depend on it.  (0.0, "") when no
+    ratio is positive.
     """
-    ratios = []
-    for names, U in fields:
-        energies = []
+    names, tops, energies = [], [], []
+    for block, U in fields:
+        names += block
+        tops.append(np.stack([lhs(U) for _, lhs, _, _ in regions], axis=1))
+        energy = []
         for _, _, ends, coef in regions:
             diff = U[:, ends[:, 0]] - U[:, ends[:, 1]]
-            energies.append(np.cumsum(coef * (diff * diff), axis=1)[:, -1].tolist()
-                            if len(ends) else [0.0] * len(U))
-        for name, u, rhs in zip(names, U, zip(*energies)):
-            for (label, lhs, _, _), energy in zip(regions, rhs):
-                top = lhs(u)
-                ratios.append((0.0 if top == 0 else math.inf if energy == 0
-                               else top / (constant * energy), name + label))
-    worst = max((r for r, _ in ratios), default=0.0)
+            energy.append(np.cumsum(coef * (diff * diff), axis=1)[:, -1]
+                          if len(ends) else np.zeros(len(U)))
+        energies.append(np.stack(energy, axis=1))
+    if not names:
+        return 0.0, ""
+    top, energy = np.concatenate(tops).ravel(), np.concatenate(energies).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(top == 0, 0.0,
+                          np.where(energy == 0, math.inf, top / (constant * energy)))
+    worst = float(ratios.max())
     if worst <= 0:
         return 0.0, ""
-    return worst, next(label for r, label in ratios
-                       if math.isclose(r, worst, rel_tol=1e-12))
+    # ratios are >= 0 and <= worst, so this is math.isclose(r, worst, rel_tol=1e-12)
+    close = ratios == worst if worst == math.inf else worst - ratios <= 1e-12 * worst
+    pair = int(np.argmax(close))
+    return worst, names[pair // len(regions)] + regions[pair % len(regions)][0]
+
+
+def _check_seed_and_trials(seed, trials, least):
+    """Reject a seed that is not a non-negative integer and fewer than
+    `least` trials, before any field is drawn."""
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials!r}")
 
 
 def check_two_connectedness(graph, trials=200, seed=7):
@@ -302,17 +391,18 @@ def check_two_connectedness(graph, trials=200, seed=7):
     |mean_l - mean_l'|^2 <= C * sum over ordered edge pairs inside the
     (-M, M)-enlarged pair box of |u_i - u_j|^2.
     """
+    _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
-    in_cell = inside(pos, 0, T - 1)
+    in_cell = np.flatnonzero(inside(pos, 0, T - 1))
     regions = []
     for other in np.eye(d, dtype=int):
-        in_other = inside(pos, T * other, T * other + T - 1)
+        in_other = np.flatnonzero(inside(pos, T * other, T * other + T - 1))
         inner = ends[inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
-                        lambda u, m=in_other: (float(u[in_cell].sum() / n)
-                                               - float(u[m].sum() / n)) ** 2,
+                        lambda u, m=in_other: (u.take(in_cell, axis=-1).sum(axis=-1) / n
+                                               - u.take(m, axis=-1).sum(axis=-1) / n) ** 2,
                         inner, np.full(len(inner), 2.0)))
     worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
                                   consts.C_two)
@@ -321,6 +411,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy."""
+    _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
@@ -328,12 +419,18 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
     cells = [np.zeros(d, dtype=int)]
     if T - 1 + (M - 1) >= 2 * T - 1:   # a second full enlarged cell fits
         cells.append(np.eye(d, dtype=int)[0])
+
+    def deviation(u, members):
+        cell_values = u.take(members, axis=-1)
+        mean = cell_values.sum(axis=-1, keepdims=True) / n
+        return ((cell_values - mean) ** 2).sum(axis=-1)
+
     regions = []
     for cell in cells:
         keep = inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
-        mask = inside(pos, cell * T, (cell + 1) * T - 1)
+        members = np.flatnonzero(inside(pos, cell * T, (cell + 1) * T - 1))
         regions.append((f", cell {tuple(cell.tolist())}",
-                        lambda u, m=mask: float(((u[m] - float(u[m].sum() / n)) ** 2).sum()),
+                        lambda u, m=members: deviation(u, m),
                         ends[keep], 2.0 * weights[keep]))
     worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
                                   consts.C_pw)
@@ -371,6 +468,7 @@ def check_poincare(graph, widths, trials=100, seed=7):
     constrained weighted Laplacian (sparse shift-invert from a fixed start
     vector, so runs repeat exactly); that field is also the first trial.
     """
+    _check_seed_and_trials(seed, trials, 0)
     d, T = graph.d, graph.T
     layer = 2.0 * math.sqrt(d) * T
     band = math.isqrt(4 * d * T * T) + 1       # floor(2 sqrt(d) T) + 1
@@ -394,7 +492,9 @@ def check_poincare(graph, widths, trials=100, seed=7):
             [(["extremal", "tent"], np.stack([extremal, np.maximum(dist - layer, 0.0)]))],
             ((names, U * free) for names, U in
              _trial_fields(seed + width, pos, node_ids, trials)))
-        worst, witness = _worst_ratio(fields, [("", lambda u: float(u @ u), p.ends, p.coef)], 1)
+        # u @ u per row, each a (1, N) @ (N, 1) product as for a single field
+        norm = ("", lambda u: (u[..., None, :] @ u[..., None])[..., 0, 0], p.ends, p.coef)
+        worst, witness = _worst_ratio(fields, [norm], 1)
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,
                                       worst / diam ** 2, trials, witness))

@@ -177,6 +177,12 @@ def test_inequalities_rejects_trials_below_one(ex_path, capsys, trials):
     assert err == "error: --trials must be at least 1\n"
 
 
+def test_inequalities_rejects_negative_seed(ex_path, capsys):
+    code, out, err = run_cli(capsys, "inequalities", ex_path("ex2"), "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "0"])
 def test_cell_rejects_non_positive_tol(ex_path, capsys, tol):
     code, out, err = run_cli(capsys, "cell", ex_path("ex1"), f"--tol={tol}")

@@ -246,6 +246,45 @@ def test_harness_witness_is_earliest_tied_trial(examples):
     assert [r.witness for r in check_poincare(g, (32, 64), trials=50)] == ["extremal"] * 2
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_harnesses_reject_bad_seed(examples, seed):
+    # check_poincare seeds width w with seed + w, so seed -1 used to run as seed 7
+    g = examples["ex1"]
+    for harness in (check_two_connectedness, check_poincare_wirtinger,
+                    lambda g, seed: check_poincare(g, [8], seed=seed)):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            harness(g, seed=seed)
+
+
+def test_harnesses_reject_vacuous_trial_counts(examples):
+    # no trial scored would report worst_ratio 0.0 and hold; check_poincare
+    # always scores its extremal and tent fields, so 0 trials is a report
+    g = examples["ex1"]
+    for trials in (0, -3):
+        for harness in (check_two_connectedness, check_poincare_wirtinger):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                harness(g, trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        check_poincare(g, [8], trials=-1)
+    [rep] = check_poincare(g, [8], trials=0)
+    assert rep.trials == 0 and rep.witness == "extremal"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
+def test_trial_seeding_matches_numpy(seed):
+    # the vectorized seed states are numpy's SeedSequence hash, and a trial's
+    # generator draws the stream of default_rng((seed, t))
+    ts = [0, 1, 199, 2 ** 31 - 1]
+    states = coarse._seed_states(seed, ts)
+    for t, state in zip(ts, states):
+        assert state.tolist() == np.random.SeedSequence((seed, t)).generate_state(
+            4, np.uint64).tolist()
+        rng = np.random.Generator(np.random.PCG64(coarse._SeedState(state)))
+        expected = np.random.default_rng((seed, t))
+        assert rng.standard_normal(3).tolist() == expected.standard_normal(3).tolist()
+        assert rng.integers(1000) == expected.integers(1000)
+
+
 def test_constant_field_gives_zero_ratio(examples):
     # the constant family is not among the trial families, so check directly
     g = examples["ex2"]
@@ -331,6 +370,7 @@ PINNED_REPORTS = json.loads((Path(__file__).parent / "harness_reports.json").rea
 def test_harness_reports_pinned(examples, name):
     """The full reports of all three harnesses, equal to the last float."""
     g = (normalize_period(layered_square_lattice(), 2) if name == "L2 x2"
+         else normalize_period(layered_square_lattice(), 4) if name == "L2 x4"
          else examples[name])
     assert {"two_connectedness": check_two_connectedness(g, trials=60, seed=5).to_dict(),
             "poincare_wirtinger": check_poincare_wirtinger(g, trials=60, seed=5).to_dict(),

@@ -293,6 +293,7 @@ def test_small_cell_tensor_matches_plain_cg_random(graph):
 
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 61))
 @example(graph=builtin_examples()["ex5"], seed=5, trials=61)
+@example(graph=builtin_examples()["ex3"], seed=2 ** 40 + 3, trials=37)
 @settings(max_examples=30, deadline=None)
 def test_harness_blocks_match_per_trial_reference(graph, seed, trials):
     # trial counts that end mid-block and mid-family; width 8 leaves free
