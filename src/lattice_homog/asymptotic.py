@@ -43,7 +43,8 @@ def build_window_problem(graph, z, K):
     r = int(np.abs(graph.offset).max(initial=0))
     pos, node_ids, ends, weights = instantiate_window(graph, [(-r, K + r)] * graph.d)
     band = math.isqrt(4 * graph.d * graph.T ** 2 - 1) + 1      # ceil(2 sqrt(d) T)
-    coef = weights * inside(pos, 0, K * graph.T - 1)[ends].sum(axis=1)
+    within = inside(pos, 0, K * graph.T - 1).view(np.int8)
+    coef = weights * (within[ends[:, 0]] + within[ends[:, 1]])     # ends inside: 0, 1 or 2
     keep = coef > 0
     return PinnedProblem(pos, node_ids, ends[keep], coef[keep],
                          ~inside(pos, band, K * graph.T - band), pos @ z)

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CellOutOfWindow, DisconnectedGraph
 from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certificate,
-                    edge_energy, inside, pinned_reduction, position_box)
+                    edge_energy, inside, position_box)
 
 
 @dataclass
@@ -481,7 +481,7 @@ def check_poincare(graph, widths, trials=100, seed=7):
         nf = int(free.sum())
         if nf == 0:
             raise ValueError(f"width {width} leaves no admissible vertex")
-        A, _ = pinned_reduction(p.laplacian(), p.pinned, p.values)
+        A, _ = p.reduced_system()
         extremal = np.zeros(len(pos))
         extremal[free] = (spla.eigsh(A, k=1, sigma=0, v0=np.ones(nf))[1][:, 0]
                           if nf > 1 else 1.0)

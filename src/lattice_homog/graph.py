@@ -17,14 +17,16 @@ are both a FiniteGraph of positions, node ids, edge ends and weights.  A
 window is open: it keeps the edges with both ends among its cells, and a
 problem that needs the outside ends of its boundary bonds (the clamped
 window of asymptotic) takes a window padded by the longest orbit offset.
-`laplacian`, `pinned_reduction` and `pinned_solve` are the one Laplacian
-assembly and pinned-vertex elimination; a PinnedProblem (window, Dirichlet,
-Poincare) pins the band ~inside(positions, lo + band, hi - band), band an integer.
-`pinned_solve` has two routes: SuperLU for d = 1 and for small systems, and,
-for large systems in d >= 2, conjugate gradients preconditioned by a
+A PinnedProblem (window, Dirichlet, Poincare) pins the band
+~inside(positions, lo + band, hi - band), band an integer, and
+`PinnedProblem.reduced_system` assembles the system of its free vertices in
+one pass over its edges; `laplacian` is the Laplacian of all vertices, which
+the periodic quotient (PeriodicOperator) needs.  `pinned_solve` has two
+routes: SuperLU for d = 1 and for small systems, and, for large systems in
+d >= 2, conjugate gradients from the given values, preconditioned by a
 smoothed-aggregation V-cycle whose aggregates are boxes of positions
-(_Multigrid), stopped on a backward-error test (_preconditioned_cg, which
-the continuum grid of bvp shares).
+(_Multigrid) and stopped on a backward-error test (_preconditioned_cg,
+which the continuum grid of bvp shares).
 """
 
 from __future__ import annotations
@@ -551,9 +553,14 @@ class CellBox:
     def index(self, cells, node_ids):
         """Vertex of each (cell, node) pair, -1 outside the box."""
         rel = np.asarray(cells) - self.lo
-        flat = np.ravel_multi_index(tuple(rel.T), self.shape, mode="wrap")
-        return np.where(np.all((rel >= 0) & (rel < self.shape), axis=1),
-                        flat * self.graph.n_cell + node_ids, -1)
+        flat = np.zeros(len(rel), dtype=np.intp)
+        within = np.ones(len(rel), dtype=bool)
+        for axis, size in enumerate(self.shape):
+            column = rel[:, axis]
+            within &= column.astype(np.uintp) < size     # a negative wraps past any size
+            flat *= size
+            flat += column
+        return np.where(within, flat * self.graph.n_cell + node_ids, -1)
 
     def instances(self, reverse=False):
         """(near vertex, far cell, far node, weight) per cells x orbits instance.
@@ -639,13 +646,18 @@ def laplacian(n, ends, coef):
     Loops and zero coefficients leave no entry, so the sparsity pattern is
     the graph of the nonzero couplings.
     """
-    a, b = np.asarray(ends).reshape(-1, 2).T
-    c = np.asarray(coef, dtype=float)
-    keep = (a != b) & (c != 0)
-    a, b, c = a[keep], b[keep], c[keep]
+    a, b, c = _couplings(ends, coef)
     return sp.csr_matrix((np.concatenate([c, c, -c, -c]),
                           (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
                          shape=(n, n))
+
+
+def _couplings(ends, coef):
+    """(a, b, coef) of the edges other than loops with a nonzero coefficient."""
+    a, b = np.asarray(ends).reshape(-1, 2).T
+    c = np.asarray(coef, dtype=float)
+    keep = (a != b) & (c != 0)
+    return a[keep], b[keep], c[keep]
 
 
 def edge_energy(ends, coef, x):
@@ -655,77 +667,59 @@ def edge_energy(ends, coef, x):
     return float(np.cumsum(coef * (diff * diff))[-1]) if len(diff) else 0.0
 
 
-def pinned_reduction(L, pinned, values):
-    """(A_ff, rhs): minimizing x^T L x with x = values on the pinned vertices
-    leaves A_ff x_free = rhs.
+def pinned_solve(A, rhs, start=None, positions=None):
+    """x with A x = rhs, for A = A_ff and rhs of a pinned problem
+    (PinnedProblem.reduced_system), symmetric positive definite.
 
-    Raises NoConvergence when a free component has no edge to a pinned
-    vertex, since A_ff is singular there.
-    """
-    free = ~pinned
-    rows = L[free]
-    A, coupling = rows[:, free], rows[:, pinned]
-    count, labels = connected_components(A, directed=False)
-    anchored = np.zeros(count, dtype=bool)
-    anchored[labels[np.diff(coupling.indptr) > 0]] = True
-    if not anchored.all():
-        members = np.flatnonzero(labels == np.flatnonzero(~anchored)[0])
-        raise NoConvergence(
-            f"a free component of size {members.size} (vertex "
-            f"{np.flatnonzero(free)[members[0]]} among its vertices) has no "
-            "pinned neighbour: the reduced system is singular")
-    return A, -(coupling @ values[pinned])
-
-
-def pinned_solve(L, pinned, values, positions=None):
-    """`values` with every free entry set to the minimizer of x^T L x.
-
-    The one pinned solve of the package (window and Dirichlet).  A = A_ff is
-    symmetric positive definite (pinned_reduction).  Given the vertices'
-    d-positions `positions` with d >= 2 and at least _MG_MIN_DOFS free
-    vertices, A x = rhs is solved by conjugate gradients preconditioned with
-    a smoothed-aggregation V-cycle (_Multigrid) to a backward error of
-    _MG_TOL, and a cap of _MG_MAX_STEPS steps raises NoConvergence with the
-    backward error reached; the free dofs, levels, steps and backward error
-    go to the `lattice_homog` logger at debug level.  Everything else (every
+    The one pinned solve of the package (window and Dirichlet).  Given the
+    free vertices' d-positions `positions` with d >= 2 and at least
+    _MG_MIN_DOFS rows, it runs conjugate gradients from `start` (zeros when
+    None), preconditioned with a smoothed-aggregation V-cycle (_Multigrid),
+    to a backward error of _MG_TOL; a cap of _MG_MAX_STEPS steps raises
+    NoConvergence with the backward error reached.  Everything else (every
     d = 1 problem, where the fill is linear, and every small one) goes to
     SuperLU, its columns ordered by minimum degree on the pattern of A + A^T
     (George & Liu, 1981) instead of its default COLAMD, which does not use
-    the symmetry: less fill, less time and memory on every call.
+    the symmetry: less fill, less time and memory on every call.  Either
+    route logs its size and backward error to the `lattice_homog` logger at
+    debug level; SuperLU computes its backward error only when that level
+    is enabled.
 
     SuperLU's fill grows faster than the system; the multigrid steps do
     not grow with it.  One solve of the R4 window at z = (1, 1) (R4 of the
     tests: R(4), one vertex per position), of the L2 Dirichlet problem (two
     per position) and of the KD(4, 100) window (log-uniform weights of
-    contrast 100), reduction included, in ms (the better of two best-of-7
-    runs on a 2-vCPU x86 host with one BLAS thread), with the multigrid
-    levels and steps:
+    contrast 100), in ms (the better of two best-of-7 runs on a 2-vCPU x86
+    host with one BLAS thread): the assembly (reduced_system), then SuperLU,
+    or the multigrid set-up and CG with their levels and steps:
 
-        problem             free dofs   SuperLU   multigrid CG   levels, steps
-        R4 window K=24      5 329       18.9      16.6           3, 20
-        R4 window K=32      11 025      43.5      29.4           3, 20
-        R4 window K=48      28 561      112.3     56.3           4, 20
-        R4 window K=64      54 289      239.9     95.9           5, 20
-        L2 eps=1/64         7 938       34.4      21.4           3, 25
-        KD(4,100) K=26      6 561       14.5      38.1           3, 86
+        problem          free dofs   assembly   SuperLU   set-up   CG     levels, steps
+        R4 window K=24   5 329       1.2        10.8      2.5      5.1    3, 17
+        R4 window K=32   11 025      2.4        26.4      4.8      9.8    3, 16
+        R4 window K=48   28 561      6.8        95.7      14.2     25.4   4, 16
+        R4 window K=64   54 289      13.7       215.2     20.0     52.1   5, 16
+        L2 eps=1/64      7 938       2.5        29.2      3.3      11.3   3, 25
+        KD(4,100) K=26   6 561       1.4        11.4      2.8      22.6   3, 74
 
-    The solutions agree to 6.4e-13 in max-norm relative (1.8e-11 at
-    contrast 100).  At contrast 2 the break-even lies near the first row,
-    hence _MG_MIN_DOFS = 6000; contrast costs steps, while SuperLU's fill
-    does not depend on it.
+    CG starts from the given values of the free vertices: the affine field
+    on a window, which leaves only the corrector to find (20 steps from
+    zero on R4, 86 on KD(4, 100)), and zeros in the Dirichlet problem.  The
+    solutions agree with SuperLU to 5.5e-13 in max-norm relative (2.3e-11
+    at contrast 100).  At contrast 2 the break-even lies near the first
+    row, hence _MG_MIN_DOFS = 6000; contrast costs steps, while SuperLU's
+    fill does not depend on it.
     """
-    if pinned.all():
-        return values.copy()
-    A, rhs = pinned_reduction(L, pinned, values)
-    if positions is not None and positions.shape[1] >= 2 and len(rhs) >= _MG_MIN_DOFS:
-        solution = _multigrid_solve(A, rhs, positions[~pinned])
+    multigrid = positions is not None and positions.shape[1] >= 2 and len(rhs) >= _MG_MIN_DOFS
+    if multigrid:
+        x = _multigrid_solve(A, rhs, start, positions)
     else:
-        solution = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
-    if not np.all(np.isfinite(solution)):
+        x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    if not np.all(np.isfinite(x)):
         raise NoConvergence("pinned solve produced non-finite values")
-    out = values.copy()
-    out[~pinned] = solution
-    return out
+    if not multigrid and _log.isEnabledFor(logging.DEBUG):
+        _log.debug("superlu: free dofs %d, nnz %d, backward error %.3e", len(rhs), A.nnz,
+                   _backward_error(A.dot, x, rhs, spla.norm(A, np.inf)))
+    return x
 
 
 _MG_MIN_DOFS = 6000     # free dofs from which a d >= 2 pinned solve runs multigrid CG
@@ -766,8 +760,7 @@ class _Multigrid:
                 continue
             diag = A.diagonal()
             weight = 4.0 / (3.0 * (abs(A).sum(axis=1).A1 / diag).max()) / diag
-            P = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, len(first)))
-            P = P - sp.diags(weight) @ (A @ P)
+            P = _smoothed_prolongator(A, labels, len(first), weight)
             R = P.T.tocsr()
             self.levels.append((A, weight, P, R))
             A = R @ A @ P
@@ -790,24 +783,48 @@ class _Multigrid:
         return x
 
 
-def _multigrid_solve(A, rhs, positions):
-    """x with A x = rhs by _Multigrid-preconditioned CG (pinned_solve).
+def _smoothed_prolongator(A, labels, count, weight):
+    """P = P0 - diag(weight) A P0 for the indicator P0 of the aggregates
+    (row i a one in column labels[i]).
+
+    The rows of the product A P0 are scaled in place, which gives each entry
+    the one rounding diags(weight) @ (A @ P0) gives it, without a third
+    sparse product; P is the same matrix bit for bit.
+    """
+    n = A.shape[0]
+    P0 = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, count))
+    S = A @ P0
+    S.data *= np.repeat(weight, np.diff(S.indptr))
+    return P0 - S
+
+
+def _multigrid_solve(A, rhs, start, positions):
+    """x with A x = rhs by _Multigrid-preconditioned CG from `start`
+    (pinned_solve).
 
     ||A||_2 <= 2 max_i a_ii by Gershgorin, A being a principal submatrix of a
     Laplacian with positive coefficients.
     """
     cycle = _Multigrid(A, positions)
     x, steps, backward = _preconditioned_cg(A.dot, rhs, cycle, 2.0 * A.diagonal().max(),
-                                            _MG_TOL, _MG_MAX_STEPS, "multigrid CG")
+                                            _MG_TOL, _MG_MAX_STEPS, "multigrid CG", start)
     _log.debug("multigrid: free dofs %d, levels %d, iterations %d, backward error %.3e",
                len(rhs), len(cycle.levels) + 1, steps, backward)
     return x
 
 
-def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name):
-    """(x, steps, backward error) of conjugate gradients on A x = b, with
-    A = `apply` and the approximate inverse `precondition` both symmetric
-    positive definite, x and b arrays of any one shape.
+def _backward_error(apply, x, b, norm):
+    """||b - A x|| / (norm ||x|| + ||b||), A = `apply` and `norm` >= ||A||_2;
+    0 when x and b are both zero."""
+    scale = norm * np.linalg.norm(x) + np.linalg.norm(b)
+    return float(np.linalg.norm(b - apply(x)) / scale) if scale else 0.0
+
+
+def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None):
+    """(x, steps, backward error) of conjugate gradients on A x = b from
+    x = `start` (zeros when None), with A = `apply` and the approximate
+    inverse `precondition` both symmetric positive definite, x and b arrays
+    of any one shape.
 
     `norm` bounds ||A||_2 from above (||A||_inf does for a symmetric A).  CG
     stops at the first step whose recursive residual r meets the
@@ -816,13 +833,21 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name):
     14, 1967).  Unlike a test on ||r|| / ||b|| it stays above the rounding
     floor of ||b - A x||, which grows with ||A|| ||x||.  The backward error
     returned is that of b - A x, recomputed.  Reaching `cap` steps raises
-    NoConvergence carrying it as `residual`.
+    NoConvergence carrying it as `residual`.  A start that already passes the
+    test is returned after 0 steps.  b = 0 returns exact zeros: from a
+    nonzero start the test would ask ||A x|| <= tol norm ||x||, which no
+    x != 0 meets once A is better conditioned than 1 / tol.
     """
-    x = np.zeros_like(b)
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
-        return x, 0, 0.0
-    r = b.copy()
+        return np.zeros_like(b), 0, 0.0
+    if start is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(start, dtype=b.dtype)
+        r = b - apply(x)
+    if np.linalg.norm(r) <= tol * (norm * np.linalg.norm(x) + norm_b):
+        return x, 0, _backward_error(apply, x, b, norm)
     z = precondition(r)
     p, rz = z, np.vdot(r, z)
     for step in range(1, cap + 1):
@@ -837,7 +862,7 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name):
         p = z + (rz / rz_old) * p
     else:
         step = None
-    backward = float(np.linalg.norm(b - apply(x)) / (norm * np.linalg.norm(x) + norm_b))
+    backward = _backward_error(apply, x, b, norm)
     if step is None:
         raise NoConvergence(f"{name} hit the {cap}-iteration cap "
                             f"(backward error {backward:.3e})", residual=backward)
@@ -856,11 +881,65 @@ class PinnedProblem:
     pinned: np.ndarray
     values: np.ndarray
 
-    def laplacian(self):
-        return laplacian(len(self.positions), self.ends, self.coef)
+    def reduced_system(self):
+        """(A_ff, rhs): minimizing the energy with x = values on the pinned
+        vertices leaves A_ff x_free = rhs, in the order of the free vertices.
+
+        One pass over the edges, without the rows of the pinned vertices: the
+        diagonal is a bincount, the free-free edges and the diagonal make one
+        COO to CSR conversion, which sums repeated pairs, and rhs sums
+        coef * value over the free-pinned edges.  Loops and zero coefficients
+        leave no entry, so A_ff is the free-free block of `laplacian`.  Each
+        sum runs in the order in which `laplacian` sums it (the edges with
+        the vertex as first end, then those with it as second end; in rhs,
+        each pinned neighbour's summed coefficient times its value by
+        increasing vertex), so the systems of the tests equal that block and
+        -L_fp values_p bit for bit.  Raises NoConvergence when a free
+        component has no edge to a pinned vertex, since A_ff is singular there.
+        """
+        a, b, c = _couplings(self.ends, self.coef)
+        n, free = len(self.pinned), ~self.pinned
+        nf = int(np.count_nonzero(free))
+        index = np.where(free, np.cumsum(free) - 1, -1)    # free index, -1 when pinned
+        ia, ib = index[a], index[b]
+        fa, fb = ia >= 0, ib >= 0
+        inner, out_a, out_b = fa & fb, fa & ~fb, fb & ~fa    # out_a: a free, b pinned
+        diag = np.bincount(np.concatenate([a, b]), np.concatenate([c, c]), n)[free]
+        i, j, off = ia[inner], ib[inner], -c[inner]
+        diagonal = np.arange(nf)
+        A = sp.csr_matrix((np.concatenate([off, off, diag]),
+                           (np.concatenate([i, j, diagonal]), np.concatenate([j, i, diagonal]))),
+                          shape=(nf, nf))
+        # the free end, pinned end and coefficient of each free-pinned edge,
+        # then one summed coefficient per (free, pinned) pair
+        near = np.concatenate([ia[out_a], ib[out_b]])
+        far = np.concatenate([b[out_a], a[out_b]])
+        coupling = np.concatenate([c[out_a], c[out_b]])
+        order = np.lexsort((far, near))
+        near, far, coupling = near[order], far[order], coupling[order]
+        head = np.ones(len(near), dtype=bool)
+        head[1:] = (near[1:] != near[:-1]) | (far[1:] != far[:-1])
+        coupling = np.bincount(np.cumsum(head) - 1, coupling)
+        rhs = np.bincount(near[head], coupling * self.values[far[head]], nf)
+        count, labels = connected_components(A, directed=False)
+        anchored = np.zeros(count, dtype=bool)
+        anchored[labels[near]] = True
+        if not anchored.all():
+            members = np.flatnonzero(labels == np.flatnonzero(~anchored)[0])
+            raise NoConvergence(
+                f"a free component of size {members.size} (vertex "
+                f"{np.flatnonzero(free)[members[0]]} among its vertices) has no "
+                "pinned neighbour: the reduced system is singular")
+        return A, rhs
 
     def solve(self):
-        return pinned_solve(self.laplacian(), self.pinned, self.values, self.positions)
+        if self.pinned.all():
+            return self.values.copy()
+        free = ~self.pinned
+        A, rhs = self.reduced_system()
+        out = self.values.copy()
+        out[free] = pinned_solve(A, rhs, self.values[free], self.positions[free])
+        return out
 
     def energy(self, x):
         return edge_energy(self.ends, self.coef, x)

@@ -31,8 +31,9 @@ from lattice_homog.bvp import (
     solve_dirichlet,
     _fd_solve,
 )
-from lattice_homog.graph import laplacian, pinned_solve
+from lattice_homog.graph import PinnedProblem, pinned_solve
 
+import pinned_reference
 from conftest import layered_square_lattice, square_lattice
 
 X = BoundaryDatum(lambda x: x[0], name="x")
@@ -341,10 +342,11 @@ WAVE = BoundaryDatum(lambda x: np.sin(3 * x[0]) * np.cos(2 * x[1]) + x[0] * x[1]
                      name="sin(3x) cos(2y) + xy")
 
 
-def superlu_grid(A, omega, phi, h):
-    """(grid values, midpoint energy) of the 9-point stencil on the grid of
-    step h, assembled as a grid graph by graph.laplacian and solved by
-    graph.pinned_solve with the boundary pinned to the datum."""
+def grid_problem(A, omega, phi, h):
+    """(grid points, PinnedProblem) of the 9-point stencil on the grid of
+    step h as a grid graph, the boundary pinned to the datum.  The diagonal
+    bonds carry +-A01 / (2 hx hy), so one of their two families has a
+    negative coefficient when A01 != 0."""
     (ax, bx), (ay, by) = omega
     nx, ny = max(2, round((bx - ax) / h)), max(2, round((by - ay) / h))
     hx, hy = (bx - ax) / nx, (by - ay) / ny
@@ -362,12 +364,25 @@ def superlu_grid(A, omega, phi, h):
         b = index[di:, max(dj, 0):ny + 1 - max(-dj, 0)]
         ends.append(np.column_stack([a.ravel(), b.ravel()]))
         coef.append(np.full(a.size, c))
-    u = pinned_solve(laplacian(X.size, np.concatenate(ends), np.concatenate(coef)),
-                     boundary.ravel(), values.ravel()).reshape(X.shape)
+    positions = np.indices(X.shape).reshape(2, -1).T
+    return np.stack([X, Y]), PinnedProblem(positions, np.zeros(X.size, dtype=int),
+                                           np.concatenate(ends), np.concatenate(coef),
+                                           boundary.ravel(), values.ravel())
+
+
+def superlu_grid(A, omega, phi, h):
+    """(grid values, midpoint energy) of grid_problem, reduced by the
+    reference assembly and solved by graph.pinned_solve's SuperLU route."""
+    points, problem = grid_problem(A, omega, phi, h)
+    (ax, bx), (ay, by) = omega
+    hx, hy = (bx - ax) / (points.shape[1] - 1), (by - ay) / (points.shape[2] - 1)
+    u = problem.values.copy()
+    u[~problem.pinned] = pinned_solve(*pinned_reference.reduced_system(problem))
+    u = u.reshape(points.shape[1:])
     gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2 * hx)
     gy = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2 * hy)
     energy = (A[0, 0] * gx ** 2 + 2 * A[0, 1] * gx * gy + A[1, 1] * gy ** 2).sum() * hx * hy
-    return np.stack([X, Y]), u, float(energy)
+    return points, u, float(energy)
 
 
 def grid_iterations(caplog, *args):

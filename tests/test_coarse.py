@@ -342,7 +342,7 @@ def test_poincare_sharp_constant_exact(examples, name):
     # field is a trial, and it agrees with a dense eigensolve of the same
     # constrained Laplacian
     import scipy.linalg
-    from lattice_homog.graph import laplacian, pinned_reduction
+    from pinned_reference import laplacian, reduction
     g = examples[name]
     widths = (64, 256)
     reps = check_poincare(g, widths, trials=8, seed=5)
@@ -354,8 +354,7 @@ def test_poincare_sharp_constant_exact(examples, name):
         W = width * g.T
         pos, _, ends, weights = position_box(g, [0] * g.d, [W] * g.d)
         free = np.minimum(pos, W - pos).min(axis=1) > layer
-        A, _ = pinned_reduction(laplacian(len(pos), ends, 2.0 * weights), ~free,
-                                np.zeros(len(pos)))
+        A, _ = reduction(laplacian(len(pos), ends, 2.0 * weights), ~free, np.zeros(len(pos)))
         lowest = scipy.linalg.eigh(A.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
         assert rep.c_sharp == pytest.approx(1.0 / lowest, rel=1e-9, abs=0), (name, width)
 

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lattice_homog import (
     CellNode,
@@ -26,10 +27,12 @@ from lattice_homog import graph
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
-from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_reduction,
-                                 pinned_solve, position_box)
+from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_solve,
+                                 position_box)
 
+import pinned_reference
 from conftest import layered_square_lattice, random_square_lattice
+from test_bvp import GRID_TENSORS, SQUARE, WAVE, grid_problem
 
 
 def test_validate_example2_passes(examples):
@@ -402,24 +405,137 @@ def test_window_deterministic_order(examples):
 
 
 def _pinned_systems():
-    """(L, pinned, values) of the L2 Dirichlet problem at eps 1/16 and of the
-    R4 window at z = (1, 1), K = 16."""
+    """The L2 Dirichlet problem at eps 1/16 and the R4 window at z = (1, 1),
+    K = 16."""
     phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
-    s = build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/16", phi))
-    yield s.laplacian(), s.pinned, s.values
-    w = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
-                             [1.0, 1.0], 16)
-    yield w.laplacian(), w.pinned, w.values
+    yield build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/16", phi))
+    yield build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                               [1.0, 1.0], 16)
 
 
-@pytest.mark.parametrize("system", list(_pinned_systems()), ids=["L2-dirichlet", "R4-window"])
-def test_pinned_solve_matches_dense_solve(system):
-    L, pinned, values = system
-    A, rhs = pinned_reduction(L, pinned, values)
+def _superlu(problem):
+    """problem.solve() by SuperLU, on the reference reduced system."""
+    free = ~problem.pinned
+    A, rhs = pinned_reference.reduced_system(problem)
+    x = problem.values.copy()
+    x[free] = pinned_solve(A, rhs)
+    return x
+
+
+@pytest.mark.parametrize("problem", list(_pinned_systems()), ids=["L2-dirichlet", "R4-window"])
+def test_pinned_solve_matches_dense_solve(problem):
+    A, rhs = pinned_reference.reduced_system(problem)
     dense = np.linalg.solve(A.toarray(), rhs)
-    x = pinned_solve(L, pinned, values)
-    assert np.array_equal(x[pinned], values[pinned])
-    assert np.abs(x[~pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
+    x = problem.solve()
+    assert np.array_equal(x[problem.pinned], problem.values[problem.pinned])
+    assert np.abs(x[~problem.pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _loop_and_zero_problem():
+    """The quotient of normalize_period(L2, 2) as a pinned problem: its
+    orbits repeat vertex pairs, which must sum, and a loop and a
+    zero-coefficient edge are added, which must leave no entry.  The loop's
+    entries would cancel in exact arithmetic; its large coefficient makes
+    them round away the rest of their row."""
+    g = normalize_period(layered_square_lattice(), 2)
+    ends = np.vstack([np.column_stack([g.u, g.v]), [[1, 1], [1, 6]]])
+    pairs = np.sort(ends[:-2], axis=1)
+    assert len(np.unique(pairs, axis=0)) < len(pairs)
+    pinned = np.isin(np.arange(g.n_cell), [0, 5])
+    return PinnedProblem(g.dpos, np.arange(g.n_cell), ends, np.append(g.w, [1e17, 0.0]), pinned,
+                         np.where(pinned, np.cos(np.arange(g.n_cell)), 0.0))
+
+
+def _assembled_problems():
+    """Pinned problems of every kind the package builds, and two more."""
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    chain = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                               ((0,), (0,), (10,), 1.0)])
+    yield "R4-window", build_window_problem(r4, [1.0, 1.0], 16)
+    yield "clamped-chain", build_window_problem(chain, [1.0], 12)
+    yield "L2-dirichlet", next(_pinned_systems())
+    box = position_box(r4, [0, 0], [32, 32])
+    free = graph.inside(box.positions, 12, 20)
+    yield "poincare-box", PinnedProblem(box.positions, box.node_ids, box.ends,
+                                        2.0 * box.weights, ~free, np.zeros(len(free)))
+    yield "negative-grid", grid_problem(GRID_TENSORS["negative"], SQUARE, WAVE, 1 / 16)[1]
+    yield "loop-and-zero", _loop_and_zero_problem()
+
+
+ASSEMBLED = dict(_assembled_problems())
+
+
+@pytest.mark.parametrize("problem", ASSEMBLED.values(), ids=ASSEMBLED.keys())
+def test_reduced_system_matches_reference(problem):
+    A, rhs = problem.reduced_system()
+    want_A, want_rhs = pinned_reference.reduced_system(problem)
+    assert A.has_canonical_format and want_A.has_canonical_format
+    assert np.array_equal(A.indptr, want_A.indptr) and np.array_equal(A.indices, want_A.indices)
+    assert np.abs(A.data - want_A.data).max() <= 1e-15 * np.abs(want_A.data).max()
+    assert np.abs(rhs - want_rhs).max() <= 1e-15 * np.abs(want_rhs).max()
+
+
+def test_warm_start_of_zero_rhs_returns_exact_zeros():
+    # from x0 != 0 the backward-error stop asks ||A x|| <= 1e-14 ||A|| ||x||,
+    # which no x != 0 meets here: only the exact answer x = 0 stops it
+    A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
+    x, steps, backward = graph._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
+                                                  1e-14, 5, "test CG", np.ones(100))
+    assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0
+
+
+def test_warm_start_takes_fewer_steps(caplog, monkeypatch):
+    problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                                   [1.0, 1.0], 32)
+    x, [(dofs, _, warm, backward)] = _multigrid_lines(caplog, problem)
+    assert dofs == (~problem.pinned).sum() and backward <= graph._MG_TOL
+    solve = graph._multigrid_solve
+    monkeypatch.setattr(graph, "_multigrid_solve",
+                        lambda A, rhs, start, positions: solve(A, rhs, None, positions))
+    _, [(_, _, cold, _)] = _multigrid_lines(caplog, problem)
+    assert warm < cold
+    want = _superlu(problem)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_multigrid_prolongator_is_the_sparse_product():
+    # P = P0 - diags(w) @ (A @ P0) bit for bit: on the finest level, whose
+    # aggregates (boxes of 4 x 4 positions) hold whole rows that sum to zero,
+    # and on a coarse level with other aggregates
+    problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                                   [1.0, 1.0], 32)
+    fine, _ = problem.reduced_system()
+    positions = problem.positions[~problem.pinned]
+    boxes = np.unique((positions - positions.min(axis=0)) // 4, axis=0, return_inverse=True)[1]
+    coarse = graph._Multigrid(fine, positions).levels[1][0]
+    for A, labels in ((fine, boxes.ravel()), (coarse, np.arange(coarse.shape[0]) // 5)):
+        n, count = A.shape[0], labels.max() + 1
+        weight = np.linspace(0.5, 0.7, n)
+        P0 = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, count))
+        want = (P0 - sp.diags(weight) @ (A @ P0)).tocsr()
+        P = graph._smoothed_prolongator(A, labels, count, weight).tocsr()
+        want.sort_indices()
+        P.sort_indices()
+        assert np.array_equal(P.indptr, want.indptr)
+        assert np.array_equal(P.indices, want.indices)
+        assert np.array_equal(P.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def test_superlu_logs_one_line(caplog, monkeypatch):
+    problem = next(_pinned_systems())
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        x = problem.solve()
+    line, = [r.getMessage() for r in caplog.records]
+    m = re.fullmatch(r"superlu: free dofs (\d+), nnz (\d+), backward error (\S+)", line)
+    A, rhs = problem.reduced_system()
+    assert (int(m[1]), int(m[2])) == (len(rhs), A.nnz) and float(m[3]) <= 1e-15
+    # with debug off, the backward error is not computed
+    calls = []
+    monkeypatch.setattr(graph, "_backward_error", lambda *args: calls.append(args))
+    with caplog.at_level(logging.INFO, logger="lattice_homog"):
+        assert np.array_equal(problem.solve(), x)
+    assert calls == []
 
 
 def _multigrid_lines(caplog, problem):
@@ -450,7 +566,7 @@ def test_multigrid_matches_superlu(problem, caplog):
     (dofs, levels, steps, backward), = lines
     assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and levels >= 2
     assert backward <= graph._MG_TOL
-    want = pinned_solve(problem.laplacian(), problem.pinned, problem.values)   # SuperLU
+    want = _superlu(problem)
     assert np.array_equal(x[problem.pinned], want[problem.pinned])
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
     assert abs(problem.energy(x) - problem.energy(want)) <= 1e-10 * problem.energy(want)
@@ -499,14 +615,14 @@ def _free_positions(monkeypatch, run):
     """The sorted distinct free d-positions of each PinnedProblem solved or
     reduced by `run()`."""
     seen = []
-    build = PinnedProblem.laplacian
+    build = PinnedProblem.reduced_system
 
     def recording(problem):
         seen.append(sorted({tuple(x) for x in problem.positions[~problem.pinned].tolist()}))
         return build(problem)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PinnedProblem, "laplacian", recording)
+        patch.setattr(PinnedProblem, "reduced_system", recording)
         run()
     return seen
 

@@ -8,10 +8,11 @@ gradients preconditioned by a smoothed-aggregation V-cycle
 (graph._Multigrid) for large systems in d >= 2, whose coarsest level is
 solved by dense Cholesky (cho_factor / cho_solve), in graph.py only.  The
 window, Dirichlet and Poincare problems are each a graph.PinnedProblem,
-which assembles and solves them, so nothing outside graph.py calls
-`laplacian` or `pinned_solve`.  The continuum grid (bvp._fd_solve) applies
-its stencil matrix-free and solves it by sine-preconditioned conjugate
-gradients, so it reaches no sparse solver.
+which assembles its reduced system (`reduced_system`) and solves it, so
+nothing outside graph.py calls `laplacian`, `reduced_system` or
+`pinned_solve` as a function of the graph module.  The continuum grid
+(bvp._fd_solve) applies its stencil matrix-free and solves it by
+sine-preconditioned conjugate gradients, so it reaches no sparse solver.
 The source is read with ast, and any use of these names by name elsewhere
 (a call, a reference or an import) fails.
 A dense inverse is taken only by the dense oracle (pinv) and by the
@@ -25,7 +26,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
 SOLVERS = {"spsolve", "splu", "spilu", "factorized"}
 DENSE_FACTORS = {"cho_factor", "cho_solve"}
-PINNED = {"laplacian", "pinned_solve"}
+PINNED = {"laplacian", "pinned_solve", "reduced_system"}
 INVERSES = {"inv", "pinv"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -63,7 +64,7 @@ def test_dense_coarse_factorization_only_in_graph():
 
 
 def test_one_pinned_problem():
-    # a method call such as problem.laplacian() is not a use; graph.laplacian(...) is
+    # a method call such as problem.reduced_system() is not a use; graph.laplacian(...) is
     uses = _uses(PINNED, lambda node: isinstance(node.value, ast.Name)
                  and node.value.id == "graph")
     assert [use for use in uses if use[0].split(".")[0] != "graph"] == []
