@@ -2,7 +2,12 @@
 
 The coarse field replaces a lattice function by its per-cell arithmetic mean
 (one cell = one period column times the full cross-section); the cell of a
-vertex is its d-position // T, as node d-coordinates lie in [0, T).  Three
+vertex is its d-position // T, as node d-coordinates lie in [0, T).  A
+LatticeFunction groups its vertices by cell once, as arrays (one stable
+sort), and the means of all full cells are one gather of shape
+(cells, n_cell) summed over its last axis: each row sums as np.sum of that
+cell's values alone would, so a mean is the same to the last bit whether
+taken for one cell (coarse_mean) or for all (coarse_field).  Three
 inequalities make up the discrete p-connectedness: adjacent cell means and
 per-cell deviation from the mean, each controlled by local edge differences
 with constants from shortest-path structure, and the domain-scale Poincare
@@ -40,7 +45,13 @@ from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certifi
 
 @dataclass
 class LatticeFunction:
-    """Real values on a finite set of lattice vertices at scale eps."""
+    """Real values on a finite set of lattice vertices at scale eps.
+
+    The vertices are grouped by cell once, as arrays: one stable sort by cell
+    orders them by ascending cell (lexicographic) and, within a cell, as
+    given.  Group g is the cell _keys[g], whose _counts[g] vertices are
+    _order[_starts[g]:_starts[g] + _counts[g]], in that order.
+    """
 
     graph: object
     positions: np.ndarray       # (N, d) absolute integer d-coordinates
@@ -53,24 +64,32 @@ class LatticeFunction:
         self.node_ids = np.asarray(self.node_ids, dtype=int)
         self.values = np.asarray(self.values, dtype=float)
         self.cells = self.positions // self.graph.T
-        # one stable sort groups the vertices by cell, ascending within a cell
-        order = np.lexsort(self.cells.T[::-1])
-        cells = self.cells[order]
+        self._order = np.lexsort(self.cells.T[::-1])
+        cells = self.cells[self._order]
         first = np.ones(len(cells), dtype=bool)
         first[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-        starts, members = np.flatnonzero(first).tolist(), order.tolist()
-        self._cell_map = {tuple(c): members[a:b] for c, a, b in
-                          zip(cells[first].tolist(), starts, starts[1:] + [len(members)])}
+        self._starts = np.flatnonzero(first)
+        self._counts = np.diff(self._starts, append=len(cells))
+        self._keys = cells[first]
 
     def cell_indices(self, cell):
-        try:
-            return self._cell_map[tuple(cell)]
-        except KeyError:
-            raise CellOutOfWindow(f"cell {tuple(cell)} not sampled") from None
+        """The vertices of `cell` in member order, as a new array."""
+        lo, hi = 0, len(self._keys) if len(cell) == self.graph.d else 0
+        # the keys ascend by axis 0, then by axis 1 among equal axis 0, ...
+        for column, c in zip(self._keys.T, cell):
+            run = column[lo:hi]
+            lo, hi = lo + run.searchsorted(c), lo + run.searchsorted(c, "right")
+        if hi == lo:
+            raise CellOutOfWindow(f"cell {tuple(cell)} not sampled")
+        return self._order[self._starts[lo]:self._starts[lo] + self._counts[lo]].copy()
+
+    def _full(self):
+        """The fully sampled cells (F, d), ascending, and their groups' starts."""
+        full = self._counts == self.graph.n_cell
+        return self._keys[full], self._starts[full]
 
     def full_cells(self):
-        n = self.graph.n_cell
-        return sorted(c for c, idx in self._cell_map.items() if len(idx) == n)
+        return [tuple(c) for c in self._full()[0].tolist()]
 
 
 def coarse_mean(u, cell):
@@ -98,15 +117,21 @@ def coarse_field(u, domain):
     inside when lo > a and hi <= b per axis, so partial boundary cells are
     excluded.  A domain smaller than one cell yields an empty field.
     """
-    T = u.graph.T
-    eps = u.scale
-    means = {}
-    for cell in u.full_cells():
-        lo = [eps * c * T for c in cell]
-        hi = [eps * (c + 1) * T for c in cell]
-        if all(l > a and h <= b for (a, b), l, h in zip(domain, lo, hi)):
-            means[cell] = coarse_mean(u, cell)
-    return CoarseField(means, eps, T, u.graph.d)
+    cells, means = _cell_means(u, domain)
+    return CoarseField(dict(zip(map(tuple, cells.tolist()), means.tolist())),
+                       u.scale, u.graph.T, u.graph.d)
+
+
+def _cell_means(u, domain):
+    """(cells (F, d), means (F,)) of coarse_field, in ascending cell order."""
+    T, eps, n = u.graph.T, u.scale, u.graph.n_cell
+    cells, starts = u._full()
+    keep = np.ones(len(cells), dtype=bool)
+    for (a, b), c in zip(domain, cells.T):
+        keep &= (eps * c * T > a) & (eps * (c + 1) * T <= b)
+    # one C-ordered (cells, n) gather: each row sums as np.sum of the cell alone
+    members = u._order[starts[keep, None] + np.arange(n)]
+    return cells[keep], u.values[members].sum(axis=-1) / n
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +546,7 @@ def hypothesis_norms(u, domain):
     l2 = eps ** d * float(u.values @ u.values)
 
     layer = 2.0 * eps * math.sqrt(d) * T
-    full = np.array(u.full_cells(), dtype=int).reshape(-1, d)
+    full = u._full()[0]
     anchor = eps * full * T
     lo_dom, hi_dom = np.array(domain, dtype=float).reshape(d, 2).T
     interior = full[np.minimum(anchor - lo_dom, hi_dom - anchor).min(axis=1) > layer]

@@ -512,6 +512,25 @@ def test_study_constant_datum(examples):
         assert row.l2_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_study_logs_one_line_per_row(chain, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        epsilon_convergence_study(chain, ((0, 1),), X, EPS_LIST[:2])
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("dirichlet study")]
+    assert len(lines) == 2
+    for eps, line in zip(EPS_LIST, lines):
+        match = re.fullmatch(r"dirichlet study: eps (\S+), vertices (\d+), free dofs (\d+), "
+                             r"seconds: solve (\S+), L2 error (\S+), norms (\S+)", line)
+        assert match.group(1) == str(eps)
+        # positions 0..1/eps, one node each; the band pins both ends
+        assert (int(match.group(2)), int(match.group(3))) == (1 / eps + 1, 1 / eps - 1)
+        assert all(float(t) >= 0 for t in match.groups()[3:])
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="lattice_homog"):
+        epsilon_convergence_study(chain, ((0, 1),), X, EPS_LIST[:2])
+    assert caplog.records == []
+
+
 def test_study_requires_decreasing_eps(chain):
     with pytest.raises(ValueError):
         epsilon_convergence_study(chain, ((0, 1),), X,

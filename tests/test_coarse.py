@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 from lattice_homog import (CellOutOfWindow, DisconnectedGraph, graph_from_edges,
                            instantiate_window, normalize_period)
-from lattice_homog import cli, coarse
+from lattice_homog import BoundaryDatum, DirichletProblem, cli, coarse, solve_dirichlet
+from lattice_homog.bvp import l2_error_against
 from lattice_homog.graph import position_box
 from lattice_homog.lgf import builtin_example_text
 from lattice_homog.coarse import (
@@ -21,7 +24,8 @@ from lattice_homog.coarse import (
     hypothesis_norms,
 )
 
-from conftest import layered_square_lattice
+import coarse_reference
+from conftest import layered_square_lattice, random_square_lattice
 
 
 def _window_function(graph, cells, values=None, scale=1.0):
@@ -96,6 +100,74 @@ def test_coarse_field_small_domain_is_empty(chain):
     fg, u = _window_function(chain, 4, scale=1.0)
     field = coarse_field(u, [(0.2, 0.8)])
     assert field.means == {}
+
+
+def assert_matches_reference(u, domain):
+    """Full cells, means, L2 error and hypothesis norms of u, bit for bit
+    those of the per-cell reference route (tests/coarse_reference.py)."""
+    full = u.full_cells()
+    assert full == coarse_reference.full_cells(u)
+    groups = coarse_reference.cell_map(u)
+    assert [coarse_mean(u, c) for c in full] == [coarse_reference.coarse_mean(u, c, groups)
+                                                 for c in full]
+    means = list(coarse_field(u, domain).means.items())
+    assert repr(means) == repr(list(coarse_reference.coarse_field(u, domain).items()))
+    minimizer = lambda x: x[0] * x[0] - x[-1]
+    assert repr(l2_error_against(u, domain, minimizer)) == repr(
+        coarse_reference.l2_error_against(u, domain, minimizer))
+    assert repr(hypothesis_norms(u, domain)) == repr(coarse_reference.hypothesis_norms(u, domain))
+    return means
+
+
+QUADRATIC = BoundaryDatum(lambda x: x[0] * x[0] - x[-1], name="x*x - y")
+
+
+@pytest.mark.parametrize("name,eps", [("L2", Fraction(1, 4)), ("L2", Fraction(1, 8)),
+                                      ("L2", Fraction(1, 16)), ("L2", Fraction(1, 32)),
+                                      ("L2 x2", Fraction(1, 16)), ("ex5", Fraction(1, 32)),
+                                      ("R4", Fraction(1, 16))])
+def test_cell_groups_match_reference(examples, name, eps):
+    # R4 has 16 nodes a cell, so its means take numpy's pairwise-sum path
+    g = {"L2": layered_square_lattice,
+         "L2 x2": lambda: normalize_period(layered_square_lattice(), 2),
+         "ex5": lambda: examples["ex5"],
+         "R4": lambda: random_square_lattice(4, np.random.default_rng(20240811))}[name]()
+    u, _ = solve_dirichlet(DirichletProblem(g, ((0, 1),) * g.d, eps, QUADRATIC))
+    means = assert_matches_reference(u, [(0.0, 1.0)] * g.d)
+    assert len(means) == (1 / (eps * g.T) - 1) ** g.d
+
+
+def test_cell_groups_match_reference_shuffled(rng):
+    # vertices in no particular order, and cell (0, 0) short of a vertex
+    g = normalize_period(layered_square_lattice(), 2)
+    fg = instantiate_window(g, [(-1, 3)] * 2)
+    in_origin = np.flatnonzero((fg.positions // g.T == 0).all(axis=1))
+    keep = rng.permutation(np.delete(np.arange(len(fg.positions)), in_origin[3]))
+    u = LatticeFunction(g, fg.positions[keep], fg.node_ids[keep],
+                        rng.standard_normal(len(keep)), 0.25)
+    assert len(u.full_cells()) == 15
+    # cells -1..2 by 0..2 lie inside, but for (0, 0); cell 2's upper face is on b = 1.5
+    assert len(assert_matches_reference(u, [(-1.0, 2.0), (-0.5, 1.5)])) == 11
+    # a domain smaller than one cell: no mean, no error, no pair energy
+    assert assert_matches_reference(u, [(0.1, 0.4), (0.1, 0.4)]) == []
+    assert hypothesis_norms(u, [(0.1, 0.4), (0.1, 0.4)])[1] == 0.0
+
+
+def test_cell_out_of_window_messages(rng):
+    g = normalize_period(layered_square_lattice(), 2)
+    fg = instantiate_window(g, [(0, 2)] * 2)
+    u = LatticeFunction(g, fg.positions[1:], fg.node_ids[1:],
+                        rng.standard_normal(len(fg.positions) - 1), 1.0)
+    for cell, message in [((5, 0), "cell (5, 0) not sampled"),
+                          ((0,), "cell (0,) not sampled"),
+                          ((0, 0, 0), "cell (0, 0, 0) not sampled"),
+                          ((0.5, 0), "cell (0.5, 0) not sampled"),
+                          ((0, 0), "cell (0, 0) only partially sampled")]:
+        for mean in (coarse_mean, coarse_reference.coarse_mean):
+            with pytest.raises(CellOutOfWindow, match=re.escape(message)):
+                mean(u, cell)
+    assert coarse_mean(u, (1, 1)) == coarse_reference.coarse_mean(u, (1, 1))
+    assert u.cell_indices((0, 0)).tolist() == coarse_reference.cell_map(u)[(0, 0)]
 
 
 # ---------------------------------------------------------------------------

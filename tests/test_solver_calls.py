@@ -1,5 +1,5 @@
-"""The package has one sparse direct solve, one dense coarse factorization,
-one pinned-box problem and two dense inverses.
+"""The package has one sparse direct solve, one shift-invert eigensolve, one
+dense coarse factorization, one pinned-box problem and two dense inverses.
 
 The window and the Dirichlet problems are solved by graph.pinned_solve,
 so a change of solver or ordering is made in one function.  It has two
@@ -13,6 +13,10 @@ nothing outside graph.py calls `laplacian`, `reduced_system` or
 `pinned_solve` as a function of the graph module.  The continuum grid
 (bvp._fd_solve) applies its stencil matrix-free and solves it by
 sine-preconditioned conjugate gradients, so it reaches no sparse solver.
+The sharp Poincare constant (coarse.check_poincare) is the lowest
+eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
+factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
+second sparse direct factorization, allowed in that function only.
 The source is read with ast, and any use of these names by name elsewhere
 (a call, a reference or an import) fails.
 A dense inverse is taken only by the dense oracle (pinv) and by the
@@ -25,6 +29,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
 SOLVERS = {"spsolve", "splu", "spilu", "factorized"}
+EIGENSOLVERS = {"eigsh", "eigs"}        # ARPACK; shift-invert factorizes
 DENSE_FACTORS = {"cho_factor", "cho_solve"}
 PINNED = {"laplacian", "pinned_solve", "reduced_system"}
 INVERSES = {"inv", "pinv"}
@@ -56,6 +61,10 @@ def _uses(names, attribute):
 
 def test_one_sparse_solve():
     assert _uses(SOLVERS, lambda node: True) == [("graph.pinned_solve", "spsolve")]
+
+
+def test_one_shift_invert_eigensolve():
+    assert _uses(EIGENSOLVERS, lambda node: True) == [("coarse.check_poincare", "eigsh")]
 
 
 def test_dense_coarse_factorization_only_in_graph():
