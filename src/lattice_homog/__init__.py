@@ -23,7 +23,6 @@ from .graph import (
     connectedness_certificate,
     graph_from_edges,
     instantiate_window,
-    neighbors,
     normalize_period,
     validate,
     witness_path,

@@ -4,8 +4,9 @@ For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
 unconstrained positive-semidefinite solve on the quotient graph with the
 graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is d
-conjugate-gradient solves against that one L, in one of three regimes by
-the cell's node count n (the crossover table is in solve_corrector):
+conjugate-gradient solves against that one L, each a run of the package's
+one CG loop (graph._preconditioned_cg), in one of three regimes by the
+cell's node count n (the crossover table is in solve_corrector):
   * n <= DENSE_MAX_NODES: CG preconditioned by the operator's exact
     inverse, dense and built once per graph, which converges in one step;
   * n >= PCG_MIN_NODES and the cell re-tiles a smaller base cell: CG
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDirection, NoConvergence
+from .graph import _preconditioned_cg
 
 CONVENTIONS = ("double", "single")
 
@@ -94,17 +96,23 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
 
     L must be PSD and b orthogonal to its kernel, the fields constant on
     each connected component of the quotient (b is by construction).  The
-    mean is projected out every step so roundoff cannot drift along the
-    constants.  Stops when ||L chi + b|| <= tol * ||b|| (or <= tol for
-    b = 0); raises NoConvergence at 10 * n iterations, or on breakdown
-    (p.Lp <= 0: L indefinite, or r.Mr <= 0: preconditioner indefinite).
+    loop is the package's one CG loop, graph._preconditioned_cg, on
+    L chi = project(-b) with the norm bound 0, so its backward-error test is
+    the relative-residual stop ||L chi + b|| <= tol * ||b||; b = 0 returns
+    chi = 0.  The mean is projected out of every preconditioned residual,
+    so roundoff cannot drift along the constants.  `residual` is the
+    loop's recomputed ||L chi + b|| (its backward error times
+    ||project(-b)||; no extra product with L).  NoConvergence, carrying that
+    same norm as `residual`, is raised at 10 * n iterations, or on breakdown
+    (p.Lp <= 0: L indefinite, or r.Mr <= 0: preconditioner indefinite),
+    unless the recomputed residual meets the stop there.
 
     `precondition`, when given, maps a residual r to M r with M a PSD
     approximate inverse of L, and the loop is preconditioned CG on the same
     stopping rule.  PeriodicOperator.exact_inverse.dot is one whose M
     inverts L on the residuals, so the loop stops after one step;
     PeriodicOperator.preconditioner is another (bloch.py).  When None, the
-    loop is plain CG with no extra work per step.
+    loop is plain CG, the projection its only preconditioner.
 
     `corrector` passes the exact inverse up to DENSE_MAX_NODES = 160 nodes,
     the FFT preconditioner (or None) from PCG_MIN_NODES = 256 up, and None
@@ -136,41 +144,16 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
     """
     n = b.shape[0]
     project = lambda v: v - v.sum() / n
-    target = tol * np.linalg.norm(b) if np.linalg.norm(b) > 0 else tol
-    x = np.zeros(n)
-    r = project(-b)
-    if np.linalg.norm(r) <= target:
-        return CorrectorField(x, np.array([]), float(np.linalg.norm(b)), 0)
-    p = r.copy() if precondition is None else project(precondition(r))
-    rs = r @ p
+    rhs = project(-b)
+    scale = float(np.linalg.norm(rhs))
     cap = max_iterations if max_iterations is not None else 10 * n
-    for it in range(cap):
-        Lp = L @ p
-        denom = p @ Lp
-        if denom <= 0 or rs <= 0:
-            name, value = ("p.Lp", denom) if denom <= 0 else ("r.Mr", rs)
-            stop = f"broke down at iteration {it} ({name} = {value:.3e} <= 0)"
-            break
-        alpha = rs / denom
-        x = project(x + alpha * p)
-        r = project(r - alpha * Lp)
-        rr = r @ r
-        if np.sqrt(rr) <= target:
-            return CorrectorField(x, np.array([]), float(np.linalg.norm(L @ x + b)), it + 1)
-        if precondition is None:
-            s, rs_new = r, rr
-        else:
-            s = project(precondition(r))
-            rs_new = r @ s
-        p = s + (rs_new / rs) * p
-        rs = rs_new
-    else:
-        it = cap
-        stop = f"hit the {cap}-iteration cap"
-    achieved = float(np.linalg.norm(L @ x + b))
-    if achieved <= target:
-        return CorrectorField(x, np.array([]), achieved, it)
-    raise NoConvergence(f"corrector CG {stop} (residual {achieved:.3e})", residual=achieved)
+    M = project if precondition is None else lambda r: project(precondition(r))
+    try:
+        x, steps, backward = _preconditioned_cg(L.dot, rhs, M, 0.0, tol, cap, "corrector CG")
+    except NoConvergence as err:
+        achieved = err.residual * scale
+        raise NoConvergence(f"{err}, residual {achieved:.3e}", residual=achieved) from None
+    return CorrectorField(x, np.array([]), backward * scale, steps)
 
 
 def corrector(graph, z, tol=1e-10):

@@ -421,13 +421,20 @@ def check_two_connectedness(graph, trials=200, seed=7):
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
     in_cell = np.flatnonzero(inside(pos, 0, T - 1))
+
+    def mean_gap(u, members):
+        # squared by a product: numpy's ** 2 can round a block's rows
+        # differently from the same field alone
+        gap = (u.take(in_cell, axis=-1).sum(axis=-1) / n
+               - u.take(members, axis=-1).sum(axis=-1) / n)
+        return gap * gap
+
     regions = []
     for other in np.eye(d, dtype=int):
         in_other = np.flatnonzero(inside(pos, T * other, T * other + T - 1))
         inner = ends[inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
-                        lambda u, m=in_other: (u.take(in_cell, axis=-1).sum(axis=-1) / n
-                                               - u.take(m, axis=-1).sum(axis=-1) / n) ** 2,
+                        lambda u, m=in_other: mean_gap(u, m),
                         inner, np.full(len(inner), 2.0)))
     worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
                                   consts.C_two)
@@ -447,8 +454,8 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
 
     def deviation(u, members):
         cell_values = u.take(members, axis=-1)
-        mean = cell_values.sum(axis=-1, keepdims=True) / n
-        return ((cell_values - mean) ** 2).sum(axis=-1)
+        dev = cell_values - cell_values.sum(axis=-1, keepdims=True) / n
+        return (dev * dev).sum(axis=-1)     # a product, as in mean_gap
 
     regions = []
     for cell in cells:

@@ -39,9 +39,11 @@ class NoConvergence(LatticeError):
     """An iterative solve hit its iteration cap or broke down, or a reduced
     system is singular (a free component without a pinned neighbour).
 
-    `residual` holds what an iterative solve achieved when it stopped: the
-    residual norm of the corrector CG, the backward error of the continuum
-    grid and multigrid CG.
+    `residual` holds what an iterative solve achieved when it stopped.  All
+    of them run the one CG loop, graph._preconditioned_cg, which carries
+    the recomputed backward error: the continuum grid and multigrid CG
+    keep it, and the corrector CG reports the absolute residual
+    ||L chi + b|| instead.
     """
 
     def __init__(self, message, residual=None):

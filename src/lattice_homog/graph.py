@@ -25,8 +25,9 @@ the periodic quotient (PeriodicOperator) needs.  `pinned_solve` has two
 routes: SuperLU for d = 1 and for small systems, and, for large systems in
 d >= 2, conjugate gradients from the given values, preconditioned by a
 smoothed-aggregation V-cycle whose aggregates are boxes of positions
-(_Multigrid) and stopped on a backward-error test (_preconditioned_cg,
-which the continuum grid of bvp shares).
+(_Multigrid) and stopped on a backward-error test.  _preconditioned_cg
+is the package's one conjugate-gradient loop: the multigrid route, the
+continuum grid of bvp and the cell corrector (cell.solve_corrector) run it.
 """
 
 from __future__ import annotations
@@ -280,22 +281,6 @@ class PeriodicOperator:
         inverse = np.linalg.inv(K)
         inverse.flags.writeable = False
         return inverse
-
-
-def neighbors(graph, node):
-    """All neighbours of `node`, both orientations of every incident orbit.
-
-    Returns a list of (cell node, cell offset, weight) in orbit order; the
-    actual neighbour position is neighbour.dpos + T * offset.
-    """
-    graph.node_index(node)
-    out = []
-    for orb in graph.orbits:
-        if orb.u == node:
-            out.append((orb.v, orb.offset, orb.weight))
-        if orb.v == node:
-            out.append((orb.u, tuple(-o for o in orb.offset), orb.weight))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -824,19 +809,28 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
     """(x, steps, backward error) of conjugate gradients on A x = b from
     x = `start` (zeros when None), with A = `apply` and the approximate
     inverse `precondition` both symmetric positive definite, x and b arrays
-    of any one shape.
+    of any one shape (Hestenes & Stiefel, J. Res. NBS 49, 1952).  The one CG
+    loop of the package: the multigrid pinned solve, the continuum grid
+    (bvp._fd_solve) and the cell corrector (cell.solve_corrector) run it.
 
     `norm` bounds ||A||_2 from above (||A||_inf does for a symmetric A).  CG
     stops at the first step whose recursive residual r meets the
     backward-error test ||r|| <= tol (norm ||x|| + ||b||): x then solves a
     system within relative distance tol of A x = b (Rigal & Gaches, J. ACM
     14, 1967).  Unlike a test on ||r|| / ||b|| it stays above the rounding
-    floor of ||b - A x||, which grows with ||A|| ||x||.  The backward error
-    returned is that of b - A x, recomputed.  Reaching `cap` steps raises
-    NoConvergence carrying it as `residual`.  A start that already passes the
-    test is returned after 0 steps.  b = 0 returns exact zeros: from a
-    nonzero start the test would ask ||A x|| <= tol norm ||x||, which no
-    x != 0 meets once A is better conditioned than 1 / tol.
+    floor of ||b - A x||, which grows with ||A|| ||x||.  With norm = 0 the
+    test is the relative-residual stop ||r|| <= tol ||b||, the corrector's.
+    The backward error returned is that of b - A x, recomputed.  A start
+    that already passes the test is returned after 0 steps.  b = 0 returns
+    exact zeros: from a nonzero start the test would ask
+    ||A x|| <= tol norm ||x||, which no x != 0 meets once A is better
+    conditioned than 1 / tol.
+
+    The loop breaks down when p.Ap <= 0 (A not positive definite) or
+    r.Mr <= 0 (the preconditioner not, or a residual it maps to zero).  At a
+    breakdown or after `cap` steps it returns x if the recomputed backward
+    error meets tol, and otherwise raises NoConvergence carrying that
+    backward error as `residual`.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
@@ -850,23 +844,27 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
         return x, 0, _backward_error(apply, x, b, norm)
     z = precondition(r)
     p, rz = z, np.vdot(r, z)
-    for step in range(1, cap + 1):
+    for step in range(cap):
         Ap = apply(p)
-        alpha = rz / np.vdot(p, Ap)
+        pAp = np.vdot(p, Ap)
+        if pAp <= 0 or rz <= 0:
+            label, value = ("p.Ap", pAp) if pAp <= 0 else ("r.Mr", rz)
+            stop = f"broke down at iteration {step} ({label} = {value:.3e} <= 0)"
+            break
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         if np.linalg.norm(r) <= tol * (norm * np.linalg.norm(x) + norm_b):
-            break
+            return x, step + 1, _backward_error(apply, x, b, norm)
         z = precondition(r)
         rz, rz_old = np.vdot(r, z), rz
         p = z + (rz / rz_old) * p
     else:
-        step = None
+        step, stop = cap, f"hit the {cap}-iteration cap"
     backward = _backward_error(apply, x, b, norm)
-    if step is None:
-        raise NoConvergence(f"{name} hit the {cap}-iteration cap "
-                            f"(backward error {backward:.3e})", residual=backward)
-    return x, step, backward
+    if backward <= tol:
+        return x, step, backward
+    raise NoConvergence(f"{name} {stop} (backward error {backward:.3e})", residual=backward)
 
 
 @dataclass

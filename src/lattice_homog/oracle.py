@@ -1,9 +1,10 @@
 """Dense brute-force evaluation of the cell problem, used as test ground truth.
 
 This deliberately shares nothing with the sparse conjugate-gradient path: the
-stationarity system is assembled from the neighbour lists over ordered pairs,
-solved with an explicit pseudo-inverse, and the energy is then evaluated by
-literally summing the ordered-pair interaction terms.
+stationarity system is assembled from the ordered pairs of the orbit arrays
+(both orientations of every orbit), solved with an explicit pseudo-inverse,
+and the energy is then evaluated by literally summing the ordered-pair
+interaction terms.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ import numpy as np
 
 from .cell import convention_factor
 from .errors import InvalidDirection, TooLarge
-from .graph import neighbors
 
 SIZE_CAP = 64
+
+
+def _ordered_pairs(graph):
+    """(i, j, offset, w): both orientations of every orbit, in orbit order
+    and then reversed; node i is joined to node j of the cell `offset` away
+    by weight w, so j's position is dpos[j] + T * offset."""
+    return (np.concatenate([graph.u, graph.v]), np.concatenate([graph.v, graph.u]),
+            np.concatenate([graph.offset, -graph.offset]), np.concatenate([graph.w, graph.w]))
 
 
 def brute_force_cell_oracle(graph, z, convention="double"):
@@ -27,29 +35,20 @@ def brute_force_cell_oracle(graph, z, convention="double"):
         raise InvalidDirection(f"direction must be a finite vector of length {graph.d}")
 
     # ordered-pair terms w * (chi_i - chi_j - g_ij)^2 with g_ij = z . (pos_j - pos_i)
-    pairs = []
-    for i, node in enumerate(graph.nodes):
-        for nbr, offset, w in neighbors(graph, node):
-            j = graph.node_index(nbr)
-            disp = [nbr.dpos[m] + graph.T * offset[m] - node.dpos[m]
-                    for m in range(graph.d)]
-            g = float(z @ np.asarray(disp, dtype=float))
-            pairs.append((i, j, w, g))
+    i, j, offset, w = _ordered_pairs(graph)
+    g = (graph.dpos[j] + graph.T * offset - graph.dpos[i]) @ z
 
     Q = np.zeros((n, n))
     lin = np.zeros(n)
-    for i, j, w, g in pairs:
-        Q[i, i] += w
-        Q[j, j] += w
-        Q[i, j] -= w
-        Q[j, i] -= w
-        lin[i] -= w * g
-        lin[j] += w * g
+    np.add.at(Q, (i, i), w)
+    np.add.at(Q, (j, j), w)
+    np.add.at(Q, (i, j), -w)
+    np.add.at(Q, (j, i), -w)
+    np.add.at(lin, i, -w * g)
+    np.add.at(lin, j, w * g)
     chi = -np.linalg.pinv(2.0 * Q) @ (2.0 * lin)
 
-    energy = 0.0
-    for i, j, w, g in pairs:
-        diff = chi[i] - chi[j] - g
-        energy += w * diff * diff
-    # the ordered-pair sum above is the double-count value
+    diff = chi[i] - chi[j] - g
+    # the ordered-pair sum is the double-count value
+    energy = float(np.sum(w * diff * diff))
     return convention_factor(convention) / 2.0 * energy / graph.T ** graph.d

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lattice_homog import builtin_examples, graph_from_edges, solve_corrector
+from lattice_homog.oracle import _ordered_pairs
+
+# a failing property prints its @reproduce_failure blob; every other
+# setting (examples, deadline) stays Hypothesis's default
+settings.register_profile("lattice_homog", print_blob=True)
+settings.load_profile("lattice_homog")
 
 
 def chain_graph():
@@ -63,6 +70,14 @@ def random_strip(P, rng):
     edges += [((x, 0), (x, 1), (0,), 1.0)
               for x in range(P) if x == 0 or rng.random() < 0.5]
     return graph_from_edges(1, 1, P, [(x, r) for x in range(P) for r in range(2)], edges)
+
+
+def oracle_neighbours(graph, node):
+    """(neighbour, cell offset, weight) of `node` among the dense oracle's
+    ordered pairs, in pair order; UnknownNode for a node not in the cell."""
+    i, j, offset, w = _ordered_pairs(graph)
+    return [(graph.nodes[j[e]], tuple(offset[e].tolist()), float(w[e]))
+            for e in np.flatnonzero(i == graph.node_index(node))]
 
 
 def plain_cg_tensor(graph):

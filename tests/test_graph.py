@@ -18,7 +18,6 @@ from lattice_homog import (
     finite_window_value,
     graph_from_edges,
     instantiate_window,
-    neighbors,
     normalize_period,
     validate,
     witness_path,
@@ -31,7 +30,7 @@ from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_s
                                  position_box)
 
 import pinned_reference
-from conftest import layered_square_lattice, random_square_lattice
+from conftest import layered_square_lattice, oracle_neighbours, random_square_lattice
 from test_bvp import GRID_TENSORS, SQUARE, WAVE, grid_problem
 
 
@@ -275,33 +274,33 @@ def _bfs_states(g, radius):
 
 
 # ---------------------------------------------------------------------------
-# neighbours
+# neighbours: the ordered pairs of the dense oracle
 
 
 def test_neighbors_chain(chain):
     node = chain.nodes[0]
-    out = neighbors(chain, node)
+    out = oracle_neighbours(chain, node)
     assert sorted(o for _, o, _ in out) == [(-1,), (1,)]
     assert all(n == node and w == 1.0 for n, _, w in out)
 
 
 def test_neighbors_unknown_node(chain):
     with pytest.raises(UnknownNode):
-        neighbors(chain, CellNode((0,), (5,)))
+        oracle_neighbours(chain, CellNode((0,), (5,)))
 
 
 def test_neighbors_symmetry(examples):
     for g in examples.values():
         for i in g.nodes:
-            for j, off, w in neighbors(g, i):
-                back = neighbors(g, j)
+            for j, off, w in oracle_neighbours(g, i):
+                back = oracle_neighbours(g, j)
                 assert (i, tuple(-o for o in off), w) in back
 
 
 def test_neighbors_degree_ex4(examples):
     g = examples["ex4"]
     node = g.nodes[0]  # (0 0): two rail orientations + rung + diagonal
-    assert len(neighbors(g, node)) == 4
+    assert len(oracle_neighbours(g, node)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +481,20 @@ def test_warm_start_of_zero_rhs_returns_exact_zeros():
     x, steps, backward = graph._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
                                                   1e-14, 5, "test CG", np.ones(100))
     assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0
+
+
+def test_shared_cg_breakdown_raises_backward_error():
+    # -A is negative definite, so p.Ap < 0 on the first step; an indefinite
+    # preconditioner breaks down on r.Mr instead
+    A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
+    b = np.full(100, 3.0)
+    for apply, precondition, label in (((-A).dot, lambda r: r, "p.Ap"),
+                                       (A.dot, lambda r: -r, "r.Mr")):
+        message = rf"test CG broke down at iteration 0 \({label} = "
+        with pytest.raises(NoConvergence, match=message) as info:
+            graph._preconditioned_cg(apply, b, precondition, 4.0, 1e-14, 5, "test CG")
+        # at x = 0 the backward error ||b|| / (4 ||x|| + ||b||) is 1, not ||b|| = 30
+        assert info.value.residual == 1.0 and "backward error" in str(info.value)
 
 
 def test_warm_start_takes_fewer_steps(caplog, monkeypatch):

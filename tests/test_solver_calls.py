@@ -1,5 +1,6 @@
 """The package has one sparse direct solve, one shift-invert eigensolve, one
-dense coarse factorization, one pinned-box problem and two dense inverses.
+dense coarse factorization, one conjugate-gradient loop, one pinned-box
+problem and two dense inverses.
 
 The window and the Dirichlet problems are solved by graph.pinned_solve,
 so a change of solver or ordering is made in one function.  It has two
@@ -13,6 +14,9 @@ nothing outside graph.py calls `laplacian`, `reduced_system` or
 `pinned_solve` as a function of the graph module.  The continuum grid
 (bvp._fd_solve) applies its stencil matrix-free and solves it by
 sine-preconditioned conjugate gradients, so it reaches no sparse solver.
+Every conjugate-gradient solve (the multigrid route, the continuum grid
+and the cell corrector, cell.solve_corrector) runs the one loop
+graph._preconditioned_cg, and no other function uses it.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
@@ -70,6 +74,13 @@ def test_one_shift_invert_eigensolve():
 def test_dense_coarse_factorization_only_in_graph():
     assert sorted(_uses(DENSE_FACTORS, lambda node: True)) == [
         ("graph._Multigrid.__call__", "cho_solve"), ("graph._Multigrid.__init__", "cho_factor")]
+
+
+def test_one_conjugate_gradient_loop():
+    name = "_preconditioned_cg"
+    assert sorted(_uses({name}, lambda node: True)) == [
+        ("bvp", name), ("bvp._fd_solve", name), ("cell", name),
+        ("cell.solve_corrector", name), ("graph._multigrid_solve", name)]
 
 
 def test_one_pinned_problem():
