@@ -3,17 +3,19 @@
 For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
 unconstrained positive-semidefinite solve on the quotient graph with the
-graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is d
-conjugate-gradient solves against that one L, each a run of the package's
-one CG loop (graph._preconditioned_cg), in one of three regimes by the
-cell's node count n (the crossover table is in solve_corrector):
-  * n <= DENSE_MAX_NODES: CG preconditioned by the operator's exact
-    inverse, dense and built once per graph, which converges in one step;
-  * n >= PCG_MIN_NODES and the cell re-tiles a smaller base cell: CG
-    preconditioned with the FFT inverse of the base cell's mean-weight
-    Bloch symbol (bloch.py), which keeps the step count nearly flat in T
-    where the weights vary little;
-  * every other cell: plain CG.
+graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is the
+d axis correctors against that one L, each found in one of three regimes by
+the cell's node count n (the crossover table is in solve_corrector):
+  * n <= DENSE_MAX_NODES: one product and no CG loop.  chi is linear in z,
+    and the operator keeps the axis correctors X = -K^-1 B (its dense exact
+    inverse applied to B, built once per graph), so chi = X z, checked by
+    one residual product with L;
+  * n >= PCG_MIN_NODES and the cell re-tiles a smaller base cell: the
+    package's one CG loop (graph._preconditioned_cg), preconditioned with
+    the FFT inverse of the base cell's mean-weight Bloch symbol (bloch.py),
+    which keeps the step count nearly flat in T where the weights vary
+    little;
+  * every other cell: the same loop as plain CG.
 The energy is reported per cell volume T^d under one of two edge-counting
 conventions: "double" counts every undirected orbit from both endpoints (the
 energy written as a sum over ordered pairs), "single" counts each orbit
@@ -23,6 +25,7 @@ once; the double value is exactly twice the single one.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,7 @@ class CorrectorField:
     values: np.ndarray
     direction: np.ndarray
     residual: float
-    iterations: int = 0         # CG steps taken (one mat-vec with L each)
+    iterations: int = 0         # CG steps taken (one mat-vec with L each); 1 for X z
 
     def as_dict(self, graph):
         return {str(node): float(v) for node, v in zip(graph.nodes, self.values)}
@@ -114,10 +117,13 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
     PeriodicOperator.preconditioner is another (bloch.py).  When None, the
     loop is plain CG, the projection its only preconditioner.
 
-    `corrector` passes the exact inverse up to DENSE_MAX_NODES = 160 nodes,
-    the FFT preconditioner (or None) from PCG_MIN_NODES = 256 up, and None
-    in between.  One tensor, that is the d axis correctors with the inverse
-    or preconditioner built first, of the random square cell R(T)
+    `corrector` solves cells of up to DENSE_MAX_NODES = 160 nodes without
+    this loop, by one product with the cached axis correctors (the exact
+    inverse applied to B), and calls it with the exact inverse only when
+    that product misses the stop; it passes the FFT preconditioner (or
+    None) from PCG_MIN_NODES = 256 up, and None in between.  One tensor,
+    that is the d axis correctors with the inverse or preconditioner built
+    first, of the random square cell R(T)
     (n = T^2, t = 1), the two-rail strip S(P) (n = 2P, no sub-period) and
     the random cube C(6) (d = 3, n = 216), on a 2-vCPU x86 host with one
     BLAS thread, in ms (median of three best-of-15 runs):
@@ -136,18 +142,20 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
         R(16)    256   2.60       4.62            3.03
         R(32)    1024  6.19       139             5.66
 
-    The dense build grows as n^3 and plain CG as about n^(3/2) in d = 2,
-    so for one tensor they meet between 160 and 190 nodes; below that the
-    inverse wins by 1.7x or more even when it serves a single tensor.
+    The exact-inverse column timed one preconditioned CG step per axis; the
+    small regime is now one cached product instead, which only widens its
+    lead.  The dense build grows as n^3 and plain CG as about n^(3/2) in
+    d = 2, so for one tensor they meet between 160 and 190 nodes; below
+    that the inverse wins by 1.7x or more even when it serves a single
+    tensor.
     Below a few hundred nodes, building the FFT preconditioner and the FFT
     pair of each step cost more than the steps they save.
     """
     n = b.shape[0]
-    project = lambda v: v - v.sum() / n
-    rhs = project(-b)
+    rhs = _project(-b)
     scale = float(np.linalg.norm(rhs))
     cap = max_iterations if max_iterations is not None else 10 * n
-    M = project if precondition is None else lambda r: project(precondition(r))
+    M = _project if precondition is None else lambda r: _project(precondition(r))
     try:
         x, steps, backward = _preconditioned_cg(L.dot, rhs, M, 0.0, tol, cap, "corrector CG")
     except NoConvergence as err:
@@ -156,28 +164,64 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None):
     return CorrectorField(x, np.array([]), backward * scale, steps)
 
 
+def _project(v):
+    """v with its mean removed (numpy's mean, bit for bit)."""
+    return v - v.sum() / v.shape[0]
+
+
 def corrector(graph, z, tol=1e-10):
     """Solve the cell problem for direction z.
 
-    Cells of at most DENSE_MAX_NODES nodes run CG preconditioned by the
-    operator's exact inverse, one step; cells of at least PCG_MIN_NODES
-    nodes that re-tile a smaller base cell run CG preconditioned by its FFT
-    preconditioner, and all others plain CG.  The solver, n, iterations and
-    residual go to the `lattice_homog` logger at debug level.
+    Cells of at most DENSE_MAX_NODES nodes take chi = X z, one product with
+    the operator's cached axis correctors X, and check it with one residual
+    product: ||L chi - project(-B z)|| <= tol ||project(-B z)||.  A chi that
+    passes reports 1 iteration (one application of the inverse) and that
+    residual; one that fails is solved again by solve_corrector with the
+    exact inverse as preconditioner, whose NoConvergence it raises.  A zero
+    right-hand side gives exact zeros after 0 iterations.  Cells of at least
+    PCG_MIN_NODES nodes that re-tile a smaller base cell run CG
+    preconditioned by its FFT preconditioner, and all others plain CG.  The
+    solver, n, iterations and residual go to the `lattice_homog` logger at
+    debug level.
     """
-    z = _check_direction(graph, z)
+    return _corrector(graph, _check_direction(graph, z), tol)[0]
+
+
+def _corrector(graph, z, tol):
+    """(corrector field, B z, L chi or None) for a checked direction z; L chi
+    is the product the small-cell check has taken, None on the CG routes."""
     op = graph.operator
+    b = op.B @ z
     small = graph.n_cell <= DENSE_MAX_NODES
-    precondition = (op.exact_inverse.dot if small else
-                    op.preconditioner if graph.n_cell >= PCG_MIN_NODES else None)
-    field = solve_corrector(op.L, op.B @ z, tol=tol, precondition=precondition)
-    field.direction = z
+    fft = None if small or graph.n_cell < PCG_MIN_NODES else op.preconditioner
+    field, Lchi = _direct_corrector(op, z, b, tol) if small else (None, None)
+    if field is None:
+        precondition = op.exact_inverse.dot if small else fft
+        field = solve_corrector(op.L, b, tol=tol, precondition=precondition)
+        field.direction = z
     if _log.isEnabledFor(logging.DEBUG):
-        solver = ("exact-inverse" if small else "cg" if precondition is None else
-                  f"fft-pcg (t={precondition.t}, n0={precondition.n0})")
+        solver = ("exact-inverse" if small else "cg" if fft is None else
+                  f"fft-pcg (t={fft.t}, n0={fft.n0})")
         _log.debug("corrector: solver %s, n %d, iterations %d, residual %.3e",
                    solver, graph.n_cell, field.iterations, field.residual)
-    return field
+    return field, b, Lchi
+
+
+def _direct_corrector(op, z, b, tol):
+    """(field, L chi) of chi = X z with X the axis correctors, or (None, None)
+    when chi misses the relative-residual stop of solve_corrector."""
+    rhs = _project(-b)
+    scale = math.sqrt(rhs @ rhs)
+    if scale == 0:
+        zeros = np.zeros_like(rhs)
+        return CorrectorField(zeros, z, 0.0, 0), zeros
+    chi = op.axis_correctors @ z
+    Lchi = op.L @ chi
+    r = Lchi - rhs
+    residual = math.sqrt(r @ r)
+    if not residual <= tol * scale:     # a NaN residual takes the CG route too
+        return None, None
+    return CorrectorField(chi, z, residual, 1), Lchi
 
 
 def cell_energy(graph, z, corrector_field, convention="double"):
@@ -186,13 +230,22 @@ def cell_energy(graph, z, corrector_field, convention="double"):
     factor = convention_factor(convention)
     op = graph.operator
     chi = corrector_field.values
-    value = float(chi @ (op.L @ chi) + 2.0 * ((op.B @ z) @ chi) + z @ op.C @ z)
+    return _energy(graph, z, chi, op.B @ z, op.L @ chi, factor)
+
+
+def _energy(graph, z, chi, b, Lchi, factor):
+    value = float(chi @ Lchi + 2.0 * (b @ chi) + z @ graph.operator.C @ z)
     return factor * value / graph.T ** graph.d
 
 
 def f_hom(graph, z, tol=1e-10, convention="double"):
-    """Homogenized energy density in direction z."""
-    return cell_energy(graph, z, corrector(graph, z, tol=tol), convention=convention)
+    """Homogenized energy density in direction z: cell_energy of the
+    corrector, with z checked once and B z and L chi each formed once."""
+    z = _check_direction(graph, z)
+    factor = convention_factor(convention)
+    field, b, Lchi = _corrector(graph, z, tol)
+    chi = field.values
+    return _energy(graph, z, chi, b, graph.operator.L @ chi if Lchi is None else Lchi, factor)
 
 
 def homogenized_tensor(graph, tol=1e-10, convention="double"):

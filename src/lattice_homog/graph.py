@@ -27,7 +27,9 @@ d >= 2, conjugate gradients from the given values, preconditioned by a
 smoothed-aggregation V-cycle whose aggregates are boxes of positions
 (_Multigrid) and stopped on a backward-error test.  _preconditioned_cg
 is the package's one conjugate-gradient loop: the multigrid route, the
-continuum grid of bvp and the cell corrector (cell.solve_corrector) run it.
+continuum grid of bvp and the cell corrector (cell.solve_corrector, for
+cells above the dense ceiling or when the direct product misses its
+tolerance) run it.
 """
 
 from __future__ import annotations
@@ -253,7 +255,11 @@ class PeriodicOperator:
     `exact_inverse` is built on first use too: the dense inverse of
     L + sum_c 1_c 1_c^T / |c| over the quotient's connected components c,
     which is SPD for any component structure and acts as the pseudo-inverse
-    of L on the mean-zero fields of every component.
+    of L on the mean-zero fields of every component.  `axis_correctors`,
+    built from it on first use, is the n x d matrix X = -K^-1 (B - mean B)
+    with each column's mean removed: column m is the corrector of the axis
+    direction e_m, so the corrector of a direction z is the product X z
+    (cell.corrector, for cells of at most cell.DENSE_MAX_NODES nodes).
     """
 
     def __init__(self, graph):
@@ -281,6 +287,14 @@ class PeriodicOperator:
         inverse = np.linalg.inv(K)
         inverse.flags.writeable = False
         return inverse
+
+    @cached_property
+    def axis_correctors(self):
+        n = self.B.shape[0]
+        X = self.exact_inverse @ (self.B.sum(axis=0) / n - self.B)
+        X -= X.sum(axis=0) / n
+        X.flags.writeable = False
+        return X
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +815,14 @@ def _multigrid_solve(A, rhs, start, positions):
 def _backward_error(apply, x, b, norm):
     """||b - A x|| / (norm ||x|| + ||b||), A = `apply` and `norm` >= ||A||_2;
     0 when x and b are both zero."""
-    scale = norm * np.linalg.norm(x) + np.linalg.norm(b)
+    scale = _error_scale(x, np.linalg.norm(b), norm)
     return float(np.linalg.norm(b - apply(x)) / scale) if scale else 0.0
+
+
+def _error_scale(x, norm_b, norm):
+    """norm ||x|| + ||b||, the denominator of the backward error; ||x|| is not
+    taken when the norm bound is 0 (the relative-residual stop)."""
+    return norm * np.linalg.norm(x) + norm_b if norm else norm_b
 
 
 def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None):
@@ -821,7 +841,9 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
     floor of ||b - A x||, which grows with ||A|| ||x||.  With norm = 0 the
     test is the relative-residual stop ||r|| <= tol ||b||, the corrector's.
     The backward error returned is that of b - A x, recomputed.  A start
-    that already passes the test is returned after 0 steps.  b = 0 returns
+    that already passes the test is returned after 0 steps, with the
+    backward error of the start residual just computed (one product with
+    A).  With norm = 0, ||x|| is never taken.  b = 0 returns
     exact zeros: from a nonzero start the test would ask
     ||A x|| <= tol norm ||x||, which no x != 0 meets once A is better
     conditioned than 1 / tol.
@@ -840,8 +862,9 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
     else:
         x = np.array(start, dtype=b.dtype)
         r = b - apply(x)
-    if np.linalg.norm(r) <= tol * (norm * np.linalg.norm(x) + norm_b):
-        return x, 0, _backward_error(apply, x, b, norm)
+    norm_r, scale = np.linalg.norm(r), _error_scale(x, norm_b, norm)
+    if norm_r <= tol * scale:
+        return x, 0, float(norm_r / scale)
     z = precondition(r)
     p, rz = z, np.vdot(r, z)
     for step in range(cap):
@@ -854,7 +877,7 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * (norm * np.linalg.norm(x) + norm_b):
+        if np.linalg.norm(r) <= tol * _error_scale(x, norm_b, norm):
             return x, step + 1, _backward_error(apply, x, b, norm)
         z = precondition(r)
         rz, rz_old = np.vdot(r, z), rz

@@ -1,4 +1,6 @@
 import logging
+import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lattice_homog import (
     normalize_period,
     solve_corrector,
 )
+from lattice_homog import cell as cell_module
 from lattice_homog.bloch import base_cell
 from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES, convention_factor
 from lattice_homog.graph import PeriodicOperator
@@ -502,3 +505,110 @@ def test_corrector_logs_its_solver(examples, rng, caplog):
     assert small.startswith("corrector: solver exact-inverse, n 2, iterations 1, residual ")
     assert large == (f"corrector: solver fft-pcg (t=1, n0=1), n 256, iterations "
                      f"{field.iterations}, residual {field.residual:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# the small-cell route: one product with the cached axis correctors
+
+
+def _uncoupled_layers(rng):
+    """A 3 x 3 cell of two uncoupled layers: L has a two-dimensional kernel."""
+    nodes = [(x, y, r) for x in range(3) for y in range(3) for r in range(2)]
+    edges = [((x, y, r), ((x + 1) % 3, y, r), (int(x == 2), 0), float(rng.uniform(0.5, 2.0)))
+             for x, y, r in nodes]
+    edges += [((x, y, r), (x, (y + 1) % 3, r), (0, int(y == 2)), float(rng.uniform(0.5, 2.0)))
+              for x, y, r in nodes]
+    return graph_from_edges(2, 1, 3, nodes, edges)
+
+
+def _small_cells():
+    rng = np.random.default_rng(21)
+    graphs = list(builtin_examples().values())
+    graphs += [random_square_lattice(T, rng) for T in (4, 8, 12)]
+    graphs += [normalize_period(layered_square_lattice(), 8), _uncoupled_layers(rng)]
+    return graphs
+
+
+def test_small_cell_corrector_runs_no_cg_loop(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("the small-cell route ran the CG loop")
+
+    rng = np.random.default_rng(7)
+    for g in _small_cells():
+        assert g.n_cell <= DENSE_MAX_NODES
+        op = g.operator
+        for z in [*np.eye(g.d), rng.standard_normal(g.d)]:
+            b = op.B @ z
+            ref = solve_corrector(op.L, b, precondition=op.exact_inverse.dot)
+            with monkeypatch.context() as patch:
+                patch.setattr(cell_module, "_preconditioned_cg", no_cg)
+                field = corrector(g, z)
+                energy = f_hom(g, z, convention="single")
+            assert np.abs(field.values - ref.values).max() <= 1e-12 * max(
+                np.abs(ref.values).max(), 1.0)
+            assert np.array_equal(field.direction, z)
+            # f_hom is cell_energy of the same corrector, bit for bit
+            assert energy == cell_energy(g, z, field, convention="single")
+            if np.linalg.norm(b) == 0:
+                assert np.array_equal(field.values, np.zeros(g.n_cell))
+                assert (field.iterations, field.residual) == (0, 0.0)
+            else:
+                assert field.iterations == 1
+                # the residual of L chi = project(-b), from the check's own product
+                assert field.residual == np.linalg.norm(op.L @ field.values - (b.mean() - b))
+                assert field.residual <= 1e-10 * np.linalg.norm(b)
+
+
+def test_axis_correctors_built_once_and_read_only(monkeypatch):
+    built = []
+    build = PeriodicOperator.axis_correctors.func
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    cached = cached_property(counting)
+    cached.__set_name__(PeriodicOperator, "axis_correctors")
+    monkeypatch.setattr(PeriodicOperator, "axis_correctors", cached)
+    g = random_square_lattice(8, np.random.default_rng(8))
+    op = g.operator
+    assert "axis_correctors" not in vars(op)
+    A = homogenized_tensor(g)
+    f_hom(g, [1.0, -0.5])
+    corrector(g, [0.25, 2.0])
+    X = op.axis_correctors
+    assert built == [op] and X.shape == (g.n_cell, g.d)
+    with pytest.raises(ValueError):
+        X[0, 0] = 0.0
+    # column m is the corrector of e_m, mean zero
+    assert np.array_equal(X, np.column_stack([f.values for f in A.correctors]))
+    assert np.abs(X.sum(axis=0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: random_strip(81, np.random.default_rng(81)),
+                                  lambda: random_square_lattice(15, np.random.default_rng(15)),
+                                  lambda: random_strip(128, np.random.default_rng(128))],
+                         ids=["S(81)", "R(15)", "S(128)"])
+def test_axis_correctors_never_built_past_the_dense_ceiling(make):
+    g = make()
+    assert g.n_cell > DENSE_MAX_NODES
+    homogenized_tensor(g)
+    f_hom(g, np.ones(g.d))
+    assert "axis_correctors" not in vars(g.operator)
+    assert "exact_inverse" not in vars(g.operator)
+
+
+def test_small_cell_falls_back_to_cg_on_a_missed_tolerance(examples):
+    # no product meets tol = 1e-300: the corrector reruns solve_corrector
+    # with the exact inverse, whose NoConvergence carries ||L chi + b||
+    g = examples["ex5"]
+    op = g.operator
+    b = op.B @ np.ones(1)
+    with pytest.raises(NoConvergence) as ours:
+        corrector(g, [1.0], tol=1e-300)
+    with pytest.raises(NoConvergence) as cg:
+        solve_corrector(op.L, b, tol=1e-300, precondition=op.exact_inverse.dot)
+    assert str(ours.value) == str(cg.value)
+    assert ours.value.residual == cg.value.residual > 0
+    backward = float(re.search(r"backward error (\S+)\)", str(ours.value))[1])
+    assert ours.value.residual == pytest.approx(backward * np.linalg.norm(b), rel=1e-3)

@@ -483,6 +483,25 @@ def test_warm_start_of_zero_rhs_returns_exact_zeros():
     assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0
 
 
+def test_passing_start_costs_one_product():
+    # the start residual just computed gives the backward error: no second
+    # product with A, and the same value _backward_error recomputes
+    A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
+    start = np.linspace(-1.0, 1.0, 100)
+    b = A @ start + 1e-16
+    for norm in (4.0, 0.0):
+        calls = []
+
+        def apply(v):
+            calls.append(v)
+            return A @ v
+
+        x, steps, backward = graph._preconditioned_cg(apply, b, lambda r: r, norm, 1e-14, 5,
+                                                      "test CG", start)
+        assert len(calls) == 1 and steps == 0 and np.array_equal(x, start)
+        assert backward == graph._backward_error(A.dot, start, b, norm) <= 1e-14
+
+
 def test_shared_cg_breakdown_raises_backward_error():
     # -A is negative definite, so p.Ap < 0 on the first step; an indefinite
     # preconditioner breaks down on r.Mr instead

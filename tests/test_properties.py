@@ -290,6 +290,24 @@ def test_small_cell_tensor_matches_plain_cg_random(graph):
     assert all(f.iterations <= 1 for f in A.correctors)
 
 
+@given(lattice_graphs(connected_only=True), st.integers(1, 6),
+       st.lists(st.floats(-3, 3, allow_nan=False).filter(lambda a: a == 0 or abs(a) > 1e-3),
+                min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_small_cell_f_hom_is_the_tensor_quadratic_form(graph, reps, z):
+    # re-tiled up to the dense ceiling, so the direct route meets cells of
+    # every size it serves
+    while reps > 1 and graph.n_cell * reps ** graph.d > DENSE_MAX_NODES:
+        reps -= 1
+    g = normalize_period(graph, graph.T * reps)
+    z = np.array(z[:g.d])
+    q = homogenized_tensor(g).quadratic_form(z)
+    # relative to the affine energy summed in absolute values, the size of
+    # the terms both values cancel: on a degenerate direction q is 0
+    scale = 2.0 * (abs(z) @ abs(g.operator.C) @ abs(z)) / g.T ** g.d
+    assert abs(f_hom(g, z) - q) <= 1e-12 * scale
+
+
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 61))
 @example(graph=builtin_examples()["ex5"], seed=5, trials=61)
 @example(graph=builtin_examples()["ex3"], seed=2 ** 40 + 3, trials=37)
