@@ -10,8 +10,11 @@ makes the periodic cell value a lower bound for every K in exact arithmetic
 The box is an open window of the shared enumerator (graph.instantiate_window)
 padded by the longest orbit offset on every side, so every bond leaving the
 box ends in the padding, where every vertex is pinned; a vertex is in the
-box when its d-position is in [0, K*T - 1].  It is a graph.PinnedProblem
-with band ceil(2*sqrt(d)*T).
+box when its d-position is in [0, K*T - 1].  Node d-coordinates lie in
+[0, T), so that holds exactly when the vertex's cell is in [0, K)^d: the
+ends of an edge inside the box and the pinned band are per-axis tests on
+the window's cell grid, without a pass over the vertices' positions.  It is
+a graph.PinnedProblem with band ceil(2*sqrt(d)*T).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .cell import _check_direction, convention_factor, f_hom
 from .errors import WindowTooSmall
-from .graph import PinnedProblem, inside, instantiate_window
+from .graph import PinnedProblem, _within, instantiate_window
 from .util import parallel_map
 
 
@@ -35,19 +38,23 @@ def build_window_problem(graph, z, K):
     edge weighs w times the number of its ends inside the K-window, so
     padding-only edges drop out and the outside ends of crossing bonds are
     pinned padding vertices, as is a vertex nearer than 2 sqrt(d) T to the box.
+    Both vertex masks (inside the K-window, pinned) are graph._within's
+    per-axis tests on the window's cells.
     """
     if K < 2:
         raise WindowTooSmall("window needs K >= 2 (a single period is entirely "
                              "inside the clamped boundary layer)")
     z = _check_direction(graph, z)
+    d, T = graph.d, graph.T
     r = int(np.abs(graph.offset).max(initial=0))
-    pos, node_ids, ends, weights = instantiate_window(graph, [(-r, K + r)] * graph.d)
-    band = math.isqrt(4 * graph.d * graph.T ** 2 - 1) + 1      # ceil(2 sqrt(d) T)
-    within = inside(pos, 0, K * graph.T - 1).view(np.int8)
+    pos, node_ids, ends, weights = instantiate_window(graph, [(-r, K + r)] * d)
+    band = math.isqrt(4 * d * T ** 2 - 1) + 1      # ceil(2 sqrt(d) T)
+    box = ([-r] * d, (K + 2 * r,) * d)
+    within = _within(graph, *box, 0, K * T - 1).view(np.int8)
     coef = weights * (within[ends[:, 0]] + within[ends[:, 1]])     # ends inside: 0, 1 or 2
     keep = coef > 0
-    return PinnedProblem(pos, node_ids, ends[keep], coef[keep],
-                         ~inside(pos, band, K * graph.T - band), pos @ z)
+    return PinnedProblem(pos, node_ids, ends.compress(keep, axis=0), coef[keep],
+                         ~_within(graph, *box, band, K * T - band), pos @ z)
 
 
 def window_energy(problem, values, convention="double"):

@@ -170,7 +170,7 @@ def build_system(problem):
         raise EmptyInterior("no vertex is constrained; the problem is singular")
     # one cell average per distinct band position, in lexicographic order:
     # the positions' row-major keys in the box ascend as the positions do
-    band = positions[pinned]
+    band = positions.compress(pinned, axis=0)
     key = np.ravel_multi_index((band - lo).T, hi - lo + 1)
     _, first, slot = np.unique(key, return_index=True, return_inverse=True)
     averages = problem.phi.cell_averages(problem.eps, band[first])
@@ -211,8 +211,12 @@ def solve_dirichlet(problem):
 
 @dataclass
 class ContinuumSolution:
+    """The continuum minimum and its minimizer.  `minimizer` takes one point
+    (d,), giving a float, or a (d, M) array of M points, giving an (M,)
+    array whose entries equal the single-point calls bit for bit."""
+
     energy: float
-    minimizer: object           # callable on points
+    minimizer: object
     error_estimate: float
     h: float
 
@@ -236,7 +240,12 @@ def continuum_reference(tensor, omega, phi, h=None):
         ua, ub = phi([a]), phi([b])
         slope = (ub - ua) / (b - a)
         energy = float(A[0, 0]) * slope * slope * (b - a)
-        minimizer = lambda x: ua + slope * (float(np.asarray(x).reshape(-1)[0]) - a)
+
+        def minimizer(x):
+            x = np.asarray(x, dtype=float)
+            value = ua + slope * ((x[0] if x.ndim else x) - a)
+            return float(value) if np.ndim(value) == 0 else value
+
         return ContinuumSolution(energy, minimizer, 0.0, 0.0)
     if d != 2:
         raise UnsupportedDimension("continuum reference implemented for d in {1, 2}")
@@ -288,7 +297,9 @@ def _fd_solve(A, omega, phi, h):
     its ceiling as h shrinks; a diagonal tensor takes one step at every h.
     Reaching the cap raises NoConvergence with the backward error.  The
     grid shape, steps and backward error go to the `lattice_homog` logger
-    at debug level.
+    at debug level.  The interpolant is bilinear on the grid cell of each
+    point, the point clamped to the box; it takes one point or a (2, M)
+    array of points with the same arithmetic per point.
     """
     (ax, bx), (ay, by) = omega
     nx = max(2, round((bx - ax) / h))
@@ -351,12 +362,14 @@ def _fd_solve(A, omega, phi, h):
     energy = float(dens.sum() * hx * hy)
 
     def interp(x):
-        px = min(max((float(x[0]) - ax) / hx, 0.0), nx - 1e-12)
-        py = min(max((float(x[1]) - ay) / hy, 0.0), ny - 1e-12)
-        i, j = int(px), int(py)
+        x = np.asarray(x, dtype=float)
+        px = np.minimum(np.maximum((x[0] - ax) / hx, 0.0), nx - 1e-12)
+        py = np.minimum(np.maximum((x[1] - ay) / hy, 0.0), ny - 1e-12)
+        i, j = px.astype(np.intp), py.astype(np.intp)
         tx, ty = px - i, py - j
-        return float((1 - tx) * (1 - ty) * u[i, j] + tx * (1 - ty) * u[i + 1, j]
-                     + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
+        value = ((1 - tx) * (1 - ty) * u[i, j] + tx * (1 - ty) * u[i + 1, j]
+                 + (1 - tx) * ty * u[i, j + 1] + tx * ty * u[i + 1, j + 1])
+        return float(value) if value.ndim == 0 else value
 
     return energy, interp
 
@@ -391,18 +404,21 @@ def l2_error_against(u, omega, minimizer):
     """L2 distance of the coarse field to a continuum function at cell centers.
 
     Uses every full cell inside the open domain (the coarse field's own
-    index set).
+    index set).  `minimizer` is evaluated as a BoundaryDatum is: one call on
+    the (d, M) array of the M cell centres, which ContinuumSolution.minimizer
+    takes, and point by point for a callable that does not batch.  The
+    squared differences are summed over the cells in order, as a loop over
+    the cells would sum them.
     """
     g = u.graph
     eps = float(u.scale)
     vol = (eps * g.T) ** g.d
     cells, means = _cell_means(u, [(float(a), float(b)) for a, b in omega])
+    if not len(cells):
+        return 0.0
     centers = eps * (cells * g.T + g.T / 2.0)
-    total = 0.0
-    for center, mean in zip(centers.tolist(), means.tolist()):
-        diff = mean - minimizer(center)
-        total += vol * diff * diff
-    return math.sqrt(total)
+    diff = means - BoundaryDatum(minimizer, name="minimizer").evaluate(centers.T)
+    return math.sqrt(float(np.cumsum(vol * diff * diff)[-1]))
 
 
 def epsilon_convergence_study(graph, omega, phi, eps_list, r=0):

@@ -563,7 +563,7 @@ def hypothesis_norms(u, domain):
     # the vertices' own cells span the box the edges are enumerated in
     box = CellBox(g, u.cells.min(axis=0), u.cells.max(axis=0) + 1)
     ends, _ = box.edges_among(box.index(u.cells, u.node_ids))
-    ea, eb = u.positions[ends[:, 0]], u.positions[ends[:, 1]]
+    ea, eb = (u.positions.take(ends[:, x], axis=0) for x in (0, 1))
     # pair (c, c + e_m) holds an edge iff, per axis, c <= floor((min + M - 1) / T)
     # and c >= ceil((max - M + 2) / T) - 1 - [axis == m]
     c_hi = (np.minimum(ea, eb) + M - 1) // T

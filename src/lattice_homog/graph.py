@@ -11,9 +11,11 @@ those arrays, built on first use for printing and the reference loops; no
 solver reads them, and parsing hands plain tuples to graph_from_edges.
 
 Finite pieces of the infinite graph (windows, boxes, the graph that every
-path search runs on) are broadcast from the graph's arrays by CellBox; a
-window of cells (instantiate_window) and a box of positions (position_box)
-are both a FiniteGraph of positions, node ids, edge ends and weights.  A
+path search runs on) are broadcast from the graph's arrays by CellBox, which
+finds the far end of each edge instance by arithmetic on its flat cell
+index and tests ranges one axis at a time; a window of cells
+(instantiate_window) and a box of positions (position_box) are both a
+FiniteGraph of positions, node ids, edge ends and weights.  A
 window is open: it keeps the edges with both ends among its cells, and a
 problem that needs the outside ends of its boundary bonds (the clamped
 window of asymptotic) takes a window padded by the longest orbit offset.
@@ -248,6 +250,10 @@ class PeriodicOperator:
     (row e: -1 at u[e], +1 at v[e]) and W = diag(w), the energy of
     z . x + chi is chi^T L chi + 2 (B z) . chi + z^T C z, where
     L = D^T W D (n x n), B = D^T W disp (n x d) and C = disp^T W disp (d x d).
+    A loop orbit (u[e] == v[e]) has a zero incidence row: it adds its
+    w disp disp^T to C and nothing to L or B, so a cell whose orbits are all
+    loops or of zero d-displacement (two layers joined by rungs, say) has
+    B = 0 exactly.
 
     `preconditioner` is built on first use: the FFT preconditioner of the
     cell's smallest sub-period t | T (bloch.py), an approximate inverse of
@@ -269,8 +275,9 @@ class PeriodicOperator:
         wdisp = graph.w[:, None] * self.disp
         self.L = laplacian(n, np.column_stack([graph.u, graph.v]), graph.w)
         self.B = np.zeros((n, d))
-        np.add.at(self.B, graph.v, wdisp)
-        np.add.at(self.B, graph.u, -wdisp)
+        link = graph.u != graph.v       # a loop orbit's incidence row is zero
+        np.add.at(self.B, graph.v[link], wdisp[link])
+        np.add.at(self.B, graph.u[link], -wdisp[link])
         self.C = self.disp.T @ wdisp
         for a in (self.disp, self.B, self.C, self.L.data):
             a.flags.writeable = False
@@ -451,7 +458,7 @@ def witness_path(graph, src, tgt, m):
             path = [target]
             while path[-1] != source:
                 path.append(pred[path[-1]])
-            return [(graph.nodes[box.node_ids[x]], tuple(box._cells[x // graph.n_cell].tolist()))
+            return [(graph.nodes[box.node_ids[x]], tuple((box.positions[x] // T).tolist()))
                     for x in reversed(path)]
         radius *= 2
 
@@ -533,21 +540,25 @@ def validate(graph):
 class CellBox:
     """The cells lo <= c < hi (per axis, hi exclusive) of a periodic graph.
 
-    Vertices are cells x nodes: vertex c * n + i is node i of the c-th cell
-    in row-major order (axis 0 slowest), at d-position `positions`.  Edge
-    instances are cells x orbits, anchored in the box (`instances`); their
-    far ends may lie outside it.  Everything is broadcast over the graph's
-    node and orbit arrays.
+    Vertices are cells x nodes: vertex f * n + i is node i of the cell with
+    row-major flat index f (axis 0 slowest), at d-position `positions`.
+    Edge instances are cells x orbits, anchored in the box (`instances`).
+    Everything is broadcast over the graph's node and orbit arrays and the
+    box's cell grid: the far end of an instance is found by arithmetic on
+    flat cell indices, and whether it lies in the box by one mask per axis,
+    never by a lookup of its cell.  `index` looks up given (cell, node)
+    pairs.
     """
 
     def __init__(self, graph, lo, hi):
         self.graph = graph
         self.lo = np.asarray(lo, dtype=np.intp)
         self.shape = tuple(int(x) for x in np.asarray(hi) - self.lo)
-        self._cells = np.indices(self.shape).reshape(graph.d, -1).T + self.lo
+        self.strides = np.cumprod((1,) + self.shape[:0:-1])[::-1]     # row-major, in cells
+        cells = np.indices(self.shape).reshape(graph.d, -1).T + self.lo
         n = graph.n_cell
-        self.node_ids = np.tile(np.arange(n), len(self._cells))
-        self.positions = graph.dpos[self.node_ids] + graph.T * np.repeat(self._cells, n, axis=0)
+        self.node_ids = np.tile(np.arange(n), len(cells))
+        self.positions = (graph.T * cells[:, None, :] + graph.dpos).reshape(-1, graph.d)
 
     def index(self, cells, node_ids):
         """Vertex of each (cell, node) pair, -1 outside the box."""
@@ -562,29 +573,57 @@ class CellBox:
         return np.where(within, flat * self.graph.n_cell + node_ids, -1)
 
     def instances(self, reverse=False):
-        """(near vertex, far cell, far node, weight) per cells x orbits instance.
+        """(near vertex, far vertex, weight) per cells x orbits instance, in
+        (cell, orbit) order; far is -1 where the far end lies outside the box.
 
         Forward instances run from node u of their cell to node v of the cell
         `offset` away; reversed ones from node v to node u of the cell
-        `-offset` away.
+        `-offset` away.  The instance of orbit e anchored in flat cell f
+        (coordinates c from lo) ends at vertex (f + offset_e . strides) n + v_e,
+        which lies in the box when 0 <= c_m + offset_em < shape[m] on every
+        axis m: one mask of shape (cells on axis m, orbits) per axis.
         """
         g = self.graph
-        near, far, sign = (g.v, g.u, -1) if reverse else (g.u, g.v, 1)
-        count = len(self._cells)
-        anchors = (np.arange(count)[:, None] * g.n_cell + near).ravel()
-        far_cells = (self._cells[:, None, :] + sign * g.offset).reshape(-1, g.d)
-        return anchors, far_cells, np.tile(far, count), np.tile(g.w, count)
+        near, far, offset = (g.v, g.u, -g.offset) if reverse else (g.u, g.v, g.offset)
+        n = g.n_cell
+        anchors = np.arange(math.prod(self.shape))[:, None] * n
+        reach = [np.arange(size)[:, None] + offset[:, m] for m, size in enumerate(self.shape)]
+        within = _all_axes([(c >= 0) & (c < size) for c, size in zip(reach, self.shape)])
+        ends = np.where(within, anchors + (offset @ self.strides * n + far), -1)
+        return (anchors + near).ravel(), ends.ravel(), np.tile(g.w, len(anchors))
 
     def edges_among(self, members):
         """Instances with both ends among the vertices `members`: ends (E, 2)
         as positions in `members`, and weights."""
         where = np.full(len(self.node_ids) + 1, -1)     # the last slot maps "outside"
         where[members] = np.arange(len(members))
-        near, far_cells, far_nodes, w = self.instances()
-        ends = np.column_stack([where[near], where[self.index(far_cells, far_nodes)]])
-        keep = np.flatnonzero(np.all(ends >= 0, axis=1))
-        keep = keep[np.argsort(ends[keep, 0], kind="stable")]
-        return ends[keep], w[keep]
+        near, far, w = self.instances()
+        a, b = where[near], where[far]
+        keep = np.flatnonzero((a >= 0) & (b >= 0))
+        keep = keep[np.argsort(a[keep], kind="stable")]
+        return np.column_stack([a[keep], b[keep]]), w[keep]
+
+
+def _all_axes(masks):
+    """The AND over the axes m of masks[m], of shape (cells on axis m, *tail)
+    each, broadcast over a box of cells: shape (cells, *tail), the cells in
+    row-major order."""
+    d, total = len(masks), True
+    for m, mask in enumerate(masks):
+        total = total & mask.reshape((1,) * m + mask.shape[:1] + (1,) * (d - 1 - m)
+                                     + mask.shape[1:])
+    return total.reshape((-1,) + masks[0].shape[1:])
+
+
+def _within(graph, cell_lo, shape, lo, hi):
+    """Mask of the vertices of CellBox(graph, cell_lo, cell_lo + shape) with
+    lo <= d-position <= hi on every axis (lo, hi scalars), without their
+    positions: per axis one test of shape (cells on that axis, nodes)."""
+    masks = []
+    for m, size in enumerate(shape):
+        p = graph.T * np.arange(cell_lo[m], cell_lo[m] + size)[:, None] + graph.dpos[:, m]
+        masks.append((p >= lo) & (p <= hi))
+    return _all_axes(masks).ravel()
 
 
 class FiniteGraph(NamedTuple):
@@ -604,8 +643,12 @@ def position_box(graph, lo, hi):
     ordered by position (row-major), then node."""
     box, inside = _position_cells(graph, lo, hi)
     pos, inside = box.positions, np.flatnonzero(inside)
-    members = inside[np.lexsort(np.vstack([box.node_ids[inside], pos[inside].T[::-1]]))]
-    return FiniteGraph(pos[members], box.node_ids[members], *box.edges_among(members))
+    # the row-major rank of the position in [lo, hi], then the node
+    offsets = pos.take(inside, axis=0) - lo
+    rank = np.ravel_multi_index(tuple(offsets.T), tuple(np.asarray(hi) - lo + 1))
+    members = inside[np.argsort(rank * graph.n_cell + box.node_ids[inside], kind="stable")]
+    return FiniteGraph(pos.take(members, axis=0), box.node_ids[members],
+                       *box.edges_among(members))
 
 
 def _position_cells(graph, lo, hi):
@@ -618,8 +661,15 @@ def _position_cells(graph, lo, hi):
 
 
 def inside(pos, lo, hi):
-    """Mask of the rows of `pos` with lo <= pos <= hi on every axis."""
-    return np.all((pos >= lo) & (pos <= hi), axis=1)
+    """Mask of the rows of `pos` with lo <= pos <= hi on every axis, lo and hi
+    scalars or one bound per axis; one column at a time, which is faster
+    than a reduction over the rows' short axis."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    mask = np.ones(len(pos), dtype=bool)
+    for m, column in enumerate(pos.T):
+        mask &= column >= (lo[m] if lo.ndim else lo)
+        mask &= column <= (hi[m] if hi.ndim else hi)
+    return mask
 
 
 def box_adjacency(graph, lo, hi):
@@ -633,8 +683,8 @@ def box_adjacency(graph, lo, hi):
     size = len(box.node_ids)
     ends = [box.instances(reverse) for reverse in (False, True)]
     # (cell, orbit, end) order; the last slot of `inside` maps "outside"
-    near = np.column_stack([anchors for anchors, *_ in ends]).ravel()
-    far = np.column_stack([box.index(cells, nodes) for _, cells, nodes, _ in ends]).ravel()
+    near = np.column_stack([near for near, _, _ in ends]).ravel()
+    far = np.column_stack([far for _, far, _ in ends]).ravel()
     keep = np.append(inside, False)[far]
     return box, _rows_in_order(near[keep], far[keep], size)[0]
 
@@ -652,10 +702,13 @@ def laplacian(n, ends, coef):
 
 
 def _couplings(ends, coef):
-    """(a, b, coef) of the edges other than loops with a nonzero coefficient."""
+    """(a, b, coef) of the edges other than loops with a nonzero coefficient;
+    views of the inputs when every edge is kept."""
     a, b = np.asarray(ends).reshape(-1, 2).T
     c = np.asarray(coef, dtype=float)
     keep = (a != b) & (c != 0)
+    if keep.all():
+        return a, b, c
     return a[keep], b[keep], c[keep]
 
 
@@ -690,15 +743,16 @@ def pinned_solve(A, rhs, start=None, positions=None):
     per position) and of the KD(4, 100) window (log-uniform weights of
     contrast 100), in ms (the better of two best-of-7 runs on a 2-vCPU x86
     host with one BLAS thread): the assembly (reduced_system), then SuperLU,
-    or the multigrid set-up and CG with their levels and steps:
+    or the multigrid set-up and CG with their levels and steps.  The
+    assembly column was timed apart from the others, by the same method:
 
         problem          free dofs   assembly   SuperLU   set-up   CG     levels, steps
-        R4 window K=24   5 329       1.2        10.8      2.5      5.1    3, 17
-        R4 window K=32   11 025      2.4        26.4      4.8      9.8    3, 16
-        R4 window K=48   28 561      6.8        95.7      14.2     25.4   4, 16
-        R4 window K=64   54 289      13.7       215.2     20.0     52.1   5, 16
-        L2 eps=1/64      7 938       2.5        29.2      3.3      11.3   3, 25
-        KD(4,100) K=26   6 561       1.4        11.4      2.8      22.6   3, 74
+        R4 window K=24   5 329       0.8        10.8      2.5      5.1    3, 17
+        R4 window K=32   11 025      1.5        26.4      4.8      9.8    3, 16
+        R4 window K=48   28 561      6.6        95.7      14.2     25.4   4, 16
+        R4 window K=64   54 289      14.6       215.2     20.0     52.1   5, 16
+        L2 eps=1/64      7 938       1.4        29.2      3.3      11.3   3, 25
+        KD(4,100) K=26   6 561       1.0        11.4      2.8      22.6   3, 74
 
     CG starts from the given values of the free vertices: the affine field
     on a window, which leaves only the corrector to find (20 steps from
@@ -915,19 +969,25 @@ class PinnedProblem:
         the vertex as first end, then those with it as second end; in rhs,
         each pinned neighbour's summed coefficient times its value by
         increasing vertex), so the systems of the tests equal that block and
-        -L_fp values_p bit for bit.  Raises NoConvergence when a free
-        component has no edge to a pinned vertex, since A_ff is singular there.
+        -L_fp values_p bit for bit.  Indices are int32 when the matrix fits
+        them, the index type scipy gives its CSR, so the conversion copies
+        no index array.  Raises NoConvergence when a free component
+        has no edge to a pinned vertex, since A_ff is singular there: one
+        breadth-first search from a free vertex with a pinned neighbour
+        settles the usual case of one free component, and the connected
+        components are labelled only when it does not reach every vertex.
         """
         a, b, c = _couplings(self.ends, self.coef)
         n, free = len(self.pinned), ~self.pinned
         nf = int(np.count_nonzero(free))
-        index = np.where(free, np.cumsum(free) - 1, -1)    # free index, -1 when pinned
+        itype = np.int32 if nf + 2 * len(c) < 2 ** 31 else np.intp
+        index = np.where(free, np.cumsum(free, dtype=itype) - 1, -1)    # -1 when pinned
         ia, ib = index[a], index[b]
         fa, fb = ia >= 0, ib >= 0
         inner, out_a, out_b = fa & fb, fa & ~fb, fb & ~fa    # out_a: a free, b pinned
         diag = np.bincount(np.concatenate([a, b]), np.concatenate([c, c]), n)[free]
         i, j, off = ia[inner], ib[inner], -c[inner]
-        diagonal = np.arange(nf)
+        diagonal = np.arange(nf, dtype=itype)
         A = sp.csr_matrix((np.concatenate([off, off, diag]),
                            (np.concatenate([i, j, diagonal]), np.concatenate([j, i, diagonal]))),
                           shape=(nf, nf))
@@ -942,6 +1002,8 @@ class PinnedProblem:
         head[1:] = (near[1:] != near[:-1]) | (far[1:] != far[:-1])
         coupling = np.bincount(np.cumsum(head) - 1, coupling)
         rhs = np.bincount(near[head], coupling * self.values[far[head]], nf)
+        if len(near) and len(breadth_first_order(A, near[0], return_predecessors=False)) == nf:
+            return A, rhs
         count, labels = connected_components(A, directed=False)
         anchored = np.zeros(count, dtype=bool)
         anchored[labels[near]] = True
@@ -959,7 +1021,8 @@ class PinnedProblem:
         free = ~self.pinned
         A, rhs = self.reduced_system()
         out = self.values.copy()
-        out[free] = pinned_solve(A, rhs, self.values[free], self.positions[free])
+        positions = self.positions.compress(free, axis=0)
+        out[free] = pinned_solve(A, rhs, self.values[free], positions)
         return out
 
     def energy(self, x):
@@ -970,7 +1033,8 @@ def instantiate_window(graph, window):
     """The FiniteGraph of the cells of `window` ((lo, hi) per axis, hi
     exclusive): vertex c * n + i is node i of the c-th cell in row-major
     order, and the edges are the instances with both ends in the window,
-    anchor first, in (cell, orbit) order."""
+    anchor first, in (cell, orbit) order: CellBox.instances with the far
+    ends outside the box (far = -1) dropped."""
     window = tuple((int(lo), int(hi)) for lo, hi in window)
     if len(window) != graph.d:
         raise ValueError("window arity != d")
@@ -978,11 +1042,10 @@ def instantiate_window(graph, window):
         raise EmptyWindow(f"empty window {window}")
 
     box = CellBox(graph, *zip(*window))
-    near, far_cells, far_nodes, w = box.instances()
-    far = box.index(far_cells, far_nodes)
+    near, far, w = box.instances()
     kept = far >= 0
     return FiniteGraph(box.positions, box.node_ids,
-                       np.column_stack([near[kept], far[kept]]), w[kept])
+                       np.column_stack([near, far]).compress(kept, axis=0), w[kept])
 
 
 def graph_from_edges(d, k, T, node_coords, edge_list, M=None):

@@ -61,6 +61,28 @@ def random_square_lattice(T, rng, contrast=None):
     return graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
 
 
+def cube_lattice(rng):
+    """d = 3, T = 2: the 2 x 2 x 2 cube of sites with a bond from each site to
+    its neighbour along every axis, U(0.5, 2) weights."""
+    sites = list(np.ndindex(2, 2, 2))
+    edges = []
+    for site in sites:
+        for m in range(3):
+            far = list(site)
+            far[m] = 1 - site[m]
+            # the bond from coordinate 1 ends in the next cell along axis m
+            offset = tuple(int(a == m and site[m] == 1) for a in range(3))
+            edges.append((site, tuple(far), offset, float(rng.uniform(0.5, 2.0))))
+    return graph_from_edges(3, 0, 2, sites, edges)
+
+
+def long_offset_chain():
+    """Z with bonds of length 9 and 10, T = 1: a window of K cells has its far
+    ends up to r = 10 cells outside it."""
+    return graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
+                                               ((0,), (0,), (10,), 1.0)])
+
+
 def random_strip(P, rng):
     """d=1, k=1 two-rail strip of period P, U(0.5, 2) rails, rungs at 0 and
     at each other x with probability 1/2: a cell with no sub-period unless

@@ -329,6 +329,30 @@ def test_continuum_reference_same_with_scalar_only_datum():
         assert batch.minimizer(point) == scalar.minimizer(point)
 
 
+def test_minimizer_batch_matches_single_points():
+    # the grid interpolant and the d = 1 affine minimizer take a (d, M) array
+    # of points with the arithmetic of one point: inside the box, on its edge
+    # x = b and outside it (clamped by the interpolant), a batch equals the
+    # single calls bit for bit
+    rng = np.random.default_rng(7)
+    A = np.array([[20 / 3, 2 / 3], [2 / 3, 14 / 3]])
+    cases = [(((0, 1), (0, 1)), continuum_reference(A, ((0, 1), (0, 1)), QUADRATIC, h=1 / 16)),
+             (((-1, 2), (0, 0.5)), continuum_reference(A, ((-1, 2), (0, 0.5)), QUADRATIC,
+                                                      h=1 / 8)),
+             (((0.5, 2),), continuum_reference(np.array([[3.0]]), ((0.5, 2),),
+                                               affine_datum(0.25, [1.5])))]
+    for omega, sol in cases:
+        lo, hi = np.array(omega, dtype=float).T
+        points = rng.uniform(lo - 0.5, hi + 0.5, (64, len(lo))).T
+        points[:, 0] = hi               # the far corner, x = b
+        points[:, 1] = lo - 0.25        # below the box, x < a
+        batch = sol.minimizer(points)
+        assert isinstance(batch, np.ndarray) and batch.shape == (64,)
+        single = [sol.minimizer(p) for p in points.T]
+        assert all(type(v) is float for v in single)
+        assert batch.tolist() == single == [sol.minimizer(p.tolist()) for p in points.T]
+
+
 GRID_TENSORS = {
     "L2": np.array([[20 / 3, 2 / 3], [2 / 3, 14 / 3]]),
     "negative": np.array([[2.0, -0.7], [-0.7, 1.0]]),

@@ -312,6 +312,30 @@ def test_tensor_layered_lattice_exact():
         assert t.entries[0, 1] == t.entries[1, 0]
 
 
+def test_loop_orbits_leave_B_exactly_zero():
+    # L2's only orbit joining two nodes has zero displacement, and a loop
+    # orbit adds nothing to B: B and both correctors are exactly 0
+    g = layered_square_lattice()
+    assert np.array_equal(g.operator.B, np.zeros((2, 2)))
+    for field in homogenized_tensor(g).correctors:
+        assert np.array_equal(field.values, np.zeros(2))
+
+
+def test_isolated_node_beside_loops_has_a_tensor():
+    # node (0 0|0) has no orbit and node (0 0|1) only loops, so each is its
+    # own quotient component; rounding residue in B made every corrector's
+    # CG break down at iteration 0
+    g = graph_from_edges(2, 1, 1, [(0, 0, 0), (0, 0, 1)],
+                         [((0, 0, 1), (0, 0, 1), (0, 1), 1.0),
+                          ((0, 0, 1), (0, 0, 1), (1, 1), 1.649159699934282)])
+    C = g.operator.C
+    assert np.array_equal(g.operator.B, np.zeros((2, 2)))
+    t = homogenized_tensor(g)
+    assert np.array_equal(t.entries, convention_factor("double") * 0.5 * (C + C.T))
+    for field in t.correctors:
+        assert np.array_equal(field.values, np.zeros(2))
+
+
 def test_tensor_quadratic_form_equals_f_hom_multi_node(rng):
     g = random_square_lattice(4, rng)
     t = homogenized_tensor(g)

@@ -30,7 +30,8 @@ from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_s
                                  position_box)
 
 import pinned_reference
-from conftest import layered_square_lattice, oracle_neighbours, random_square_lattice
+from conftest import (layered_square_lattice, long_offset_chain, oracle_neighbours,
+                      random_square_lattice)
 from test_bvp import GRID_TENSORS, SQUARE, WAVE, grid_problem
 
 
@@ -448,10 +449,8 @@ def _loop_and_zero_problem():
 def _assembled_problems():
     """Pinned problems of every kind the package builds, and two more."""
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
-    chain = graph_from_edges(1, 0, 1, [(0,)], [((0,), (0,), (9,), 1.0),
-                                               ((0,), (0,), (10,), 1.0)])
     yield "R4-window", build_window_problem(r4, [1.0, 1.0], 16)
-    yield "clamped-chain", build_window_problem(chain, [1.0], 12)
+    yield "clamped-chain", build_window_problem(long_offset_chain(), [1.0], 12)
     yield "L2-dirichlet", next(_pinned_systems())
     box = position_box(r4, [0, 0], [32, 32])
     free = graph.inside(box.positions, 12, 20)

@@ -1,6 +1,7 @@
 """Property-based invariants over randomized graphs and fields."""
 
 import dataclasses
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -27,7 +28,8 @@ from lattice_homog import (
 
 from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
 
-from conftest import oracle_neighbours, plain_cg_tensor, random_square_lattice
+from conftest import (cube_lattice, long_offset_chain, oracle_neighbours, plain_cg_tensor,
+                      random_square_lattice)
 from harness_reference import harness_reports, reference_reports
 
 
@@ -375,7 +377,9 @@ def _window_by_loops(graph, window):
     return positions, edges, crossings
 
 
-@given(lattice_graphs())
+@given(lattice_graphs(max_offset=2))
+@example(cube_lattice(np.random.default_rng(1)))
+@example(long_offset_chain())
 @settings(max_examples=60, deadline=None)
 def test_window_matches_cell_loop(graph):
     from lattice_homog import instantiate_window
@@ -384,6 +388,43 @@ def test_window_matches_cell_loop(graph):
     positions, edges, _ = _window_by_loops(graph, window)
     assert [tuple(p) for p in fg.positions.tolist()] == positions
     assert list(zip(*fg.ends.T.tolist(), fg.weights.tolist())) == edges
+
+
+def _window_problem_by_loops(graph, K):
+    """The arrays of build_window_problem by a loop over _window_by_loops:
+    (positions, ends, coef, pinned) of the window padded by the longest
+    offset, each edge weighted by the number of its ends in [0, KT - 1]^d
+    and kept when that is positive, and each vertex nearer than 2 sqrt(d) T
+    to the box boundary pinned."""
+    d, T = graph.d, graph.T
+    r = max((abs(o) for orb in graph.orbits for o in orb.offset), default=0)
+    positions, edges, _ = _window_by_loops(graph, [(-r, K + r)] * d)
+    ends, coef = [], []
+    for a, b, w in edges:
+        count = sum(all(0 <= c <= K * T - 1 for c in positions[x]) for x in (a, b))
+        if count:
+            ends.append([a, b])
+            coef.append(w * count)
+    pinned = [min(min(c, K * T - c) for c in p) < 2.0 * math.sqrt(d) * T for p in positions]
+    return positions, ends, coef, pinned
+
+
+@given(lattice_graphs(max_offset=2), st.integers(2, 6),
+       st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3))
+@example(cube_lattice(np.random.default_rng(1)), 3, [1.0, -0.5, 0.25])
+@example(long_offset_chain(), 12, [1.0, 0.0, 0.0])
+@settings(max_examples=60, deadline=None)
+def test_window_problem_matches_cell_loop(graph, K, z):
+    from lattice_homog.asymptotic import build_window_problem
+    z = np.array(z[:graph.d])
+    problem = build_window_problem(graph, z, K)
+    positions, ends, coef, pinned = _window_problem_by_loops(graph, K)
+    assert [tuple(p) for p in problem.positions.tolist()] == positions
+    assert problem.ends.tolist() == ends and problem.coef.tolist() == coef
+    assert problem.pinned.tolist() == pinned
+    # z . x as one matrix product over the positions: a per-vertex dot
+    # product can round differently in the last bit (fused multiply-adds)
+    assert np.array_equal(problem.values, np.array(positions, dtype=float) @ z)
 
 
 @given(lattice_graphs(connected_only=True, max_offset=2), st.integers(2, 8),
@@ -418,8 +459,10 @@ def test_window_value_matches_dense_loop(graph, K, z):
     assert finite_window_value(graph, z, K) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
-@given(lattice_graphs(), st.integers(-3, 0), st.integers(0, 4))
+@given(lattice_graphs(max_offset=2), st.integers(-3, 0), st.integers(0, 4))
 @example(normalize_period(random_square_lattice(2, np.random.default_rng(1)), 4), -1, 5)
+@example(cube_lattice(np.random.default_rng(1)), -1, 4)
+@example(long_offset_chain(), -2, 12)
 @settings(max_examples=60, deadline=None)
 def test_position_box_matches_position_loop(graph, lo, hi):
     # vertices by position then node, edges by anchor vertex then orbit
