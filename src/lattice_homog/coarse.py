@@ -14,12 +14,14 @@ with constants from shortest-path structure, and the domain-scale Poincare
 inequality for fields vanishing near the boundary.  Each harness states its
 regions as data (label, left-hand side, edge ends, coefficients) and one
 loop, _worst_ratio, scores every trial field on every region.  The trial
-fields come in blocks of at most TRIAL_BLOCK = 16 rows of one array: a
-block's edge energies and left-hand sides on a region are one array pass
-each, and a block bounds the memory the trials take.  Trial t draws from
-the stream of default_rng((seed, t)); the seed words of every trial of a
-call are computed in one array pass, so a report is a pure function of
-(graph, trials, seed).  Boxes come
+fields come in blocks of one array within an entry budget,
+TRIAL_BLOCK_ENTRIES = 2**16 (most calls take one block): a block is filled
+family by family, its left-hand sides on a region are one array pass, and
+its edge energies one pass per row chunk within the same budget.  Trial t
+draws from the stream of
+default_rng((seed, t)); the seed words of all trials are one array pass,
+computed once per (seed, trials) in a process and shared, so a report is a
+pure function of (graph, trials, seed).  Boxes come
 from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
 energies are graph.edge_energy's running sums, the Poincare problem is a
 graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
@@ -28,6 +30,7 @@ one per graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -256,8 +259,10 @@ class InequalityReport:
                 "witness": self.witness, "holds": bool(self.holds)}
 
 
-# Trial fields built and scored at a time: bounds the (trials, vertices) arrays.
-TRIAL_BLOCK = 16
+# Entry budget of one block of trial fields (rows x vertices): a block has the
+# most rows within it that are a multiple of 4, and at least 4, so every
+# block starts at family 0 and one block of 512 KB serves most calls.
+TRIAL_BLOCK_ENTRIES = 2 ** 16
 FAMILIES = ("gaussian", "affine", "indicator", "checkerboard")
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
@@ -322,49 +327,69 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
+@functools.lru_cache(maxsize=16)
+def _seed_table(seed, trials):
+    """_seed_states of trials 0 .. trials - 1, read-only: computed once per
+    (seed, trials) in a process and shared by every call that asks for it."""
+    table = _seed_states(seed, np.arange(trials))
+    table.flags.writeable = False
+    return table
+
+
 def _trial_fields(seed, pos, node_ids, trials):
     """Deterministic per-trial families: gaussian, affine, indicator,
-    checkerboard, yielded in blocks of at most TRIAL_BLOCK trials as
-    (names, U), row j of U the values of trial names[j].
+    checkerboard, yielded in blocks as (names, U), row j of U the values of
+    trial names[j].
 
-    Each trial that draws draws from its own stream, that of
-    default_rng((seed, t)), so trials can run in any order without changing
-    the outcome; the checkerboard draws nothing.  The streams' seed states
-    are _seed_states of all trials at once: SeedSequence's own hash, so
-    each generator is PCG64 started from exactly default_rng's state.
+    A block has the most rows, a multiple of 4 and at least 4, whose
+    entries fit TRIAL_BLOCK_ENTRIES, so row j of every block is of family
+    j % 4 and each family is filled in one pass: the checkerboard rows by
+    one broadcast, each gaussian row drawn in place, each affine row one
+    product (per row: a batched product rounds differently) and the
+    indicator hits by one assignment after their draws.  Each trial that
+    draws draws from its own stream, that of default_rng((seed, t)), so
+    trials can run in any order without changing the outcome; the
+    checkerboard draws nothing.  The streams' seed states are the shared
+    _seed_table(seed, trials): SeedSequence's own hash, so each generator
+    is PCG64 started from exactly default_rng's state.
     """
     n, coords = len(pos), pos.astype(float)     # pos @ slope casts pos the same way
     checkerboard = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
-    states = _seed_states(seed, np.arange(trials))
-    for start in range(0, trials, TRIAL_BLOCK):
-        block = range(start, min(start + TRIAL_BLOCK, trials))
-        U = np.zeros((len(block), n))
-        for row, t in zip(U, block):
-            fam = FAMILIES[t % 4]
-            if fam == "checkerboard":
-                row[:] = checkerboard
-                continue
-            rng = np.random.Generator(np.random.PCG64(_SeedState(states[t])))
-            if fam == "gaussian":
-                row[:] = rng.standard_normal(n)
-            elif fam == "affine":
-                slope = rng.standard_normal(pos.shape[1])
-                row[:] = coords @ slope + rng.standard_normal()
-            else:
-                row[rng.integers(n)] = 1.0
-        yield [f"trial {t} ({FAMILIES[t % 4]})" for t in block], U
+    states = _seed_table(seed, trials)
+    rows = max(4, TRIAL_BLOCK_ENTRIES // max(n, 1) // 4 * 4)
+
+    def stream(t):
+        return np.random.Generator(np.random.PCG64(_SeedState(states[t])))
+
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        U = np.empty((stop - start, n))
+        for t in range(start, stop, 4):
+            stream(t).standard_normal(out=U[t - start])
+        for t in range(start + 1, stop, 4):
+            rng = stream(t)
+            slope = rng.standard_normal(pos.shape[1])
+            U[t - start] = coords @ slope + rng.standard_normal()
+        hits = [stream(t).integers(n) for t in range(start + 2, stop, 4)]
+        U[2::4] = 0.0
+        U[2::4][np.arange(len(hits)), hits] = 1.0
+        U[3::4] = checkerboard
+        yield [f"trial {t} ({FAMILIES[t % 4]})" for t in range(start, stop)], U
 
 
 def _worst_ratio(fields, regions, constant):
     """(largest ratio, witness) over every (field, region) pair.
 
-    `fields` yields blocks (names, U), one field u per row of U; a region is
+    `fields` yields blocks (names, U), one field u per row of U (one block
+    for most harness calls, so each region is scored once); a region is
     (label, lhs, ends, coef), and its ratio for u is
     lhs(u) / (constant * edge_energy(ends, coef, u)): 0 when lhs(u) = 0,
     inf when the energy is 0.  lhs maps a block, or one field, to its values
     by reductions over the last axis of C-ordered arrays, so each row sums
-    as its own 1-D field would; a block's energies on a region are one
-    row-wise running sum, edge_energy bit for bit.  The witness, name +
+    as its own 1-D field would; a block's energies on a region are
+    row-wise running sums, edge_energy bit for bit, taken over row chunks
+    of at most TRIAL_BLOCK_ENTRIES / 4 edge terms, so that their
+    temporaries take no more memory than the block.  The witness, name +
     label, is that of the earliest pair, field by field and region by
     region, within relative 1e-12 of the largest ratio: pairs whose ratios
     are equal in exact arithmetic differ only by rounding, so the earliest
@@ -375,12 +400,15 @@ def _worst_ratio(fields, regions, constant):
     for block, U in fields:
         names += block
         tops.append(np.stack([lhs(U) for _, lhs, _, _ in regions], axis=1))
-        energy = []
-        for _, _, ends, coef in regions:
-            diff = U[:, ends[:, 0]] - U[:, ends[:, 1]]
-            energy.append(np.cumsum(coef * (diff * diff), axis=1)[:, -1]
-                          if len(ends) else np.zeros(len(U)))
-        energies.append(np.stack(energy, axis=1))
+        energy = np.zeros((len(U), len(regions)))
+        for col, (_, _, ends, coef) in zip(energy.T, regions):
+            # row chunks of at most a quarter block of (rows, edges) terms:
+            # the few such temporaries alive at once stay within one block
+            step = max(1, TRIAL_BLOCK_ENTRIES // 4 // max(len(ends), 1))
+            for lo in range(0, len(U) if len(ends) else 0, step):
+                diff = U[lo:lo + step, ends[:, 0]] - U[lo:lo + step, ends[:, 1]]
+                col[lo:lo + step] = np.cumsum(coef * (diff * diff), axis=1)[:, -1]
+        energies.append(energy)
     if not names:
         return 0.0, ""
     top, energy = np.concatenate(tops).ravel(), np.concatenate(energies).ravel()
@@ -397,16 +425,22 @@ def _worst_ratio(fields, regions, constant):
 
 
 def _check_seed_and_trials(seed, trials, least):
-    """Reject a seed that is not a non-negative integer and fewer than
-    `least` trials, before any field is drawn."""
+    """(seed, trials) as ints; rejects a seed that is not a non-negative
+    integer and a trial count that is not an integer of at least `least`,
+    before any field is drawn."""
     try:
-        valid = operator.index(seed) >= 0
+        index = operator.index(seed)
     except TypeError:
-        valid = False
-    if not valid:
+        index = -1
+    if index < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if trials < least:
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if count < least:
         raise ValueError(f"trials must be at least {least}, got {trials!r}")
+    return index, count
 
 
 def check_two_connectedness(graph, trials=200, seed=7):
@@ -416,7 +450,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
     |mean_l - mean_l'|^2 <= C * sum over ordered edge pairs inside the
     (-M, M)-enlarged pair box of |u_i - u_j|^2.
     """
-    _check_seed_and_trials(seed, trials, 1)
+    seed, trials = _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
@@ -443,7 +477,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy."""
-    _check_seed_and_trials(seed, trials, 1)
+    seed, trials = _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
     pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
@@ -500,7 +534,7 @@ def check_poincare(graph, widths, trials=100, seed=7):
     constrained weighted Laplacian (sparse shift-invert from a fixed start
     vector, so runs repeat exactly); that field is also the first trial.
     """
-    _check_seed_and_trials(seed, trials, 0)
+    seed, trials = _check_seed_and_trials(seed, trials, 0)
     d, T = graph.d, graph.T
     layer = 2.0 * math.sqrt(d) * T
     band = math.isqrt(4 * d * T * T) + 1       # floor(2 sqrt(d) T) + 1

@@ -233,6 +233,32 @@ def test_examples_listing_and_export(tmp_path, capsys):
     assert "ex5: d=1 k=1 T=4" in out
 
 
+def test_runs_back_to_back_print_what_each_prints_alone(ex_path, capsys):
+    # run() keeps one parser for the process; no run may leave state in it
+    runs = [["inequalities", ex_path("ex2"), "--trials", "12", "--seed", "3",
+             "--widths", "16", "--format", "json"],
+            ["cell", ex_path("ex5"), "--convention", "single", "--tol", "1e-8"],
+            ["inequalities", ex_path("ex2"), "--trials", "8", "--widths", "16"],
+            ["examples", "--format", "json"],
+            ["bvp", ex_path("ex1"), "--omega", "0,1", "--phi", "w"],
+            ["validate", ex_path("ex3")],
+            ["cell", ex_path("ex5")],
+            ["asymptotic"]]
+    together = [run_cli(capsys, *argv) for argv in runs]
+    alone = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert together == alone
+    assert cli._parser() is cli._parser()
+
+
+def test_cached_parser_calls_the_subcommand_bound_now(ex_path, capsys, monkeypatch):
+    run_cli(capsys, "validate", ex_path("ex1"))
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: ({"human": [args.file]}, 0))
+    assert run_cli(capsys, "validate", "x.lgf") == (0, "x.lgf\n", "")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.run(["asymptotic"]) == 2  # missing file argument
 

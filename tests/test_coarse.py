@@ -342,6 +342,60 @@ def test_harnesses_reject_vacuous_trial_counts(examples):
     assert rep.trials == 0 and rep.witness == "extremal"
 
 
+@pytest.mark.parametrize("trials", [200.0, 1.5, "8", None])
+def test_harnesses_reject_non_integer_trial_counts(examples, monkeypatch, trials):
+    # range() used to raise a bare TypeError after the harness region was built
+    def no_draw(*args):
+        raise AssertionError("a trial field was drawn")
+
+    monkeypatch.setattr(coarse, "_trial_fields", no_draw)
+    g = examples["ex1"]
+    for harness in (check_two_connectedness, check_poincare_wirtinger,
+                    lambda g, trials: check_poincare(g, [8], trials=trials)):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            harness(g, trials=trials)
+
+
+def test_harness_reports_carry_the_trial_count_as_int(examples):
+    # True used to be reported as JSON true; integer-likes report as ints
+    g = examples["ex1"]
+    for trials, count in ((True, 1), (np.int64(5), 5)):
+        reports = [check_two_connectedness(g, trials=trials),
+                   check_poincare_wirtinger(g, trials=trials),
+                   *check_poincare(g, [8], trials=trials)]
+        for rep in reports:
+            assert type(rep.trials) is int and rep.trials == count
+            assert json.loads(json.dumps(rep.to_dict()))["trials"] == count
+    assert (check_two_connectedness(g, trials=np.int64(5)).to_dict()
+            == check_two_connectedness(g, trials=5).to_dict())
+
+
+def test_seed_table_shared_by_harnesses_and_cli(examples, monkeypatch, tmp_path, capsys):
+    computed = []
+    seed_states = coarse._seed_states
+
+    def counting(seed, ts):
+        computed.append((seed, len(ts)))
+        return seed_states(seed, ts)
+
+    monkeypatch.setattr(coarse, "_seed_states", counting)
+    coarse._seed_table.cache_clear()
+    g = examples["ex5"]
+    check_two_connectedness(g, trials=200, seed=7)
+    check_poincare_wirtinger(g, trials=200, seed=7)
+    path = tmp_path / "ex5.lgf"
+    path.write_text(builtin_example_text("ex5"), encoding="utf-8")
+    assert cli.run(["inequalities", str(path), "--widths", "8,16"]) == 0
+    capsys.readouterr()
+    # check_poincare seeds width w with seed + w: one table per width
+    assert computed == [(7, 200), (7 + 8, 50), (7 + 16, 50)]
+    table = coarse._seed_table(7, 200)
+    assert len(computed) == 3
+    assert table.tolist() == seed_states(7, np.arange(200)).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
 def test_trial_seeding_matches_numpy(seed):
     # the vectorized seed states are numpy's SeedSequence hash, and a trial's
