@@ -39,7 +39,9 @@ def build_window_problem(graph, z, K):
     padding-only edges drop out and the outside ends of crossing bonds are
     pinned padding vertices, as is a vertex nearer than 2 sqrt(d) T to the box.
     Both vertex masks (inside the K-window, pinned) are graph._within's
-    per-axis tests on the window's cells.
+    per-axis tests on the window's cells.  The values z . x are summed axis
+    by axis in axis order, as a scalar loop over the axes would: a matrix
+    product's rounding depends on the BLAS kernel.
     """
     if K < 2:
         raise WindowTooSmall("window needs K >= 2 (a single period is entirely "
@@ -53,8 +55,11 @@ def build_window_problem(graph, z, K):
     within = _within(graph, *box, 0, K * T - 1).view(np.int8)
     coef = weights * (within[ends[:, 0]] + within[ends[:, 1]])     # ends inside: 0, 1 or 2
     keep = coef > 0
+    values = np.zeros(len(pos))
+    for column, slope in zip(pos.T, z):
+        values += column * slope
     return PinnedProblem(pos, node_ids, ends.compress(keep, axis=0), coef[keep],
-                         ~_within(graph, *box, band, K * T - band), pos @ z)
+                         ~_within(graph, *box, band, K * T - band), values)
 
 
 def window_energy(problem, values, convention="double"):

@@ -21,7 +21,10 @@ its edge energies one pass per row chunk within the same budget.  Trial t
 draws from the stream of
 default_rng((seed, t)); the seed words of all trials are one array pass,
 computed once per (seed, trials) in a process and shared, so a report is a
-pure function of (graph, trials, seed).  Boxes come
+pure function of (graph, trials, seed).  The two local harnesses test the
+same M-enlarged region with the same fields: _local_draw builds the region
+and draws the fields once, and keeps the last draw of at most four blocks'
+worth, read-only, for the other harness on the same graph.  Boxes come
 from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
 energies are graph.edge_energy's running sums, the Poincare problem is a
 graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
@@ -34,6 +37,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,7 @@ from numpy.random.bit_generator import ISeedSequence
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import CellOutOfWindow, DisconnectedGraph
+from .errors import CellOutOfWindow
 from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certificate,
                     edge_energy, inside, position_box)
 
@@ -206,22 +210,22 @@ def compute_path_constants(graph):
     weight.  Every witness is a shortest path inside the M-enlarged box, a
     breadth-first tree path on graph.box_adjacency: d + 1 boxes per M (the
     translations per axis, the pairs), one search per box and source node.
-    If a witness does not fit, M grows by T (re-tiling argument); a
-    connected graph always terminates.
+    If a witness does not fit, M grows by T (re-tiling argument) until all
+    fit: connectedness_certificate has proven that the witnesses of a
+    connected graph exist, so the loop ends, and it raises DisconnectedGraph
+    before the loop for any other graph.
     """
     connectedness_certificate(graph)  # raises DisconnectedGraph on failure
     T, d, n_cell = graph.T, graph.d, graph.n_cell
     nodes = np.arange(n_cell)
     others = np.array([np.delete(nodes, i) for i in nodes])
-    for M in range(T, 9 * T, T):
+    for M in itertools.count(T, T):
         lo, hi = [-(M - 1)] * d, T - 1 + (M - 1)
         axes = [_tree_paths(graph, lo, hi + T * unit, unit, nodes[:, None])
                 for unit in np.eye(d, dtype=np.intp)]
         pw = _tree_paths(graph, lo, [hi] * d, np.zeros(d, dtype=np.intp), others)
         if pw is not None and None not in axes:
             break
-    else:
-        raise DisconnectedGraph("witness paths do not fit any tested enlargement")
 
     # the first axis with the largest (longest witness) * (multiplicity)
     n_two, mu_two = max(axes, key=lambda family: family[0] * family[1])
@@ -443,17 +447,57 @@ def _check_seed_and_trials(seed, trials, least):
     return index, count
 
 
+# The last local draw: (graph weakref, key, region, blocks), or None.
+_local_entry = None
+
+
+def _local_draw(graph, seed, trials):
+    """(region, fields) of the two local harnesses: the FiniteGraph of
+    position_box(graph, [-(M - 1)] * d, [2T - 1 + (M - 1)] * d) and the
+    blocks of _trial_fields(seed, its positions, its node ids, trials).
+
+    Both harnesses ask for the same region and fields, so the last result
+    is kept in one module entry, read-only, and served to the next call on
+    the same graph object with the same seed and trial count, as long as
+    _trial_fields and TRIAL_BLOCK_ENTRIES are those that made it.  Any other
+    call replaces the entry.  A result is kept only when the region and the
+    fields fit in four blocks' worth of memory (4 * TRIAL_BLOCK_ENTRIES
+    float64 values); larger draws stream block by block and are not kept.
+    The entry holds the graph by weak reference and matches it by identity;
+    it is read once and replaced by one assignment, so a caller sees a whole
+    entry or none.
+    """
+    global _local_entry
+    key = (seed, trials, _trial_fields, TRIAL_BLOCK_ENTRIES)
+    entry = _local_entry
+    if entry is not None and entry[0]() is graph and entry[1] == key:
+        return entry[2:]
+    T, d, M = graph.T, graph.d, graph.path_constants.M
+    region = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
+    fields = _trial_fields(seed, region.positions, region.node_ids, trials)
+    size = sum(a.nbytes for a in region) + 8 * trials * len(region.positions)
+    if size > 4 * TRIAL_BLOCK_ENTRIES * 8:
+        _local_entry = None
+        return region, fields
+    blocks = tuple((tuple(names), U) for names, U in fields)
+    for a in (*region, *(U for _, U in blocks)):
+        a.flags.writeable = False
+    _local_entry = (weakref.ref(graph), key, region, blocks)
+    return region, blocks
+
+
 def check_two_connectedness(graph, trials=200, seed=7):
     """Adjacent cell-mean differences vs. unweighted local edge energy.
 
     For each trial field and each axis pair (cell 0, cell e_m), checks
     |mean_l - mean_l'|^2 <= C * sum over ordered edge pairs inside the
-    (-M, M)-enlarged pair box of |u_i - u_j|^2.
+    (-M, M)-enlarged pair box of |u_i - u_j|^2.  The region and the fields
+    are _local_draw's, shared with check_poincare_wirtinger.
     """
     seed, trials = _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
-    pos, node_ids, ends, _ = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
+    (pos, _, ends, _), fields = _local_draw(graph, seed, trials)
     in_cell = np.flatnonzero(inside(pos, 0, T - 1))
 
     def mean_gap(u, members):
@@ -470,18 +514,17 @@ def check_two_connectedness(graph, trials=200, seed=7):
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
                         lambda u, m=in_other: mean_gap(u, m),
                         inner, np.full(len(inner), 2.0)))
-    worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
-                                  consts.C_two)
+    worst, witness = _worst_ratio(fields, regions, consts.C_two)
     return InequalityReport("two-connectedness", consts.C_two, worst, trials, witness)
 
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
-    """Per-cell deviation from the mean vs. weighted local edge energy."""
+    """Per-cell deviation from the mean vs. weighted local edge energy, on
+    _local_draw's region and fields, shared with check_two_connectedness."""
     seed, trials = _check_seed_and_trials(seed, trials, 1)
     consts = graph.path_constants
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
-    pos, node_ids, ends, weights = position_box(graph, [-(M - 1)] * d,
-                                                [2 * T - 1 + (M - 1)] * d)
+    (pos, _, ends, weights), fields = _local_draw(graph, seed, trials)
     cells = [np.zeros(d, dtype=int)]
     if T - 1 + (M - 1) >= 2 * T - 1:   # a second full enlarged cell fits
         cells.append(np.eye(d, dtype=int)[0])
@@ -498,8 +541,7 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
         regions.append((f", cell {tuple(cell.tolist())}",
                         lambda u, m=members: deviation(u, m),
                         ends[keep], 2.0 * weights[keep]))
-    worst, witness = _worst_ratio(_trial_fields(seed, pos, node_ids, trials), regions,
-                                  consts.C_pw)
+    worst, witness = _worst_ratio(fields, regions, consts.C_pw)
     return InequalityReport("poincare-wirtinger", consts.C_pw, worst, trials, witness)
 
 

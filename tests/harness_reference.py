@@ -74,8 +74,14 @@ def harness_reports(graph, trials, seed, widths):
 
 
 def reference_reports(graph, trials, seed, widths):
-    """harness_reports with the per-trial fields and scoring patched in."""
+    """harness_reports with the per-trial fields and scoring patched in.
+
+    The local harnesses must draw with the patched fields, even right after
+    an unpatched call with the same arguments kept its draw."""
+    seeds = []
+
     def one_row_blocks(*args):
+        seeds.append(args[0])
         return (([name], u[None, :]) for name, u in trial_fields(*args))
 
     def rows(fields, regions, constant):
@@ -85,4 +91,6 @@ def reference_reports(graph, trials, seed, widths):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coarse, "_trial_fields", one_row_blocks)
         patch.setattr(coarse, "_worst_ratio", rows)
-        return harness_reports(graph, trials, seed, widths)
+        reports = harness_reports(graph, trials, seed, widths)
+    assert seed in seeds, "the local harnesses were served an unpatched draw"
+    return reports

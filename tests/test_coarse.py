@@ -12,7 +12,7 @@ from lattice_homog import (CellOutOfWindow, DisconnectedGraph, graph_from_edges,
 from lattice_homog import BoundaryDatum, DirichletProblem, cli, coarse, solve_dirichlet
 from lattice_homog.bvp import l2_error_against
 from lattice_homog.graph import position_box
-from lattice_homog.lgf import builtin_example_text
+from lattice_homog.lgf import builtin_example_text, parse, serialize
 from lattice_homog.coarse import (
     LatticeFunction,
     check_poincare,
@@ -25,7 +25,7 @@ from lattice_homog.coarse import (
 )
 
 import coarse_reference
-from conftest import layered_square_lattice, random_square_lattice
+from conftest import layered_square_lattice, long_offset_chain, random_square_lattice
 
 
 def _window_function(graph, cells, values=None, scale=1.0):
@@ -301,6 +301,7 @@ def test_poincare_wirtinger_fixtures(examples):
 def test_harness_deterministic(examples):
     g = examples["ex3"]
     a = check_two_connectedness(g, trials=60, seed=11)
+    coarse._local_entry = None      # draw again, not from the kept draw
     b = check_two_connectedness(g, trials=60, seed=11)
     assert a.worst_ratio == b.worst_ratio and a.witness == b.witness
 
@@ -394,6 +395,116 @@ def test_seed_table_shared_by_harnesses_and_cli(examples, monkeypatch, tmp_path,
     assert table.tolist() == seed_states(7, np.arange(200)).tolist()
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (seed, trials) of every coarse._trial_fields call and the
+    (lo, hi) of every coarse.position_box call, in call order."""
+    calls = {"fields": [], "boxes": []}
+    trial_fields, box = coarse._trial_fields, coarse.position_box
+
+    def counting_fields(seed, pos, node_ids, trials):
+        calls["fields"].append((seed, trials))
+        return trial_fields(seed, pos, node_ids, trials)
+
+    def counting_box(graph, lo, hi):
+        calls["boxes"].append((lo, hi))
+        return box(graph, lo, hi)
+
+    monkeypatch.setattr(coarse, "_trial_fields", counting_fields)
+    monkeypatch.setattr(coarse, "position_box", counting_box)
+    return calls
+
+
+def _fresh_reports(graph, trials=200, seed=7):
+    """Both local reports, each from its own draw."""
+    reports = []
+    for harness in (check_two_connectedness, check_poincare_wirtinger):
+        coarse._local_entry = None
+        reports.append(harness(graph, trials=trials, seed=seed).to_dict())
+    coarse._local_entry = None
+    return reports
+
+
+def test_local_harnesses_share_one_region_and_draw(examples, draws):
+    g = examples["ex5"]
+    expected = _fresh_reports(g)
+    del draws["fields"][:], draws["boxes"][:]
+    two = check_two_connectedness(g, trials=200, seed=7)
+    # check_poincare draws on its own regions and leaves the entry alone
+    check_poincare(g, [8], trials=10, seed=7)
+    pw = check_poincare_wirtinger(g, trials=200, seed=7)
+    assert [two.to_dict(), pw.to_dict()] == expected
+    assert draws["fields"] == [(7, 200), (7 + 8, 10)]
+    assert len(draws["boxes"]) == 2
+    # the other order shares too
+    del draws["fields"][:]
+    coarse._local_entry = None
+    assert check_poincare_wirtinger(g).to_dict() == expected[1]
+    assert check_two_connectedness(g).to_dict() == expected[0]
+    assert draws["fields"] == [(7, 200)]
+
+
+def test_local_draw_misses_on_another_seed_trial_count_or_graph(examples, draws):
+    g = examples["ex5"]
+    same = parse(serialize(g))          # equal, but another graph object
+    assert same == g and same is not g
+    calls = [(g, 200, 7), (g, 200, 8), (g, 100, 8), (same, 100, 8), (g, 100, 8)]
+    expected = [_fresh_reports(graph, trials, seed)[1] for graph, trials, seed in calls]
+    del draws["fields"][:], draws["boxes"][:]
+    check_two_connectedness(g, trials=200, seed=7)
+    got = [check_poincare_wirtinger(graph, trials=trials, seed=seed).to_dict()
+           for graph, trials, seed in calls]
+    assert got == expected
+    assert draws["fields"] == [(7, 200), (8, 200), (8, 100), (8, 100), (8, 100)]
+    assert len(draws["boxes"]) == 5
+
+
+def test_local_draw_over_the_cap_is_not_kept(examples, draws, monkeypatch):
+    # at a budget of 2**8 the cap is 8 KB, and 200 trials on the 17 vertices
+    # of ex5's region take 27 KB
+    g = examples["ex5"]
+    kept = [check_two_connectedness(g).to_dict(), check_poincare_wirtinger(g).to_dict()]
+    assert len(draws["fields"]) == 1 and coarse._local_entry is not None
+    monkeypatch.setattr(coarse, "TRIAL_BLOCK_ENTRIES", 2 ** 8)
+    streamed = [check_two_connectedness(g).to_dict()]
+    assert coarse._local_entry is None
+    streamed.append(check_poincare_wirtinger(g).to_dict())
+    assert streamed == kept
+    assert len(draws["fields"]) == 3 and len(draws["boxes"]) == 3
+
+
+def test_cli_inequalities_makes_one_local_draw(draws, tmp_path, capsys):
+    path = tmp_path / "ex5.lgf"
+    path.write_text(builtin_example_text("ex5"), encoding="utf-8")
+    assert cli.run(["inequalities", str(path), "--widths", "8,16"]) == 0
+    capsys.readouterr()
+    # one local draw, then check_poincare's one per width
+    assert draws["fields"] == [(7, 200), (7 + 8, 50), (7 + 16, 50)]
+    assert len(draws["boxes"]) == 3
+
+
+def test_kept_local_draw_is_read_only_and_holds_no_graph():
+    g = layered_square_lattice()
+    check_two_connectedness(g, trials=20)
+    ref, _, region, blocks = coarse._local_entry
+    assert ref() is g
+    arrays = [*region, *(U for _, U in blocks)]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0][1][0, 0] = 1.0
+    del g
+    assert ref() is None
+
+
+def test_harnesses_on_a_chain_whose_witnesses_need_nine_periods():
+    # bonds of length 9 and 10: connected, but the witnesses first fit at M = 9
+    g = long_offset_chain()
+    assert g.path_constants.M == 9 and g.path_constants.C_two == 17.0
+    two, pw = check_two_connectedness(g), check_poincare_wirtinger(g)
+    assert two.holds and pw.holds
+    assert two.trials == pw.trials == 200
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
