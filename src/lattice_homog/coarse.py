@@ -11,43 +11,31 @@ taken for one cell (coarse_mean) or for all (coarse_field).  Three
 inequalities make up the discrete p-connectedness: adjacent cell means and
 per-cell deviation from the mean, each controlled by local edge differences
 with constants from shortest-path structure, and the domain-scale Poincare
-inequality for fields vanishing near the boundary.  Each harness states its
-regions as data (label, left-hand side, edge ends, coefficients) and one
-loop, _worst_ratio, scores every trial field on every region.  The trial
-fields come in blocks of one array within an entry budget,
-TRIAL_BLOCK_ENTRIES = 2**16 (most calls take one block): a block is filled
-family by family, its left-hand sides on a region are one array pass, and
-its edge energies one pass per row chunk within the same budget.  Trial t
-draws from the stream of
-default_rng((seed, t)); the seed words of all trials are one array pass,
-computed once per (seed, trials) in a process and shared, so a report is a
-pure function of (graph, trials, seed).  The two local harnesses test the
-same M-enlarged region with the same fields: _local_draw builds the region
-and draws the fields once, and keeps the last draw of at most four blocks'
-worth, read-only, for the other harness on the same graph.  Boxes come
-from graph.position_box and graph.CellBox, paths from graph.box_adjacency,
-energies are graph.edge_energy's running sums, the Poincare problem is a
-graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
-one per graph.
+inequality for fields vanishing near the boundary.  On each region of a
+local harness the left-hand side is |C^T u|^2 for a matrix C whose columns
+sum to zero, so its supremum over all fields is lambda_max(C^T L^+ C) for
+the region's Laplacian L: one grounded sparse factorization per region
+(graph.grounded_solve) gives the exact worst ratio, and no random field is
+drawn.  Boxes come from graph.position_box and graph.CellBox, paths from
+graph.box_adjacency, energies are graph.edge_energy's running sums, the
+Poincare problem is a graph.PinnedProblem and the path constants are
+LatticeGraph.path_constants, one per graph.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CellOutOfWindow
 from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certificate,
-                    edge_energy, inside, position_box)
+                    edge_energy, grounded_solve, inside, position_box)
 
 
 @dataclass
@@ -242,7 +230,7 @@ def compute_path_constants(graph):
 
 
 # ---------------------------------------------------------------------------
-# random-field harnesses
+# local inequality harnesses
 
 
 @dataclass
@@ -263,175 +251,10 @@ class InequalityReport:
                 "witness": self.witness, "holds": bool(self.holds)}
 
 
-# Entry budget of one block of trial fields (rows x vertices): a block has the
-# most rows within it that are a multiple of 4, and at least 4, so every
-# block starts at family 0 and one block of 512 KB serves most calls.
-TRIAL_BLOCK_ENTRIES = 2 ** 16
-FAMILIES = ("gaussian", "affine", "indicator", "checkerboard")
-
-# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R, _WORD = 0xca01f9dd, 0x4973f715, 0xffffffff
-
-
-def _seed_states(seed, ts):
-    """SeedSequence((seed, t)).generate_state(4, np.uint64) for every t in
-    `ts` (each below 2**32), one row per t, in one uint32 array pass.
-
-    The entropy of (seed, t) is the little-endian 32-bit words of seed, then
-    t; the hash constants advance the same way for every t, so each step of
-    SeedSequence's pool mixing is one operation on a column of all the t.
-    The words stay in uint32 arrays, which wrap silently.
-    """
-    ts, seed = np.asarray(ts, dtype=np.uint32), operator.index(seed)
-    words = [seed & _WORD]
-    while seed > _WORD:
-        seed >>= 32
-        words.append(seed & _WORD)
-    entropy = [np.full(len(ts), w, dtype=np.uint32) for w in words] + [ts]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _WORD
-        value = value * const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ts)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for extra in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    const, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _WORD
-        value = value * const
-        state.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-
-
-class _SeedState(ISeedSequence):
-    """One row of _seed_states, handed to PCG64 as its seed sequence: PCG64
-    asks for generate_state(4, np.uint64) once, so it starts from the state
-    of default_rng((seed, t)) and draws that stream."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_table(seed, trials):
-    """_seed_states of trials 0 .. trials - 1, read-only: computed once per
-    (seed, trials) in a process and shared by every call that asks for it."""
-    table = _seed_states(seed, np.arange(trials))
-    table.flags.writeable = False
-    return table
-
-
-def _trial_fields(seed, pos, node_ids, trials):
-    """Deterministic per-trial families: gaussian, affine, indicator,
-    checkerboard, yielded in blocks as (names, U), row j of U the values of
-    trial names[j].
-
-    A block has the most rows, a multiple of 4 and at least 4, whose
-    entries fit TRIAL_BLOCK_ENTRIES, so row j of every block is of family
-    j % 4 and each family is filled in one pass: the checkerboard rows by
-    one broadcast, each gaussian row drawn in place, each affine row one
-    product (per row: a batched product rounds differently) and the
-    indicator hits by one assignment after their draws.  Each trial that
-    draws draws from its own stream, that of default_rng((seed, t)), so
-    trials can run in any order without changing the outcome; the
-    checkerboard draws nothing.  The streams' seed states are the shared
-    _seed_table(seed, trials): SeedSequence's own hash, so each generator
-    is PCG64 started from exactly default_rng's state.
-    """
-    n, coords = len(pos), pos.astype(float)     # pos @ slope casts pos the same way
-    checkerboard = ((pos.sum(axis=1) + node_ids) % 2).astype(float) * 2 - 1
-    states = _seed_table(seed, trials)
-    rows = max(4, TRIAL_BLOCK_ENTRIES // max(n, 1) // 4 * 4)
-
-    def stream(t):
-        return np.random.Generator(np.random.PCG64(_SeedState(states[t])))
-
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        U = np.empty((stop - start, n))
-        for t in range(start, stop, 4):
-            stream(t).standard_normal(out=U[t - start])
-        for t in range(start + 1, stop, 4):
-            rng = stream(t)
-            slope = rng.standard_normal(pos.shape[1])
-            U[t - start] = coords @ slope + rng.standard_normal()
-        hits = [stream(t).integers(n) for t in range(start + 2, stop, 4)]
-        U[2::4] = 0.0
-        U[2::4][np.arange(len(hits)), hits] = 1.0
-        U[3::4] = checkerboard
-        yield [f"trial {t} ({FAMILIES[t % 4]})" for t in range(start, stop)], U
-
-
-def _worst_ratio(fields, regions, constant):
-    """(largest ratio, witness) over every (field, region) pair.
-
-    `fields` yields blocks (names, U), one field u per row of U (one block
-    for most harness calls, so each region is scored once); a region is
-    (label, lhs, ends, coef), and its ratio for u is
-    lhs(u) / (constant * edge_energy(ends, coef, u)): 0 when lhs(u) = 0,
-    inf when the energy is 0.  lhs maps a block, or one field, to its values
-    by reductions over the last axis of C-ordered arrays, so each row sums
-    as its own 1-D field would; a block's energies on a region are
-    row-wise running sums, edge_energy bit for bit, taken over row chunks
-    of at most TRIAL_BLOCK_ENTRIES / 4 edge terms, so that their
-    temporaries take no more memory than the block.  The witness, name +
-    label, is that of the earliest pair, field by field and region by
-    region, within relative 1e-12 of the largest ratio: pairs whose ratios
-    are equal in exact arithmetic differ only by rounding, so the earliest
-    of them is the witness that does not depend on it.  (0.0, "") when no
-    ratio is positive.
-    """
-    names, tops, energies = [], [], []
-    for block, U in fields:
-        names += block
-        tops.append(np.stack([lhs(U) for _, lhs, _, _ in regions], axis=1))
-        energy = np.zeros((len(U), len(regions)))
-        for col, (_, _, ends, coef) in zip(energy.T, regions):
-            # row chunks of at most a quarter block of (rows, edges) terms:
-            # the few such temporaries alive at once stay within one block
-            step = max(1, TRIAL_BLOCK_ENTRIES // 4 // max(len(ends), 1))
-            for lo in range(0, len(U) if len(ends) else 0, step):
-                diff = U[lo:lo + step, ends[:, 0]] - U[lo:lo + step, ends[:, 1]]
-                col[lo:lo + step] = np.cumsum(coef * (diff * diff), axis=1)[:, -1]
-        energies.append(energy)
-    if not names:
-        return 0.0, ""
-    top, energy = np.concatenate(tops).ravel(), np.concatenate(energies).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(top == 0, 0.0,
-                          np.where(energy == 0, math.inf, top / (constant * energy)))
-    worst = float(ratios.max())
-    if worst <= 0:
-        return 0.0, ""
-    # ratios are >= 0 and <= worst, so this is math.isclose(r, worst, rel_tol=1e-12)
-    close = ratios == worst if worst == math.inf else worst - ratios <= 1e-12 * worst
-    pair = int(np.argmax(close))
-    return worst, names[pair // len(regions)] + regions[pair % len(regions)][0]
-
-
 def _check_seed_and_trials(seed, trials, least):
-    """(seed, trials) as ints; rejects a seed that is not a non-negative
-    integer and a trial count that is not an integer of at least `least`,
-    before any field is drawn."""
+    """Rejects a seed that is not a non-negative integer and a trial count
+    that is not an integer of at least `least`.  No harness draws a random
+    field, but both arguments stay part of its contract."""
     try:
         index = operator.index(seed)
     except TypeError:
@@ -444,105 +267,102 @@ def _check_seed_and_trials(seed, trials, least):
         raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if count < least:
         raise ValueError(f"trials must be at least {least}, got {trials!r}")
-    return index, count
 
 
-# The last local draw: (graph weakref, key, region, blocks), or None.
-_local_entry = None
+def _largest(ratios, labels):
+    """(largest ratio, label of the earliest ratio within relative 1e-12 of
+    it, so that rounding does not pick the witness); (0.0, "") when no ratio
+    is positive."""
+    worst = max(ratios, default=0.0)
+    if worst <= 0:
+        return 0.0, ""
+    return worst, next(label for r, label in zip(ratios, labels)
+                       if math.isclose(r, worst, rel_tol=1e-12))
 
 
-def _local_draw(graph, seed, trials):
-    """(region, fields) of the two local harnesses: the FiniteGraph of
-    position_box(graph, [-(M - 1)] * d, [2T - 1 + (M - 1)] * d) and the
-    blocks of _trial_fields(seed, its positions, its node ids, trials).
+def _local_region(graph):
+    """The path constants and the FiniteGraph of the d-positions
+    [-(M - 1), 2T - 1 + (M - 1)]^d, which holds every region of both local
+    harnesses."""
+    consts = graph.path_constants
+    T, d, M = graph.T, graph.d, consts.M
+    return consts, position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
 
-    Both harnesses ask for the same region and fields, so the last result
-    is kept in one module entry, read-only, and served to the next call on
-    the same graph object with the same seed and trial count, as long as
-    _trial_fields and TRIAL_BLOCK_ENTRIES are those that made it.  Any other
-    call replaces the entry.  A result is kept only when the region and the
-    fields fit in four blocks' worth of memory (4 * TRIAL_BLOCK_ENTRIES
-    float64 values); larger draws stream block by block and are not kept.
-    The entry holds the graph by weak reference and matches it by identity;
-    it is read once and replaced by one assignment, so a caller sees a whole
-    entry or none.
+
+def _extremal_ratios(n, regions, constant):
+    """_largest over `regions` (label, ends, coef, source, C) on n vertices
+    of the supremum over fields u of |C^T u|^2 / edge_energy(ends, coef, u),
+    divided by `constant` (0 when the supremum is 0); labels are
+    "extremal" + label.  The columns of C sum to zero and lie in the
+    component of `source`, so the supremum is lambda_max(C^T L^+ C) for the
+    Laplacian L of the edges, and C^T L^+ C = C^T X for the X of
+    graph.grounded_solve: one factorization per region, all columns at once.
     """
-    global _local_entry
-    key = (seed, trials, _trial_fields, TRIAL_BLOCK_ENTRIES)
-    entry = _local_entry
-    if entry is not None and entry[0]() is graph and entry[1] == key:
-        return entry[2:]
-    T, d, M = graph.T, graph.d, graph.path_constants.M
-    region = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
-    fields = _trial_fields(seed, region.positions, region.node_ids, trials)
-    size = sum(a.nbytes for a in region) + 8 * trials * len(region.positions)
-    if size > 4 * TRIAL_BLOCK_ENTRIES * 8:
-        _local_entry = None
-        return region, fields
-    blocks = tuple((tuple(names), U) for names, U in fields)
-    for a in (*region, *(U for _, U in blocks)):
-        a.flags.writeable = False
-    _local_entry = (weakref.ref(graph), key, region, blocks)
-    return region, blocks
+    ratios = []
+    for _, ends, coef, source, C in regions:
+        sup = float(np.linalg.eigvalsh(C.T @ grounded_solve(n, ends, coef, source, C))[-1])
+        ratios.append(sup / constant if sup > 0 else 0.0)
+    return _largest(ratios, ["extremal" + label for label, *_ in regions])
 
 
 def check_two_connectedness(graph, trials=200, seed=7):
     """Adjacent cell-mean differences vs. unweighted local edge energy.
 
-    For each trial field and each axis pair (cell 0, cell e_m), checks
-    |mean_l - mean_l'|^2 <= C * sum over ordered edge pairs inside the
-    (-M, M)-enlarged pair box of |u_i - u_j|^2.  The region and the fields
-    are _local_draw's, shared with check_poincare_wirtinger.
+    For each axis pair (cell 0, cell e_m), the supremum over all fields u of
+    |mean_0 u - mean_{e_m} u|^2 over the sum over ordered edge pairs inside
+    the (-M, M)-enlarged pair box of |u_i - u_j|^2, divided by C_two: with
+    a = 1_cell0 / n - 1_cell(e_m) / n and L the Laplacian of the box's edges
+    with coefficient 2, it is a^T L^+ a (_extremal_ratios, one factorization
+    per axis).  The report holds the largest ratio over the axes.  `trials`
+    (at least 1) and `seed` are validated but draw nothing: no random field
+    is scored, and the report's trial count is 0.
     """
-    seed, trials = _check_seed_and_trials(seed, trials, 1)
-    consts = graph.path_constants
+    _check_seed_and_trials(seed, trials, 1)
+    consts, (pos, _, ends, _) = _local_region(graph)
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
-    (pos, _, ends, _), fields = _local_draw(graph, seed, trials)
     in_cell = np.flatnonzero(inside(pos, 0, T - 1))
-
-    def mean_gap(u, members):
-        # squared by a product: numpy's ** 2 can round a block's rows
-        # differently from the same field alone
-        gap = (u.take(in_cell, axis=-1).sum(axis=-1) / n
-               - u.take(members, axis=-1).sum(axis=-1) / n)
-        return gap * gap
-
     regions = []
     for other in np.eye(d, dtype=int):
-        in_other = np.flatnonzero(inside(pos, T * other, T * other + T - 1))
+        a = np.zeros((len(pos), 1))
+        a[in_cell] = 1.0 / n
+        a[inside(pos, T * other, T * other + T - 1)] = -1.0 / n
         inner = ends[inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
-                        lambda u, m=in_other: mean_gap(u, m),
-                        inner, np.full(len(inner), 2.0)))
-    worst, witness = _worst_ratio(fields, regions, consts.C_two)
-    return InequalityReport("two-connectedness", consts.C_two, worst, trials, witness)
+                        inner, np.full(len(inner), 2.0), in_cell[0], a))
+    worst, witness = _extremal_ratios(len(pos), regions, consts.C_two)
+    return InequalityReport("two-connectedness", consts.C_two, worst, 0, witness)
 
 
 def check_poincare_wirtinger(graph, trials=200, seed=7):
-    """Per-cell deviation from the mean vs. weighted local edge energy, on
-    _local_draw's region and fields, shared with check_two_connectedness."""
-    seed, trials = _check_seed_and_trials(seed, trials, 1)
-    consts = graph.path_constants
+    """Per-cell deviation from the mean vs. weighted local edge energy.
+
+    For cell 0, and cell e_0 when M > T, the supremum over all fields u of
+    sum_i |u_i - mean u|^2 over the cell's n members over the sum over
+    ordered edge pairs inside the (-M, M)-enlarged cell box of
+    w |u_i - u_j|^2, divided by C_pw: with C the columns e_i - 1_cell / n and
+    L the Laplacian of the box's edges with coefficient 2w, it is
+    lambda_max(C^T L^+ C), an n x n eigvalsh (_extremal_ratios).  The solve
+    takes n right-hand sides, so its cost grows with the cell size: 5 ms at
+    R(8) and 80 ms at R(16) (256 columns) on a 2-vCPU x86 host.  A one-node
+    cell has C = 0 and ratio 0.  `trials` and `seed` are validated
+    as in check_two_connectedness and draw nothing.
+    """
+    _check_seed_and_trials(seed, trials, 1)
+    consts, (pos, _, ends, weights) = _local_region(graph)
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
-    (pos, _, ends, weights), fields = _local_draw(graph, seed, trials)
     cells = [np.zeros(d, dtype=int)]
-    if T - 1 + (M - 1) >= 2 * T - 1:   # a second full enlarged cell fits
+    if M > T:   # a second full enlarged cell fits
         cells.append(np.eye(d, dtype=int)[0])
-
-    def deviation(u, members):
-        cell_values = u.take(members, axis=-1)
-        dev = cell_values - cell_values.sum(axis=-1, keepdims=True) / n
-        return (dev * dev).sum(axis=-1)     # a product, as in mean_gap
-
     regions = []
     for cell in cells:
         keep = inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
         members = np.flatnonzero(inside(pos, cell * T, (cell + 1) * T - 1))
+        C = np.zeros((len(pos), n))
+        C[members] = np.eye(n) - 1.0 / n
         regions.append((f", cell {tuple(cell.tolist())}",
-                        lambda u, m=members: deviation(u, m),
-                        ends[keep], 2.0 * weights[keep]))
-    worst, witness = _worst_ratio(fields, regions, consts.C_pw)
-    return InequalityReport("poincare-wirtinger", consts.C_pw, worst, trials, witness)
+                        ends[keep], 2.0 * weights[keep], members[0], C))
+    worst, witness = _extremal_ratios(len(pos), regions, consts.C_pw)
+    return InequalityReport("poincare-wirtinger", consts.C_pw, worst, 0, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +373,7 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
 class PoincareReport:
     width_cells: int
     diameter: float
-    c_empirical: float          # smallest C with lhs <= C * rhs over all trials
+    c_empirical: float          # largest ratio of the extremal and tent fields
     c_sharp: float              # sharp constant: 1 / lowest eigenvalue, from its eigenvector
     c0: float                   # c_empirical / diameter^2
     trials: int
@@ -565,6 +385,19 @@ class PoincareReport:
                 "c0": self.c0, "trials": self.trials, "witness": self.witness}
 
 
+def _check_widths(widths):
+    """The widths as ints; rejects one that is not an integer of at least 1."""
+    checked = []
+    for width in widths:
+        try:
+            checked.append(operator.index(width))
+        except TypeError:
+            raise ValueError(f"width {width!r} must be an integer") from None
+        if checked[-1] < 1:
+            raise ValueError(f"width {width!r} must be at least 1")
+    return checked
+
+
 def check_poincare(graph, widths, trials=100, seed=7):
     """Zero-boundary fields: squared norm vs. weighted edge energy per domain.
 
@@ -574,9 +407,14 @@ def check_poincare(graph, widths, trials=100, seed=7):
     normalized by the squared diameter.  The sharp constant is the inverse
     Rayleigh quotient of the extremal field, the lowest eigenvector of the
     constrained weighted Laplacian (sparse shift-invert from a fixed start
-    vector, so runs repeat exactly); that field is also the first trial.
+    vector, so runs repeat exactly); the empirical constant is the larger
+    ratio of that field and of the tent field (the distance to the boundary
+    less the layer), the extremal one first.  Every width is checked before
+    any box is built.  `trials` (at least 0) and `seed` are validated but
+    draw nothing; the report's trial count is 0.
     """
-    seed, trials = _check_seed_and_trials(seed, trials, 0)
+    _check_seed_and_trials(seed, trials, 0)
+    widths = _check_widths(widths)
     d, T = graph.d, graph.T
     layer = 2.0 * math.sqrt(d) * T
     band = math.isqrt(4 * d * T * T) + 1       # floor(2 sqrt(d) T) + 1
@@ -596,16 +434,14 @@ def check_poincare(graph, widths, trials=100, seed=7):
         c_sharp = float(extremal @ extremal) / p.energy(extremal)
 
         dist = np.minimum(pos, W - pos).min(axis=1).astype(float)
-        fields = itertools.chain(
-            [(["extremal", "tent"], np.stack([extremal, np.maximum(dist - layer, 0.0)]))],
-            ((names, U * free) for names, U in
-             _trial_fields(seed + width, pos, node_ids, trials)))
-        # u @ u per row, each a (1, N) @ (N, 1) product as for a single field
-        norm = ("", lambda u: (u[..., None, :] @ u[..., None])[..., 0, 0], p.ends, p.coef)
-        worst, witness = _worst_ratio(fields, [norm], 1)
+        ratios = []
+        for u in (extremal, np.maximum(dist - layer, 0.0)):
+            top, energy = float((u[None, :] @ u[:, None])[0, 0]), p.energy(u)
+            ratios.append(0.0 if top == 0 else math.inf if energy == 0 else top / energy)
+        worst, witness = _largest(ratios, ["extremal", "tent"])
         diam = W * math.sqrt(d)
         reports.append(PoincareReport(width, diam, worst, c_sharp,
-                                      worst / diam ** 2, trials, witness))
+                                      worst / diam ** 2, 0, witness))
     return reports
 
 

@@ -721,21 +721,24 @@ def edge_energy(ends, coef, x):
 
 def pinned_solve(A, rhs, start=None, positions=None):
     """x with A x = rhs, for A = A_ff and rhs of a pinned problem
-    (PinnedProblem.reduced_system), symmetric positive definite.
+    (PinnedProblem.reduced_system, or grounded_solve's columns), symmetric
+    positive definite.
 
-    The one pinned solve of the package (window and Dirichlet).  Given the
-    free vertices' d-positions `positions` with d >= 2 and at least
-    _MG_MIN_DOFS rows, it runs conjugate gradients from `start` (zeros when
-    None), preconditioned with a smoothed-aggregation V-cycle (_Multigrid),
-    to a backward error of _MG_TOL; a cap of _MG_MAX_STEPS steps raises
-    NoConvergence with the backward error reached.  Everything else (every
-    d = 1 problem, where the fill is linear, and every small one) goes to
-    SuperLU, its columns ordered by minimum degree on the pattern of A + A^T
-    (George & Liu, 1981) instead of its default COLAMD, which does not use
-    the symmetry: less fill, less time and memory on every call.  Either
-    route logs its size and backward error to the `lattice_homog` logger at
-    debug level; SuperLU computes its backward error only when that level
-    is enabled.
+    The one pinned solve of the package (window, Dirichlet and the local
+    inequality harnesses).  Given the free vertices' d-positions `positions`
+    with d >= 2 and at least _MG_MIN_DOFS rows, it runs conjugate gradients
+    from `start` (zeros when None), preconditioned with a smoothed-
+    aggregation V-cycle (_Multigrid), to a backward error of _MG_TOL; a cap
+    of _MG_MAX_STEPS steps raises NoConvergence with the backward error
+    reached.  Everything else (every d = 1 problem, where the fill is
+    linear, every small one and every one without positions) goes to
+    SuperLU, one factorization for any number of right-hand-side columns,
+    with the columns of A ordered by minimum degree on the pattern of
+    A + A^T (George & Liu, 1981) instead of its default COLAMD, which does
+    not use the symmetry: less fill, less time and memory on every call.
+    Either route logs its size and backward error to the `lattice_homog`
+    logger at debug level; SuperLU computes its backward error only when
+    that level is enabled.
 
     SuperLU's fill grows faster than the system; the multigrid steps do
     not grow with it.  One solve of the R4 window at z = (1, 1) (R4 of the
@@ -1027,6 +1030,27 @@ class PinnedProblem:
 
     def energy(self, x):
         return edge_energy(self.ends, self.coef, x)
+
+
+def grounded_solve(n, ends, coef, source, rhs):
+    """X (n, k) with L X = rhs for the Laplacian L = laplacian(n, ends, coef),
+    X = 0 at `source` and off its component, for rhs (n, k) whose columns
+    sum to zero on that component and vanish off it.
+
+    One breadth-first search from `source` finds the component; with
+    `source` and every vertex not reached pinned at 0, the free block A_ff
+    of L is positive definite, and pinned_solve (SuperLU, as no positions
+    are given) factors it once for all the columns.  Row `source` of L X = rhs then holds too, as both sides sum to
+    zero over the component.
+    """
+    L = laplacian(n, ends, coef)
+    free = breadth_first_order(L, source, return_predecessors=False)[1:]
+    X = np.zeros(np.shape(rhs))
+    if len(free):
+        b = rhs[free]
+        # spsolve returns one column as a vector
+        X[free] = pinned_solve(L[free][:, free], b).reshape(b.shape)
+    return X
 
 
 def instantiate_window(graph, window):

@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lattice_homog import builtin_examples, coarse, graph_from_edges, solve_corrector
+from lattice_homog import builtin_examples, graph_from_edges, solve_corrector
 from lattice_homog.oracle import _ordered_pairs
 
 # a failing property prints its @reproduce_failure blob; every other
 # setting (examples, deadline) stays Hypothesis's default
 settings.register_profile("lattice_homog", print_blob=True)
 settings.load_profile("lattice_homog")
-
-
-@pytest.fixture(autouse=True)
-def _no_kept_local_draw():
-    """Empty the local harnesses' kept draw, so no test is served the draw
-    of another."""
-    coarse._local_entry = None
 
 
 def chain_graph():

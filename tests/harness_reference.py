@@ -1,18 +1,65 @@
-"""Per-trial reference for the inequality harnesses' trial fields and scoring.
+"""Two independent routes to the local inequality harnesses' worst ratios.
 
-coarse._trial_fields and coarse._worst_ratio build and score the trial
-fields in blocks; these are the one-trial-at-a-time versions they replaced,
-kept to check that the blocks change no report.  `reference_reports` runs
-the three harnesses with them patched in, each trial a block of one row.
+coarse.check_two_connectedness and coarse.check_poincare_wirtinger report
+the exact supremum of each ratio over all fields, from one grounded sparse
+factorization per region.  Two routes check them on the same regions,
+restated here from the harnesses' definitions:
+
+- the per-trial route scores seeded random fields (gaussian, affine,
+  indicator, checkerboard) one at a time; each is a field, so its worst
+  ratio is a lower bound that the exact value must not fall below;
+- the dense route takes the supremum from numpy.linalg.pinv of the whole
+  region Laplacian, with no grounding, no search and no SuperLU.
 """
 
 import math
 
 import numpy as np
-import pytest
 
-from lattice_homog import coarse
-from lattice_homog.graph import edge_energy
+from lattice_homog.graph import edge_energy, inside, position_box
+
+
+def local_regions(graph):
+    """(the harness region's FiniteGraph, {harness: (constant, regions)}) of
+    both local harnesses, a region being (label, lhs, C, ends, coef): its
+    left-hand side for a field u is lhs(u) = |C^T u|^2, summed as the
+    harnesses summed it when they scored random fields (a constant field
+    gives exactly 0), and its energy is edge_energy(ends, coef, u)."""
+    consts = graph.path_constants
+    T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
+    region = position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
+    pos, _, ends, weights = region
+    in_cell = np.flatnonzero(inside(pos, 0, T - 1))
+
+    def mean_gap(u, members):
+        gap = u[in_cell].sum() / n - u[members].sum() / n
+        return gap * gap
+
+    def deviation(u, members):
+        dev = u[members] - u[members].sum() / n
+        return (dev * dev).sum()
+
+    pairs = []
+    for other in np.eye(d, dtype=int):
+        in_other = np.flatnonzero(inside(pos, T * other, T * other + T - 1))
+        a = np.zeros((len(pos), 1))
+        a[in_cell], a[in_other] = 1.0 / n, -1.0 / n
+        keep = inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)
+        pairs.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
+                      lambda u, m=in_other: mean_gap(u, m), a,
+                      ends[keep], np.full(int(keep.sum()), 2.0)))
+    cells = [np.zeros(d, dtype=int)] + ([np.eye(d, dtype=int)[0]] if M > T else [])
+    deviations = []
+    for cell in cells:
+        members = np.flatnonzero(inside(pos, cell * T, (cell + 1) * T - 1))
+        C = np.zeros((len(pos), n))
+        C[members] = np.eye(n) - 1.0 / n
+        keep = inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
+        deviations.append((f", cell {tuple(cell.tolist())}",
+                           lambda u, m=members: deviation(u, m), C,
+                           ends[keep], 2.0 * weights[keep]))
+    return region, {"two_connectedness": (consts.C_two, pairs),
+                    "poincare_wirtinger": (consts.C_pw, deviations)}
 
 
 def trial_fields(seed, pos, node_ids, trials):
@@ -63,34 +110,29 @@ def worst_ratio(fields, regions, constant):
                        if math.isclose(r, worst, rel_tol=1e-12))
 
 
-def harness_reports(graph, trials, seed, widths):
-    """The to_dict() of all three harness reports."""
-    return {"two_connectedness":
-            coarse.check_two_connectedness(graph, trials=trials, seed=seed).to_dict(),
-            "poincare_wirtinger":
-            coarse.check_poincare_wirtinger(graph, trials=trials, seed=seed).to_dict(),
-            "poincare": [r.to_dict() for r in
-                         coarse.check_poincare(graph, widths, trials=trials, seed=seed)]}
+def trial_worst(graph, trials=200, seed=7):
+    """{harness: (worst ratio, witness)} of the per-trial route: trials
+    fields drawn on the harness region, each scored on every region."""
+    (pos, node_ids, _, _), harnesses = local_regions(graph)
+    out = {}
+    for harness, (constant, regions) in harnesses.items():
+        scored = [(label, lhs, ends, coef) for label, lhs, _, ends, coef in regions]
+        out[harness] = worst_ratio(trial_fields(seed, pos, node_ids, trials), scored, constant)
+    return out
 
 
-def reference_reports(graph, trials, seed, widths):
-    """harness_reports with the per-trial fields and scoring patched in.
-
-    The local harnesses must draw with the patched fields, even right after
-    an unpatched call with the same arguments kept its draw."""
-    seeds = []
-
-    def one_row_blocks(*args):
-        seeds.append(args[0])
-        return (([name], u[None, :]) for name, u in trial_fields(*args))
-
-    def rows(fields, regions, constant):
-        return worst_ratio(((name, u) for names, U in fields for name, u in zip(names, U)),
-                           regions, constant)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coarse, "_trial_fields", one_row_blocks)
-        patch.setattr(coarse, "_worst_ratio", rows)
-        reports = harness_reports(graph, trials, seed, widths)
-    assert seed in seeds, "the local harnesses were served an unpatched draw"
-    return reports
+def dense_worst(graph):
+    """{harness: worst ratio} of the dense route: per region, the largest
+    eigenvalue of C^T pinv(L) C for the dense Laplacian L of the region's
+    edges on all of the harness region's vertices, over the constant."""
+    (pos, _, _, _), harnesses = local_regions(graph)
+    out = {}
+    for harness, (constant, regions) in harnesses.items():
+        sups = []
+        for _, _, C, ends, coef in regions:
+            L, (a, b) = np.zeros((len(pos), len(pos))), ends.T
+            for i, j, sign in ((a, a, 1), (b, b, 1), (a, b, -1), (b, a, -1)):
+                np.add.at(L, (i, j), sign * coef)
+            sups.append(np.linalg.eigvalsh(C.T @ np.linalg.pinv(L, hermitian=True) @ C)[-1])
+        out[harness] = max(float(s) / constant if s > 0 else 0.0 for s in sups)
+    return out

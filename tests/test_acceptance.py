@@ -146,7 +146,7 @@ def test_criterion_4_inequality_suites(fixtures):
         if not (4.0 / 1.25 <= ratio <= 4.0 * 1.25):
             failures.append(f"{name}: Poincare doubling ratio {ratio!r} "
                             "outside [3.2, 5.0]")
-    _report(4, failures, "200 seeded trials per fixture, doubling widths 32->64")
+    _report(4, failures, "exact worst ratios per fixture, doubling widths 32->64")
 
 
 def test_criterion_5_bvp_convergence(fixtures):

@@ -170,6 +170,13 @@ def test_inequalities_width_without_free_vertex_is_usage_error(ex_path, capsys):
     assert err == "error: --widths: width 1 leaves no admissible vertex\n"
 
 
+def test_inequalities_negative_width_is_usage_error(ex_path, capsys):
+    # numpy's "negative dimensions are not allowed" used to come through
+    code, out, err = run_cli(capsys, "inequalities", ex_path("ex1"), "--widths", "-2")
+    assert (code, out) == (2, "")
+    assert err == "error: --widths: width -2 must be at least 1\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_inequalities_rejects_trials_below_one(ex_path, capsys, trials):
     code, out, err = run_cli(capsys, "inequalities", ex_path("ex2"), "--trials", trials)

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from lattice_homog import (CellOutOfWindow, DisconnectedGraph, graph_from_edges,
                            instantiate_window, normalize_period)
 from lattice_homog import BoundaryDatum, DirichletProblem, cli, coarse, solve_dirichlet
 from lattice_homog.bvp import l2_error_against
-from lattice_homog.graph import position_box
-from lattice_homog.lgf import builtin_example_text, parse, serialize
+from lattice_homog.graph import laplacian, position_box
+from lattice_homog.lgf import builtin_example_text
 from lattice_homog.coarse import (
     LatticeFunction,
     check_poincare,
@@ -25,7 +26,9 @@ from lattice_homog.coarse import (
 )
 
 import coarse_reference
-from conftest import layered_square_lattice, long_offset_chain, random_square_lattice
+import harness_reference
+from conftest import (chain_graph, cube_lattice, layered_square_lattice, long_offset_chain,
+                      random_square_lattice, random_strip, skew_lattice, square_lattice)
 
 
 def _window_function(graph, cells, values=None, scale=1.0):
@@ -289,7 +292,7 @@ def test_two_connectedness_fixtures(examples):
     for name, g in examples.items():
         rep = check_two_connectedness(g, trials=200, seed=7)
         assert rep.holds, (name, rep.worst_ratio)
-        assert rep.trials == 200
+        assert rep.trials == 0      # no random field is scored
 
 
 def test_poincare_wirtinger_fixtures(examples):
@@ -299,29 +302,29 @@ def test_poincare_wirtinger_fixtures(examples):
 
 
 def test_harness_deterministic(examples):
+    # the reports draw nothing, so neither the seed nor the trial count moves them
     g = examples["ex3"]
     a = check_two_connectedness(g, trials=60, seed=11)
-    coarse._local_entry = None      # draw again, not from the kept draw
     b = check_two_connectedness(g, trials=60, seed=11)
     assert a.worst_ratio == b.worst_ratio and a.witness == b.witness
+    assert check_two_connectedness(g, trials=3, seed=0).to_dict() == a.to_dict()
 
 
-def test_harness_witness_is_earliest_tied_trial(examples):
-    # every affine trial on ex5 ties at 5/38 (two-connectedness) in exact
-    # arithmetic; the witness is the first of them, not the one with the
-    # largest rounding error
-    g = examples["ex5"]
-    for seed, trials in ((5, 60), (7, 200)):
-        two = check_two_connectedness(g, trials=trials, seed=seed)
-        pw = check_poincare_wirtinger(g, trials=trials, seed=seed)
-        assert two.witness == "trial 1 (affine), pair (0,)->(1,)"
-        assert pw.witness == "trial 1 (affine), cell (0,)"
-    assert [r.witness for r in check_poincare(g, (32, 64), trials=50)] == ["extremal"] * 2
+def test_harness_witness_is_the_earliest_tied_region(examples):
+    # two-connectedness counts every edge alike, so the two axes of a square
+    # cell tie in exact arithmetic; on this R(3) the second axis rounds 11 ulp
+    # higher, and the witness is still the first axis
+    g = random_square_lattice(3, np.random.default_rng(1))
+    two = check_two_connectedness(g)
+    assert two.worst_ratio.hex() == "0x1.8705bf37d4b02p-3"
+    assert two.witness == "extremal, pair (0, 0)->(1, 0)"
+    assert check_poincare_wirtinger(examples["ex5"]).witness == "extremal, cell (0,)"
+    assert [r.witness for r in check_poincare(examples["ex5"], (32, 64))] == ["extremal"] * 2
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
 def test_harnesses_reject_bad_seed(examples, seed):
-    # check_poincare seeds width w with seed + w, so seed -1 used to run as seed 7
+    # check_poincare used to seed width w with seed + w, so seed -1 ran as seed 7
     g = examples["ex1"]
     for harness in (check_two_connectedness, check_poincare_wirtinger,
                     lambda g, seed: check_poincare(g, [8], seed=seed)):
@@ -330,8 +333,8 @@ def test_harnesses_reject_bad_seed(examples, seed):
 
 
 def test_harnesses_reject_vacuous_trial_counts(examples):
-    # no trial scored would report worst_ratio 0.0 and hold; check_poincare
-    # always scores its extremal and tent fields, so 0 trials is a report
+    # the local harnesses keep their contract of at least one trial;
+    # check_poincare takes 0
     g = examples["ex1"]
     for trials in (0, -3):
         for harness in (check_two_connectedness, check_poincare_wirtinger):
@@ -346,10 +349,10 @@ def test_harnesses_reject_vacuous_trial_counts(examples):
 @pytest.mark.parametrize("trials", [200.0, 1.5, "8", None])
 def test_harnesses_reject_non_integer_trial_counts(examples, monkeypatch, trials):
     # range() used to raise a bare TypeError after the harness region was built
-    def no_draw(*args):
-        raise AssertionError("a trial field was drawn")
+    def no_box(*args):
+        raise AssertionError("a region was built")
 
-    monkeypatch.setattr(coarse, "_trial_fields", no_draw)
+    monkeypatch.setattr(coarse, "position_box", no_box)
     g = examples["ex1"]
     for harness in (check_two_connectedness, check_poincare_wirtinger,
                     lambda g, trials: check_poincare(g, [8], trials=trials)):
@@ -357,145 +360,78 @@ def test_harnesses_reject_non_integer_trial_counts(examples, monkeypatch, trials
             harness(g, trials=trials)
 
 
-def test_harness_reports_carry_the_trial_count_as_int(examples):
-    # True used to be reported as JSON true; integer-likes report as ints
-    g = examples["ex1"]
-    for trials, count in ((True, 1), (np.int64(5), 5)):
-        reports = [check_two_connectedness(g, trials=trials),
-                   check_poincare_wirtinger(g, trials=trials),
-                   *check_poincare(g, [8], trials=trials)]
-        for rep in reports:
-            assert type(rep.trials) is int and rep.trials == count
-            assert json.loads(json.dumps(rep.to_dict()))["trials"] == count
-    assert (check_two_connectedness(g, trials=np.int64(5)).to_dict()
-            == check_two_connectedness(g, trials=5).to_dict())
+@pytest.mark.parametrize("widths,message", [([-2], "width -2 must be at least 1"),
+                                            ([8, 0], "width 0 must be at least 1"),
+                                            ([2.5], "width 2.5 must be an integer"),
+                                            (["8"], "width '8' must be an integer")])
+def test_poincare_rejects_bad_widths(examples, monkeypatch, widths, message):
+    # numpy's "negative dimensions are not allowed" and a raw TypeError used to
+    # leak out; every width is checked before any box is built
+    def no_box(*args):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(coarse, "position_box", no_box)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_poincare(examples["ex1"], widths)
 
 
-def test_seed_table_shared_by_harnesses_and_cli(examples, monkeypatch, tmp_path, capsys):
-    computed = []
-    seed_states = coarse._seed_states
-
-    def counting(seed, ts):
-        computed.append((seed, len(ts)))
-        return seed_states(seed, ts)
-
-    monkeypatch.setattr(coarse, "_seed_states", counting)
-    coarse._seed_table.cache_clear()
-    g = examples["ex5"]
-    check_two_connectedness(g, trials=200, seed=7)
-    check_poincare_wirtinger(g, trials=200, seed=7)
-    path = tmp_path / "ex5.lgf"
-    path.write_text(builtin_example_text("ex5"), encoding="utf-8")
-    assert cli.run(["inequalities", str(path), "--widths", "8,16"]) == 0
-    capsys.readouterr()
-    # check_poincare seeds width w with seed + w: one table per width
-    assert computed == [(7, 200), (7 + 8, 50), (7 + 16, 50)]
-    table = coarse._seed_table(7, 200)
-    assert len(computed) == 3
-    assert table.tolist() == seed_states(7, np.arange(200)).tolist()
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 1
+def test_poincare_narrow_widths_leave_no_admissible_vertex(examples):
+    for width in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"width {width} leaves no admissible vertex"):
+            check_poincare(examples["ex1"], [width])
+    [rep] = check_poincare(examples["ex1"], [np.int64(8)])
+    assert type(rep.width_cells) is int and rep.width_cells == 8
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """The (seed, trials) of every coarse._trial_fields call and the
-    (lo, hi) of every coarse.position_box call, in call order."""
-    calls = {"fields": [], "boxes": []}
-    trial_fields, box = coarse._trial_fields, coarse.position_box
-
-    def counting_fields(seed, pos, node_ids, trials):
-        calls["fields"].append((seed, trials))
-        return trial_fields(seed, pos, node_ids, trials)
-
-    def counting_box(graph, lo, hi):
-        calls["boxes"].append((lo, hi))
-        return box(graph, lo, hi)
-
-    monkeypatch.setattr(coarse, "_trial_fields", counting_fields)
-    monkeypatch.setattr(coarse, "position_box", counting_box)
-    return calls
-
-
-def _fresh_reports(graph, trials=200, seed=7):
-    """Both local reports, each from its own draw."""
-    reports = []
-    for harness in (check_two_connectedness, check_poincare_wirtinger):
-        coarse._local_entry = None
-        reports.append(harness(graph, trials=trials, seed=seed).to_dict())
-    coarse._local_entry = None
-    return reports
+# the graphs on which both local harnesses are checked against the reference
+# routes of tests/harness_reference.py; every harness region has at most 400
+# vertices
+LOCAL_GRAPHS = {
+    "chain": chain_graph,
+    "square": square_lattice,
+    "square(1,2)": lambda: square_lattice(1.0, 2.0),
+    "skew": skew_lattice,
+    "layered": layered_square_lattice,
+    "L2 x2": lambda: normalize_period(layered_square_lattice(), 2),
+    "L2 x4": lambda: normalize_period(layered_square_lattice(), 4),
+    "R4": lambda: random_square_lattice(4, np.random.default_rng(20240811)),
+    "KD(4,100)": lambda: random_square_lattice(4, np.random.default_rng(20240811),
+                                               contrast=100),
+    "cube": lambda: cube_lattice(np.random.default_rng(20240811)),
+    "S(7)": lambda: random_strip(7, np.random.default_rng(20240811)),
+    "long offset chain": long_offset_chain,
+}
 
 
-def test_local_harnesses_share_one_region_and_draw(examples, draws):
-    g = examples["ex5"]
-    expected = _fresh_reports(g)
-    del draws["fields"][:], draws["boxes"][:]
-    two = check_two_connectedness(g, trials=200, seed=7)
-    # check_poincare draws on its own regions and leaves the entry alone
-    check_poincare(g, [8], trials=10, seed=7)
-    pw = check_poincare_wirtinger(g, trials=200, seed=7)
-    assert [two.to_dict(), pw.to_dict()] == expected
-    assert draws["fields"] == [(7, 200), (7 + 8, 10)]
-    assert len(draws["boxes"]) == 2
-    # the other order shares too
-    del draws["fields"][:]
-    coarse._local_entry = None
-    assert check_poincare_wirtinger(g).to_dict() == expected[1]
-    assert check_two_connectedness(g).to_dict() == expected[0]
-    assert draws["fields"] == [(7, 200)]
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6", *LOCAL_GRAPHS])
+def test_exact_ratios_bound_the_references(examples, name):
+    # each trial is a field, so its ratio is at most the supremum; the dense
+    # route takes the same supremum by another solve
+    g = examples[name] if name in examples else LOCAL_GRAPHS[name]()
+    exact = {"two_connectedness": check_two_connectedness(g),
+             "poincare_wirtinger": check_poincare_wirtinger(g)}
+    trial, dense = harness_reference.trial_worst(g), harness_reference.dense_worst(g)
+    for harness, rep in exact.items():
+        assert rep.holds, (harness, rep.worst_ratio)
+        assert trial[harness][0] <= rep.worst_ratio * (1 + 1e-12), harness
+        assert rep.worst_ratio == pytest.approx(dense[harness], rel=1e-10, abs=0), harness
 
 
-def test_local_draw_misses_on_another_seed_trial_count_or_graph(examples, draws):
-    g = examples["ex5"]
-    same = parse(serialize(g))          # equal, but another graph object
-    assert same == g and same is not g
-    calls = [(g, 200, 7), (g, 200, 8), (g, 100, 8), (same, 100, 8), (g, 100, 8)]
-    expected = [_fresh_reports(graph, trials, seed)[1] for graph, trials, seed in calls]
-    del draws["fields"][:], draws["boxes"][:]
-    check_two_connectedness(g, trials=200, seed=7)
-    got = [check_poincare_wirtinger(graph, trials=trials, seed=seed).to_dict()
-           for graph, trials, seed in calls]
-    assert got == expected
-    assert draws["fields"] == [(7, 200), (8, 200), (8, 100), (8, 100), (8, 100)]
-    assert len(draws["boxes"]) == 5
+def test_two_connectedness_closed_forms(examples):
+    expected = {"ex1": Fraction(1, 6), "ex2": Fraction(1, 8), "ex3": Fraction(2, 5),
+                "ex4": Fraction(3, 8), "ex5": Fraction(49, 160), "ex6": Fraction(1, 4)}
+    for name, value in expected.items():
+        ratio = check_two_connectedness(examples[name]).worst_ratio
+        assert ratio == pytest.approx(float(value), rel=1e-12, abs=0), name
 
 
-def test_local_draw_over_the_cap_is_not_kept(examples, draws, monkeypatch):
-    # at a budget of 2**8 the cap is 8 KB, and 200 trials on the 17 vertices
-    # of ex5's region take 27 KB
-    g = examples["ex5"]
-    kept = [check_two_connectedness(g).to_dict(), check_poincare_wirtinger(g).to_dict()]
-    assert len(draws["fields"]) == 1 and coarse._local_entry is not None
-    monkeypatch.setattr(coarse, "TRIAL_BLOCK_ENTRIES", 2 ** 8)
-    streamed = [check_two_connectedness(g).to_dict()]
-    assert coarse._local_entry is None
-    streamed.append(check_poincare_wirtinger(g).to_dict())
-    assert streamed == kept
-    assert len(draws["fields"]) == 3 and len(draws["boxes"]) == 3
-
-
-def test_cli_inequalities_makes_one_local_draw(draws, tmp_path, capsys):
-    path = tmp_path / "ex5.lgf"
-    path.write_text(builtin_example_text("ex5"), encoding="utf-8")
-    assert cli.run(["inequalities", str(path), "--widths", "8,16"]) == 0
-    capsys.readouterr()
-    # one local draw, then check_poincare's one per width
-    assert draws["fields"] == [(7, 200), (7 + 8, 50), (7 + 16, 50)]
-    assert len(draws["boxes"]) == 3
-
-
-def test_kept_local_draw_is_read_only_and_holds_no_graph():
-    g = layered_square_lattice()
-    check_two_connectedness(g, trials=20)
-    ref, _, region, blocks = coarse._local_entry
-    assert ref() is g
-    arrays = [*region, *(U for _, U in blocks)]
-    assert not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        blocks[0][1][0, 0] = 1.0
-    del g
-    assert ref() is None
+@pytest.mark.parametrize("name", ["chain", "square", "skew", "long offset chain"])
+def test_one_node_cells_have_no_deviation(name):
+    # C = 0 and C_pw = 0: the ratio is 0, not 0/0
+    g = LOCAL_GRAPHS[name]()
+    rep = check_poincare_wirtinger(g)
+    assert g.n_cell == 1 and rep.constant_used == 0.0
+    assert (rep.worst_ratio, rep.witness, rep.holds) == (0.0, "", True)
 
 
 def test_harnesses_on_a_chain_whose_witnesses_need_nine_periods():
@@ -504,26 +440,18 @@ def test_harnesses_on_a_chain_whose_witnesses_need_nine_periods():
     assert g.path_constants.M == 9 and g.path_constants.C_two == 17.0
     two, pw = check_two_connectedness(g), check_poincare_wirtinger(g)
     assert two.holds and pw.holds
-    assert two.trials == pw.trials == 200
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5])
-def test_trial_seeding_matches_numpy(seed):
-    # the vectorized seed states are numpy's SeedSequence hash, and a trial's
-    # generator draws the stream of default_rng((seed, t))
-    ts = [0, 1, 199, 2 ** 31 - 1]
-    states = coarse._seed_states(seed, ts)
-    for t, state in zip(ts, states):
-        assert state.tolist() == np.random.SeedSequence((seed, t)).generate_state(
-            4, np.uint64).tolist()
-        rng = np.random.Generator(np.random.PCG64(coarse._SeedState(state)))
-        expected = np.random.default_rng((seed, t))
-        assert rng.standard_normal(3).tolist() == expected.standard_normal(3).tolist()
-        assert rng.integers(1000) == expected.integers(1000)
+    assert two.trials == pw.trials == 0
+    assert two.worst_ratio == pytest.approx(0.5, rel=1e-12, abs=0)
+    # in the cell box [-8, 8] no edge reaches the cell's vertex 0, so every
+    # other vertex is left unreached by the search from it and drops out
+    pos, _, ends, _ = position_box(g, [-8], [8])
+    count, labels = connected_components(laplacian(len(pos), ends, np.ones(len(ends))))
+    assert count > 1 and np.count_nonzero(labels == labels[pos[:, 0] == 0]) == 1
+    assert (pw.worst_ratio, pw.witness) == (0.0, "")
 
 
 def test_constant_field_gives_zero_ratio(examples):
-    # the constant family is not among the trial families, so check directly
+    # a constant field has no mean gap
     g = examples["ex2"]
     pos, node_ids, _, _ = position_box(g, [-1], [2])
     u = LatticeFunction(g, pos, node_ids, np.full(len(pos), 4.0), 1.0)
@@ -551,7 +479,7 @@ def test_poincare_doubling_within_factor(examples):
         r1, r2 = check_poincare(g, widths=(32, 64), trials=40, seed=7)
         ratio = r2.c_empirical / r1.c_empirical
         assert 4.0 / 1.25 <= ratio <= 4.0 * 1.25, (name, ratio)
-        assert r1.c_empirical >= r1.c_sharp - 1e-9  # extremal trial included
+        assert r1.c_empirical >= r1.c_sharp - 1e-9  # extremal field included
 
 
 def test_coarse_l2_contraction(examples, rng):
@@ -576,7 +504,7 @@ def test_hypothesis_norms_scaling(chain):
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "ex5", "ex6"])
 def test_poincare_sharp_constant_exact(examples, name):
     # c_sharp is the extremal field's own inverse Rayleigh quotient, that
-    # field is a trial, and it agrees with a dense eigensolve of the same
+    # field is scored, and it agrees with a dense eigensolve of the same
     # constrained Laplacian
     import scipy.linalg
     from pinned_reference import laplacian, reduction

@@ -1,6 +1,6 @@
 """Path constants, harness ratios and witness paths pinned exactly (==):
-every field of compute_path_constants and the worst ratios of both harnesses
-at 60 trials, seed 5, on the fixtures, the conftest lattices and the layered
+every field of compute_path_constants and the exact worst ratios of both
+harnesses on the fixtures, the conftest lattices and the layered
 lattice re-tiled to periods 2 and 4; the constants alone at period 8; and
 every witness_path on the fixtures and on a graph whose witness leaves the
 first search box."""
@@ -21,17 +21,17 @@ from conftest import (chain_graph, layered_square_lattice, random_square_lattice
 #        two-connectedness worst ratio, Poincare-Wirtinger worst ratio)
 PINNED = {
     'ex1': ((2.4, 8.0, 2, 4, 4, 1.0, 3, 10),
-           0.08333333333333338, 0.03491251935806441),
+           0.16666666666666669, 0.08689926270013795),
     'ex2': ((2.0, 1.0, 1, 2, 1, 1.0, 2, 2),
-           0.125, 0.25000000000000006),
+           0.125, 0.25),
     'ex3': ((0.5, 2.0, 2, 1, 2, 1.0, 1, 2),
-           0.18518511509580857, 0.08294038747922265),
+           0.4, 0.125),
     'ex4': ((0.5, 1.0, 1, 1, 1, 1.0, 1, 2),
-           0.33333333333333337, 0.25000000000000006),
+           0.375, 0.25),
     'ex5': ((3.2, 7.2, 4, 4, 3, 1.0, 4, 12),
-           0.13157894736842113, 0.03632478632478635),
+           0.3062499999999999, 0.13385443720487053),
     'ex6': ((1.5, 3.0, 2, 3, 2, 1.0, 2, 6),
-           0.13333333333333355, 0.04188093868584643),
+           0.24999999999999992, 0.0833333333333333),
     'chain': ((1.0, 0.0, 1, 1, 0, 1.0, 1, 1),
              0.5, 0.0),
     'square': ((1.0, 0.0, 1, 1, 0, 0.5, 1, 1),
@@ -39,13 +39,13 @@ PINNED = {
     'skew': ((1.0, 0.0, 1, 1, 0, 0.25, 1, 1),
             0.5, 0.0),
     'layered': ((0.5, 3.0, 1, 1, 1, 0.3333333333333333, 1, 2),
-               0.5, 0.08333333333333336),
+               0.5, 0.08333333333333333),
     'random4': ((1.0, 36.5015799162784, 4, 4, 6, 0.5753175629155369, 4, 56),
-               0.06138060533636998, 0.0034000960244543036),
+               0.17838104249233408, 0.013785389635773533),
     'layered_T2': ((0.5, 18.0, 2, 2, 3, 0.3333333333333333, 2, 16),
-                  0.07905174229408062, 0.003170289855072464),
+                  0.17894146878314107, 0.008694226786626583),
     'layered_T4': ((0.5, 55.78125, 4, 4, 7, 0.3333333333333333, 4, 85),
-                  0.04699867548973588, 0.0017970134792991655),
+                  0.13399056275851629, 0.008201022999590371),
 }
 
 

@@ -28,12 +28,12 @@ from lattice_homog import (
     witness_path,
 )
 
-from lattice_homog import coarse
 from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
+from lattice_homog.coarse import check_poincare_wirtinger, check_two_connectedness
 
-from conftest import (cube_lattice, layered_square_lattice, long_offset_chain,
-                      oracle_neighbours, plain_cg_tensor, random_square_lattice)
-from harness_reference import harness_reports, reference_reports, trial_fields
+from conftest import (cube_lattice, long_offset_chain, oracle_neighbours, plain_cg_tensor,
+                      random_square_lattice)
+from harness_reference import dense_worst, trial_worst
 
 
 @st.composite
@@ -329,48 +329,23 @@ def test_small_cell_f_hom_is_the_tensor_quadratic_form(graph, reps, z):
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 61))
 @example(graph=builtin_examples()["ex5"], seed=5, trials=61)
 @example(graph=builtin_examples()["ex3"], seed=2 ** 40 + 3, trials=37)
-# ** 2 on a block rounded trial 5's lhs one ulp off the same field alone
-@example(graph=graph_from_edges(2, 0, 1, [(0, 0)], [((0, 0), (0, 0), (1, 0), 1.0),
-                                                     ((0, 0), (0, 0), (0, 1), 1.0)]),
-         seed=268940, trials=6)
+# the checkerboard is constant on this cell: its deviation must sum to 0, not
+# to a rounding residue over a zero energy
+@example(graph=graph_from_edges(2, 0, 2, [(0, 0), (0, 1), (1, 1)],
+                                [((0, 0), (0, 0), (0, 1), 1.0), ((0, 0), (0, 0), (1, 0), 1.0),
+                                 ((0, 0), (0, 1), (0, 0), 1.0), ((0, 1), (1, 1), (0, 0), 1.0)]),
+         seed=0, trials=4)
 @settings(max_examples=30, deadline=None)
-def test_harness_blocks_match_per_trial_reference(graph, seed, trials):
-    # trial counts that end mid-block and mid-family; width 8 leaves free
-    # vertices for every T <= 3
-    widths = (8,)
-    assert harness_reports(graph, trials, seed, widths) == reference_reports(
-        graph, trials, seed, widths)
-
-
-@pytest.mark.parametrize("budget", [64, 1000])
-def test_harness_reports_match_reference_in_small_budgets(monkeypatch, budget):
-    # many blocks per call, and every region's energies in several row chunks
-    monkeypatch.setattr(coarse, "TRIAL_BLOCK_ENTRIES", budget)
-    for graph in (builtin_examples()["ex5"], normalize_period(layered_square_lattice(), 2)):
-        assert harness_reports(graph, 37, 5, (8,)) == reference_reports(graph, 37, 5, (8,))
-
-
-@pytest.mark.parametrize("budget", [coarse.TRIAL_BLOCK_ENTRIES, 100, 64])
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
-def test_trial_fields_match_per_trial_reference(monkeypatch, seed, budget):
-    # the small budgets split a call into several blocks that end with a
-    # partial block (and n = 392 splits at the default budget too)
-    monkeypatch.setattr(coarse, "TRIAL_BLOCK_ENTRIES", budget)
-    rng = np.random.default_rng(seed)
-    for trials, n, d in itertools.product((1, 3, 4, 5, 17, 200, 203), (1, 2, 15, 392),
-                                          (1, 2, 3)):
-        pos = rng.integers(-9, 10, size=(n, d))
-        node_ids = rng.integers(0, 4, size=n)
-        blocks = list(coarse._trial_fields(seed, pos, node_ids, trials))
-        sizes = [len(U) for _, U in blocks]
-        assert all(size == sizes[0] and size % 4 == 0 for size in sizes[:-1])
-        assert all(size * n <= budget or size <= 4 for size in sizes)
-        names = [name for block, _ in blocks for name in block]
-        rows = [row for _, U in blocks for row in U]
-        expected = list(trial_fields(seed, pos, node_ids, trials))
-        assert names == [name for name, _ in expected]
-        for row, (name, values) in zip(rows, expected):
-            assert row.view(np.uint64).tolist() == values.view(np.uint64).tolist(), name
+def test_exact_local_ratios_bound_the_trial_reference(graph, seed, trials):
+    # every trial field's ratio is at most the exact supremum, on the same
+    # regions, and the dense route finds the same supremum
+    trial, dense = trial_worst(graph, trials, seed), dense_worst(graph)
+    exact = {"two_connectedness": check_two_connectedness(graph, trials=trials, seed=seed),
+             "poincare_wirtinger": check_poincare_wirtinger(graph, trials=trials, seed=seed)}
+    for harness, rep in exact.items():
+        assert rep.holds, (harness, rep.worst_ratio)
+        assert trial[harness][0] <= rep.worst_ratio * (1 + 1e-12), harness
+        assert rep.worst_ratio == pytest.approx(dense[harness], rel=1e-10, abs=0), harness
 
 
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))

@@ -2,8 +2,10 @@
 dense coarse factorization, one conjugate-gradient loop, one pinned-box
 problem and two dense inverses.
 
-The window and the Dirichlet problems are solved by graph.pinned_solve,
-so a change of solver or ordering is made in one function.  It has two
+The window and the Dirichlet problems, and the grounded Laplacian solves
+of the local inequality harnesses (graph.grounded_solve), are solved by
+graph.pinned_solve, so a change of solver or ordering is made in one
+function.  It has two
 routes: SuperLU (spsolve) for d = 1 and for small systems, and conjugate
 gradients preconditioned by a smoothed-aggregation V-cycle
 (graph._Multigrid) for large systems in d >= 2, whose coarsest level is
