@@ -38,7 +38,10 @@ class BaseCell:
     Node i of the cell sits at slot[i] = (flat translate) * n0 + base node
     of the translate-major grid; base orbit e joins base node a[e] to base
     node b[e] of the base cell shift[e] away and carries the mean weight of
-    its translates.
+    its translates.  rho is the least ratio of a cell orbit's weight to the
+    mean weight of its base orbit, so L >= rho L_ref, L_ref the mean-weight
+    reference Laplacian (rho <= 1, and 1 exactly when the translates of
+    every base orbit share one weight).
     """
 
     t: int
@@ -48,6 +51,7 @@ class BaseCell:
     b: np.ndarray
     shift: np.ndarray       # (E0, d)
     weight: np.ndarray
+    rho: float
 
     @property
     def n0(self):
@@ -97,9 +101,10 @@ def base_cell(op):
             continue
         a, b, *s = np.unravel_index(keys, dims)
         translate = np.ravel_multi_index(tuple((g.dpos // t).T), grid)
+        weight = np.bincount(orbit, weights=g.w, minlength=len(keys)) / copies
         return BaseCell(t, grid, translate * n0 + base, a, b,
-                        np.column_stack(s).reshape(-1, d) - reach,
-                        np.bincount(orbit, weights=g.w, minlength=len(keys)) / copies)
+                        np.column_stack(s).reshape(-1, d) - reach, weight,
+                        float(np.min(g.w / weight[orbit], initial=1.0)))
     return None
 
 
@@ -123,11 +128,14 @@ class FFTPreconditioner:
     rfftn over the translate grid, one n0 x n0 product per frequency with
     the pseudo-inverse of L0(theta), irfftn back.  Vectors are laid out
     grid axes first and base node last, which for a t = 1 re-tiling is the
-    cell's own node order, so no gather is needed there.
+    cell's own node order, so no gather is needed there.  `rho` is the
+    base cell's: L >= rho L_ref, and L and L_ref share their kernel (the
+    same edges carry positive weights in both), so r^T L^+ r <=
+    r^T L_ref^+ r / rho for every r.
     """
 
     def __init__(self, cell):
-        self.t, self.n0, self.grid = cell.t, cell.n0, cell.grid
+        self.t, self.n0, self.grid, self.rho = cell.t, cell.n0, cell.grid, cell.rho
         d = len(self.grid)
         K = self.grid[0]
         freqs = [2.0 * np.pi * np.fft.fftfreq(K)] * (d - 1) + [2.0 * np.pi * np.fft.rfftfreq(K)]

@@ -349,8 +349,8 @@ def _fd_solve(A, omega, phi, h):
         math.log(2.0 * math.sqrt(kappa * axis.max() / axis.min()) / GRID_TOL) / -math.log(q))
     # ||L||_inf, the largest absolute row sum of the stencil
     norm = 4.0 * (cxx + cyy + abs(cxy))
-    x, it, backward = _preconditioned_cg(apply, b, precondition, norm, GRID_TOL,
-                                         2 * bound + 10, "continuum grid CG")
+    x, it, backward, _ = _preconditioned_cg(apply, b, precondition, norm, GRID_TOL,
+                                            2 * bound + 10, "continuum grid CG")
     _log.debug("continuum grid: shape %dx%d, iterations %d, backward error %.3e",
                nx + 1, ny + 1, it, backward)
     u[1:-1, 1:-1] = x

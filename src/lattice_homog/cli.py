@@ -28,6 +28,9 @@ SCHEMA = "lattice-homog/1"
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+TOL_HELP = ("cap on the corrector's relative residual |L chi + b| / |b| (default 1e-10); "
+            "cells of 256 or more nodes that re-tile a smaller cell stop earlier, "
+            "once the energy is certified to one rounding")
 
 
 class UsageError(Exception):
@@ -46,7 +49,9 @@ def _load_graph(path):
 
 
 def _check_tol(tol):
-    # CG stops once |r| <= tol |b|, which the zero corrector meets for tol >= 1
+    # tol caps the corrector's relative residual: CG stops once |r| <= tol |b|
+    # (the zero corrector meets that for tol >= 1), or earlier on the FFT
+    # route once its energy is certified to one rounding (cell.py)
     if not 0 < tol < 1:
         raise UsageError("--tol must be " + ("below 1" if tol >= 1 else "positive"))
 
@@ -343,14 +348,14 @@ def build_parser():
     p = sub.add_parser("cell", help="solve the periodic cell problem")
     common(p)
     p.add_argument("--convention", choices=("double", "single"), default="double")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
 
     p = sub.add_parser("asymptotic", help="finite-window convergence study")
     common(p)
     p.add_argument("--k", default="2,4,8,16", help="comma-separated window sizes")
     p.add_argument("--z", default="", help="direction vector, e.g. 1 or 1,0")
     p.add_argument("--convention", choices=("double", "single"), default="double")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
 
     p = sub.add_parser("inequalities", help="coarse-graining inequality suites")
     common(p)

@@ -336,12 +336,14 @@ def check_two_connectedness(graph, trials=200, seed=7):
 def check_poincare_wirtinger(graph, trials=200, seed=7):
     """Per-cell deviation from the mean vs. weighted local edge energy.
 
-    For cell 0, and cell e_0 when M > T, the supremum over all fields u of
-    sum_i |u_i - mean u|^2 over the cell's n members over the sum over
-    ordered edge pairs inside the (-M, M)-enlarged cell box of
-    w |u_i - u_j|^2, divided by C_pw: with C the columns e_i - 1_cell / n and
-    L the Laplacian of the box's edges with coefficient 2w, it is
-    lambda_max(C^T L^+ C), an n x n eigvalsh (_extremal_ratios).  The solve
+    For cell 0, the supremum over all fields u of sum_i |u_i - mean u|^2
+    over the cell's n members over the sum over ordered edge pairs inside
+    the (-M, M)-enlarged cell box of w |u_i - u_j|^2, divided by C_pw: with
+    C the columns e_i - 1_cell / n and L the Laplacian of the box's edges
+    with coefficient 2w, it is lambda_max(C^T L^+ C), an n x n eigvalsh
+    (_extremal_ratios).  Every other cell's enlarged box is cell 0's
+    translated by whole periods, with the same edges and weights, so its
+    supremum is the same and one region serves all cells.  The solve
     takes n right-hand sides, so its cost grows with the cell size: 5 ms at
     R(8) and 80 ms at R(16) (256 columns) on a 2-vCPU x86 host.  A one-node
     cell has C = 0 and ratio 0.  `trials` and `seed` are validated
@@ -350,17 +352,11 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
     _check_seed_and_trials(seed, trials, 1)
     consts, (pos, _, ends, weights) = _local_region(graph)
     T, d, M, n = graph.T, graph.d, consts.M, graph.n_cell
-    cells = [np.zeros(d, dtype=int)]
-    if M > T:   # a second full enlarged cell fits
-        cells.append(np.eye(d, dtype=int)[0])
-    regions = []
-    for cell in cells:
-        keep = inside(pos, cell * T - (M - 1), (cell + 1) * T - 1 + (M - 1))[ends].all(axis=1)
-        members = np.flatnonzero(inside(pos, cell * T, (cell + 1) * T - 1))
-        C = np.zeros((len(pos), n))
-        C[members] = np.eye(n) - 1.0 / n
-        regions.append((f", cell {tuple(cell.tolist())}",
-                        ends[keep], 2.0 * weights[keep], members[0], C))
+    keep = inside(pos, -(M - 1), T - 1 + (M - 1))[ends].all(axis=1)
+    members = np.flatnonzero(inside(pos, 0, T - 1))
+    C = np.zeros((len(pos), n))
+    C[members] = np.eye(n) - 1.0 / n
+    regions = [(f", cell {(0,) * d}", ends[keep], 2.0 * weights[keep], members[0], C)]
     worst, witness = _extremal_ratios(len(pos), regions, consts.C_pw)
     return InequalityReport("poincare-wirtinger", consts.C_pw, worst, 0, witness)
 

@@ -862,8 +862,8 @@ def _multigrid_solve(A, rhs, start, positions):
     Laplacian with positive coefficients.
     """
     cycle = _Multigrid(A, positions)
-    x, steps, backward = _preconditioned_cg(A.dot, rhs, cycle, 2.0 * A.diagonal().max(),
-                                            _MG_TOL, _MG_MAX_STEPS, "multigrid CG", start)
+    x, steps, backward, _ = _preconditioned_cg(A.dot, rhs, cycle, 2.0 * A.diagonal().max(),
+                                               _MG_TOL, _MG_MAX_STEPS, "multigrid CG", start)
     _log.debug("multigrid: free dofs %d, levels %d, iterations %d, backward error %.3e",
                len(rhs), len(cycle.levels) + 1, steps, backward)
     return x
@@ -882,8 +882,9 @@ def _error_scale(x, norm_b, norm):
     return norm * np.linalg.norm(x) + norm_b if norm else norm_b
 
 
-def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None):
-    """(x, steps, backward error) of conjugate gradients on A x = b from
+def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
+                       energy_tol=0.0):
+    """(x, steps, backward error, r.Mr) of conjugate gradients on A x = b from
     x = `start` (zeros when None), with A = `apply` and the approximate
     inverse `precondition` both symmetric positive definite, x and b arrays
     of any one shape (Hestenes & Stiefel, J. Res. NBS 49, 1952).  The one CG
@@ -905,15 +906,27 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
     ||A x|| <= tol norm ||x||, which no x != 0 meets once A is better
     conditioned than 1 / tol.
 
+    With energy_tol > 0 the loop also stops, after the residual test of a
+    step, when the r.Mr it has just formed for the next search direction is
+    in (0, energy_tol]: the squared A-norm of the error is r^T A^-1 r, which
+    r.Mr bounds up to a factor 1 / rho wherever A >= rho M^-1 (the cell
+    corrector, cell.py; Arioli, Numer. Math. 97, 2004).  It returns the
+    same recomputed backward error as the residual stop.  The fourth value is r.Mr of the residual x
+    stops at: formed at every stop when energy_tol > 0 (one more
+    application of M when the residual test stops the loop), 0.0 for
+    b = 0, and None when the loop has not formed it (energy_tol = 0 with
+    the residual test, or a start that passes).
+
     The loop breaks down when p.Ap <= 0 (A not positive definite) or
-    r.Mr <= 0 (the preconditioner not, or a residual it maps to zero).  At a
-    breakdown or after `cap` steps it returns x if the recomputed backward
-    error meets tol, and otherwise raises NoConvergence carrying that
-    backward error as `residual`.
+    r.Mr <= 0 (the preconditioner not, or a residual it maps to zero); the
+    energy stop needs r.Mr > 0, so it never takes a breakdown for
+    convergence.  At a breakdown or after `cap` steps it returns x if the
+    recomputed backward error meets tol, and otherwise raises NoConvergence
+    carrying that backward error as `residual`.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
-        return np.zeros_like(b), 0, 0.0
+        return np.zeros_like(b), 0, 0.0, 0.0
     if start is None:
         x, r = np.zeros_like(b), b.copy()
     else:
@@ -921,7 +934,7 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
         r = b - apply(x)
     norm_r, scale = np.linalg.norm(r), _error_scale(x, norm_b, norm)
     if norm_r <= tol * scale:
-        return x, 0, float(norm_r / scale)
+        return x, 0, float(norm_r / scale), None
     z = precondition(r)
     p, rz = z, np.vdot(r, z)
     for step in range(cap):
@@ -934,16 +947,19 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * _error_scale(x, norm_b, norm):
-            return x, step + 1, _backward_error(apply, x, b, norm)
+        met = np.linalg.norm(r) <= tol * _error_scale(x, norm_b, norm)
+        if met and energy_tol <= 0:
+            return x, step + 1, _backward_error(apply, x, b, norm), None
         z = precondition(r)
         rz, rz_old = np.vdot(r, z), rz
+        if met or 0 < rz <= energy_tol:
+            return x, step + 1, _backward_error(apply, x, b, norm), rz
         p = z + (rz / rz_old) * p
     else:
         step, stop = cap, f"hit the {cap}-iteration cap"
     backward = _backward_error(apply, x, b, norm)
     if backward <= tol:
-        return x, step, backward
+        return x, step, backward, rz
     raise NoConvergence(f"{name} {stop} (backward error {backward:.3e})", residual=backward)
 
 

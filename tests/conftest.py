@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lattice_homog import builtin_examples, graph_from_edges, solve_corrector
+from lattice_homog import builtin_examples, graph_from_edges, homogenized_tensor, solve_corrector
+from lattice_homog.cell import PCG_MIN_NODES
 from lattice_homog.oracle import _ordered_pairs
 
 # a failing property prints its @reproduce_failure blob; every other
@@ -109,6 +110,50 @@ def plain_cg_tensor(graph):
     BX = op.B.T @ X
     A = op.C + BX + BX.T + X.T @ (op.L @ X)
     return (A + A.T) / graph.T ** graph.d
+
+
+EPS = np.finfo(float).eps
+
+
+def reference_tensor(g):
+    """(doubled tensor, X) from axis correctors solved to tol 1e-14 on the
+    cell's own route, assembled as homogenized_tensor assembles them."""
+    op = g.operator
+    X = np.column_stack([solve_corrector(op.L, op.B @ e, tol=1e-14,
+                                         precondition=op.preconditioner).values
+                         for e in np.eye(g.d)])
+    BX = op.B.T @ X
+    A = op.C + BX + BX.T + X.T @ (op.L @ X)
+    return 2.0 / g.T ** g.d * 0.5 * (A + A.T), X
+
+
+def check_certificate(g):
+    """(tensor, whether the energy stop ended every axis solve): checks the
+    error_bound of an FFT-route tensor against a tol 1e-14 reference.
+
+    The certificate bounds the iteration error factor * E^T L E, E the
+    corrector error, which is measured here from E itself, free of the
+    cancellation in the tensor's sums.  Those sums (C + 2 B^T X + X^T L X,
+    length-n dot products) round by up to a few sqrt(n) eps of factor C_mm
+    in either tensor, which the certificate does not cover, so the entries
+    are held to the bound plus 2 sqrt(n) of those roundings.  When the
+    energy stop ended every axis solve (fewer steps than the residual stop
+    takes), the bound is below one rounding of the largest affine energy."""
+    op, pre = g.operator, g.operator.preconditioner
+    assert g.n_cell >= PCG_MIN_NODES and pre is not None
+    t = homogenized_tensor(g)
+    A_ref, X_ref = reference_tensor(g)
+    factor = 2.0 / g.T ** g.d
+    E = np.column_stack([f.values for f in t.correctors]) - X_ref
+    assert factor * np.abs(E.T @ (op.L @ E)).max() <= t.error_bound
+    rounding = EPS * factor * op.C.diagonal().max()
+    assert np.abs(t.entries - A_ref).max() <= t.error_bound + 2.0 * np.sqrt(g.n_cell) * rounding
+    residual_steps = [solve_corrector(op.L, op.B @ e, precondition=pre).iterations
+                      for e in np.eye(g.d)]
+    ended = all(f.iterations < s for f, s in zip(t.correctors, residual_steps))
+    if ended:
+        assert t.error_bound <= rounding * (1 + 1e-12)
+    return t, ended
 
 
 @pytest.fixture(scope="session")

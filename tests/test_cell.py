@@ -29,9 +29,12 @@ from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES, convention_factor
 from lattice_homog.graph import PeriodicOperator
 
 from conftest import (
+    EPS,
+    check_certificate,
     layered_square_lattice,
     plain_cg_tensor,
     random_square_lattice,
+    reference_tensor,
     random_strip,
     skew_lattice,
     square_lattice,
@@ -450,8 +453,147 @@ def test_preconditioned_tensor_matches_plain_cg(examples, rng):
 
 
 def test_preconditioned_iterations_stay_flat(rng):
-    fields = homogenized_tensor(random_square_lattice(64, rng)).correctors
-    assert all(0 < f.iterations <= 30 for f in fields)
+    # the energy stop ends the R(64) axis correctors in at most 15 steps,
+    # where the residual stop takes 18-19
+    g = random_square_lattice(64, rng)
+    op = g.operator
+    for e, field in zip(np.eye(2), homogenized_tensor(g).correctors):
+        residual_stop = solve_corrector(op.L, op.B @ e, precondition=op.preconditioner)
+        assert 0 < field.iterations <= 15 < residual_stop.iterations
+
+
+@pytest.mark.parametrize("make, energy_stopped", [
+    (lambda: random_square_lattice(64, np.random.default_rng(64)), True),
+    (lambda: random_square_lattice(32, np.random.default_rng(32), contrast=10), True),
+    (lambda: random_square_lattice(32, np.random.default_rng(32), contrast=100), True),
+    (lambda: _checkerboard(32), False),
+    (lambda: normalize_period(builtin_examples()["ex5"], 256), False),
+], ids=["R(64)", "KD(32,10)", "KD(32,100)", "checkerboard(32)", "ex5x256"])
+def test_error_bound_certifies_the_fft_tensor(make, energy_stopped):
+    # the exact references of the checkerboard and ex5 (rho = 1) stop both
+    # routes on the residual test after one step
+    assert check_certificate(make())[1] == energy_stopped
+
+
+def test_error_bound_of_the_layered_lattice_is_below_rounding():
+    # B is zero up to rounding residues (2 + 1/3 - 2 - 1/3) and rho is 1 up to
+    # the rounding of the mean of 2304 equal weights, so one step is left
+    g = normalize_period(layered_square_lattice(), 48)
+    assert g.n_cell >= PCG_MIN_NODES and np.abs(g.operator.B).max() <= 1e-15
+    assert 1.0 - 1e-12 <= g.operator.preconditioner.rho <= 1.0
+    t, _ = check_certificate(g)
+    assert all(f.iterations <= 1 for f in t.correctors)
+    assert 0.0 <= t.error_bound <= EPS ** 2 * 2.0 / g.T ** 2 * g.operator.C.diagonal().max()
+
+
+def test_f_hom_on_the_fft_route_meets_the_reference(caplog):
+    # f_hom takes the energy stop too: under one rounding of its affine
+    # energy from the reference, plus the rounding of the sums, in at most
+    # 15 steps
+    g = random_square_lattice(64, np.random.default_rng(64))
+    A_ref, _ = reference_tensor(g)
+    op = g.operator
+    for z in (np.array([1.0, -0.5]), np.array([0.25, 2.0])):
+        c = 2.0 / g.T ** 2 * float(z @ op.C @ z)
+        with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+            value = f_hom(g, z)
+        steps = int(re.search(r"iterations (\d+)", caplog.records[-1].getMessage())[1])
+        assert 0 < steps <= 15
+        assert abs(value - z @ A_ref @ z) <= EPS * c * (1.0 + 2.0 * np.sqrt(g.n_cell))
+
+
+def test_dense_error_bound_is_the_iteration_error():
+    # axis correctors off by a mean-zero D (still within tol = 1e-3) leave
+    # the entries factor * D^T L D too high; the bound is its largest
+    # diagonal entry, r^T K^-1 r with r = L D
+    g = random_square_lattice(8, np.random.default_rng(8))
+    op = g.operator
+    D = 1e-6 * np.random.default_rng(1).standard_normal((g.n_cell, 2))
+    D -= D.mean(axis=0)
+    exact = homogenized_tensor(g, tol=1e-3)
+    op.__dict__["axis_correctors"] = op.axis_correctors + D
+    t = homogenized_tensor(g, tol=1e-3)
+    assert all(f.iterations == 1 for f in t.correctors)
+    iteration = 2.0 / g.T ** 2 * (D.T @ (op.L @ D))
+    assert t.error_bound == pytest.approx(iteration.diagonal().max(), rel=1e-6)
+    assert np.abs(t.entries - exact.entries - iteration).max() <= 1e-6 * t.error_bound + 1e-15
+    assert exact.error_bound <= 1e-25
+
+
+def test_fft_route_corrector_keeps_the_residual_stop(rng):
+    # corrector() is a field API: it stops on the residual, not on the energy
+    g = random_square_lattice(64, rng)
+    op = g.operator
+    for z in (np.array([1.0, 0.0]), np.array([0.3, -1.2])):
+        b = op.B @ z
+        field = corrector(g, z)
+        ref = solve_corrector(op.L, b, 1e-10, precondition=op.preconditioner)
+        assert np.array_equal(field.values, ref.values)
+        assert (field.iterations, field.residual) == (ref.iterations, ref.residual)
+        assert field.residual <= 1e-10 * np.linalg.norm(b - b.mean())
+
+
+def test_error_bound_is_none_on_the_plain_cg_route():
+    g = random_strip(128, np.random.default_rng(128))
+    assert g.n_cell >= PCG_MIN_NODES and g.operator.preconditioner is None
+    assert homogenized_tensor(g).error_bound is None
+
+
+# hex of the doubled tensor and of f_hom (single, z = linspace(1, -0.5, d))
+# before the energy stop: the dense route must not move
+DENSE_ROUTE_BITS = {
+    "ex1": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
+    "ex2": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
+    "ex3": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
+    "ex4": ([["0x1.4000000000000p+2"]], "0x1.6800000000000p+0"),
+    "ex5": ([["0x1.5555555555555p+1"]], "0x1.8000000000000p-1"),
+    "ex6": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
+    "R(8)": ([["0x1.28e3b4439bb8ep+1", "-0x1.afff292b0e127p-10"],
+              ["-0x1.afff292b0e127p-10", "0x1.1304c7e2cecaep+1"]], "0x1.6ddae62174cd6p+0"),
+    "L2x4": ([["0x1.aaaaaaaaaaaadp+2", "0x1.5555555555554p-1"],
+              ["0x1.5555555555554p-1", "0x1.2aaaaaaaaaaaap+2"]], "0x1.caaaaaaaaaaadp+1"),
+}
+
+
+def test_dense_route_values_are_unchanged():
+    graphs = dict(builtin_examples(), **{
+        "R(8)": random_square_lattice(8, np.random.default_rng(8)),
+        "L2x4": normalize_period(layered_square_lattice(), 4)})
+    for name, g in graphs.items():
+        assert g.n_cell <= DENSE_MAX_NODES
+        t = homogenized_tensor(g)
+        z = np.linspace(1.0, -0.5, g.d) if g.d > 1 else np.array([0.75])
+        entries, value = DENSE_ROUTE_BITS[name]
+        assert [[v.hex() for v in row] for row in t.entries.tolist()] == entries, name
+        assert f_hom(g, z, convention="single").hex() == value, name
+        assert t.error_bound is not None and 0.0 <= t.error_bound <= 1e-25, name
+
+
+def test_zero_B_tensor_is_exact_without_an_inverse():
+    g = layered_square_lattice()
+    t = homogenized_tensor(g)
+    assert t.error_bound == 0.0
+    assert "exact_inverse" not in vars(g.operator)
+
+
+def test_dense_route_f_hom_reads_what_it_did():
+    # f_hom per call: B z, the product X z, one product with L and z^T C z;
+    # the tensor's error bound (exact_inverse) is never formed per call
+    class Recording:
+        def __init__(self, op):
+            self.op, self.names = op, []
+
+        def __getattr__(self, name):
+            self.names.append(name)
+            return getattr(self.op, name)
+
+    g = random_square_lattice(8, np.random.default_rng(8))
+    homogenized_tensor(g)
+    f_hom(g, [1.0, 2.0])
+    recording = Recording(g.operator)
+    g.__dict__["operator"] = recording
+    f_hom(g, [0.5, -1.0])
+    assert recording.names == ["B", "axis_correctors", "L", "C"]
 
 
 def test_small_cells_solve_in_one_step(rng):

@@ -477,9 +477,9 @@ def test_warm_start_of_zero_rhs_returns_exact_zeros():
     # from x0 != 0 the backward-error stop asks ||A x|| <= 1e-14 ||A|| ||x||,
     # which no x != 0 meets here: only the exact answer x = 0 stops it
     A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
-    x, steps, backward = graph._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
-                                                  1e-14, 5, "test CG", np.ones(100))
-    assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0
+    x, steps, backward, rz = graph._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
+                                                      1e-14, 5, "test CG", np.ones(100))
+    assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0 and rz == 0.0
 
 
 def test_passing_start_costs_one_product():
@@ -495,9 +495,9 @@ def test_passing_start_costs_one_product():
             calls.append(v)
             return A @ v
 
-        x, steps, backward = graph._preconditioned_cg(apply, b, lambda r: r, norm, 1e-14, 5,
-                                                      "test CG", start)
-        assert len(calls) == 1 and steps == 0 and np.array_equal(x, start)
+        x, steps, backward, rz = graph._preconditioned_cg(apply, b, lambda r: r, norm, 1e-14,
+                                                          5, "test CG", start)
+        assert len(calls) == 1 and steps == 0 and np.array_equal(x, start) and rz is None
         assert backward == graph._backward_error(A.dot, start, b, norm) <= 1e-14
 
 
@@ -513,6 +513,42 @@ def test_shared_cg_breakdown_raises_backward_error():
             graph._preconditioned_cg(apply, b, precondition, 4.0, 1e-14, 5, "test CG")
         # at x = 0 the backward error ||b|| / (4 ||x|| + ||b||) is 1, not ||b|| = 30
         assert info.value.residual == 1.0 and "backward error" in str(info.value)
+
+
+def test_energy_stop_reports_the_recomputed_backward_error():
+    # the energy stop ends the loop before the residual test would, and
+    # returns the backward error of the recomputed residual, as the residual
+    # stop does
+    A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
+    b = np.sin(0.3 * np.arange(100.0))
+    jacobi = lambda r: r / 2.0
+    _, full, _, none = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500, "test CG")
+    x, steps, backward, rz = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
+                                                      "test CG", energy_tol=1e-2)
+    assert none is None and 0 < rz <= 1e-2 and steps < full
+    assert backward == graph._backward_error(A.dot, x, b, 4.0) > 1e-6
+    # a residual stop with the energy stop armed still forms r.Mr of its residual
+    x, steps, backward, rz = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
+                                                      "test CG", energy_tol=1e-300)
+    r = b - A @ x
+    assert steps == full and backward <= 1e-6
+    assert rz == pytest.approx(r @ jacobi(r), rel=1e-6)
+
+
+def test_energy_stop_never_takes_a_breakdown_for_convergence():
+    # the preconditioner turns indefinite after its first call: r.Mr < 0
+    # lies below any energy_tol, and the loop must still report the breakdown
+    A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
+    b = np.full(100, 3.0)
+    calls = []
+
+    def turning(r):
+        calls.append(r)
+        return r if len(calls) == 1 else -r
+
+    with pytest.raises(NoConvergence, match=r"broke down at iteration 1 \(r\.Mr = "):
+        graph._preconditioned_cg(A.dot, b, turning, 4.0, 1e-14, 5, "test CG",
+                                 energy_tol=1e300)
 
 
 def test_warm_start_takes_fewer_steps(caplog, monkeypatch):

@@ -31,8 +31,8 @@ from lattice_homog import (
 from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
 from lattice_homog.coarse import check_poincare_wirtinger, check_two_connectedness
 
-from conftest import (cube_lattice, long_offset_chain, oracle_neighbours, plain_cg_tensor,
-                      random_square_lattice)
+from conftest import (check_certificate, cube_lattice, long_offset_chain, oracle_neighbours,
+                      plain_cg_tensor, random_square_lattice)
 from harness_reference import dense_worst, trial_worst
 
 
@@ -351,19 +351,34 @@ def test_exact_local_ratios_bound_the_trial_reference(graph, seed, trials):
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_preconditioned_tensor_matches_plain_cg_random(graph, seed):
-    # re-tiled to at least PCG_MIN_NODES nodes, every orbit reweighted, so
-    # the mean-weight reference is inexact
+    g = _retiled_reweighted(graph, seed)
+    assert g.operator.preconditioner is not None
+    A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+    assert np.abs(A - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def _retiled_reweighted(graph, seed):
+    """`graph` re-tiled to at least PCG_MIN_NODES nodes with every orbit
+    reweighted U(0.25, 4), so the mean-weight reference is inexact."""
     reps = 2
     while graph.n_cell * reps ** graph.d < PCG_MIN_NODES:
         reps += 1
     tiled = normalize_period(graph, graph.T * reps)
     weights = np.random.default_rng(seed).uniform(0.25, 4.0, len(tiled.orbits))
-    g = LatticeGraph(tiled.d, tiled.k, tiled.T, tiled.nodes,
-                     [EdgeOrbit(o.u, o.v, o.offset, float(w))
-                      for o, w in zip(tiled.orbits, weights)], M=tiled.M)
-    assert g.operator.preconditioner is not None
-    A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
-    assert np.abs(A - ref).max() <= 1e-9 * np.abs(ref).max()
+    return LatticeGraph(tiled.d, tiled.k, tiled.T, tiled.nodes,
+                        [EdgeOrbit(o.u, o.v, o.offset, float(w))
+                         for o, w in zip(tiled.orbits, weights)], M=tiled.M)
+
+
+@given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_error_bound_certifies_the_fft_tensor_random(graph, seed):
+    # conftest.check_certificate: the bound holds the iteration error and,
+    # with the rounding of the sums, the entries; after an energy stop it
+    # is below one rounding of the largest affine energy
+    g = _retiled_reweighted(graph, seed)
+    t, _ = check_certificate(g)
+    assert 0.0 <= t.error_bound
 
 
 def _window_by_loops(graph, window):

@@ -18,7 +18,8 @@ nothing outside graph.py calls `laplacian`, `reduced_system` or
 sine-preconditioned conjugate gradients, so it reaches no sparse solver.
 Every conjugate-gradient solve (the multigrid route, the continuum grid
 and the cell corrector, cell.solve_corrector) runs the one loop
-graph._preconditioned_cg, and no other function uses it.
+graph._preconditioned_cg, and no other function uses it; the corrector's
+energy stop is a keyword of that loop, not a second loop.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
