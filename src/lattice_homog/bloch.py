@@ -126,12 +126,14 @@ class FFTPreconditioner:
     """r -> L_ref^+ r for the mean-weight reference Laplacian of a BaseCell.
 
     rfftn over the translate grid, one n0 x n0 product per frequency with
-    the pseudo-inverse of L0(theta), irfftn back.  Vectors are laid out
-    grid axes first and base node last, which for a t = 1 re-tiling is the
-    cell's own node order, so no gather is needed there.  `rho` is the
-    base cell's: L >= rho L_ref, and L and L_ref share their kernel (the
-    same edges carry positive weights in both), so r^T L^+ r <=
-    r^T L_ref^+ r / rho for every r.
+    the pseudo-inverse of L0(theta), irfftn back; for a one-node base cell
+    (n0 = 1) the symbol is real and 1 x 1, and the product is a real scale
+    per frequency, taken in place.  Vectors are laid out grid axes first
+    and base node last, which for a t = 1 re-tiling is the cell's own node
+    order, so no gather is needed there.  `rho` is the base cell's:
+    L >= rho L_ref, and L and L_ref share their kernel (the same edges
+    carry positive weights in both), so r^T L^+ r <= r^T L_ref^+ r / rho
+    for every r.
     """
 
     def __init__(self, cell):
@@ -148,9 +150,12 @@ class FFTPreconditioner:
         keep = vals > PINV_RTOL * vals[:, -1:]
         inverse_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         real = (vecs * inverse_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-        n0 = self.n0
-        inverse = real[:, :n0, :n0] + 1j * real[:, n0:, :n0]
-        self.inverse = inverse.reshape(theta.shape[:-1] + (n0, n0))
+        n0, shape = self.n0, theta.shape[:-1]
+        if n0 == 1:
+            self.inverse = np.ascontiguousarray(real[:, 0, 0]).reshape(shape + (1,))
+        else:
+            inverse = real[:, :n0, :n0] + 1j * real[:, n0:, :n0]
+            self.inverse = inverse.reshape(shape + (n0, n0))
         identity = np.array_equal(cell.slot, np.arange(len(cell.slot)))
         self.slot = None if identity else cell.slot
         self.order = None if identity else np.argsort(cell.slot)
@@ -162,7 +167,10 @@ class FFTPreconditioner:
         axes = tuple(range(len(self.grid)))
         x = r if self.order is None else r[self.order]
         spectrum = np.fft.rfftn(x.reshape(self.grid + (self.n0,)), axes=axes)
-        spectrum = np.einsum("...ab,...b->...a", self.inverse, spectrum)
+        if self.n0 == 1:
+            spectrum *= self.inverse
+        else:
+            spectrum = np.einsum("...ab,...b->...a", self.inverse, spectrum)
         y = np.fft.irfftn(spectrum, s=self.grid, axes=axes).reshape(-1)
         return y if self.slot is None else y[self.slot]
 

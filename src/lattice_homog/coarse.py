@@ -30,8 +30,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import CellOutOfWindow
 from .graph import (CellBox, PinnedProblem, box_adjacency, connectedness_certificate,
@@ -155,6 +153,7 @@ def _tree_paths(graph, lo, hi, cell, targets):
     counts up one tree level (a run of the breadth-first order) at a time;
     edges sum their use over the sources.
     """
+    import scipy.sparse.csgraph as csgraph
     box, adjacency = box_adjacency(graph, lo, hi)
     size, nodes = len(box.node_ids), np.arange(graph.n_cell)
     sources = box.index(np.zeros((len(nodes), graph.d), dtype=np.intp), nodes)
@@ -162,8 +161,8 @@ def _tree_paths(graph, lo, hi, cell, targets):
     longest, keys, counts = 0, [], []
     position = np.empty(size, dtype=np.intp)
     for source, target in zip(sources, ends):
-        order, pred = breadth_first_order(adjacency, source, directed=True,
-                                          return_predecessors=True)
+        order, pred = csgraph.breadth_first_order(adjacency, source, directed=True,
+                                                  return_predecessors=True)
         if np.any(target < 0) or np.any(pred[target] < 0):
             return None
         position[order] = np.arange(len(order))
@@ -409,6 +408,7 @@ def check_poincare(graph, widths, trials=100, seed=7):
     any box is built.  `trials` (at least 0) and `seed` are validated but
     draw nothing; the report's trial count is 0.
     """
+    import scipy.sparse.linalg as spla
     _check_seed_and_trials(seed, trials, 0)
     widths = _check_widths(widths)
     d, T = graph.d, graph.T

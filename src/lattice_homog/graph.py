@@ -31,7 +31,9 @@ smoothed-aggregation V-cycle whose aggregates are boxes of positions
 is the package's one conjugate-gradient loop: the multigrid route, the
 continuum grid of bvp and the cell corrector (cell.solve_corrector, for
 cells above the dense ceiling or when the direct product misses its
-tolerance) run it.
+tolerance) run it.  scipy's sparse solvers, dense factorizations and graph
+searches are imported by the functions that call them, so a process that
+only builds graphs and computes FFT-route cell tensors never loads them.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .bloch import fft_preconditioner
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
@@ -288,7 +287,8 @@ class PeriodicOperator:
 
     @cached_property
     def exact_inverse(self):
-        _, labels = connected_components(self.L, directed=False)
+        import scipy.sparse.csgraph as csgraph
+        _, labels = csgraph.connected_components(self.L, directed=False)
         K = self.L.toarray()
         K += (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels]
         inverse = np.linalg.inv(K)
@@ -372,9 +372,11 @@ def _rows_in_order(near, far, size):
 def _tree_potentials(graph, adjacency, order):
     """Per node, the summed cell offset of its breadth-first tree path from
     node 0, each node entered by the first entry of its parent's row."""
+    import scipy.sparse.csgraph as csgraph
     n, d = graph.n_cell, graph.d
     steps = np.stack([graph.offset, -graph.offset], axis=1).reshape(-1, d)[order]
-    tree, pred = breadth_first_order(adjacency, 0, directed=True, return_predecessors=True)
+    tree, pred = csgraph.breadth_first_order(adjacency, 0, directed=True,
+                                             return_predecessors=True)
     rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
     entries = np.flatnonzero(rows == pred[adjacency.indices])
     child, first = np.unique(adjacency.indices[entries], return_index=True)
@@ -396,6 +398,7 @@ def connectedness_certificate(graph, raise_on_failure=True):
     Neither step searches the infinite graph: a path between two of its
     vertices comes from `witness_path` on demand.
     """
+    import scipy.sparse.csgraph as csgraph
     if graph.n_cell == 0:
         raise ValueError("graph has no nodes")
     n = graph.n_cell
@@ -403,7 +406,7 @@ def connectedness_certificate(graph, raise_on_failure=True):
     adjacency, order = _rows_in_order(np.column_stack([graph.u, graph.v]).ravel(),
                                       np.column_stack([graph.v, graph.u]).ravel(), n)
     # scipy numbers the components in the order of their smallest nodes
-    count, labels = connected_components(adjacency, directed=False)
+    count, labels = csgraph.connected_components(adjacency, directed=False)
     comps = [c.tolist() for c in np.split(np.argsort(labels, kind="stable"),
                                           np.cumsum(np.bincount(labels))[:-1])]
     quotient_ok = count == 1
@@ -442,6 +445,7 @@ def witness_path(graph, src, tgt, m):
     certified connected first.  Returns the path as a list of (CellNode,
     cell tuple).  Raises DisconnectedGraph when the graph is not connected.
     """
+    import scipy.sparse.csgraph as csgraph
     if not 0 <= m < graph.d:
         raise ValueError(f"axis {m} is not in 0..{graph.d - 1}")
     connectedness_certificate(graph)
@@ -452,8 +456,8 @@ def witness_path(graph, src, tgt, m):
     while True:
         box, adjacency = box_adjacency(graph, [-radius * T] * d, [(radius + 1) * T - 1] * d)
         source, target = box.index(cells, nodes)
-        _, pred = breadth_first_order(adjacency, source, directed=True,
-                                     return_predecessors=True)
+        _, pred = csgraph.breadth_first_order(adjacency, source, directed=True,
+                                              return_predecessors=True)
         if target >= 0 and pred[target] >= 0:
             path = [target]
             while path[-1] != source:
@@ -765,6 +769,7 @@ def pinned_solve(A, rhs, start=None, positions=None):
     row, hence _MG_MIN_DOFS = 6000; contrast costs steps, while SuperLU's
     fill does not depend on it.
     """
+    import scipy.sparse.linalg as spla
     multigrid = positions is not None and positions.shape[1] >= 2 and len(rhs) >= _MG_MIN_DOFS
     if multigrid:
         x = _multigrid_solve(A, rhs, start, positions)
@@ -805,6 +810,7 @@ class _Multigrid:
     """
 
     def __init__(self, A, positions):
+        import scipy.linalg as sla
         self.levels = []            # (A, w D^-1, P, P^T) per level above the coarsest
         blocks = ((positions - positions.min(axis=0)) // _MG_BOX).astype(np.intp)
         while A.shape[0] > _MG_COARSEST:
@@ -824,6 +830,7 @@ class _Multigrid:
         self.coarsest = sla.cho_factor(A.toarray(), check_finite=False)
 
     def __call__(self, b):
+        import scipy.linalg as sla
         descent = []
         for A, weight, _, R in self.levels:
             x = weight * b                      # two sweeps from x = 0
@@ -996,6 +1003,7 @@ class PinnedProblem:
         settles the usual case of one free component, and the connected
         components are labelled only when it does not reach every vertex.
         """
+        import scipy.sparse.csgraph as csgraph
         a, b, c = _couplings(self.ends, self.coef)
         n, free = len(self.pinned), ~self.pinned
         nf = int(np.count_nonzero(free))
@@ -1021,9 +1029,10 @@ class PinnedProblem:
         head[1:] = (near[1:] != near[:-1]) | (far[1:] != far[:-1])
         coupling = np.bincount(np.cumsum(head) - 1, coupling)
         rhs = np.bincount(near[head], coupling * self.values[far[head]], nf)
-        if len(near) and len(breadth_first_order(A, near[0], return_predecessors=False)) == nf:
+        if len(near) and len(csgraph.breadth_first_order(A, near[0],
+                                                         return_predecessors=False)) == nf:
             return A, rhs
-        count, labels = connected_components(A, directed=False)
+        count, labels = csgraph.connected_components(A, directed=False)
         anchored = np.zeros(count, dtype=bool)
         anchored[labels[near]] = True
         if not anchored.all():
@@ -1059,8 +1068,9 @@ def grounded_solve(n, ends, coef, source, rhs):
     are given) factors it once for all the columns.  Row `source` of L X = rhs then holds too, as both sides sum to
     zero over the component.
     """
+    import scipy.sparse.csgraph as csgraph
     L = laplacian(n, ends, coef)
-    free = breadth_first_order(L, source, return_predecessors=False)[1:]
+    free = csgraph.breadth_first_order(L, source, return_predecessors=False)[1:]
     X = np.zeros(np.shape(rhs))
     if len(free):
         b = rhs[free]

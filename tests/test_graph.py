@@ -660,14 +660,17 @@ def test_multigrid_cap_raises_no_convergence(monkeypatch):
 
 
 def test_small_and_one_dimensional_problems_reach_superlu(examples, monkeypatch):
+    # pinned_solve imports scipy.sparse.linalg when it is called, so the spy
+    # sits on that module
+    import scipy.sparse.linalg as spla
     calls = []
-    spsolve = graph.spla.spsolve
+    spsolve = spla.spsolve
 
     def spy(A, b, **options):
         calls.append(A.shape[0])
         return spsolve(A, b, **options)
 
-    monkeypatch.setattr(graph.spla, "spsolve", spy)
+    monkeypatch.setattr(spla, "spsolve", spy)
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs

@@ -29,9 +29,18 @@ The source is read with ast, and any use of these names by name elsewhere
 A dense inverse is taken only by the dense oracle (pinv) and by the
 periodic operator's exact inverse for small cells (inv), so the oracle
 stays a route independent of the solver it checks.
+
+scipy's sparse solvers, its dense factorizations and its graph searches
+(scipy.sparse.linalg, scipy.linalg, scipy.sparse.csgraph) are imported by
+the functions that call them, never at the top of a module: the tensor of
+a cell on the FFT route runs none of them, and a fresh interpreter that
+imports the package and computes that tensor does not load them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lattice_homog"
@@ -41,6 +50,7 @@ DENSE_FACTORS = {"cho_factor", "cho_solve"}
 PINNED = {"laplacian", "pinned_solve", "reduced_system"}
 INVERSES = {"inv", "pinv"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+DEFERRED = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
 
 
 def _uses(names, attribute):
@@ -99,3 +109,69 @@ def test_two_dense_inverses():
     assert [use for use in _uses(INVERSES, lambda node: True) if use[0] not in local] == [
         ("graph.PeriodicOperator.exact_inverse", "inv"),
         ("oracle.brute_force_cell_oracle", "pinv")]
+
+
+def _module_level_imports(tree):
+    """Full names of what the statements outside any function or class import."""
+    names = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                names.extend(f"{child.module}.{alias.name}" for alias in child.names)
+            elif not isinstance(child, SCOPES):
+                visit(child)
+
+    visit(tree)
+    return names
+
+
+def test_solver_modules_are_imported_where_they_are_called():
+    found = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+             if any(name == module or name.startswith(module + ".") for module in DEFERRED)]
+    assert found == []
+
+
+_FFT_ROUTE = """
+import sys
+import numpy as np
+import lattice_homog
+import lattice_homog.cli
+from lattice_homog import f_hom, graph_from_edges, homogenized_tensor, parse, validate
+from lattice_homog.lgf import builtin_example_text
+
+DEFERRED = {deferred!r}
+
+
+def loaded():
+    return [name for name in DEFERRED if name in sys.modules]
+
+
+parse(builtin_example_text("ex1"))
+assert loaded() == [], loaded()
+rng, T = np.random.default_rng(5), 16
+edges = []
+for x in range(T):
+    for y in range(T):
+        edges.append(((x, y), ((x + 1) % T, y), (int(x == T - 1), 0), float(rng.uniform(0.5, 2))))
+        edges.append(((x, y), (x, (y + 1) % T), (0, int(y == T - 1)), float(rng.uniform(0.5, 2))))
+cell = graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
+homogenized_tensor(cell)
+f_hom(cell, [1.0, 1.0])
+assert cell.operator.preconditioner is not None
+assert loaded() == [], loaded()
+assert validate(cell).ok
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+
+
+def test_cell_tensor_on_the_fft_route_loads_no_solver_module():
+    # a fresh interpreter: this one has loaded the three modules already
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FFT_ROUTE.format(deferred=DEFERRED)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
