@@ -24,10 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative eigenvalue cut of the per-frequency pseudo-inverse: far above the
-# roundoff of the zero eigenvalue at theta = 0 (about n0 * 1e-16 of the
-# largest) and far below the smallest nonzero one of any grid that fits in
-# memory (about |2 pi / grid|^2 of the largest).
+# Relative eigenvalue cut of each frequency's pseudo-inverse, against that
+# frequency's largest eigenvalue: far above the roundoff of a zero
+# eigenvalue (about n0 * 1e-16 of the largest) and far below the smallest
+# nonzero one, which for a one-node base cell is the largest itself and
+# otherwise the acoustic branch, about |theta|^2 of the optical ones, so a
+# cut only past a million translates per axis.  At theta = 0 the constant
+# mode is dropped outright: a one-node base cell has nothing else there to
+# measure its rounding residue against.
 PINV_RTOL = 1e-12
 
 
@@ -128,12 +132,22 @@ class FFTPreconditioner:
     rfftn over the translate grid, one n0 x n0 product per frequency with
     the pseudo-inverse of L0(theta), irfftn back; for a one-node base cell
     (n0 = 1) the symbol is real and 1 x 1, and the product is a real scale
-    per frequency, taken in place.  Vectors are laid out grid axes first
-    and base node last, which for a t = 1 re-tiling is the cell's own node
-    order, so no gather is needed there.  `rho` is the base cell's:
-    L >= rho L_ref, and L and L_ref share their kernel (the same edges
-    carry positive weights in both), so r^T L^+ r <= r^T L_ref^+ r / rho
-    for every r.
+    per frequency, taken in place.  The transforms are numpy's own 1-D
+    passes in the order numpy 2's rfftn and irfftn take them, so the result
+    is theirs bit for bit without their n-d wrappers: forward, rfft along
+    the last grid axis, then fft along the other grid axes in reverse order;
+    back, ifft along the leading grid axes in forward order, then irfft.
+    The complex passes run in place (the `out` argument of numpy 2's fft)
+    on the one spectrum a call allocates, and r is only read.  Vectors are
+    laid out grid axes first and base node last, which for a t = 1
+    re-tiling is the cell's own node order, so no gather is needed there.
+    The pseudo-inverse drops the constant mode at theta = 0, zero in exact
+    arithmetic, so it maps to an exact zero whatever the sign of its
+    rounding residue, and every other eigenvalue at or below PINV_RTOL
+    times its frequency's largest.  `rho` is the base cell's: L >= rho
+    L_ref, and L and L_ref share their kernel (the same edges carry
+    positive weights in both), so r^T L^+ r <= r^T L_ref^+ r / rho for
+    every r.
     """
 
     def __init__(self, cell):
@@ -148,6 +162,7 @@ class FFTPreconditioner:
         sym = symbol(cell, theta.reshape(-1, d))
         vals, vecs = np.linalg.eigh(np.block([[sym.real, -sym.imag], [sym.imag, sym.real]]))
         keep = vals > PINV_RTOL * vals[:, -1:]
+        keep[0, :2] = False     # theta = 0: the constant mode, Re and Im
         inverse_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
         real = (vecs * inverse_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
         n0, shape = self.n0, theta.shape[:-1]
@@ -164,14 +179,18 @@ class FFTPreconditioner:
                 a.flags.writeable = False
 
     def __call__(self, r):
-        axes = tuple(range(len(self.grid)))
+        last = len(self.grid) - 1
         x = r if self.order is None else r[self.order]
-        spectrum = np.fft.rfftn(x.reshape(self.grid + (self.n0,)), axes=axes)
+        spectrum = np.fft.rfft(x.reshape(self.grid + (self.n0,)), axis=last)
+        for axis in range(last - 1, -1, -1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
         if self.n0 == 1:
             spectrum *= self.inverse
         else:
             spectrum = np.einsum("...ab,...b->...a", self.inverse, spectrum)
-        y = np.fft.irfftn(spectrum, s=self.grid, axes=axes).reshape(-1)
+        for axis in range(last):
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        y = np.fft.irfft(spectrum, self.grid[-1], axis=last).reshape(-1)
         return y if self.slot is None else y[self.slot]
 
 

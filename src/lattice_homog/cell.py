@@ -144,6 +144,9 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None, ene
     inverts L on the residuals, so the loop stops after one step;
     PeriodicOperator.preconditioner is another (bloch.py).  When None, the
     loop is plain CG, the projection its only preconditioner.
+    `precondition` must leave r as it is, and may return r itself or a
+    view of it: the projection makes a new array, and the loop writes to
+    no array it is handed.
 
     With energy_tol > 0 the loop also stops once the r.Mr it forms is at
     most energy_tol (the energy stop of graph._preconditioned_cg), and the

@@ -252,7 +252,9 @@ class PeriodicOperator:
     A loop orbit (u[e] == v[e]) has a zero incidence row: it adds its
     w disp disp^T to C and nothing to L or B, so a cell whose orbits are all
     loops or of zero d-displacement (two layers joined by rungs, say) has
-    B = 0 exactly.
+    B = 0 exactly.  So has every entry B[i, m] whose signed terms
+    +-w disp_m at node i cancel in pairs, which summed in edge order would
+    leave rounding residues (a re-tiled cell whose loops became links).
 
     `preconditioner` is built on first use: the FFT preconditioner of the
     cell's smallest sub-period t | T (bloch.py), an approximate inverse of
@@ -275,8 +277,10 @@ class PeriodicOperator:
         self.L = laplacian(n, np.column_stack([graph.u, graph.v]), graph.w)
         self.B = np.zeros((n, d))
         link = graph.u != graph.v       # a loop orbit's incidence row is zero
-        np.add.at(self.B, graph.v[link], wdisp[link])
-        np.add.at(self.B, graph.u[link], -wdisp[link])
+        u, v, link_wdisp = graph.u[link], graph.v[link], wdisp[link]
+        np.add.at(self.B, v, link_wdisp)
+        np.add.at(self.B, u, -link_wdisp)
+        self.B[_cancelling(self.B, u, v, link_wdisp)] = 0.0
         self.C = self.disp.T @ wdisp
         for a in (self.disp, self.B, self.C, self.L.data):
             a.flags.writeable = False
@@ -302,6 +306,41 @@ class PeriodicOperator:
         X -= X.sum(axis=0) / n
         X.flags.writeable = False
         return X
+
+
+def _cancelling(B, u, v, wdisp):
+    """Mask of the nonzero entries of B = sum_{v[e] = i} wdisp[e] -
+    sum_{u[e] = i} wdisp[e] whose signed terms cancel in pairs: each
+    magnitude occurs as often with a plus as with a minus sign, so B[i, m]
+    is zero in exact arithmetic and its value a rounding residue.
+
+    Only entries within the rounding bound of a zero sum are examined: k
+    terms summing to zero leave at most (k - 1) eps / 2 (1 + O(eps)) times
+    the sum of their magnitudes (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, section 4.2), below k^2 eps max |wdisp|.
+    The per-node counts k are taken only when some entry is within the
+    bound for all 2 len(u) terms, which an entry of a cell with random
+    weights almost never is.
+    """
+    absB = np.abs(B)
+    unit = np.finfo(float).eps * np.abs(wdisp).max(initial=0.0)
+    mask = (absB <= (2 * len(u)) ** 2 * unit) & (B != 0)     # no node has more terms
+    if not mask.any():
+        return mask
+    node = np.concatenate([v, u])
+    mask &= absB <= (np.bincount(node, minlength=len(B)) ** 2 * unit)[:, None]
+    for m in np.flatnonzero(mask.any(axis=0)):
+        signed = np.concatenate([wdisp[:, m], -wdisp[:, m]])
+        term = np.flatnonzero((signed != 0) & mask[node, m])
+        size = np.abs(signed[term])
+        order = np.lexsort((size, node[term]))
+        term, size = term[order], size[order]
+        at = node[term]
+        start = np.flatnonzero(np.concatenate(
+            [[True], (at[1:] != at[:-1]) | (size[1:] != size[:-1])]))
+        net = np.add.reduceat(np.sign(signed[term]), start)
+        mask[at[start[net != 0]], m] = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +963,15 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
     b = 0, and None when the loop has not formed it (energy_tol = 0 with
     the residual test, or a start that passes).
 
+    A step allocates only what `apply` and `precondition` return: x, r and
+    p are updated in place through one scratch vector, with p starting as a
+    copy of the first M r, so the loop never writes to an array that either
+    callable returned, and either may return its argument or a view of it
+    (the identity preconditioner `lambda r: r`).  Each update rounds as its
+    allocating form x += alpha p, r -= alpha A p, p = z + beta p does, so
+    the iterates are those of that form bit for bit.  Neither callable may
+    keep or modify the array it is given.
+
     The loop breaks down when p.Ap <= 0 (A not positive definite) or
     r.Mr <= 0 (the preconditioner not, or a residual it maps to zero); the
     energy stop needs r.Mr > 0, so it never takes a breakdown for
@@ -943,7 +991,8 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
     if norm_r <= tol * scale:
         return x, 0, float(norm_r / scale), None
     z = precondition(r)
-    p, rz = z, np.vdot(r, z)
+    p, rz = z.copy(), np.vdot(r, z)
+    scaled = np.empty_like(p)
     for step in range(cap):
         Ap = apply(p)
         pAp = np.vdot(p, Ap)
@@ -952,8 +1001,8 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
             stop = f"broke down at iteration {step} ({label} = {value:.3e} <= 0)"
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Ap, alpha, out=scaled)
         met = np.linalg.norm(r) <= tol * _error_scale(x, norm_b, norm)
         if met and energy_tol <= 0:
             return x, step + 1, _backward_error(apply, x, b, norm), None
@@ -961,7 +1010,8 @@ def _preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
         rz, rz_old = np.vdot(r, z), rz
         if met or 0 < rz <= energy_tol:
             return x, step + 1, _backward_error(apply, x, b, norm), rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     else:
         step, stop = cap, f"hit the {cap}-iteration cap"
     backward = _backward_error(apply, x, b, norm)

@@ -1,5 +1,6 @@
 import logging
 import re
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +25,7 @@ from lattice_homog import (
     solve_corrector,
 )
 from lattice_homog import cell as cell_module
-from lattice_homog.bloch import base_cell
+from lattice_homog.bloch import PINV_RTOL, base_cell, symbol
 from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES, convention_factor
 from lattice_homog.graph import PeriodicOperator
 
@@ -324,6 +325,52 @@ def test_loop_orbits_leave_B_exactly_zero():
         assert np.array_equal(field.values, np.zeros(2))
 
 
+def _cancelling_entries(graph):
+    """(n, d) mask, one node and axis at a time: the nonzero signed terms
+    +-w disp_m of the links at node i cancel in pairs."""
+    disp = graph.operator.disp
+    mask = np.ones((graph.n_cell, graph.d), dtype=bool)
+    for i in range(graph.n_cell):
+        for m in range(graph.d):
+            terms = Counter()
+            for u, v, w, s in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist(),
+                                  disp[:, m].tolist()):
+                if u != v and w * s != 0:
+                    if v == i:
+                        terms[w * s] += 1
+                    if u == i:
+                        terms[-w * s] += 1
+            mask[i, m] = all(terms[-term] == count for term, count in terms.items())
+    return mask
+
+
+def test_cancelling_incidence_terms_leave_B_exactly_zero():
+    # L2 re-tiled to 6 turns its loops into links whose terms cancel at
+    # every node; one orbit made one ulp heavier unbalances the nodes it
+    # touches by a residue-sized amount that is no residue: they keep the
+    # bits of the sum in edge order, as every node of R(8) does
+    l2 = normalize_period(layered_square_lattice(), 6)
+    e = int(np.flatnonzero((l2.u != l2.v) & l2.operator.disp.any(axis=1))[0])
+    orbit = l2.orbits[e]
+    orbits = list(l2.orbits)
+    orbits[e] = EdgeOrbit(orbit.u, orbit.v, orbit.offset, np.nextafter(orbit.weight, 4.0))
+    unbalanced = LatticeGraph(l2.d, l2.k, l2.T, l2.nodes, orbits, M=l2.M)
+    masks = []
+    for g in (l2, unbalanced, random_square_lattice(8, np.random.default_rng(8))):
+        wdisp = g.w[:, None] * g.operator.disp
+        link = g.u != g.v
+        edge_order = np.zeros((g.n_cell, g.d))
+        np.add.at(edge_order, g.v[link], wdisp[link])
+        np.add.at(edge_order, g.u[link], -wdisp[link])
+        cancel = _cancelling_entries(g)
+        B = g.operator.B
+        assert not B[cancel].any() and np.array_equal(B[~cancel], edge_order[~cancel])
+        assert edge_order[cancel].any() == cancel.any()     # residues were zeroed
+        masks.append(cancel)
+    assert masks[0].all() and 0 < (~masks[1]).sum() < 4 and not masks[2].any()
+    assert 0 < np.abs(unbalanced.operator.B).max() <= 1e-15
+
+
 def test_isolated_node_beside_loops_has_a_tensor():
     # node (0 0|0) has no orbit and node (0 0|1) only loops, so each is its
     # own quotient component; rounding residue in B made every corrector's
@@ -443,6 +490,135 @@ def test_base_cell_with_more_nodes_than_translates_gives_no_preconditioner():
     assert g.operator.preconditioner is None
 
 
+def _stacked_lattice(d, T, layers, rng):
+    """Z^d x {0..layers-1} of period T: U(0.5, 2) bonds along every axis in
+    every layer, and rungs joining consecutive layers at every site; a
+    t = 1 re-tiling with n0 = layers."""
+    k = int(layers > 1)
+    nodes = [site + (layer,) * k for site in np.ndindex(*(T,) * d) for layer in range(layers)]
+    edges = []
+    for node in nodes:
+        for m in range(d):
+            far = list(node)
+            far[m] = (node[m] + 1) % T
+            offset = tuple(int(a == m and node[m] == T - 1) for a in range(d))
+            edges.append((node, tuple(far), offset, float(rng.uniform(0.5, 2.0))))
+        if k and node[-1] + 1 < layers:
+            edges.append((node, node[:-1] + (node[-1] + 1,), (0,) * d, 1.0))
+    return graph_from_edges(d, k, T, nodes, edges)
+
+
+def _nd_transform_preconditioner(pre, r):
+    """FFTPreconditioner.__call__ through numpy's n-d transforms."""
+    axes = tuple(range(len(pre.grid)))
+    x = r if pre.order is None else r[pre.order]
+    spectrum = np.fft.rfftn(x.reshape(pre.grid + (pre.n0,)), axes=axes)
+    if pre.n0 == 1:
+        spectrum = spectrum * pre.inverse
+    else:
+        spectrum = np.einsum("...ab,...b->...a", pre.inverse, spectrum)
+    y = np.fft.irfftn(spectrum, s=pre.grid, axes=axes).reshape(-1)
+    return y if pre.slot is None else y[pre.slot]
+
+
+@pytest.mark.parametrize("d, T, layers", [
+    (1, 16, 1), (1, 15, 1), (1, 16, 2), (2, 8, 1), (2, 7, 1), (2, 8, 2),
+    (3, 4, 1), (3, 3, 1), (3, 5, 1), (3, 4, 2), (3, 3, 2)])
+def test_fft_passes_are_the_nd_transforms(d, T, layers):
+    # rfft then fft on the other axes in reverse order, ifft in forward
+    # order then irfft: numpy's rfftn / irfftn bit for bit, in every d
+    rng = np.random.default_rng(100 * d + 10 * T + layers)
+    pre = _stacked_lattice(d, T, layers, rng).operator.preconditioner
+    assert (pre.t, pre.n0, pre.grid) == (1, layers, (T,) * d) and pre.order is None
+    for r in rng.standard_normal((3, T ** d * layers)):
+        kept = r.copy()
+        assert np.array_equal(pre(r), _nd_transform_preconditioner(pre, r))
+        assert np.array_equal(r, kept)
+
+
+def test_fft_passes_with_a_gathered_node_order(examples):
+    # t > 1 cells: the checkerboard's nodes are not in translate-major
+    # order, so the call gathers by `order` and scatters by `slot`
+    rng = np.random.default_rng(3)
+    for g, t in ((_checkerboard(8), 2), (normalize_period(examples["ex5"], 256), 4)):
+        pre = g.operator.preconditioner
+        assert pre.t == t
+        for r in rng.standard_normal((3, g.n_cell)):
+            assert np.array_equal(pre(r), _nd_transform_preconditioner(pre, r))
+    assert _checkerboard(8).operator.preconditioner.order is not None
+
+
+def _per_frequency_cut(op):
+    """The real form of the pseudo-inverse symbol with each frequency's
+    eigenvalues cut relative to that frequency's own largest: (F, 2 n0, 2 n0)."""
+    cell = base_cell(op)
+    d, K = len(cell.grid), cell.grid[0]
+    freqs = [2.0 * np.pi * np.fft.fftfreq(K)] * (d - 1) + [2.0 * np.pi * np.fft.rfftfreq(K)]
+    theta = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, d)
+    sym = symbol(cell, theta)
+    vals, vecs = np.linalg.eigh(np.block([[sym.real, -sym.imag], [sym.imag, sym.real]]))
+    keep = vals > PINV_RTOL * vals[:, -1:]
+    inverse_vals = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    return (vecs * inverse_vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+
+
+def test_zero_frequency_inverse_is_exactly_zero():
+    # a cut relative to each frequency's own largest eigenvalue kept the
+    # rounding residue of the zero symbol at theta = 0 whenever it was
+    # positive (here R(16) seed 2 and R(32) seeds 2 and 4); the constant
+    # mode at theta = 0 is now dropped outright, and every other frequency
+    # keeps its bits
+    residues = 0
+    graphs = [random_square_lattice(T, np.random.default_rng(seed))
+              for T, seed in ((16, 1), (16, 2), (32, 2), (32, 4))]
+    graphs.append(normalize_period(layered_square_lattice(), 16))
+    for g in graphs:
+        pre = g.operator.preconditioner
+        old = _per_frequency_cut(g.operator)
+        n0 = pre.n0
+        if n0 == 1:
+            want = old[:, 0, 0]
+        else:
+            want = old[:, :n0, :n0] + 1j * old[:, n0:, :n0]
+        inverse = pre.inverse.reshape(want.shape)
+        assert np.array_equal(inverse[1:], want[1:])
+        if n0 == 1:
+            residues += bool(want[0] != 0)
+            assert inverse[0] == 0.0
+        else:
+            # the zero eigenvalue's constant eigenvector is cut: L_ref^+ 1 = 0
+            assert np.abs(inverse[0] @ np.ones(n0)).max() <= 1e-15
+    assert residues == 3
+
+
+def _chain(T, weights):
+    """d = 1 chain of period T: a bond of weight weights[s - 1] from every
+    node to the node s further on."""
+    nodes = [(x,) for x in range(T)]
+    edges = [((x,), ((x + s) % T,), (int(x + s >= T),), w)
+             for s, w in enumerate(weights, 1) for x in range(T)]
+    return graph_from_edges(1, 0, T, nodes, edges)
+
+
+@pytest.mark.parametrize("T, weights", [(4096, (1.0,)), (16, (1e-14, 1.0))])
+def test_every_nonzero_frequency_keeps_its_inverse(T, weights):
+    # the lowest frequency of a long chain has sin(pi / T)^2 of the largest
+    # eigenvalue, and nearest bonds 1e-14 as heavy as the next-nearest put
+    # theta = pi at 1e-14 of it, which a cut against the largest eigenvalue
+    # over all frequencies would drop: each frequency is cut against its
+    # own, so only the constant mode at theta = 0 maps to zero
+    pre = _chain(T, weights).operator.preconditioner
+    assert (pre.t, pre.n0, pre.grid) == (1, 1, (T,))
+    theta = 2.0 * np.pi * np.fft.rfftfreq(T)
+    eigenvalue = sum(2.0 * w * (1.0 - np.cos(s * theta)) for s, w in enumerate(weights, 1))
+    inverse = pre.inverse.ravel()
+    assert inverse[0] == 0.0
+    rounding = 16 * EPS * 4.0 * sum(weights) / eigenvalue[1:]
+    assert np.all(np.abs(inverse[1:] * eigenvalue[1:] - 1.0) <= rounding)
+    if T == 16:
+        assert eigenvalue[-1] < PINV_RTOL * eigenvalue.max()
+
+
 def test_preconditioned_tensor_matches_plain_cg(examples, rng):
     graphs = [random_square_lattice(32, rng), normalize_period(layered_square_lattice(), 16),
               normalize_period(examples["ex5"], 256), _checkerboard(32)]
@@ -476,14 +652,16 @@ def test_error_bound_certifies_the_fft_tensor(make, energy_stopped):
 
 
 def test_error_bound_of_the_layered_lattice_is_below_rounding():
-    # B is zero up to rounding residues (2 + 1/3 - 2 - 1/3) and rho is 1 up to
-    # the rounding of the mean of 2304 equal weights, so one step is left
+    # B's terms cancel in pairs at every node (2 + 1/3 - 2 - 1/3), so B is
+    # exactly zero rather than a rounding residue, and every axis corrector
+    # is exact zeros after 0 steps with a zero certificate; rho is 1 up to
+    # the rounding of the mean of 2304 equal weights
     g = normalize_period(layered_square_lattice(), 48)
-    assert g.n_cell >= PCG_MIN_NODES and np.abs(g.operator.B).max() <= 1e-15
+    assert g.n_cell >= PCG_MIN_NODES and not g.operator.B.any()
     assert 1.0 - 1e-12 <= g.operator.preconditioner.rho <= 1.0
     t, _ = check_certificate(g)
-    assert all(f.iterations <= 1 for f in t.correctors)
-    assert 0.0 <= t.error_bound <= EPS ** 2 * 2.0 / g.T ** 2 * g.operator.C.diagonal().max()
+    assert all(f.iterations == 0 and not f.values.any() for f in t.correctors)
+    assert t.error_bound == 0.0
 
 
 def test_f_hom_on_the_fft_route_meets_the_reference(caplog):
@@ -661,6 +839,38 @@ def test_projection_by_sum_equals_mean():
     for n in [*range(2, 1025), *range(1025, 16385, 127)]:
         v = rng.standard_normal(n)
         assert np.array_equal(v - v.sum() / n, v - v.mean()), n
+
+
+def test_preconditioner_result_aliasing_the_residual_is_not_written():
+    # a preconditioner may return r, a view of r or a read-only array: the
+    # residual stays as the loop left it (checked at the next product with
+    # L, before the loop next writes r), and the solve is the one a copying
+    # preconditioner gives, bit for bit
+    g = random_square_lattice(8, np.random.default_rng(8))
+    L, b = g.operator.L, g.operator.B @ np.array([1.0, -0.5])
+    handed = []
+
+    class CheckedL:
+        def dot(self, p):
+            assert all(np.array_equal(r, kept) for r, kept in handed)
+            handed.clear()
+            return L.dot(p)
+
+    def read_only(r):
+        z = r.copy()
+        z.flags.writeable = False
+        return z
+
+    copying = solve_corrector(L, b, precondition=lambda r: r.copy())
+    for precondition in (lambda r: r, lambda r: r[:], read_only):
+        def recording(r):
+            handed.append((r, r.copy()))
+            return precondition(r)
+
+        field = solve_corrector(CheckedL(), b, precondition=recording)
+        assert np.array_equal(field.values, copying.values)
+        assert (field.iterations, field.residual) == (copying.iterations, copying.residual)
+    assert copying.iterations > 1
 
 
 def test_corrector_logs_its_solver(examples, rng, caplog):
