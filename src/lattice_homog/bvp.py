@@ -289,12 +289,16 @@ def _fd_solve(A, omega, phi, h):
     conjugate gradients preconditioned with the exact inverse of the axis
     part M, two sine transforms as dense products, to a backward error of
     GRID_TOL (graph._preconditioned_cg, the stop of the multigrid pinned
-    solve too).  The mixed part is at most rho = |A01| / sqrt(A00 A11) < 1
-    times the axis part, so the preconditioned condition number kappa is at
-    most (1 + rho) / (1 - rho) at every h (Concus & Golub, SIAM J. Numer.
-    Anal. 10, 1973).  On the unit square that is 9-10 steps for the L2
-    tensor from h = 1/32 to 1/256, and 45-65 at rho = 0.95, rising towards
-    its ceiling as h shrinks; a diagonal tensor takes one step at every h.
+    solve too).  CG starts from the transfinite (Coons) interpolant of the
+    boundary values (Gordon & Hall, Numer. Math. 21, 1973), which
+    reproduces every datum f(x) + g(y): an affine datum, whose minimizer it
+    is, takes no step.  The mixed part is at most rho = |A01| / sqrt(A00 A11)
+    < 1 times the axis part, so the preconditioned condition number kappa
+    is at most (1 + rho) / (1 - rho) at every h (Concus & Golub, SIAM J.
+    Numer. Anal. 10, 1973).  On the unit square that is 9-10 steps for the
+    L2 tensor from h = 1/32 to 1/256, and 44-64 at rho = 0.95, rising
+    towards its ceiling as h shrinks; a diagonal tensor takes one step at
+    every h.
     Reaching the cap raises NoConvergence with the backward error.  The
     grid shape, steps and backward error go to the `lattice_homog` logger
     at debug level.  The interpolant is bilinear on the grid cell of each
@@ -339,6 +343,13 @@ def _fd_solve(A, omega, phi, h):
     precondition = lambda r: Sx @ ((Sx @ r @ Sy) / axis) @ Sy
 
     b = -stencil(u)                     # the boundary's pull; the interior is 0
+    # the Coons start: the boundary columns and rows blended linearly, less
+    # the bilinear blend of the corners they both count
+    s = np.linspace(0.0, 1.0, nx + 1)[1:-1, None]
+    t = np.linspace(0.0, 1.0, ny + 1)[None, 1:-1]
+    start = ((1.0 - s) * u[:1, 1:-1] + s * u[-1:, 1:-1] + (1.0 - t) * u[1:-1, :1]
+             + t * u[1:-1, -1:] - ((1.0 - s) * ((1.0 - t) * u[0, 0] + t * u[0, -1])
+                                   + s * ((1.0 - t) * u[-1, 0] + t * u[-1, -1])))
     # in exact arithmetic ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||b||, so CG
     # reaches GRID_TOL ||b||, and with it the backward-error test, within
     # `bound` steps (14, 29 and 122 at h = 1/128 for rho = 0.12, 0.5 and
@@ -350,7 +361,7 @@ def _fd_solve(A, omega, phi, h):
     # ||L||_inf, the largest absolute row sum of the stencil
     norm = 4.0 * (cxx + cyy + abs(cxy))
     x, it, backward, _ = _preconditioned_cg(apply, b, precondition, norm, GRID_TOL,
-                                            2 * bound + 10, "continuum grid CG")
+                                            2 * bound + 10, "continuum grid CG", start)
     _log.debug("continuum grid: shape %dx%d, iterations %d, backward error %.3e",
                nx + 1, ny + 1, it, backward)
     u[1:-1, 1:-1] = x

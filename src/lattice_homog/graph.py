@@ -23,11 +23,14 @@ A PinnedProblem (window, Dirichlet, Poincare) pins the band
 ~inside(positions, lo + band, hi - band), band an integer, and
 `PinnedProblem.reduced_system` assembles the system of its free vertices in
 one pass over its edges; `laplacian` is the Laplacian of all vertices, which
-the periodic quotient (PeriodicOperator) needs.  `pinned_solve` has two
-routes: SuperLU for d = 1 and for small systems, and, for large systems in
-d >= 2, conjugate gradients from the given values, preconditioned by a
-smoothed-aggregation V-cycle whose aggregates are boxes of positions
-(_Multigrid) and stopped on a backward-error test.  _preconditioned_cg
+the periodic quotient (PeriodicOperator) needs.  `pinned_solve` solves a
+PinnedProblem's system by one of two routes: banded Cholesky in position
+order (_band_solve) for d = 1 and for small systems, and, for large
+systems in d >= 2, conjugate gradients from the given values,
+preconditioned by a smoothed-aggregation V-cycle whose aggregates are
+boxes of positions (_Multigrid) and stopped on a backward-error test;
+SuperLU solves only the systems that come without positions, the grounded
+Laplacians of grounded_solve.  _preconditioned_cg
 is the package's one conjugate-gradient loop: the multigrid route, the
 continuum grid of bvp and the cell corrector (cell.solve_corrector, for
 cells above the dense ceiling or when the direct product misses its
@@ -768,57 +771,114 @@ def pinned_solve(A, rhs, start=None, positions=None):
     positive definite.
 
     The one pinned solve of the package (window, Dirichlet and the local
-    inequality harnesses).  Given the free vertices' d-positions `positions`
-    with d >= 2 and at least _MG_MIN_DOFS rows, it runs conjugate gradients
+    inequality harnesses).  A system given with its free vertices'
+    d-positions `positions` (every PinnedProblem) takes one of two routes.
+    With d >= 2 and at least _MG_MIN_DOFS rows it runs conjugate gradients
     from `start` (zeros when None), preconditioned with a smoothed-
     aggregation V-cycle (_Multigrid), to a backward error of _MG_TOL; a cap
     of _MG_MAX_STEPS steps raises NoConvergence with the backward error
-    reached.  Everything else (every d = 1 problem, where the fill is
-    linear, every small one and every one without positions) goes to
-    SuperLU, one factorization for any number of right-hand-side columns,
-    with the columns of A ordered by minimum degree on the pattern of
-    A + A^T (George & Liu, 1981) instead of its default COLAMD, which does
-    not use the symmetry: less fill, less time and memory on every call.
-    Either route logs its size and backward error to the `lattice_homog`
-    logger at debug level; SuperLU computes its backward error only when
-    that level is enabled.
+    reached.  Every other one (each d = 1 problem and each small one) is
+    solved by banded Cholesky in position order (_band_solve): ordered by
+    position, A is a band one slice of the box across its longest axis
+    wide, and its Cholesky factor has no fill outside the band.  A system
+    without positions (grounded_solve) goes to SuperLU, one factorization
+    for any number of right-hand-side columns, with the columns of A
+    ordered by minimum degree on the pattern of A + A^T (George & Liu,
+    1981) instead of its default COLAMD, which does not use the symmetry.
+    Each route logs its size and backward error to the `lattice_homog`
+    logger at debug level; the direct routes compute their backward error
+    only when that level is enabled.
 
-    SuperLU's fill grows faster than the system; the multigrid steps do
-    not grow with it.  One solve of the R4 window at z = (1, 1) (R4 of the
-    tests: R(4), one vertex per position), of the L2 Dirichlet problem (two
-    per position) and of the KD(4, 100) window (log-uniform weights of
-    contrast 100), in ms (the better of two best-of-7 runs on a 2-vCPU x86
-    host with one BLAS thread): the assembly (reduced_system), then SuperLU,
-    or the multigrid set-up and CG with their levels and steps.  The
-    assembly column was timed apart from the others, by the same method:
+    The band grows as the box's cross-section, so the factor costs about
+    n x width^2; the multigrid steps do not grow with the system.  One
+    solve of the R4 window at z = (1, 1) (R4 of the tests: R(4), one vertex
+    per position), of the L2 Dirichlet problem (two per position) and of
+    the KD(4, 100) window (log-uniform weights of contrast 100), in ms (the
+    better of two best-of-7 runs on a 2-vCPU x86 host with one BLAS
+    thread): the assembly (reduced_system), then the band route, or the
+    multigrid set-up and CG with their levels and steps (the band route
+    was not run at K = 64, where its band storage alone is 112 MB):
 
-        problem          free dofs   assembly   SuperLU   set-up   CG     levels, steps
-        R4 window K=24   5 329       0.8        10.8      2.5      5.1    3, 17
-        R4 window K=32   11 025      1.5        26.4      4.8      9.8    3, 16
-        R4 window K=48   28 561      6.6        95.7      14.2     25.4   4, 16
-        R4 window K=64   54 289      14.6       215.2     20.0     52.1   5, 16
-        L2 eps=1/64      7 938       1.4        29.2      3.3      11.3   3, 25
-        KD(4,100) K=26   6 561       1.0        11.4      2.8      22.6   3, 74
+        problem          free dofs   assembly   band   set-up   CG     levels, steps
+        R4 window K=24   5 329       0.7        4.3    1.9      4.0    3, 17
+        R4 window K=32   11 025      1.2        12.7   3.7      7.3    3, 16
+        R4 window K=48   28 561      2.9        59.3   8.3      18.4   4, 16
+        R4 window K=64   54 289      5.5        -      15.5     35.5   5, 16
+        L2 eps=1/64      7 938       1.1        10.5   2.6      9.6    3, 25
+        KD(4,100) K=26   6 561       0.8        5.5    2.3      20.3   3, 74
 
-    CG starts from the given values of the free vertices: the affine field
-    on a window, which leaves only the corrector to find (20 steps from
-    zero on R4, 86 on KD(4, 100)), and zeros in the Dirichlet problem.  The
-    solutions agree with SuperLU to 5.5e-13 in max-norm relative (2.3e-11
-    at contrast 100).  At contrast 2 the break-even lies near the first
-    row, hence _MG_MIN_DOFS = 6000; contrast costs steps, while SuperLU's
-    fill does not depend on it.
+    SuperLU took 9.1, 20.8 and 27.7 ms on the first, second and fifth rows
+    by the same method.  CG starts from the given values of the free
+    vertices: the affine field on a window, which leaves only the corrector
+    to find (20 steps from zero on R4, 86 on KD(4, 100)), and zeros in the
+    Dirichlet problem.  The CG solutions agree with SuperLU to 5.5e-13 in
+    max-norm relative (2.3e-11 at contrast 100), the band solutions to
+    about 1e-12.  At contrast 2 the band and multigrid times break even
+    near 10 000 free dofs (R4 windows from K = 26 to 32), and contrast
+    costs only the multigrid steps.  _MG_MIN_DOFS stays at 6000 all the
+    same: the band storage, (width + 1) x n doubles, is 8 MB on the L2 row,
+    and routing that row to the band raised the peak memory of the
+    benchmark's `dirichlet` workload from 70 to 78 MB for a gain of 2 ms.
     """
-    import scipy.sparse.linalg as spla
-    multigrid = positions is not None and positions.shape[1] >= 2 and len(rhs) >= _MG_MIN_DOFS
-    if multigrid:
+    if positions is None:
+        import scipy.sparse.linalg as spla
+        x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    elif positions.shape[1] >= 2 and len(rhs) >= _MG_MIN_DOFS:
         x = _multigrid_solve(A, rhs, start, positions)
     else:
-        x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+        x = _band_solve(A, rhs, positions)
     if not np.all(np.isfinite(x)):
         raise NoConvergence("pinned solve produced non-finite values")
-    if not multigrid and _log.isEnabledFor(logging.DEBUG):
+    if positions is None and _log.isEnabledFor(logging.DEBUG):
         _log.debug("superlu: free dofs %d, nnz %d, backward error %.3e", len(rhs), A.nnz,
                    _backward_error(A.dot, x, rhs, spla.norm(A, np.inf)))
+    return x
+
+
+def _band_solve(A, rhs, positions):
+    """x with A x = rhs by banded Cholesky (LAPACK dpbsv) in position order
+    (pinned_solve).
+
+    The free vertices are ordered by their d-positions `positions`, the
+    longest axis slowest, by a stable sort, so the vertices at one position
+    keep their order; a box of positions (position_box) whose first axis is
+    its longest, and a d = 1 window, are in that order already and are not
+    permuted, which spares a gather of every index.  A coupling then joins
+    two vertices at most (reach x the positions of one slice across the
+    long axis x the vertices of one position) apart, and a Cholesky factor
+    has no fill outside the band (George & Liu, 1981).  The lower band is
+    copied into LAPACK's band storage from A, a canonical CSR
+    (reduced_system's), whose repeated pairs are summed already.  A pivot
+    that is not positive raises NoConvergence.  At debug level it logs the
+    free dofs, the band width (subdiagonals) and the backward error,
+    computed only then.
+    """
+    import scipy.linalg as sla
+    n = len(rhs)
+    low, span = positions.min(axis=0), np.ptp(positions, axis=0)
+    axes = np.roll(np.arange(positions.shape[1]), -int(np.argmax(span)))
+    key = np.ravel_multi_index(tuple((positions - low)[:, axes].T), tuple(span[axes] + 1))
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cols, b, rank = A.indices, rhs, None
+    if np.any(key[1:] < key[:-1]):     # not in position order yet
+        order = np.argsort(key, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        rows, cols, b = rank[rows], rank[cols], rhs[order]
+    lower = np.flatnonzero(rows >= cols)
+    c = cols[lower]
+    offset = rows[lower] - c
+    width = int(offset.max())
+    ab = np.zeros((width + 1, n), order="F")       # LAPACK's layout: no copy
+    ab[offset, c] = A.data[lower]
+    try:
+        y = sla.solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"band Cholesky failed: {err}") from None
+    x = y if rank is None else y[rank]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("band: free dofs %d, band width %d, backward error %.3e", n, width,
+                   _backward_error(A.dot, x, rhs, abs(A).sum(axis=1).max()))
     return x
 
 
@@ -853,19 +913,24 @@ class _Multigrid:
         self.levels = []            # (A, w D^-1, P, P^T) per level above the coarsest
         blocks = ((positions - positions.min(axis=0)) // _MG_BOX).astype(np.intp)
         while A.shape[0] > _MG_COARSEST:
-            key = np.ravel_multi_index(tuple(blocks.T), tuple(blocks.max(axis=0) + 1))
-            _, first, labels = np.unique(key, return_index=True, return_inverse=True)
-            n = A.shape[0]
-            if len(first) == n:     # no box holds two vertices yet
+            # label each box by its rank among the occupied boxes in row-major
+            # order (np.unique's labels), by a mask over the box grid
+            shape = tuple(blocks.max(axis=0) + 1)
+            key = np.ravel_multi_index(tuple(blocks.T), shape)
+            occupied = np.zeros(math.prod(shape), dtype=bool)
+            occupied[key] = True
+            labels = np.cumsum(occupied)[key] - 1
+            kept = np.flatnonzero(occupied)
+            if len(kept) == A.shape[0]:     # no box holds two vertices yet
                 blocks //= 2
                 continue
             diag = A.diagonal()
             weight = 4.0 / (3.0 * (abs(A).sum(axis=1).A1 / diag).max()) / diag
-            P = _smoothed_prolongator(A, labels, len(first), weight)
+            P = _smoothed_prolongator(A, labels, len(kept), weight)
             R = P.T.tocsr()
             self.levels.append((A, weight, P, R))
             A = R @ A @ P
-            blocks = blocks[first] // 2
+            blocks = np.column_stack(np.unravel_index(kept, shape)) // 2
         self.coarsest = sla.cho_factor(A.toarray(), check_finite=False)
 
     def __call__(self, b):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from lattice_homog import (
@@ -13,6 +14,7 @@ from lattice_homog import (
     LatticeGraph,
     NoConvergence,
     UnknownNode,
+    builtin_examples,
     connectedness_certificate,
     f_hom,
     finite_window_value,
@@ -30,9 +32,9 @@ from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_s
                                  position_box)
 
 import pinned_reference
-from conftest import (layered_square_lattice, long_offset_chain, oracle_neighbours,
-                      random_square_lattice)
-from test_bvp import GRID_TENSORS, SQUARE, WAVE, grid_problem
+from conftest import (cube_lattice, layered_square_lattice, long_offset_chain,
+                      oracle_neighbours, random_square_lattice)
+from test_bvp import GRID_TENSORS, SQUARE, WAVE, WIDE, grid_problem
 
 
 def test_validate_example2_passes(examples):
@@ -588,21 +590,100 @@ def test_multigrid_prolongator_is_the_sparse_product():
         assert np.array_equal(P.data.view(np.uint64), want.data.view(np.uint64))
 
 
-def test_superlu_logs_one_line(caplog, monkeypatch):
-    problem = next(_pinned_systems())
+def _band_lines(caplog, problem):
+    """(solution, the (free dofs, band width, backward error) of each band
+    debug line) of problem.solve()."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         x = problem.solve()
-    line, = [r.getMessage() for r in caplog.records]
-    m = re.fullmatch(r"superlu: free dofs (\d+), nnz (\d+), backward error (\S+)", line)
-    A, rhs = problem.reduced_system()
-    assert (int(m[1]), int(m[2])) == (len(rhs), A.nnz) and float(m[3]) <= 1e-15
+    lines = [re.fullmatch(r"band: free dofs (\d+), band width (\d+), backward error (\S+)",
+                          r.getMessage()) for r in caplog.records]
+    return x, [(int(m[1]), int(m[2]), float(m[3])) for m in lines if m]
+
+
+def test_band_route_logs_one_line(caplog, monkeypatch):
+    problem = next(_pinned_systems())
+    x, lines = _band_lines(caplog, problem)
+    assert len(caplog.records) == 1
+    (dofs, width, backward), = lines
+    # two vertices per position, 15 free positions across: the (1, 1)
+    # diagonal bond reaches 2 * 15 + 2 rows down
+    assert dofs == (~problem.pinned).sum() and width == 32 and backward <= 1e-15
     # with debug off, the backward error is not computed
     calls = []
     monkeypatch.setattr(graph, "_backward_error", lambda *args: calls.append(args))
     with caplog.at_level(logging.INFO, logger="lattice_homog"):
         assert np.array_equal(problem.solve(), x)
     assert calls == []
+
+
+def _layered_lattice(layers):
+    """`layers` layers of Z^2 (k = 1, T = 1), axis bonds of weight 1 + m / 4
+    in layer m and a rung of weight 1 between neighbouring layers."""
+    nodes = [(0, 0, m) for m in range(layers)]
+    edges = [(a, a, offset, 1.0 + a[2] / 4.0) for a in nodes for offset in ((1, 0), (0, 1))]
+    edges += [(a, b, (0, 0), 1.0) for a, b in zip(nodes, nodes[1:])]
+    return graph_from_edges(2, 1, 1, nodes, edges)
+
+
+def _band_problems():
+    """Pinned problems below the multigrid threshold, which take the band
+    route: windows, Dirichlet problems of one to four vertices per position,
+    a d = 3 cube and the continuum grid on a wide box."""
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    yield "R4-window", build_window_problem(r4, [1.0, 1.0], 16)
+    yield "ex5-window", build_window_problem(builtin_examples()["ex5"], [1.0], 256)
+    yield "long-offset-chain", build_window_problem(long_offset_chain(), [1.0], 64)
+    yield "L2-dirichlet", next(_pinned_systems())
+    phi = BoundaryDatum(lambda x: x[0] * x[0] - x[-1], name="x*x - last")
+    yield "four-layer-dirichlet", build_system(DirichletProblem(
+        _layered_lattice(4), SQUARE, "1/16", phi))
+    yield "cube-dirichlet", build_system(DirichletProblem(
+        cube_lattice(np.random.default_rng(3)), ((0, 1),) * 3, "1/16", phi))
+    yield "wide-grid", grid_problem(GRID_TENSORS["L2"], WIDE, WAVE, 1 / 32)[1]
+
+
+BAND = dict(_band_problems())
+
+
+@pytest.mark.parametrize("problem", BAND.values(), ids=BAND.keys())
+def test_band_route_matches_superlu(problem, caplog):
+    x, [(dofs, _, backward)] = _band_lines(caplog, problem)
+    assert dofs == (~problem.pinned).sum() < graph._MG_MIN_DOFS and backward <= 1e-14
+    want = _superlu(problem)
+    assert np.array_equal(x[problem.pinned], want[problem.pinned])
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert abs(problem.energy(x) - problem.energy(want)) <= 1e-13 * problem.energy(want)
+
+
+@pytest.mark.parametrize("omega", [WIDE, WIDE[::-1]], ids=["wide", "tall"])
+def test_band_runs_along_the_long_side(omega, caplog):
+    # the 9-point grid reaches one position along each axis, and a slice
+    # across the long side holds ny - 1 = 15 free positions (wide) or
+    # nx - 1 = 15 (tall): ordered along the long side, the band is
+    # (15 + 1) x 1 wide; ordered along the short side it would be 31 + 1
+    problem = grid_problem(GRID_TENSORS["L2"], omega, WAVE, 1 / 16)[1]
+    x, [(dofs, width, _)] = _band_lines(caplog, problem)
+    assert dofs == 15 * 31 and width <= (15 + 1) * 1
+    want = _superlu(problem)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_band_route_rejects_an_indefinite_system():
+    # an indefinite tensor makes the grid's A_ff indefinite: the Cholesky
+    # factorization meets a negative pivot
+    problem = grid_problem(np.array([[1.0, 2.0], [2.0, 1.0]]), SQUARE, WAVE, 1 / 8)[1]
+    with pytest.raises(NoConvergence, match="band Cholesky failed: .* not positive definite"):
+        problem.solve()
+
+
+def test_band_route_solves_loop_and_zero_problem(caplog):
+    problem = _loop_and_zero_problem()
+    x, [(dofs, _, _)] = _band_lines(caplog, problem)
+    A, rhs = pinned_reference.reduced_system(problem)
+    dense = np.linalg.solve(A.toarray(), rhs)
+    assert dofs == len(rhs) and np.array_equal(x[problem.pinned], problem.values[problem.pinned])
+    assert np.abs(x[~problem.pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def _multigrid_lines(caplog, problem):
@@ -659,26 +740,80 @@ def test_multigrid_cap_raises_no_convergence(monkeypatch):
     assert graph._MG_TOL < info.value.residual < 1.0
 
 
-def test_small_and_one_dimensional_problems_reach_superlu(examples, monkeypatch):
-    # pinned_solve imports scipy.sparse.linalg when it is called, so the spy
-    # sits on that module
+def _unique_hierarchy(A, positions):
+    """(levels, coarsest matrix) of graph._Multigrid with each level's box
+    labels taken from np.unique, the construction its occupancy mask
+    replaced."""
+    levels = []
+    blocks = ((positions - positions.min(axis=0)) // graph._MG_BOX).astype(np.intp)
+    while A.shape[0] > graph._MG_COARSEST:
+        key = np.ravel_multi_index(tuple(blocks.T), tuple(blocks.max(axis=0) + 1))
+        _, first, labels = np.unique(key, return_index=True, return_inverse=True)
+        if len(first) == A.shape[0]:
+            blocks //= 2
+            continue
+        diag = A.diagonal()
+        weight = 4.0 / (3.0 * (abs(A).sum(axis=1).A1 / diag).max()) / diag
+        P = graph._smoothed_prolongator(A, labels, len(first), weight)
+        R = P.T.tocsr()
+        levels.append((A, weight, P, R))
+        A = R @ A @ P
+        blocks = blocks[first] // 2
+    return levels, A
+
+
+def _same_bits(a, b):
+    if sp.issparse(a):
+        return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+                and np.array_equal(a.indices, b.indices) and _same_bits(a.data, b.data))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("problem", [
+    build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                         [1.0, 1.0], 32),
+    next(_multigrid_problems()),
+    build_system(DirichletProblem(cube_lattice(np.random.default_rng(3)), ((0, 1),) * 3,
+                                  "1/24", BoundaryDatum(lambda x: x[0] - x[2], name="x - z"))),
+], ids=["R4-window", "L2-dirichlet", "cube-dirichlet"])
+def test_multigrid_labels_are_the_unique_ranks(problem):
+    A, _ = problem.reduced_system()
+    positions = problem.positions[~problem.pinned]
+    cycle = graph._Multigrid(A, positions)
+    levels, coarsest = _unique_hierarchy(A, positions)
+    assert len(cycle.levels) == len(levels) >= 2
+    for got, want in zip(cycle.levels, levels):
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert _same_bits(cycle.coarsest[0], sla.cho_factor(coarsest.toarray())[0])
+
+
+def test_pinned_solve_routes(examples, monkeypatch):
+    # pinned_solve imports scipy.sparse.linalg when it is called, so the
+    # SuperLU spy sits on that module
     import scipy.sparse.linalg as spla
     calls = []
-    spsolve = spla.spsolve
 
-    def spy(A, b, **options):
-        calls.append(A.shape[0])
-        return spsolve(A, b, **options)
+    def spy(route, solve):
+        def call(A, *args, **options):
+            calls.append((route, A.shape[0]))
+            return solve(A, *args, **options)
+        return call
 
-    monkeypatch.setattr(spla, "spsolve", spy)
+    monkeypatch.setattr(spla, "spsolve", spy("superlu", spla.spsolve))
+    monkeypatch.setattr(graph, "_band_solve", spy("band", graph._band_solve))
+    monkeypatch.setattr(graph, "_multigrid_solve", spy("multigrid", graph._multigrid_solve))
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
     above = next(_multigrid_problems())                           # d = 2, 7 938 free dofs
     for problem in (below, chain, above):
         problem.solve()
-    assert calls == [(~below.pinned).sum(), (~chain.pinned).sum()]
-    assert calls[0] < graph._MG_MIN_DOFS <= calls[1]
+    # the grounded solves of the inequality harnesses come without positions
+    ends = np.array([[0, 1], [1, 2], [2, 0]])
+    graph.grounded_solve(3, ends, np.ones(3), 0, np.array([[2.0], [-1.0], [-1.0]]))
+    assert calls == [("band", (~below.pinned).sum()), ("band", (~chain.pinned).sum()),
+                     ("multigrid", (~above.pinned).sum()), ("superlu", 2)]
+    assert calls[0][1] < graph._MG_MIN_DOFS <= calls[1][1]
 
 
 def _free_positions(monkeypatch, run):

@@ -1,15 +1,18 @@
-"""The package has one sparse direct solve, one shift-invert eigensolve, one
-dense coarse factorization, one conjugate-gradient loop, one pinned-box
-problem and two dense inverses.
+"""The package has one sparse direct solve, one band solve, one shift-invert
+eigensolve, one dense coarse factorization, one conjugate-gradient loop,
+one pinned-box problem and two dense inverses.
 
 The window and the Dirichlet problems, and the grounded Laplacian solves
 of the local inequality harnesses (graph.grounded_solve), are solved by
 graph.pinned_solve, so a change of solver or ordering is made in one
-function.  It has two
-routes: SuperLU (spsolve) for d = 1 and for small systems, and conjugate
+function.  It has three routes.  A system that comes with the positions of
+its free vertices (every PinnedProblem) is solved by banded Cholesky in
+position order (solveh_banded, in graph._band_solve, which only
+pinned_solve calls) when d = 1 or when it is small, and by conjugate
 gradients preconditioned by a smoothed-aggregation V-cycle
-(graph._Multigrid) for large systems in d >= 2, whose coarsest level is
-solved by dense Cholesky (cho_factor / cho_solve), in graph.py only.  The
+(graph._Multigrid) when it is large and d >= 2, whose coarsest level is
+solved by dense Cholesky (cho_factor / cho_solve), in graph.py only.  A
+system without positions (grounded_solve) goes to SuperLU (spsolve).  The
 window, Dirichlet and Poincare problems are each a graph.PinnedProblem,
 which assembles its reduced system (`reduced_system`) and solves it, so
 nothing outside graph.py calls `laplacian`, `reduced_system` or
@@ -78,6 +81,11 @@ def _uses(names, attribute):
 
 def test_one_sparse_solve():
     assert _uses(SOLVERS, lambda node: True) == [("graph.pinned_solve", "spsolve")]
+
+
+def test_one_band_solve():
+    assert _uses({"solveh_banded"}, lambda node: True) == [("graph._band_solve", "solveh_banded")]
+    assert _uses({"_band_solve"}, lambda node: True) == [("graph.pinned_solve", "_band_solve")]
 
 
 def test_one_shift_invert_eigensolve():
