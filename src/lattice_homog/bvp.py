@@ -22,7 +22,8 @@ import numpy as np
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, _cell_means, hypothesis_norms
 from .errors import DatumUndefined, EmptyInterior, InvalidTensor, UnsupportedDimension
-from .graph import PinnedProblem, _preconditioned_cg, inside, position_box
+from .graph import (PinnedProblem, _preconditioned_cg, _sine_basis, _sine_solve, inside,
+                    position_box)
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -270,16 +271,6 @@ def _check_tensor(A):
         raise InvalidTensor(f"tensor {A.tolist()} is not positive definite") from None
 
 
-def _sine_basis(n):
-    """(S, m): the orthonormal DST-I matrix S[j, k] = sqrt(2/n) sin(pi jk/n),
-    j, k = 1..n-1, which is symmetric and its own inverse, and the eigenvalues
-    m[j] = 2 - 2 cos(pi j/n) of the second difference with zero ends, whose
-    eigenvectors are the columns of S."""
-    k = np.arange(1, n)
-    return (np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n),
-            2.0 - 2.0 * np.cos(np.pi * k / n))
-
-
 def _fd_solve(A, omega, phi, h):
     """(energy, interpolant) of the 9-point finite-difference minimizer at step h.
 
@@ -287,9 +278,10 @@ def _fd_solve(A, omega, phi, h):
     cyy = A11/hy^2 and the two diagonals with +-cxy = +-A01/(2 hx hy); the
     boundary carries the datum.  The interior is solved matrix-free by
     conjugate gradients preconditioned with the exact inverse of the axis
-    part M, two sine transforms as dense products, to a backward error of
-    GRID_TOL (graph._preconditioned_cg, the stop of the multigrid pinned
-    solve too).  CG starts from the transfinite (Coons) interpolant of the
+    part M, two sine transforms as dense products (graph._sine_solve, the
+    preconditioner of the sine pinned route too), to a backward error of
+    GRID_TOL (graph._preconditioned_cg, the stop of the CG pinned routes
+    too).  CG starts from the transfinite (Coons) interpolant of the
     boundary values (Gordon & Hall, Numer. Math. 21, 1973), which
     reproduces every datum f(x) + g(y): an affine datum, whose minimizer it
     is, takes no step.  The mixed part is at most rho = |A01| / sqrt(A00 A11)
@@ -337,10 +329,9 @@ def _fd_solve(A, omega, phi, h):
         padded[1:-1, 1:-1] = x
         return stencil(padded)
 
-    Sx, mx = _sine_basis(nx)
-    Sy, my = _sine_basis(ny)
+    (Sx, mx), (Sy, my) = _sine_basis(nx), _sine_basis(ny)
     axis = cxx * mx[:, None] + cyy * my[None, :]
-    precondition = lambda r: Sx @ ((Sx @ r @ Sy) / axis) @ Sy
+    precondition = lambda r: _sine_solve((Sx, Sy), axis, r)
 
     b = -stencil(u)                     # the boundary's pull; the interior is 0
     # the Coons start: the boundary columns and rows blended linearly, less

@@ -38,14 +38,18 @@ def brute_force_cell_oracle(graph, z, convention="double"):
     i, j, offset, w = _ordered_pairs(graph)
     g = (graph.dpos[j] + graph.T * offset - graph.dpos[i]) @ z
 
+    # a loop's term w g^2 does not depend on chi: its +w and -w entries
+    # would only leave rounding residue in Q, which pinv can amplify
     Q = np.zeros((n, n))
     lin = np.zeros(n)
-    np.add.at(Q, (i, i), w)
-    np.add.at(Q, (j, j), w)
-    np.add.at(Q, (i, j), -w)
-    np.add.at(Q, (j, i), -w)
-    np.add.at(lin, i, -w * g)
-    np.add.at(lin, j, w * g)
+    keep = i != j
+    a, b, c, h = i[keep], j[keep], w[keep], g[keep]
+    np.add.at(Q, (a, a), c)
+    np.add.at(Q, (b, b), c)
+    np.add.at(Q, (a, b), -c)
+    np.add.at(Q, (b, a), -c)
+    np.add.at(lin, a, -c * h)
+    np.add.at(lin, b, c * h)
     chi = -np.linalg.pinv(2.0 * Q) @ (2.0 * lin)
 
     diff = chi[i] - chi[j] - g

@@ -31,7 +31,7 @@ from lattice_homog.bvp import (
     solve_dirichlet,
     _fd_solve,
 )
-from lattice_homog.graph import PinnedProblem, pinned_solve
+from lattice_homog.graph import PinnedProblem, _preconditioned_cg, pinned_solve
 
 import pinned_reference
 from conftest import layered_square_lattice, square_lattice
@@ -467,6 +467,42 @@ def test_grid_cg_steps_do_not_grow_with_refinement(name, caplog):
         # at rho = 0.95 the count still rises towards its ceiling: 44 steps
         # at h = 1/32, 61 at 1/128 and 64 at 1/256
         assert abs(fine - coarse) <= 2
+
+
+def _grid_run(monkeypatch, h):
+    """(energy, final CG values, every preconditioned residual) of the L2
+    grid at step h with the WAVE datum."""
+    steps = []
+
+    def recording(apply, b, precondition, *args, **kwargs):
+        def kept(r):
+            steps.append(precondition(r))
+            return steps[-1]
+        out = _preconditioned_cg(apply, b, kept, *args, **kwargs)
+        steps.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(bvp, "_preconditioned_cg", recording)
+    energy, _ = _fd_solve(GRID_TENSORS["L2"], SQUARE, WAVE, h)
+    return energy, steps
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_grid_preconditioner_is_the_dense_formula(h, monkeypatch):
+    # the shared sine helper (graph._sine_solve) gives the continuum grid
+    # the energy and CG iterates of the formula it replaced,
+    # Sx @ ((Sx @ r @ Sy) / axis) @ Sy, bit for bit
+    energy, steps = _grid_run(monkeypatch, h)
+
+    def formula(bases, axis, r):
+        Sx, Sy = bases
+        return Sx @ ((Sx @ r @ Sy) / axis) @ Sy
+
+    monkeypatch.setattr(bvp, "_sine_solve", formula)
+    want_energy, want = _grid_run(monkeypatch, h)
+    assert len(steps) == len(want) > 2
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(steps, want))
+    assert np.float64(energy).view(np.uint64) == np.float64(want_energy).view(np.uint64)
 
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])

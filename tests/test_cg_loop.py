@@ -3,8 +3,9 @@
 The in-place loop must return what the allocating one returns, bit for bit:
 the same x, step count, backward error and r.Mr, or the same NoConvergence.
 Each caller's solve is checked by running both loops on the arguments the
-caller passes (the FFT and plain-CG correctors, the multigrid pinned solve,
-the continuum grid), and the small cases of test_graph by calling both.
+caller passes (the FFT and plain-CG correctors, the multigrid and sine
+pinned solves, the continuum grid), and the small cases of test_graph by
+calling both.
 """
 
 import numpy as np
@@ -91,12 +92,36 @@ def test_plain_cg_corrector_is_the_reference(both_loops):
     assert len(compared) == 2 and min(compared) > 0
 
 
-def test_multigrid_window_solve_is_the_reference(both_loops):
+def _counted(monkeypatch, name):
+    """Wrap the route graph.`name` so that each call is listed; returns the list."""
+    calls, solve = [], getattr(graph, name)
+
+    def call(*args):
+        calls.append(name)
+        return solve(*args)
+
+    monkeypatch.setattr(graph, name, call)
+    return calls
+
+
+def test_multigrid_window_solve_is_the_reference(both_loops, monkeypatch):
+    # the router sends this window to the sine route; no side fits it here
+    monkeypatch.setattr(graph, "_SINE_MAX_SIDE", 0)
     problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                                    [1.0, 1.0], 32)
+    calls = _counted(monkeypatch, "_multigrid_solve")
     compared = both_loops(graph)
     problem.solve()
-    assert len(compared) == 1 and compared[0] > 0
+    assert len(calls) == len(compared) == 1 and compared[0] > 0
+
+
+def test_sine_window_solve_is_the_reference(both_loops, monkeypatch):
+    problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                                   [1.0, 1.0], 32)
+    calls = _counted(monkeypatch, "_sine_cg_solve")
+    compared = both_loops(graph)
+    problem.solve()
+    assert len(calls) == len(compared) == 1 and compared[0] > 0
 
 
 def test_continuum_grid_solve_is_the_reference(both_loops):

@@ -553,14 +553,22 @@ def test_energy_stop_never_takes_a_breakdown_for_convergence():
                                  energy_tol=1e300)
 
 
-def test_warm_start_takes_fewer_steps(caplog, monkeypatch):
+@pytest.fixture
+def multigrid_route(monkeypatch):
+    """Send every pinned system from _MG_MIN_DOFS rows to multigrid: no box
+    side fits the sine route, and no band storage fits the band."""
+    monkeypatch.setattr(graph, "_SINE_MAX_SIDE", 0)
+    monkeypatch.setattr(graph, "_BAND_MAX_BYTES", 0)
+
+
+def test_warm_start_takes_fewer_steps(caplog, monkeypatch, multigrid_route):
     problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                                    [1.0, 1.0], 32)
     x, [(dofs, _, warm, backward)] = _multigrid_lines(caplog, problem)
     assert dofs == (~problem.pinned).sum() and backward <= graph._MG_TOL
     solve = graph._multigrid_solve
-    monkeypatch.setattr(graph, "_multigrid_solve",
-                        lambda A, rhs, start, positions: solve(A, rhs, None, positions))
+    monkeypatch.setattr(graph, "_multigrid_solve", lambda A, rhs, start, positions, reference:
+                        solve(A, rhs, None, positions, reference))
     _, [(_, _, cold, _)] = _multigrid_lines(caplog, problem)
     assert warm < cold
     want = _superlu(problem)
@@ -596,8 +604,9 @@ def _band_lines(caplog, problem):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         x = problem.solve()
-    lines = [re.fullmatch(r"band: free dofs (\d+), band width (\d+), backward error (\S+)",
-                          r.getMessage()) for r in caplog.records]
+    lines = [re.fullmatch(r"band: free dofs (\d+), box \S+, kinds \S+, spread \S+, "
+                          r"band width (\d+), backward error (\S+)", r.getMessage())
+             for r in caplog.records]
     return x, [(int(m[1]), int(m[2]), float(m[3])) for m in lines if m]
 
 
@@ -692,15 +701,17 @@ def _multigrid_lines(caplog, problem):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         x = problem.solve()
-    lines = [re.fullmatch(r"multigrid: free dofs (\d+), levels (\d+), iterations (\d+), "
-                          r"backward error (\S+)", r.getMessage()) for r in caplog.records]
+    lines = [re.fullmatch(r"multigrid: free dofs (\d+), box \S+, kinds \S+, spread \S+, "
+                          r"levels (\d+), iterations (\d+), backward error (\S+)",
+                          r.getMessage()) for r in caplog.records]
     return x, [(int(m[1]), int(m[2]), int(m[3]), float(m[4])) for m in lines if m]
 
 
 def _multigrid_problems():
     """The L2 Dirichlet problem at eps 1/64 (7 938 free dofs) and the
     KD(4, 100) window at z = (1, 1), K = 26 (6 561), both above the
-    multigrid threshold."""
+    multigrid threshold; the router sends them to the sine route and the
+    band, so the tests force multigrid (multigrid_route)."""
     phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
     yield build_system(DirichletProblem(layered_square_lattice(), ((0, 1), (0, 1)), "1/64", phi))
     kd = random_square_lattice(4, np.random.default_rng(20240811), contrast=100.0)
@@ -709,7 +720,7 @@ def _multigrid_problems():
 
 @pytest.mark.parametrize("problem", list(_multigrid_problems()),
                          ids=["L2-dirichlet", "KD-window"])
-def test_multigrid_matches_superlu(problem, caplog):
+def test_multigrid_matches_superlu(problem, caplog, multigrid_route):
     x, lines = _multigrid_lines(caplog, problem)
     (dofs, levels, steps, backward), = lines
     assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and levels >= 2
@@ -720,7 +731,7 @@ def test_multigrid_matches_superlu(problem, caplog):
     assert abs(problem.energy(x) - problem.energy(want)) <= 1e-10 * problem.energy(want)
 
 
-def test_multigrid_steps_do_not_grow_with_window(caplog, monkeypatch):
+def test_multigrid_steps_do_not_grow_with_window(caplog, monkeypatch, multigrid_route):
     # K = 16 is below the threshold; lower it so that every K runs multigrid
     monkeypatch.setattr(graph, "_MG_MIN_DOFS", 0)
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
@@ -732,7 +743,7 @@ def test_multigrid_steps_do_not_grow_with_window(caplog, monkeypatch):
     assert max(steps.values()) - steps[16] <= 3 and steps[16] - min(steps.values()) <= 3
 
 
-def test_multigrid_cap_raises_no_convergence(monkeypatch):
+def test_multigrid_cap_raises_no_convergence(monkeypatch, multigrid_route):
     monkeypatch.setattr(graph, "_MG_MAX_STEPS", 3)
     problem = next(_multigrid_problems())
     with pytest.raises(NoConvergence, match="multigrid CG hit the 3-iteration cap") as info:
@@ -787,6 +798,34 @@ def test_multigrid_labels_are_the_unique_ranks(problem):
     assert _same_bits(cycle.coarsest[0], sla.cho_factor(coarsest.toarray())[0])
 
 
+def _skew_lattice(T, rng):
+    """A T x T cell of Z^2 with U(0.5, 2) weights on the axis bonds and on a
+    (1, 1) diagonal, whose (1, -1) mirror is absent."""
+    nodes = [(x, y) for x in range(T) for y in range(T)]
+    edges = [((x, y), ((x + dx) % T, (y + dy) % T), ((x + dx) // T, (y + dy) // T),
+              float(rng.uniform(0.5, 2.0)))
+             for x, y in nodes for dx, dy in ((1, 0), (0, 1), (1, 1))]
+    return graph_from_edges(2, 0, T, nodes, edges)
+
+
+def _uneven_lattice():
+    """T = 2, k = 1: one vertex at three positions of the cell and two, joined
+    by a rung, at the fourth, so no box of positions holds the same number
+    of vertices at each."""
+    sites = [(x, y, 0) for x in range(2) for y in range(2)]
+    extra = (0, 0, 1)
+    edges = [((x, y, 0), ((x + 1) % 2, y, 0), (x, 0), 1.0 + x / 2) for x, y, _ in sites]
+    edges += [((x, y, 0), (x, (y + 1) % 2, 0), (0, y), 1.0 + y / 4) for x, y, _ in sites]
+    edges += [((0, 0, 0), extra, (0, 0), 1.0), (extra, extra, (1, 0), 0.5),
+              (extra, extra, (0, 1), 0.5)]
+    return graph_from_edges(2, 1, 2, sites + [extra], edges)
+
+
+def _uneven_problem():
+    phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
+    return build_system(DirichletProblem(_uneven_lattice(), SQUARE, "1/80", phi))
+
+
 def test_pinned_solve_routes(examples, monkeypatch):
     # pinned_solve imports scipy.sparse.linalg when it is called, so the
     # SuperLU spy sits on that module
@@ -801,19 +840,125 @@ def test_pinned_solve_routes(examples, monkeypatch):
 
     monkeypatch.setattr(spla, "spsolve", spy("superlu", spla.spsolve))
     monkeypatch.setattr(graph, "_band_solve", spy("band", graph._band_solve))
+    monkeypatch.setattr(graph, "_sine_cg_solve", spy("sine", graph._sine_cg_solve))
     monkeypatch.setattr(graph, "_multigrid_solve", spy("multigrid", graph._multigrid_solve))
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
-    above = next(_multigrid_problems())                           # d = 2, 7 938 free dofs
-    for problem in (below, chain, above):
+    sine, contrast = _multigrid_problems()                        # 7 938 and 6 561
+    uneven = _uneven_problem()                                    # 7 450, uneven kinds
+    for problem in (below, chain, sine, contrast, uneven):
         problem.solve()
     # the grounded solves of the inequality harnesses come without positions
     ends = np.array([[0, 1], [1, 2], [2, 0]])
     graph.grounded_solve(3, ends, np.ones(3), 0, np.array([[2.0], [-1.0], [-1.0]]))
     assert calls == [("band", (~below.pinned).sum()), ("band", (~chain.pinned).sum()),
-                     ("multigrid", (~above.pinned).sum()), ("superlu", 2)]
-    assert calls[0][1] < graph._MG_MIN_DOFS <= calls[1][1]
+                     ("sine", (~sine.pinned).sum()), ("band", (~contrast.pinned).sum()),
+                     ("multigrid", (~uneven.pinned).sum()), ("superlu", 2)]
+    assert calls[0][1] < graph._MG_MIN_DOFS <= min(count for _, count in calls[1:5])
+
+
+def _sine_lines(caplog, problem):
+    """(solution, the (free dofs, box, kinds, steps, backward error) of each
+    sine debug line) of problem.solve()."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        x = problem.solve()
+    lines = [re.fullmatch(r"sine: free dofs (\d+), box (\S+), kinds (\d+), spread \S+, "
+                          r"iterations (\d+), backward error (\S+)", r.getMessage())
+             for r in caplog.records]
+    return x, [(int(m[1]), m[2], int(m[3]), int(m[4]), float(m[5])) for m in lines if m]
+
+
+def _zero_start(problem):
+    """`problem` with zero values on its free vertices, so that CG starts
+    from zeros: the affine start is already the minimizer of an L2 window."""
+    values = np.where(problem.pinned, problem.values, 0.0)
+    return PinnedProblem(problem.positions, problem.node_ids, problem.ends, problem.coef,
+                         problem.pinned, values)
+
+
+def _sine_problems():
+    """Pinned problems the router sends to the sine route."""
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    phi = BoundaryDatum(lambda x: x[0] * x[0] - x[1], name="x*x - y")
+    yield "R4-window", build_window_problem(r4, [1.0, 1.0], 32), ("105x105", 1)
+    yield "L2-dirichlet", next(_multigrid_problems()), ("63x63", 2)
+    l2x4 = normalize_period(layered_square_lattice(), 4)
+    yield "L2x4-window", _zero_start(build_window_problem(l2x4, [1.0, 0.5], 20)), ("57x57", 2)
+    yield "cube-dirichlet", build_system(DirichletProblem(
+        cube_lattice(np.random.default_rng(3)), ((0, 1),) * 3, "1/24",
+        BoundaryDatum(lambda x: x[0] - x[2], name="x - z"))), ("21x21x21", 1)
+    skew = _skew_lattice(4, np.random.default_rng(11))
+    yield "skew-window", build_window_problem(skew, [1.0, -0.5], 26), ("81x81", 1)
+
+
+SINE = {name: (problem, box) for name, problem, box in _sine_problems()}
+
+
+@pytest.mark.parametrize("problem, box", SINE.values(), ids=SINE.keys())
+def test_sine_route_matches_superlu(problem, box, caplog):
+    x, lines = _sine_lines(caplog, problem)
+    assert len(caplog.records) == 1
+    (dofs, shape, kinds, steps, backward), = lines
+    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and (shape, kinds) == box
+    assert 0 < steps <= 25 and backward <= graph._MG_TOL
+    want = _superlu(problem)
+    assert np.array_equal(x[problem.pinned], want[problem.pinned])
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    assert abs(problem.energy(x) - problem.energy(want)) <= 1e-10 * problem.energy(want)
+
+
+def test_sine_steps_do_not_grow_with_window(caplog):
+    r4 = random_square_lattice(4, np.random.default_rng(20240811))
+    steps = {}
+    for K in (32, 48, 64):
+        _, [(dofs, _, _, steps[K], backward)] = _sine_lines(
+            caplog, build_window_problem(r4, [1.0, 1.0], K))
+        assert dofs == (4 * K - 23) ** 2 and backward <= graph._MG_TOL
+    assert max(steps.values()) - min(steps.values()) <= 3
+
+
+def test_sine_cap_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(graph, "_MG_MAX_STEPS", 3)
+    problem = next(_multigrid_problems())
+    with pytest.raises(NoConvergence, match="sine CG hit the 3-iteration cap") as info:
+        problem.solve()
+    assert graph._MG_TOL < info.value.residual < 1.0
+
+
+def test_uneven_kinds_fall_back_to_multigrid(caplog):
+    problem = _uneven_problem()
+    A, _ = problem.reduced_system()
+    assert graph._SineReference.build(A, problem.positions[~problem.pinned]) is None
+    x, [(dofs, _, _, backward)] = _multigrid_lines(caplog, problem)
+    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and backward <= graph._MG_TOL
+    want = _superlu(problem)
+    assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_sine_reference_of_axis_bonds_is_the_system(layers):
+    # with axis bonds of one weight per axis and layer, and rungs between
+    # the layers at one position, the reference is A_ff itself: its
+    # inverse, with one kind per layer, inverts A_ff
+    problem = build_system(DirichletProblem(_layered_lattice(layers), SQUARE, "1/48",
+                                            BoundaryDatum(lambda x: x[0] * x[1])))
+    A, rhs = problem.reduced_system()
+    reference = graph._SineReference.build(A, problem.positions[~problem.pinned])
+    assert (reference.kinds, reference.spread) == (layers, 1.0) and reference.invert()
+    r = np.sin(np.arange(len(rhs), dtype=float))
+    assert np.abs(A @ reference(r) - r).max() <= 1e-12 * np.abs(r).max()
+
+
+def test_block_inverse_rejects_an_indefinite_block(rng):
+    X = rng.standard_normal((3, 3, 50))
+    blocks = np.einsum("ikp,jkp->ijp", X, X) + np.eye(3)[:, :, None]
+    inverse = graph._block_inverse(blocks)
+    want = np.moveaxis(np.linalg.inv(np.moveaxis(blocks, -1, 0)), 0, -1)
+    assert np.abs(inverse - want).max() <= 1e-12 * np.abs(want).max()
+    blocks[2, 2, 7] = -1.0
+    assert graph._block_inverse(blocks) is None
 
 
 def _free_positions(monkeypatch, run):

@@ -289,7 +289,14 @@ def test_homogeneity_random(graph, alpha):
     assert abs(scaled - alpha ** 2 * base) <= 1e-9 * max(abs(scaled), 1e-12)
 
 
+# a dangling node and two self-loops: the loops' cancelling entries once
+# left rounding residue in the oracle's stationarity matrix, and its pinv
+# put 6.000030517578125 for f_hom = 6
 @given(lattice_graphs(connected_only=True))
+@example(graph_from_edges(2, 0, 2, [(0, 0), (1, 0)],
+                          [((0, 0), (1, 0), (0, 0), 0.25),
+                           ((1, 0), (1, 0), (0, 1), 3.977935909995635),
+                           ((1, 0), (1, 0), (1, 0), 3.0)]))
 @settings(max_examples=25, deadline=None)
 def test_solver_matches_oracle_random(graph):
     z = np.zeros(graph.d)

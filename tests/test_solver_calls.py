@@ -5,24 +5,32 @@ one pinned-box problem and two dense inverses.
 The window and the Dirichlet problems, and the grounded Laplacian solves
 of the local inequality harnesses (graph.grounded_solve), are solved by
 graph.pinned_solve, so a change of solver or ordering is made in one
-function.  It has three routes.  A system that comes with the positions of
-its free vertices (every PinnedProblem) is solved by banded Cholesky in
-position order (solveh_banded, in graph._band_solve, which only
-pinned_solve calls) when d = 1 or when it is small, and by conjugate
-gradients preconditioned by a smoothed-aggregation V-cycle
-(graph._Multigrid) when it is large and d >= 2, whose coarsest level is
-solved by dense Cholesky (cho_factor / cho_solve), in graph.py only.  A
-system without positions (grounded_solve) goes to SuperLU (spsolve).  The
+function.  It has four routes, and one function (graph._pinned_route)
+chooses among the three for systems that come with the positions of their
+free vertices (every PinnedProblem).  Banded Cholesky in position order
+(solveh_banded, in graph._band_solve, which only pinned_solve calls)
+solves them when d = 1, when they are small, and when their couplings
+spread too widely for the sine route and the band fits its memory cap.
+Conjugate gradients preconditioned by the inverse of the system's
+mean-weight reference by dense sine transforms (graph._SineReference, in
+graph._sine_cg_solve) solve the large d >= 2 systems whose free vertices
+fill their box evenly, whose reference is positive definite and whose
+couplings and sides are within the route's caps.  Conjugate gradients
+preconditioned by a smoothed-aggregation V-cycle (graph._Multigrid), whose
+coarsest level is solved by dense Cholesky (cho_factor / cho_solve), in
+graph.py only, solve the other large ones.  A system without positions
+(grounded_solve) goes to SuperLU (spsolve).  The
 window, Dirichlet and Poincare problems are each a graph.PinnedProblem,
 which assembles its reduced system (`reduced_system`) and solves it, so
 nothing outside graph.py calls `laplacian`, `reduced_system` or
 `pinned_solve` as a function of the graph module.  The continuum grid
 (bvp._fd_solve) applies its stencil matrix-free and solves it by
-sine-preconditioned conjugate gradients, so it reaches no sparse solver.
-Every conjugate-gradient solve (the multigrid route, the continuum grid
-and the cell corrector, cell.solve_corrector) runs the one loop
-graph._preconditioned_cg, and no other function uses it; the corrector's
-energy stop is a keyword of that loop, not a second loop.
+sine-preconditioned conjugate gradients, with the sine route's
+preconditioner (graph._sine_solve), so it reaches no sparse solver.
+Every conjugate-gradient solve (the sine and multigrid routes, the
+continuum grid and the cell corrector, cell.solve_corrector) runs the one
+loop graph._preconditioned_cg, and no other function uses it; the
+corrector's energy stop is a keyword of that loop, not a second loop.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
@@ -37,7 +45,9 @@ scipy's sparse solvers, its dense factorizations and its graph searches
 (scipy.sparse.linalg, scipy.linalg, scipy.sparse.csgraph) are imported by
 the functions that call them, never at the top of a module: the tensor of
 a cell on the FFT route runs none of them, and a fresh interpreter that
-imports the package and computes that tensor does not load them.
+imports the package and computes that tensor does not load them.  The sine
+transforms are dense products, so a fresh interpreter that solves a window
+on the sine route does not load scipy.fft.
 """
 
 import ast
@@ -101,7 +111,8 @@ def test_one_conjugate_gradient_loop():
     name = "_preconditioned_cg"
     assert sorted(_uses({name}, lambda node: True)) == [
         ("bvp", name), ("bvp._fd_solve", name), ("cell", name),
-        ("cell.solve_corrector", name), ("graph._multigrid_solve", name)]
+        ("cell.solve_corrector", name), ("graph._multigrid_solve", name),
+        ("graph._sine_cg_solve", name)]
 
 
 def test_one_pinned_problem():
@@ -182,4 +193,36 @@ def test_cell_tensor_on_the_fft_route_loads_no_solver_module():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _FFT_ROUTE.format(deferred=DEFERRED)],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
+_SINE_ROUTE = """
+import logging
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from conftest import random_square_lattice
+from lattice_homog.asymptotic import build_window_problem
+
+lines = []
+handler = logging.Handler()
+handler.emit = lambda record: lines.append(record.getMessage())
+log = logging.getLogger("lattice_homog")
+log.addHandler(handler)
+log.setLevel(logging.DEBUG)
+problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
+                               [1.0, 1.0], 32)
+problem.solve()
+assert [line.split(":")[0] for line in lines] == ["sine"], lines
+assert "scipy.fft" not in sys.modules
+"""
+
+
+def test_sine_route_loads_no_fft_module():
+    # a fresh interpreter: this one may have loaded scipy.fft already
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = _SINE_ROUTE.format(tests=str(Path(__file__).resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
