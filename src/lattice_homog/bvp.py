@@ -22,12 +22,11 @@ import numpy as np
 from .cell import homogenized_tensor
 from .coarse import LatticeFunction, _cell_means, hypothesis_norms
 from .errors import DatumUndefined, EmptyInterior, InvalidTensor, UnsupportedDimension
-from .graph import (PinnedProblem, _preconditioned_cg, _sine_basis, _sine_solve, inside,
-                    position_box)
+from .graph import PinnedProblem, inside, position_box
+from .solve import _CG_TOL, _preconditioned_cg, _sine_basis, _sine_solve
 from .util import parallel_map
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
-GRID_TOL = 1e-14                # backward error of the continuum grid solve
 _log = logging.getLogger("lattice_homog")
 
 
@@ -278,9 +277,9 @@ def _fd_solve(A, omega, phi, h):
     cyy = A11/hy^2 and the two diagonals with +-cxy = +-A01/(2 hx hy); the
     boundary carries the datum.  The interior is solved matrix-free by
     conjugate gradients preconditioned with the exact inverse of the axis
-    part M, two sine transforms as dense products (graph._sine_solve, the
+    part M, two sine transforms as dense products (solve._sine_solve, the
     preconditioner of the sine pinned route too), to a backward error of
-    GRID_TOL (graph._preconditioned_cg, the stop of the CG pinned routes
+    _CG_TOL (solve._preconditioned_cg, the stop of the CG pinned routes
     too).  CG starts from the transfinite (Coons) interpolant of the
     boundary values (Gordon & Hall, Numer. Math. 21, 1973), which
     reproduces every datum f(x) + g(y): an affine datum, whose minimizer it
@@ -342,16 +341,16 @@ def _fd_solve(A, omega, phi, h):
              + t * u[1:-1, -1:] - ((1.0 - s) * ((1.0 - t) * u[0, 0] + t * u[0, -1])
                                    + s * ((1.0 - t) * u[-1, 0] + t * u[-1, -1])))
     # in exact arithmetic ||r_k|| <= 2 sqrt(kappa cond(M)) q^k ||b||, so CG
-    # reaches GRID_TOL ||b||, and with it the backward-error test, within
+    # reaches _CG_TOL ||b||, and with it the backward-error test, within
     # `bound` steps (14, 29 and 122 at h = 1/128 for rho = 0.12, 0.5 and
     # 0.95); the cap doubles it and adds 10 for rounding
     kappa = (1.0 + rho) / (1.0 - rho)
     q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     bound = 1 if q == 0 else math.ceil(
-        math.log(2.0 * math.sqrt(kappa * axis.max() / axis.min()) / GRID_TOL) / -math.log(q))
+        math.log(2.0 * math.sqrt(kappa * axis.max() / axis.min()) / _CG_TOL) / -math.log(q))
     # ||L||_inf, the largest absolute row sum of the stencil
     norm = 4.0 * (cxx + cyy + abs(cxy))
-    x, it, backward, _ = _preconditioned_cg(apply, b, precondition, norm, GRID_TOL,
+    x, it, backward, _ = _preconditioned_cg(apply, b, precondition, norm, _CG_TOL,
                                             2 * bound + 10, "continuum grid CG", start)
     _log.debug("continuum grid: shape %dx%d, iterations %d, backward error %.3e",
                nx + 1, ny + 1, it, backward)

@@ -4,18 +4,18 @@ For a direction z the trial field is u_i = z . i^d + chi_i with chi periodic,
 which turns the constrained minimization over one period into an
 unconstrained positive-semidefinite solve on the quotient graph with the
 graph's cached PeriodicOperator (L, b = B z, c = z^T C z); the tensor is the
-d axis correctors against that one L, each found in one of three regimes by
-the cell's node count n (the crossover table is in solve_corrector):
-  * n <= DENSE_MAX_NODES: one product and no CG loop.  chi is linear in z,
-    and the operator keeps the axis correctors X = -K^-1 B (its dense exact
-    inverse applied to B, built once per graph), so chi = X z, checked by
-    one residual product with L;
-  * n >= PCG_MIN_NODES and the cell re-tiles a smaller base cell: the
-    package's one CG loop (graph._preconditioned_cg), preconditioned with
-    the FFT inverse of the base cell's mean-weight Bloch symbol (bloch.py),
-    which keeps the step count nearly flat in T where the weights vary
-    little;
-  * every other cell: the same loop as plain CG.
+d axis correctors against that one L, each found in one of three regimes
+that solve._corrector_route chooses by the cell's node count n (the
+crossover table is in solve_corrector):
+  * dense: one product and no CG loop.  chi is linear in z, and the
+    operator keeps the axis correctors X = -K^-1 B (its dense exact inverse
+    applied to B, built once per graph), so chi = X z, checked by one
+    residual product with L;
+  * FFT, for large cells that re-tile a smaller base cell: the package's
+    one CG loop (solve._preconditioned_cg), preconditioned with the FFT
+    inverse of the base cell's mean-weight Bloch symbol (bloch.py), which
+    keeps the step count nearly flat in T where the weights vary little;
+  * plain CG: the same loop without a preconditioner.
 Every solve stops once the relative residual ||L chi + b|| / ||b|| is at
 most `tol`, so tol caps the residual.  The two functions that return
 energies, f_hom and homogenized_tensor, also stop the FFT route at an
@@ -44,15 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDirection, NoConvergence
-from .graph import _preconditioned_cg
+from .solve import _corrector_route, _preconditioned_cg
 
 CONVENTIONS = ("double", "single")
-
-# Largest cell solved with the dense exact inverse, and smallest cell that
-# runs FFT-preconditioned CG (the sweep is in solve_corrector).
-DENSE_MAX_NODES = 160
-PCG_MIN_NODES = 256
-
 _EPS = float(np.finfo(float).eps)
 _log = logging.getLogger("lattice_homog")
 
@@ -127,7 +121,7 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None, ene
 
     L must be PSD and b orthogonal to its kernel, the fields constant on
     each connected component of the quotient (b is by construction).  The
-    loop is the package's one CG loop, graph._preconditioned_cg, on
+    loop is the package's one CG loop, solve._preconditioned_cg, on
     L chi = project(-b) with the norm bound 0, so its backward-error test is
     the relative-residual stop ||L chi + b|| <= tol * ||b||; b = 0 returns
     chi = 0.  The mean is projected out of every preconditioned residual,
@@ -149,22 +143,18 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None, ene
     no array it is handed.
 
     With energy_tol > 0 the loop also stops once the r.Mr it forms is at
-    most energy_tol (the energy stop of graph._preconditioned_cg), and the
+    most energy_tol (the energy stop of solve._preconditioned_cg), and the
     field's `r_Mr` is r.Mr of the residual it stops at.  With the default 0
     the stop is the residual test alone, bit for bit, and `r_Mr` is None
     (0 for b = 0).  f_hom and homogenized_tensor pass eps rho z^T C z on the
     FFT route.
 
-    `corrector` solves cells of up to DENSE_MAX_NODES = 160 nodes without
-    this loop, by one product with the cached axis correctors (the exact
-    inverse applied to B), and calls it with the exact inverse only when
-    that product misses the stop; it passes the FFT preconditioner (or
-    None) from PCG_MIN_NODES = 256 up, and None in between.  One tensor,
-    that is the d axis correctors with the inverse or preconditioner built
-    first, of the random square cell R(T)
-    (n = T^2, t = 1), the two-rail strip S(P) (n = 2P, no sub-period) and
-    the random cube C(6) (d = 3, n = 216), on a 2-vCPU x86 host with one
-    BLAS thread, in ms (median of three best-of-15 runs):
+    The sweep behind solve.DENSE_MAX_NODES = 160 and PCG_MIN_NODES = 256
+    (solve._corrector_route): one tensor, that is the d axis correctors
+    with the inverse or preconditioner built first, of the random square
+    cell R(T) (n = T^2, t = 1), the two-rail strip S(P) (n = 2P, no
+    sub-period) and the random cube C(6) (d = 3, n = 216), on a 2-vCPU x86
+    host with one BLAS thread, in ms (median of three best-of-15 runs):
 
         cell     n     plain CG   exact inverse   FFT-PCG
         R(4)     16    0.49       0.19            2.08
@@ -213,27 +203,19 @@ def _project(v):
 def corrector(graph, z, tol=1e-10):
     """Solve the cell problem for direction z.
 
-    Cells of at most DENSE_MAX_NODES nodes take chi = X z, one product with
-    the operator's cached axis correctors X, and check it with one residual
+    On the dense route (solve._corrector_route) chi = X z, one product with
+    the operator's cached axis correctors X, checked by one residual
     product: ||L chi - project(-B z)|| <= tol ||project(-B z)||.  A chi that
     passes reports 1 iteration (one application of the inverse) and that
     residual; one that fails is solved again by solve_corrector with the
     exact inverse as preconditioner, whose NoConvergence it raises.  A zero
-    right-hand side gives exact zeros after 0 iterations.  Cells of at least
-    PCG_MIN_NODES nodes that re-tile a smaller base cell run CG
-    preconditioned by its FFT preconditioner, and all others plain CG.
-    Every route returns a field with ||L chi + b|| <= tol ||b||: the energy
-    stop of f_hom and homogenized_tensor is not taken here.  The
-    solver, n, iterations and residual go to the `lattice_homog` logger at
-    debug level.
+    right-hand side gives exact zeros after 0 iterations.  The FFT and
+    plain-CG routes run solve_corrector.  Every route returns a field with
+    ||L chi + b|| <= tol ||b||: the energy stop of f_hom and
+    homogenized_tensor is not taken here.  The solver, n, iterations and
+    residual go to the `lattice_homog` logger at debug level.
     """
     return _corrector(graph, _check_direction(graph, z), tol)[0]
-
-
-def _fft_route(graph):
-    """The FFT preconditioner that the corrector CG of `graph` runs with, or
-    None on the dense and plain-CG routes."""
-    return graph.operator.preconditioner if graph.n_cell >= PCG_MIN_NODES else None
 
 
 def _corrector(graph, z, tol, certify=False):
@@ -244,18 +226,17 @@ def _corrector(graph, z, tol, certify=False):
     r^T L^+ r, the single-count energy error of chi."""
     op = graph.operator
     b = op.B @ z
-    small = graph.n_cell <= DENSE_MAX_NODES
-    fft = None if small else _fft_route(graph)
-    field, Lchi = _direct_corrector(op, z, b, tol) if small else (None, None)
+    route = _corrector_route(graph)
+    fft = op.preconditioner if route == "fft" else None
+    field, Lchi = _direct_corrector(op, z, b, tol) if route == "dense" else (None, None)
     if field is None:
-        precondition = op.exact_inverse.dot if small else fft
-        energy = certify and fft is not None
-        energy_tol = _EPS * fft.rho * float(z @ op.C @ z) if energy else 0.0
+        precondition = op.exact_inverse.dot if route == "dense" else fft
+        energy_tol = _EPS * fft.rho * float(z @ op.C @ z) if certify and route == "fft" else 0.0
         field = solve_corrector(op.L, b, tol=tol, precondition=precondition,
                                 energy_tol=energy_tol)
         field.direction = z
     if _log.isEnabledFor(logging.DEBUG):
-        solver = ("exact-inverse" if small else "cg" if fft is None else
+        solver = ("exact-inverse" if route == "dense" else "cg" if fft is None else
                   f"fft-pcg (t={fft.t}, n0={fft.n0})")
         _log.debug("corrector: solver %s, n %d, iterations %d, residual %.3e",
                    solver, graph.n_cell, field.iterations, field.residual)
@@ -330,12 +311,13 @@ def homogenized_tensor(graph, tol=1e-10, convention="double"):
     LX = op.L @ X
     A = op.C + BX + BX.T + X.T @ LX
     A = factor * 0.5 * (A + A.T)
-    if graph.n_cell <= DENSE_MAX_NODES:
+    route = _corrector_route(graph)
+    if route == "dense":
         # r_m^T K^-1 r_m, K^-1 acting as L^+ on the residuals L x_m + B_m - mean;
         # B = 0 leaves exact zeros, and no inverse is built for them
         R = LX + op.B - op.B.sum(axis=0) / graph.n_cell
         errors = np.einsum("im,im->m", R, op.exact_inverse @ R) if R.any() else 0.0
-    elif _fft_route(graph) is not None:
+    elif route == "fft":
         errors = np.array([f.r_Mr for f in fields]) / op.preconditioner.rho
     else:
         return HomogenizedTensor(A, convention, tol, fields)

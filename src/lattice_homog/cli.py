@@ -18,8 +18,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import asymptotic, bvp, cell, coarse, lgf
 from .errors import LatticeError
 from .graph import validate

@@ -40,9 +40,9 @@ class NoConvergence(LatticeError):
     system is singular (a free component without a pinned neighbour).
 
     `residual` holds what an iterative solve achieved when it stopped.  All
-    of them run the one CG loop, graph._preconditioned_cg, which carries
-    the recomputed backward error: the continuum grid and multigrid CG
-    keep it, and the corrector CG reports the absolute residual
+    of them run the one CG loop, solve._preconditioned_cg, which carries
+    the recomputed backward error: the continuum grid and the pinned CG
+    routes keep it, and the corrector CG reports the absolute residual
     ||L chi + b|| instead.
     """
 

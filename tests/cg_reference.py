@@ -1,6 +1,6 @@
 """Reference conjugate-gradient loop, allocating a new vector per update.
 
-graph._preconditioned_cg updates x, r and p in place through one scratch
+solve._preconditioned_cg updates x, r and p in place through one scratch
 vector.  This is the loop it replaced, kept as an independent check: the
 same steps with alpha p, alpha A p and z + beta p each formed as a new
 vector, and p starting as the preconditioner's own result, so the two
@@ -10,12 +10,12 @@ must agree bit for bit.
 import numpy as np
 
 from lattice_homog.errors import NoConvergence
-from lattice_homog.graph import _backward_error, _error_scale
+from lattice_homog.solve import _backward_error, _error_scale
 
 
 def preconditioned_cg(apply, b, precondition, norm, tol, cap, name, start=None,
                       energy_tol=0.0):
-    """(x, steps, backward error, r.Mr), as graph._preconditioned_cg."""
+    """(x, steps, backward error, r.Mr), as solve._preconditioned_cg."""
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros_like(b), 0, 0.0, 0.0

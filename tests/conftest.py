@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from lattice_homog import builtin_examples, graph_from_edges, homogenized_tensor, solve_corrector
-from lattice_homog.cell import PCG_MIN_NODES
+from lattice_homog.solve import PCG_MIN_NODES
 from lattice_homog.oracle import _ordered_pairs
 
 # a failing property prints its @reproduce_failure blob; every other

@@ -19,7 +19,6 @@ from lattice_homog import (
     homogenized_tensor,
 )
 from lattice_homog.bvp import (
-    GRID_TOL,
     BoundaryDatum,
     DirichletProblem,
     affine_datum,
@@ -31,7 +30,8 @@ from lattice_homog.bvp import (
     solve_dirichlet,
     _fd_solve,
 )
-from lattice_homog.graph import PinnedProblem, _preconditioned_cg, pinned_solve
+from lattice_homog.graph import PinnedProblem
+from lattice_homog.solve import _CG_TOL as GRID_TOL, _preconditioned_cg, pinned_solve
 
 import pinned_reference
 from conftest import layered_square_lattice, square_lattice
@@ -396,7 +396,7 @@ def grid_problem(A, omega, phi, h):
 
 def superlu_grid(A, omega, phi, h):
     """(grid values, midpoint energy) of grid_problem, reduced by the
-    reference assembly and solved by graph.pinned_solve's SuperLU route."""
+    reference assembly and solved by solve.pinned_solve's SuperLU route."""
     points, problem = grid_problem(A, omega, phi, h)
     (ax, bx), (ay, by) = omega
     hx, hy = (bx - ax) / (points.shape[1] - 1), (by - ay) / (points.shape[2] - 1)
@@ -489,7 +489,7 @@ def _grid_run(monkeypatch, h):
 
 @pytest.mark.parametrize("h", [1 / 32, 1 / 64])
 def test_grid_preconditioner_is_the_dense_formula(h, monkeypatch):
-    # the shared sine helper (graph._sine_solve) gives the continuum grid
+    # the shared sine helper (solve._sine_solve) gives the continuum grid
     # the energy and CG iterates of the formula it replaced,
     # Sx @ ((Sx @ r @ Sy) / axis) @ Sy, bit for bit
     energy, steps = _grid_run(monkeypatch, h)

@@ -26,8 +26,9 @@ from lattice_homog import (
 )
 from lattice_homog import cell as cell_module
 from lattice_homog.bloch import PINV_RTOL, base_cell, symbol
-from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES, convention_factor
+from lattice_homog.cell import convention_factor
 from lattice_homog.graph import PeriodicOperator
+from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 
 from conftest import (
     EPS,

@@ -1,4 +1,4 @@
-"""graph._preconditioned_cg against the allocating loop of cg_reference.
+"""solve._preconditioned_cg against the allocating loop of cg_reference.
 
 The in-place loop must return what the allocating one returns, bit for bit:
 the same x, step count, backward error and r.Mr, or the same NoConvergence.
@@ -13,9 +13,9 @@ import pytest
 import scipy.sparse as sp
 
 from lattice_homog import BoundaryDatum, NoConvergence, homogenized_tensor, solve_corrector
-from lattice_homog import bvp, cell, graph
+from lattice_homog import bvp, cell, solve
 from lattice_homog.asymptotic import build_window_problem
-from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
+from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 
 import cg_reference
 from conftest import EPS, random_square_lattice
@@ -42,7 +42,7 @@ def both_loops(monkeypatch):
     """Patches the loop into `module` so that each call also runs the
     reference on the same arguments; returns the list of compared calls."""
     compared = []
-    loop = graph._preconditioned_cg
+    loop = solve._preconditioned_cg
 
     def patch(module):
         def both(*args, **kwargs):
@@ -93,24 +93,24 @@ def test_plain_cg_corrector_is_the_reference(both_loops):
 
 
 def _counted(monkeypatch, name):
-    """Wrap the route graph.`name` so that each call is listed; returns the list."""
-    calls, solve = [], getattr(graph, name)
+    """Wrap solve.`name` so that each call is listed; returns the list."""
+    calls, route = [], getattr(solve, name)
 
     def call(*args):
         calls.append(name)
-        return solve(*args)
+        return route(*args)
 
-    monkeypatch.setattr(graph, name, call)
+    monkeypatch.setattr(solve, name, call)
     return calls
 
 
 def test_multigrid_window_solve_is_the_reference(both_loops, monkeypatch):
     # the router sends this window to the sine route; no side fits it here
-    monkeypatch.setattr(graph, "_SINE_MAX_SIDE", 0)
+    monkeypatch.setattr(solve, "_SINE_MAX_SIDE", 0)
     problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                                    [1.0, 1.0], 32)
-    calls = _counted(monkeypatch, "_multigrid_solve")
-    compared = both_loops(graph)
+    calls = _counted(monkeypatch, "_Multigrid")
+    compared = both_loops(solve)
     problem.solve()
     assert len(calls) == len(compared) == 1 and compared[0] > 0
 
@@ -118,8 +118,8 @@ def test_multigrid_window_solve_is_the_reference(both_loops, monkeypatch):
 def test_sine_window_solve_is_the_reference(both_loops, monkeypatch):
     problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                                    [1.0, 1.0], 32)
-    calls = _counted(monkeypatch, "_sine_cg_solve")
-    compared = both_loops(graph)
+    calls = _counted(monkeypatch, "_cg_solve")
+    compared = both_loops(solve)
     problem.solve()
     assert len(calls) == len(compared) == 1 and compared[0] > 0
 
@@ -160,10 +160,10 @@ def test_identity_preconditioner_cases_are_the_reference():
     cases += [((-A).dot, np.full(100, 3.0), identity, 4.0, 1e-14, 5, "test CG"),
               (A.dot, np.full(100, 3.0), lambda r: -r, 4.0, 1e-14, 5, "test CG")]
     for args in cases:
-        _assert_same(_outcome(graph._preconditioned_cg, *args),
+        _assert_same(_outcome(solve._preconditioned_cg, *args),
                      _outcome(cg_reference.preconditioned_cg, *args))
     args = (A.dot, np.full(100, 3.0))
-    new = _outcome(graph._preconditioned_cg, *args, _turning(), 4.0, 1e-14, 5, "test CG",
+    new = _outcome(solve._preconditioned_cg, *args, _turning(), 4.0, 1e-14, 5, "test CG",
                    energy_tol=1e300)
     ref = _outcome(cg_reference.preconditioned_cg, *args, _turning(), 4.0, 1e-14, 5,
                    "test CG", energy_tol=1e300)
@@ -177,8 +177,8 @@ def test_a_preconditioner_returning_its_argument_runs_true_cg():
     A = _line_laplacian()
     b = np.sin(0.3 * np.arange(100.0))
     args = (A.dot, b)
-    same = graph._preconditioned_cg(*args, lambda r: r, 4.0, 1e-12, 500, "test CG")
-    copy = graph._preconditioned_cg(*args, lambda r: r.copy(), 4.0, 1e-12, 500, "test CG")
+    same = solve._preconditioned_cg(*args, lambda r: r, 4.0, 1e-12, 500, "test CG")
+    copy = solve._preconditioned_cg(*args, lambda r: r.copy(), 4.0, 1e-12, 500, "test CG")
     _assert_same(same, copy)
     _assert_same(same, cg_reference.preconditioned_cg(*args, lambda r: r.copy(), 4.0, 1e-12,
                                                       500, "test CG"))

@@ -24,12 +24,12 @@ from lattice_homog import (
     validate,
     witness_path,
 )
-from lattice_homog import graph
+from lattice_homog import graph, solve
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
-from lattice_homog.graph import (FiniteGraph, PinnedProblem, _hnf_rows, pinned_solve,
-                                 position_box)
+from lattice_homog.graph import FiniteGraph, PinnedProblem, _hnf_rows, position_box
+from lattice_homog.solve import pinned_solve
 
 import pinned_reference
 from conftest import (cube_lattice, layered_square_lattice, long_offset_chain,
@@ -479,7 +479,7 @@ def test_warm_start_of_zero_rhs_returns_exact_zeros():
     # from x0 != 0 the backward-error stop asks ||A x|| <= 1e-14 ||A|| ||x||,
     # which no x != 0 meets here: only the exact answer x = 0 stops it
     A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
-    x, steps, backward, rz = graph._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
+    x, steps, backward, rz = solve._preconditioned_cg(A.dot, np.zeros(100), lambda r: r, 4.0,
                                                       1e-14, 5, "test CG", np.ones(100))
     assert np.array_equal(x, np.zeros(100)) and steps == 0 and backward == 0.0 and rz == 0.0
 
@@ -497,10 +497,10 @@ def test_passing_start_costs_one_product():
             calls.append(v)
             return A @ v
 
-        x, steps, backward, rz = graph._preconditioned_cg(apply, b, lambda r: r, norm, 1e-14,
+        x, steps, backward, rz = solve._preconditioned_cg(apply, b, lambda r: r, norm, 1e-14,
                                                           5, "test CG", start)
         assert len(calls) == 1 and steps == 0 and np.array_equal(x, start) and rz is None
-        assert backward == graph._backward_error(A.dot, start, b, norm) <= 1e-14
+        assert backward == solve._backward_error(A.dot, start, b, norm) <= 1e-14
 
 
 def test_shared_cg_breakdown_raises_backward_error():
@@ -512,7 +512,7 @@ def test_shared_cg_breakdown_raises_backward_error():
                                        (A.dot, lambda r: -r, "r.Mr")):
         message = rf"test CG broke down at iteration 0 \({label} = "
         with pytest.raises(NoConvergence, match=message) as info:
-            graph._preconditioned_cg(apply, b, precondition, 4.0, 1e-14, 5, "test CG")
+            solve._preconditioned_cg(apply, b, precondition, 4.0, 1e-14, 5, "test CG")
         # at x = 0 the backward error ||b|| / (4 ||x|| + ||b||) is 1, not ||b|| = 30
         assert info.value.residual == 1.0 and "backward error" in str(info.value)
 
@@ -524,13 +524,13 @@ def test_energy_stop_reports_the_recomputed_backward_error():
     A = sp.diags([-np.ones(99), 2.0 * np.ones(100), -np.ones(99)], [-1, 0, 1], format="csr")
     b = np.sin(0.3 * np.arange(100.0))
     jacobi = lambda r: r / 2.0
-    _, full, _, none = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500, "test CG")
-    x, steps, backward, rz = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
+    _, full, _, none = solve._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500, "test CG")
+    x, steps, backward, rz = solve._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
                                                       "test CG", energy_tol=1e-2)
     assert none is None and 0 < rz <= 1e-2 and steps < full
-    assert backward == graph._backward_error(A.dot, x, b, 4.0) > 1e-6
+    assert backward == solve._backward_error(A.dot, x, b, 4.0) > 1e-6
     # a residual stop with the energy stop armed still forms r.Mr of its residual
-    x, steps, backward, rz = graph._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
+    x, steps, backward, rz = solve._preconditioned_cg(A.dot, b, jacobi, 4.0, 1e-6, 500,
                                                       "test CG", energy_tol=1e-300)
     r = b - A @ x
     assert steps == full and backward <= 1e-6
@@ -549,7 +549,7 @@ def test_energy_stop_never_takes_a_breakdown_for_convergence():
         return r if len(calls) == 1 else -r
 
     with pytest.raises(NoConvergence, match=r"broke down at iteration 1 \(r\.Mr = "):
-        graph._preconditioned_cg(A.dot, b, turning, 4.0, 1e-14, 5, "test CG",
+        solve._preconditioned_cg(A.dot, b, turning, 4.0, 1e-14, 5, "test CG",
                                  energy_tol=1e300)
 
 
@@ -557,18 +557,18 @@ def test_energy_stop_never_takes_a_breakdown_for_convergence():
 def multigrid_route(monkeypatch):
     """Send every pinned system from _MG_MIN_DOFS rows to multigrid: no box
     side fits the sine route, and no band storage fits the band."""
-    monkeypatch.setattr(graph, "_SINE_MAX_SIDE", 0)
-    monkeypatch.setattr(graph, "_BAND_MAX_BYTES", 0)
+    monkeypatch.setattr(solve, "_SINE_MAX_SIDE", 0)
+    monkeypatch.setattr(solve, "_BAND_MAX_BYTES", 0)
 
 
 def test_warm_start_takes_fewer_steps(caplog, monkeypatch, multigrid_route):
     problem = build_window_problem(random_square_lattice(4, np.random.default_rng(20240811)),
                                    [1.0, 1.0], 32)
     x, [(dofs, _, warm, backward)] = _multigrid_lines(caplog, problem)
-    assert dofs == (~problem.pinned).sum() and backward <= graph._MG_TOL
-    solve = graph._multigrid_solve
-    monkeypatch.setattr(graph, "_multigrid_solve", lambda A, rhs, start, positions, reference:
-                        solve(A, rhs, None, positions, reference))
+    assert dofs == (~problem.pinned).sum() and backward <= solve._CG_TOL
+    cg = solve._cg_solve
+    monkeypatch.setattr(solve, "_cg_solve", lambda A, rhs, start, *route:
+                        cg(A, rhs, None, *route))
     _, [(_, _, cold, _)] = _multigrid_lines(caplog, problem)
     assert warm < cold
     want = _superlu(problem)
@@ -584,13 +584,13 @@ def test_multigrid_prolongator_is_the_sparse_product():
     fine, _ = problem.reduced_system()
     positions = problem.positions[~problem.pinned]
     boxes = np.unique((positions - positions.min(axis=0)) // 4, axis=0, return_inverse=True)[1]
-    coarse = graph._Multigrid(fine, positions).levels[1][0]
+    coarse = solve._Multigrid(fine, solve._Box(positions)).levels[1][0]
     for A, labels in ((fine, boxes.ravel()), (coarse, np.arange(coarse.shape[0]) // 5)):
         n, count = A.shape[0], labels.max() + 1
         weight = np.linspace(0.5, 0.7, n)
         P0 = sp.csr_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(n, count))
         want = (P0 - sp.diags(weight) @ (A @ P0)).tocsr()
-        P = graph._smoothed_prolongator(A, labels, count, weight).tocsr()
+        P = solve._smoothed_prolongator(A, labels, count, weight).tocsr()
         want.sort_indices()
         P.sort_indices()
         assert np.array_equal(P.indptr, want.indptr)
@@ -620,7 +620,7 @@ def test_band_route_logs_one_line(caplog, monkeypatch):
     assert dofs == (~problem.pinned).sum() and width == 32 and backward <= 1e-15
     # with debug off, the backward error is not computed
     calls = []
-    monkeypatch.setattr(graph, "_backward_error", lambda *args: calls.append(args))
+    monkeypatch.setattr(solve, "_backward_error", lambda *args: calls.append(args))
     with caplog.at_level(logging.INFO, logger="lattice_homog"):
         assert np.array_equal(problem.solve(), x)
     assert calls == []
@@ -658,7 +658,7 @@ BAND = dict(_band_problems())
 @pytest.mark.parametrize("problem", BAND.values(), ids=BAND.keys())
 def test_band_route_matches_superlu(problem, caplog):
     x, [(dofs, _, backward)] = _band_lines(caplog, problem)
-    assert dofs == (~problem.pinned).sum() < graph._MG_MIN_DOFS and backward <= 1e-14
+    assert dofs == (~problem.pinned).sum() < solve._MG_MIN_DOFS and backward <= 1e-14
     want = _superlu(problem)
     assert np.array_equal(x[problem.pinned], want[problem.pinned])
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
@@ -723,8 +723,8 @@ def _multigrid_problems():
 def test_multigrid_matches_superlu(problem, caplog, multigrid_route):
     x, lines = _multigrid_lines(caplog, problem)
     (dofs, levels, steps, backward), = lines
-    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and levels >= 2
-    assert backward <= graph._MG_TOL
+    assert dofs == (~problem.pinned).sum() >= solve._MG_MIN_DOFS and levels >= 2
+    assert backward <= solve._CG_TOL
     want = _superlu(problem)
     assert np.array_equal(x[problem.pinned], want[problem.pinned])
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
@@ -733,31 +733,31 @@ def test_multigrid_matches_superlu(problem, caplog, multigrid_route):
 
 def test_multigrid_steps_do_not_grow_with_window(caplog, monkeypatch, multigrid_route):
     # K = 16 is below the threshold; lower it so that every K runs multigrid
-    monkeypatch.setattr(graph, "_MG_MIN_DOFS", 0)
+    monkeypatch.setattr(solve, "_MG_MIN_DOFS", 0)
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     steps = {}
     for K in (16, 32, 48, 64):
         _, [(dofs, _, steps[K], backward)] = _multigrid_lines(
             caplog, build_window_problem(r4, [1.0, 1.0], K))
-        assert dofs == (4 * K - 23) ** 2 and backward <= graph._MG_TOL
+        assert dofs == (4 * K - 23) ** 2 and backward <= solve._CG_TOL
     assert max(steps.values()) - steps[16] <= 3 and steps[16] - min(steps.values()) <= 3
 
 
 def test_multigrid_cap_raises_no_convergence(monkeypatch, multigrid_route):
-    monkeypatch.setattr(graph, "_MG_MAX_STEPS", 3)
+    monkeypatch.setattr(solve, "_MG_MAX_STEPS", 3)
     problem = next(_multigrid_problems())
     with pytest.raises(NoConvergence, match="multigrid CG hit the 3-iteration cap") as info:
         problem.solve()
-    assert graph._MG_TOL < info.value.residual < 1.0
+    assert solve._CG_TOL < info.value.residual < 1.0
 
 
 def _unique_hierarchy(A, positions):
-    """(levels, coarsest matrix) of graph._Multigrid with each level's box
+    """(levels, coarsest matrix) of solve._Multigrid with each level's box
     labels taken from np.unique, the construction its occupancy mask
     replaced."""
     levels = []
-    blocks = ((positions - positions.min(axis=0)) // graph._MG_BOX).astype(np.intp)
-    while A.shape[0] > graph._MG_COARSEST:
+    blocks = ((positions - positions.min(axis=0)) // solve._MG_BOX).astype(np.intp)
+    while A.shape[0] > solve._MG_COARSEST:
         key = np.ravel_multi_index(tuple(blocks.T), tuple(blocks.max(axis=0) + 1))
         _, first, labels = np.unique(key, return_index=True, return_inverse=True)
         if len(first) == A.shape[0]:
@@ -765,7 +765,7 @@ def _unique_hierarchy(A, positions):
             continue
         diag = A.diagonal()
         weight = 4.0 / (3.0 * (abs(A).sum(axis=1).A1 / diag).max()) / diag
-        P = graph._smoothed_prolongator(A, labels, len(first), weight)
+        P = solve._smoothed_prolongator(A, labels, len(first), weight)
         R = P.T.tocsr()
         levels.append((A, weight, P, R))
         A = R @ A @ P
@@ -790,7 +790,7 @@ def _same_bits(a, b):
 def test_multigrid_labels_are_the_unique_ranks(problem):
     A, _ = problem.reduced_system()
     positions = problem.positions[~problem.pinned]
-    cycle = graph._Multigrid(A, positions)
+    cycle = solve._Multigrid(A, solve._Box(positions))
     levels, coarsest = _unique_hierarchy(A, positions)
     assert len(cycle.levels) == len(levels) >= 2
     for got, want in zip(cycle.levels, levels):
@@ -826,7 +826,7 @@ def _uneven_problem():
     return build_system(DirichletProblem(_uneven_lattice(), SQUARE, "1/80", phi))
 
 
-def test_pinned_solve_routes(examples, monkeypatch):
+def test_pinned_solve_routes(examples, monkeypatch, caplog):
     # pinned_solve imports scipy.sparse.linalg when it is called, so the
     # SuperLU spy sits on that module
     import scipy.sparse.linalg as spla
@@ -839,23 +839,30 @@ def test_pinned_solve_routes(examples, monkeypatch):
         return call
 
     monkeypatch.setattr(spla, "spsolve", spy("superlu", spla.spsolve))
-    monkeypatch.setattr(graph, "_band_solve", spy("band", graph._band_solve))
-    monkeypatch.setattr(graph, "_sine_cg_solve", spy("sine", graph._sine_cg_solve))
-    monkeypatch.setattr(graph, "_multigrid_solve", spy("multigrid", graph._multigrid_solve))
+    monkeypatch.setattr(solve, "_band_solve", spy("band", solve._band_solve))
+    # the sine and multigrid routes share _cg_solve, whose last argument names the route
+    cg = solve._cg_solve
+    monkeypatch.setattr(solve, "_cg_solve", lambda *args: spy(args[-1], cg)(*args))
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
     sine, contrast = _multigrid_problems()                        # 7 938 and 6 561
     uneven = _uneven_problem()                                    # 7 450, uneven kinds
-    for problem in (below, chain, sine, contrast, uneven):
-        problem.solve()
-    # the grounded solves of the inequality harnesses come without positions
-    ends = np.array([[0, 1], [1, 2], [2, 0]])
-    graph.grounded_solve(3, ends, np.ones(3), 0, np.array([[2.0], [-1.0], [-1.0]]))
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        for problem in (below, chain, sine, contrast, uneven):
+            problem.solve()
+        # the grounded solves of the inequality harnesses come without positions
+        ends = np.array([[0, 1], [1, 2], [2, 0]])
+        graph.grounded_solve(3, ends, np.ones(3), 0, np.array([[2.0], [-1.0], [-1.0]]))
     assert calls == [("band", (~below.pinned).sum()), ("band", (~chain.pinned).sum()),
                      ("sine", (~sine.pinned).sum()), ("band", (~contrast.pinned).sum()),
                      ("multigrid", (~uneven.pinned).sum()), ("superlu", 2)]
-    assert calls[0][1] < graph._MG_MIN_DOFS <= min(count for _, count in calls[1:5])
+    assert calls[0][1] < solve._MG_MIN_DOFS <= min(count for _, count in calls[1:5])
+    # each route logs one debug line, the SuperLU one with its nonzeros
+    lines = [record.getMessage() for record in caplog.records]
+    assert [line.split(":")[0] for line in lines] == [route for route, _ in calls]
+    superlu = re.fullmatch(r"superlu: free dofs 2, nnz 4, backward error (\S+)", lines[-1])
+    assert superlu and float(superlu[1]) <= 1e-15
 
 
 def _sine_lines(caplog, problem):
@@ -901,8 +908,8 @@ def test_sine_route_matches_superlu(problem, box, caplog):
     x, lines = _sine_lines(caplog, problem)
     assert len(caplog.records) == 1
     (dofs, shape, kinds, steps, backward), = lines
-    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and (shape, kinds) == box
-    assert 0 < steps <= 25 and backward <= graph._MG_TOL
+    assert dofs == (~problem.pinned).sum() >= solve._MG_MIN_DOFS and (shape, kinds) == box
+    assert 0 < steps <= 25 and backward <= solve._CG_TOL
     want = _superlu(problem)
     assert np.array_equal(x[problem.pinned], want[problem.pinned])
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
@@ -915,24 +922,24 @@ def test_sine_steps_do_not_grow_with_window(caplog):
     for K in (32, 48, 64):
         _, [(dofs, _, _, steps[K], backward)] = _sine_lines(
             caplog, build_window_problem(r4, [1.0, 1.0], K))
-        assert dofs == (4 * K - 23) ** 2 and backward <= graph._MG_TOL
+        assert dofs == (4 * K - 23) ** 2 and backward <= solve._CG_TOL
     assert max(steps.values()) - min(steps.values()) <= 3
 
 
 def test_sine_cap_raises_no_convergence(monkeypatch):
-    monkeypatch.setattr(graph, "_MG_MAX_STEPS", 3)
+    monkeypatch.setattr(solve, "_MG_MAX_STEPS", 3)
     problem = next(_multigrid_problems())
     with pytest.raises(NoConvergence, match="sine CG hit the 3-iteration cap") as info:
         problem.solve()
-    assert graph._MG_TOL < info.value.residual < 1.0
+    assert solve._CG_TOL < info.value.residual < 1.0
 
 
 def test_uneven_kinds_fall_back_to_multigrid(caplog):
     problem = _uneven_problem()
     A, _ = problem.reduced_system()
-    assert graph._SineReference.build(A, problem.positions[~problem.pinned]) is None
+    assert solve._SineReference.build(A, solve._Box(problem.positions[~problem.pinned])) is None
     x, [(dofs, _, _, backward)] = _multigrid_lines(caplog, problem)
-    assert dofs == (~problem.pinned).sum() >= graph._MG_MIN_DOFS and backward <= graph._MG_TOL
+    assert dofs == (~problem.pinned).sum() >= solve._MG_MIN_DOFS and backward <= solve._CG_TOL
     want = _superlu(problem)
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -945,7 +952,7 @@ def test_sine_reference_of_axis_bonds_is_the_system(layers):
     problem = build_system(DirichletProblem(_layered_lattice(layers), SQUARE, "1/48",
                                             BoundaryDatum(lambda x: x[0] * x[1])))
     A, rhs = problem.reduced_system()
-    reference = graph._SineReference.build(A, problem.positions[~problem.pinned])
+    reference = solve._SineReference.build(A, solve._Box(problem.positions[~problem.pinned]))
     assert (reference.kinds, reference.spread) == (layers, 1.0) and reference.invert()
     r = np.sin(np.arange(len(rhs), dtype=float))
     assert np.abs(A @ reference(r) - r).max() <= 1e-12 * np.abs(r).max()
@@ -954,11 +961,11 @@ def test_sine_reference_of_axis_bonds_is_the_system(layers):
 def test_block_inverse_rejects_an_indefinite_block(rng):
     X = rng.standard_normal((3, 3, 50))
     blocks = np.einsum("ikp,jkp->ijp", X, X) + np.eye(3)[:, :, None]
-    inverse = graph._block_inverse(blocks)
+    inverse = solve._block_inverse(blocks)
     want = np.moveaxis(np.linalg.inv(np.moveaxis(blocks, -1, 0)), 0, -1)
     assert np.abs(inverse - want).max() <= 1e-12 * np.abs(want).max()
     blocks[2, 2, 7] = -1.0
-    assert graph._block_inverse(blocks) is None
+    assert solve._block_inverse(blocks) is None
 
 
 def _free_positions(monkeypatch, run):

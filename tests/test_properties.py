@@ -28,7 +28,7 @@ from lattice_homog import (
     witness_path,
 )
 
-from lattice_homog.cell import DENSE_MAX_NODES, PCG_MIN_NODES
+from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 from lattice_homog.coarse import check_poincare_wirtinger, check_two_connectedness
 
 from conftest import (check_certificate, cube_lattice, long_offset_chain, oracle_neighbours,

@@ -1,36 +1,38 @@
 """The package has one sparse direct solve, one band solve, one shift-invert
 eigensolve, one dense coarse factorization, one conjugate-gradient loop,
-one pinned-box problem and two dense inverses.
+one pinned-box problem and two dense inverses, and one module of solves.
 
-The window and the Dirichlet problems, and the grounded Laplacian solves
-of the local inequality harnesses (graph.grounded_solve), are solved by
-graph.pinned_solve, so a change of solver or ordering is made in one
-function.  It has four routes, and one function (graph._pinned_route)
-chooses among the three for systems that come with the positions of their
-free vertices (every PinnedProblem).  Banded Cholesky in position order
-(solveh_banded, in graph._band_solve, which only pinned_solve calls)
-solves them when d = 1, when they are small, and when their couplings
-spread too widely for the sine route and the band fits its memory cap.
-Conjugate gradients preconditioned by the inverse of the system's
-mean-weight reference by dense sine transforms (graph._SineReference, in
-graph._sine_cg_solve) solve the large d >= 2 systems whose free vertices
-fill their box evenly, whose reference is positive definite and whose
-couplings and sides are within the route's caps.  Conjugate gradients
-preconditioned by a smoothed-aggregation V-cycle (graph._Multigrid), whose
-coarsest level is solved by dense Cholesky (cho_factor / cho_solve), in
-graph.py only, solve the other large ones.  A system without positions
-(grounded_solve) goes to SuperLU (spsolve).  The
-window, Dirichlet and Poincare problems are each a graph.PinnedProblem,
-which assembles its reduced system (`reduced_system`) and solves it, so
-nothing outside graph.py calls `laplacian`, `reduced_system` or
-`pinned_solve` as a function of the graph module.  The continuum grid
-(bvp._fd_solve) applies its stencil matrix-free and solves it by
-sine-preconditioned conjugate gradients, with the sine route's
-preconditioner (graph._sine_solve), so it reaches no sparse solver.
-Every conjugate-gradient solve (the sine and multigrid routes, the
-continuum grid and the cell corrector, cell.solve_corrector) runs the one
-loop graph._preconditioned_cg, and no other function uses it; the
-corrector's energy stop is a keyword of that loop, not a second loop.
+Every solve and every route choice is in solve.py: the route constants are
+assigned there and nowhere else.  The window and the Dirichlet problems,
+and the grounded Laplacian solves of the local inequality harnesses
+(graph.grounded_solve), are solved by solve.pinned_solve, so a change of
+solver or ordering is made in one function.  It has four routes, and one
+function (solve._pinned_route) chooses among the three for systems that
+come with the positions of their free vertices (every PinnedProblem) and
+returns the function that runs it.  Banded Cholesky in position order
+(solveh_banded, in solve._band_solve, which only the router calls) solves
+them when d = 1, when they are small, and when their couplings spread too
+widely for the sine route and the band fits its memory cap.  Conjugate
+gradients (solve._cg_solve) preconditioned by the inverse of the system's
+mean-weight reference by dense sine transforms (solve._SineReference)
+solve the large d >= 2 systems whose free vertices fill their box evenly,
+whose reference is positive definite and whose couplings and sides are
+within the route's caps.  The same CG solve preconditioned by a
+smoothed-aggregation V-cycle (solve._Multigrid), whose coarsest level is
+solved by dense Cholesky (cho_factor / cho_solve), in solve.py only,
+solves the other large ones.  A system without positions (grounded_solve)
+goes to SuperLU (spsolve).  The window, Dirichlet and Poincare problems
+are each a graph.PinnedProblem, which assembles its reduced system
+(`reduced_system`) and solves it, so nothing outside graph.py calls
+`laplacian`, `reduced_system` or `pinned_solve` as a function of the graph
+module.  The continuum grid (bvp._fd_solve) applies its stencil
+matrix-free and solves it by sine-preconditioned conjugate gradients,
+with the sine route's preconditioner (solve._sine_solve), so it reaches no
+sparse solver.  Every conjugate-gradient solve (the sine and multigrid
+routes, the continuum grid and the cell corrector, cell.solve_corrector)
+runs the one loop solve._preconditioned_cg, and no other function uses
+it; the corrector's energy stop is a keyword of that loop, not a second
+loop; the corrector's regime is chosen by solve._corrector_route.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
@@ -47,7 +49,9 @@ the functions that call them, never at the top of a module: the tensor of
 a cell on the FFT route runs none of them, and a fresh interpreter that
 imports the package and computes that tensor does not load them.  The sine
 transforms are dense products, so a fresh interpreter that solves a window
-on the sine route does not load scipy.fft.
+on the sine route does not load scipy.fft.  No module of the package
+imports a name it never uses, which catches an import that a move leaves
+behind.
 """
 
 import ast
@@ -90,29 +94,28 @@ def _uses(names, attribute):
 
 
 def test_one_sparse_solve():
-    assert _uses(SOLVERS, lambda node: True) == [("graph.pinned_solve", "spsolve")]
+    assert _uses(SOLVERS, lambda node: True) == [("solve.pinned_solve", "spsolve")]
 
 
 def test_one_band_solve():
-    assert _uses({"solveh_banded"}, lambda node: True) == [("graph._band_solve", "solveh_banded")]
-    assert _uses({"_band_solve"}, lambda node: True) == [("graph.pinned_solve", "_band_solve")]
+    assert _uses({"solveh_banded"}, lambda node: True) == [("solve._band_solve", "solveh_banded")]
+    assert _uses({"_band_solve"}, lambda node: True) == [("solve._pinned_route", "_band_solve")]
 
 
 def test_one_shift_invert_eigensolve():
     assert _uses(EIGENSOLVERS, lambda node: True) == [("coarse.check_poincare", "eigsh")]
 
 
-def test_dense_coarse_factorization_only_in_graph():
+def test_dense_coarse_factorization_only_in_solve():
     assert sorted(_uses(DENSE_FACTORS, lambda node: True)) == [
-        ("graph._Multigrid.__call__", "cho_solve"), ("graph._Multigrid.__init__", "cho_factor")]
+        ("solve._Multigrid.__call__", "cho_solve"), ("solve._Multigrid.__init__", "cho_factor")]
 
 
 def test_one_conjugate_gradient_loop():
     name = "_preconditioned_cg"
     assert sorted(_uses({name}, lambda node: True)) == [
         ("bvp", name), ("bvp._fd_solve", name), ("cell", name),
-        ("cell.solve_corrector", name), ("graph._multigrid_solve", name),
-        ("graph._sine_cg_solve", name)]
+        ("cell.solve_corrector", name), ("solve._cg_solve", name)]
 
 
 def test_one_pinned_problem():
@@ -128,6 +131,31 @@ def test_two_dense_inverses():
     assert [use for use in _uses(INVERSES, lambda node: True) if use[0] not in local] == [
         ("graph.PeriodicOperator.exact_inverse", "inv"),
         ("oracle.brute_force_cell_oracle", "pinv")]
+
+
+def test_route_constants_only_in_solve():
+    named = {"DENSE_MAX_NODES", "PCG_MIN_NODES", "_BAND_MAX_BYTES", "_CG_TOL"}
+    found = sorted({(path.stem, node.id) for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and (node.id in named or node.id.startswith(("_MG_", "_SINE_MAX_")))})
+    assert found and {module for module, _ in found} == {"solve"}, found
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; `from __future__` binds no name
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, bound) for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                   for alias in node.names
+                   if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 def _module_level_imports(tree):
