@@ -14,12 +14,14 @@ with constants from shortest-path structure, and the domain-scale Poincare
 inequality for fields vanishing near the boundary.  On each region of a
 local harness the left-hand side is |C^T u|^2 for a matrix C whose columns
 sum to zero, so its supremum over all fields is lambda_max(C^T L^+ C) for
-the region's Laplacian L: one grounded sparse factorization per region
-(graph.grounded_solve) gives the exact worst ratio, and no random field is
-drawn.  Boxes come from graph.position_box and graph.CellBox, paths from
-graph.box_adjacency, energies are graph.edge_energy's running sums, the
-Poincare problem is a graph.PinnedProblem and the path constants are
-LatticeGraph.path_constants, one per graph.
+the region's Laplacian L: one grounded factorization per region
+(graph.grounded_solve: banded Cholesky in position order, or SuperLU for
+the largest Poincare-Wirtinger regions) gives the exact worst ratio, and
+no random field is drawn.  Boxes come from graph.position_box and
+graph.CellBox, paths from graph.box_adjacency, energies are
+graph.edge_energy's running sums, the Poincare problem is a
+graph.PinnedProblem and the path constants are LatticeGraph.path_constants,
+one per graph.
 """
 
 from __future__ import annotations
@@ -288,18 +290,20 @@ def _local_region(graph):
     return consts, position_box(graph, [-(M - 1)] * d, [2 * T - 1 + (M - 1)] * d)
 
 
-def _extremal_ratios(n, regions, constant):
-    """_largest over `regions` (label, ends, coef, source, C) on n vertices
-    of the supremum over fields u of |C^T u|^2 / edge_energy(ends, coef, u),
-    divided by `constant` (0 when the supremum is 0); labels are
-    "extremal" + label.  The columns of C sum to zero and lie in the
-    component of `source`, so the supremum is lambda_max(C^T L^+ C) for the
-    Laplacian L of the edges, and C^T L^+ C = C^T X for the X of
-    graph.grounded_solve: one factorization per region, all columns at once.
+def _extremal_ratios(positions, regions, constant):
+    """_largest over `regions` (label, ends, coef, source, C) on the vertices
+    at d-positions `positions` of the supremum over fields u of
+    |C^T u|^2 / edge_energy(ends, coef, u), divided by `constant` (0 when
+    the supremum is 0); labels are "extremal" + label.  The columns of C
+    sum to zero and lie in the component of `source`, so the supremum is
+    lambda_max(C^T L^+ C) for the Laplacian L of the edges, and
+    C^T L^+ C = C^T X for the X of graph.grounded_solve: one factorization
+    per region, all columns at once.
     """
     ratios = []
     for _, ends, coef, source, C in regions:
-        sup = float(np.linalg.eigvalsh(C.T @ grounded_solve(n, ends, coef, source, C))[-1])
+        X = grounded_solve(positions, ends, coef, source, C)
+        sup = float(np.linalg.eigvalsh(C.T @ X)[-1])
         ratios.append(sup / constant if sup > 0 else 0.0)
     return _largest(ratios, ["extremal" + label for label, *_ in regions])
 
@@ -328,7 +332,7 @@ def check_two_connectedness(graph, trials=200, seed=7):
         inner = ends[inside(pos, -(M - 1), T * other + T - 1 + (M - 1))[ends].all(axis=1)]
         regions.append((f", pair {(0,) * d}->{tuple(other.tolist())}",
                         inner, np.full(len(inner), 2.0), in_cell[0], a))
-    worst, witness = _extremal_ratios(len(pos), regions, consts.C_two)
+    worst, witness = _extremal_ratios(pos, regions, consts.C_two)
     return InequalityReport("two-connectedness", consts.C_two, worst, 0, witness)
 
 
@@ -343,9 +347,9 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
     (_extremal_ratios).  Every other cell's enlarged box is cell 0's
     translated by whole periods, with the same edges and weights, so its
     supremum is the same and one region serves all cells.  The solve
-    takes n right-hand sides, so its cost grows with the cell size: 5 ms at
-    R(8) and 80 ms at R(16) (256 columns) on a 2-vCPU x86 host.  A one-node
-    cell has C = 0 and ratio 0.  `trials` and `seed` are validated
+    takes n right-hand sides, so its cost grows with the cell size: 3 ms at
+    R(8) (64 columns, band) and 46 ms at R(16) (256 columns, SuperLU) on a
+    2-vCPU x86 host.  A one-node cell has C = 0 and ratio 0.  `trials` and `seed` are validated
     as in check_two_connectedness and draw nothing.
     """
     _check_seed_and_trials(seed, trials, 1)
@@ -356,7 +360,7 @@ def check_poincare_wirtinger(graph, trials=200, seed=7):
     C = np.zeros((len(pos), n))
     C[members] = np.eye(n) - 1.0 / n
     regions = [(f", cell {(0,) * d}", ends[keep], 2.0 * weights[keep], members[0], C)]
-    worst, witness = _extremal_ratios(len(pos), regions, consts.C_pw)
+    worst, witness = _extremal_ratios(pos, regions, consts.C_pw)
     return InequalityReport("poincare-wirtinger", consts.C_pw, worst, 0, witness)
 
 

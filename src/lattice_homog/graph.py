@@ -20,10 +20,12 @@ window is open: it keeps the edges with both ends among its cells, and a
 problem that needs the outside ends of its boundary bonds (the clamped
 window of asymptotic) takes a window padded by the longest orbit offset.
 A PinnedProblem (window, Dirichlet, Poincare) pins the band
-~inside(positions, lo + band, hi - band), band an integer, and
-`PinnedProblem.reduced_system` assembles the system of its free vertices in
-one pass over its edges; `laplacian` is the Laplacian of all vertices, which
-the periodic quotient (PeriodicOperator) needs.  The solves are in solve.py.
+~inside(positions, lo + band, hi - band), band an integer, and assembles
+the system of its free vertices in one pass over its edges, as the pairs
+of a solve.FreeBlock (_free_block), which grounded_solve's harness systems
+share; `reduced_system` gives its CSR, which a small system's band solve
+never builds.  `laplacian` is the Laplacian of all vertices, which the
+periodic quotient (PeriodicOperator) needs.  The solves are in solve.py.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import scipy.sparse as sp
 
 from .bloch import fft_preconditioner
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
-from .solve import pinned_solve
+from .solve import FreeBlock, band_first, columns_solve, pinned_solve
 
 
 @dataclass(frozen=True, order=True)
@@ -764,40 +766,26 @@ class PinnedProblem:
 
     def reduced_system(self):
         """(A_ff, rhs): minimizing the energy with x = values on the pinned
-        vertices leaves A_ff x_free = rhs, in the order of the free vertices.
+        vertices leaves A_ff x_free = rhs, in the order of the free vertices;
+        A_ff is the CSR of the pair pass (_free_system).  Raises
+        NoConvergence when A_ff is singular (_check_anchored)."""
+        block, rhs, near = self._free_system()
+        self._check_anchored(block.matrix, near)
+        return block.matrix, rhs
 
-        One pass over the edges, without the rows of the pinned vertices: the
-        diagonal is a bincount, the free-free edges and the diagonal make one
-        COO to CSR conversion, which sums repeated pairs, and rhs sums
-        coef * value over the free-pinned edges.  Loops and zero coefficients
-        leave no entry, so A_ff is the free-free block of `laplacian`.  Each
-        sum runs in the order in which `laplacian` sums it (the edges with
-        the vertex as first end, then those with it as second end; in rhs,
-        each pinned neighbour's summed coefficient times its value by
-        increasing vertex), so the systems of the tests equal that block and
-        -L_fp values_p bit for bit.  Indices are int32 when the matrix fits
-        them, the index type scipy gives its CSR, so the conversion copies
-        no index array.  Raises NoConvergence when a free component
-        has no edge to a pinned vertex, since A_ff is singular there: one
-        breadth-first search from a free vertex with a pinned neighbour
-        settles the usual case of one free component, and the connected
-        components are labelled only when it does not reach every vertex.
-        """
-        import scipy.sparse.csgraph as csgraph
+    def _free_system(self):
+        """(FreeBlock of A_ff, rhs, the free vertices with a pinned neighbour)
+        of the free vertices, from one pass over the edges (_free_block),
+        without the rows of the pinned vertices: rhs sums coef * value over
+        the free-pinned edges.  Loops and zero coefficients leave no entry,
+        so A_ff is the free-free block of `laplacian`.  Each sum runs in the
+        order in which `laplacian` sums it (in rhs, each pinned neighbour's
+        summed coefficient times its value by increasing vertex), so the
+        systems of the tests equal that block and -L_fp values_p bit for
+        bit."""
         a, b, c = _couplings(self.ends, self.coef)
-        n, free = len(self.pinned), ~self.pinned
-        nf = int(np.count_nonzero(free))
-        itype = np.int32 if nf + 2 * len(c) < 2 ** 31 else np.intp
-        index = np.where(free, np.cumsum(free, dtype=itype) - 1, -1)    # -1 when pinned
-        ia, ib = index[a], index[b]
-        fa, fb = ia >= 0, ib >= 0
-        inner, out_a, out_b = fa & fb, fa & ~fb, fb & ~fa    # out_a: a free, b pinned
-        diag = np.bincount(np.concatenate([a, b]), np.concatenate([c, c]), n)[free]
-        i, j, off = ia[inner], ib[inner], -c[inner]
-        diagonal = np.arange(nf, dtype=itype)
-        A = sp.csr_matrix((np.concatenate([off, off, diag]),
-                           (np.concatenate([i, j, diagonal]), np.concatenate([j, i, diagonal]))),
-                          shape=(nf, nf))
+        block, ia, ib = _free_block(a, b, c, self.pinned)
+        out_a, out_b = (ia >= 0) & (ib < 0), (ib >= 0) & (ia < 0)     # out_a: a free, b pinned
         # the free end, pinned end and coefficient of each free-pinned edge,
         # then one summed coefficient per (free, pinned) pair
         near = np.concatenate([ia[out_a], ib[out_b]])
@@ -808,54 +796,109 @@ class PinnedProblem:
         head = np.ones(len(near), dtype=bool)
         head[1:] = (near[1:] != near[:-1]) | (far[1:] != far[:-1])
         coupling = np.bincount(np.cumsum(head) - 1, coupling)
-        rhs = np.bincount(near[head], coupling * self.values[far[head]], nf)
-        if len(near) and len(csgraph.breadth_first_order(A, near[0],
+        rhs = np.bincount(near[head], coupling * self.values[far[head]], len(block.diag))
+        return block, rhs, near
+
+    def _check_anchored(self, search, near):
+        """Raises NoConvergence when a free component, in the symmetric graph
+        `search` of A_ff's pattern, has no edge to a pinned vertex (`near`
+        lists the free ends of those edges), since A_ff is singular there:
+        one breadth-first search from a free vertex with a pinned neighbour
+        settles the usual case of one free component, and the connected
+        components are labelled only when it does not reach every vertex."""
+        import scipy.sparse.csgraph as csgraph
+        nf = search.shape[0]
+        if len(near) and len(csgraph.breadth_first_order(search, near[0],
                                                          return_predecessors=False)) == nf:
-            return A, rhs
-        count, labels = csgraph.connected_components(A, directed=False)
+            return
+        count, labels = csgraph.connected_components(search, directed=False)
         anchored = np.zeros(count, dtype=bool)
         anchored[labels[near]] = True
         if not anchored.all():
             members = np.flatnonzero(labels == np.flatnonzero(~anchored)[0])
             raise NoConvergence(
                 f"a free component of size {members.size} (vertex "
-                f"{np.flatnonzero(free)[members[0]]} among its vertices) has no "
+                f"{np.flatnonzero(~self.pinned)[members[0]]} among its vertices) has no "
                 "pinned neighbour: the reduced system is singular")
-        return A, rhs
 
     def solve(self):
+        """x minimizing the energy with x = values on the pinned vertices, by
+        solve.pinned_solve from the free values.  A band_first system builds
+        no sparse matrix: its singularity check searches the adjacency of
+        its pairs (_adjacency), and the band reads the pairs."""
         if self.pinned.all():
             return self.values.copy()
         free = ~self.pinned
-        A, rhs = self.reduced_system()
-        out = self.values.copy()
         positions = self.positions.compress(free, axis=0)
-        out[free] = pinned_solve(A, rhs, self.values[free], positions)
+        block, rhs, near = self._free_system()
+        band = band_first(*positions.shape)
+        self._check_anchored(_adjacency(len(rhs), block.i, block.j) if band else block.matrix,
+                             near)
+        out = self.values.copy()
+        out[free] = pinned_solve(block, rhs, self.values[free], positions)
         return out
 
     def energy(self, x):
         return edge_energy(self.ends, self.coef, x)
 
 
-def grounded_solve(n, ends, coef, source, rhs):
-    """X (n, k) with L X = rhs for the Laplacian L = laplacian(n, ends, coef),
-    X = 0 at `source` and off its component, for rhs (n, k) whose columns
-    sum to zero on that component and vanish off it.
+def _free_block(a, b, c, pinned):
+    """(solve.FreeBlock of the free vertices, the free index of each end of
+    each coupling, -1 when pinned) of the couplings (a, b, c) (_couplings)
+    with the vertices `pinned` held: the pairs of the free-free edges and
+    the diagonal, a bincount over every edge.  Indices are int32 when the
+    block's CSR fits them, the index type scipy gives its CSR, so building
+    it copies no index array."""
+    free = ~pinned
+    nf = int(np.count_nonzero(free))
+    itype = np.int32 if nf + 2 * len(c) < 2 ** 31 else np.intp
+    index = np.where(free, np.cumsum(free, dtype=itype) - 1, -1)
+    ia, ib = index[a], index[b]
+    inner = (ia >= 0) & (ib >= 0)
+    diag = np.bincount(np.concatenate([a, b]), np.concatenate([c, c]), len(pinned))[free]
+    return FreeBlock(ia[inner], ib[inner], -c[inner], diag), ia, ib
 
-    One breadth-first search from `source` finds the component; with
-    `source` and every vertex not reached pinned at 0, the free block A_ff
-    of L is positive definite, and pinned_solve (SuperLU, as no positions
-    are given) factors it once for all the columns.  Row `source` of L X = rhs then holds too, as both sides sum to
-    zero over the component.
+
+def _adjacency(n, i, j):
+    """The symmetric CSR adjacency (ones) of the pairs (i, j) on n vertices,
+    for a graph search: one constructor call on rows sorted by a stable
+    argsort, with repeated pairs kept, which no search minds, and int32
+    indices when they fit, which scipy would otherwise convert."""
+    itype = np.int32 if n + 2 * len(i) < 2 ** 31 else np.intp
+    rows = np.concatenate([i, j]).astype(itype, copy=False)
+    cols = np.concatenate([j, i]).astype(itype, copy=False)
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.ones(len(rows)), cols[np.argsort(rows, kind="stable")], indptr),
+                         shape=(n, n))
+
+
+def grounded_solve(positions, ends, coef, source, rhs):
+    """X (n, k) with L X = rhs for the Laplacian L = laplacian(n, ends, coef)
+    of the n vertices at d-positions `positions`, X = 0 at `source` and off
+    its component, for rhs (n, k) whose columns sum to zero on that
+    component and vanish off it.
+
+    One breadth-first search from `source`, on the adjacency of the edges,
+    finds the component.  With `source` and every vertex not reached pinned
+    at 0, the free block A_ff of L (_free_block) is positive definite, and
+    solve.columns_solve solves all the columns on one factor: the band in
+    position order, filled from the pairs, or, when the band work is above
+    its crossover, SuperLU.  Row `source` of L X = rhs then holds too, as
+    both sides sum to zero over the component.
     """
     import scipy.sparse.csgraph as csgraph
-    L = laplacian(n, ends, coef)
-    free = csgraph.breadth_first_order(L, source, return_predecessors=False)[1:]
+    a, b, c = _couplings(ends, coef)
+    n = len(positions)
+    reached = csgraph.breadth_first_order(_adjacency(n, a, b), source,
+                                          return_predecessors=False)
     X = np.zeros(np.shape(rhs))
-    if len(free):
-        b = rhs[free]
-        # SuperLU returns one column as a vector
-        X[free] = pinned_solve(L[free][:, free], b).reshape(b.shape)
+    if len(reached) > 1:
+        pinned = np.ones(n, dtype=bool)
+        pinned[reached[1:]] = False
+        block = _free_block(a, b, c, pinned)[0]
+        free = ~pinned
+        X[free] = columns_solve(block, rhs[free], positions[free])
     return X
 
 

@@ -1,18 +1,22 @@
 """Every solve of the package, and the one function that chooses each route.
 
 _corrector_route chooses the regime of the cell corrector (cell.py): the
-dense exact inverse, FFT-preconditioned CG or plain CG.  pinned_solve
-solves a PinnedProblem's system by one of three routes, chosen in one
-function (_pinned_route), which builds the box of its free positions
-(_Box) once: banded Cholesky in position order (_band_solve) for d = 1,
-for small systems and for large ones of widely spread couplings, and, for
-large systems in d >= 2, conjugate gradients from the given values
-(_cg_solve), stopped on a backward-error test and preconditioned either by
-the inverse of the system's mean-weight reference on its box by sine
-transforms (_SineReference) or by a smoothed-aggregation V-cycle whose
-aggregates are boxes of positions (_Multigrid); SuperLU solves only the
-systems that come without positions, the grounded Laplacians of
-graph.grounded_solve.  _preconditioned_cg is the package's one
+dense exact inverse, FFT-preconditioned CG or plain CG.  A pinned system
+comes as a FreeBlock, the pairs of its free block A_ff from one pass over
+its edges, with the canonical CSR built only when a route asks for it.
+pinned_solve solves a PinnedProblem's system by one of three routes,
+chosen in one function (_pinned_route), which builds the box of its free
+positions (_Box) once: banded Cholesky in position order (_Band), filled
+straight from the pairs, for d = 1, for small systems (band_first) and for
+large ones of widely spread couplings, and, for large systems in d >= 2,
+conjugate gradients from the given values (_cg_solve), stopped on a
+backward-error test and preconditioned either by the inverse of the
+system's mean-weight reference on its box by sine transforms
+(_SineReference) or by a smoothed-aggregation V-cycle whose aggregates
+are boxes of positions (_Multigrid).  columns_solve solves the grounded
+Laplacians of the local harnesses (graph.grounded_solve), many columns on
+one factor: by the same band, or by SuperLU when the band work is above a
+measured crossover.  _preconditioned_cg is the package's one
 conjugate-gradient loop: the two CG pinned routes, the continuum grid of
 bvp and the cell corrector (cell.solve_corrector, for cells above the
 dense ceiling or when the direct product misses its tolerance) run it.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -45,17 +50,50 @@ def _corrector_route(graph):
     return "fft" if n >= PCG_MIN_NODES and graph.operator.preconditioner is not None else "cg"
 
 
-def pinned_solve(A, rhs, start=None, positions=None):
-    """x with A x = rhs, for A = A_ff and rhs of a pinned problem
-    (PinnedProblem.reduced_system, or grounded_solve's columns), symmetric
-    positive definite.
+class FreeBlock:
+    """The free block A_ff of a pinned system, as the pairs of its couplings
+    in free-vertex order (graph.PinnedProblem and graph.grounded_solve build
+    it in one pass over the edges): the two ends i and j (i != j) and the
+    entry off = -coef of each edge between free vertices, an edge of a
+    repeated pair adding to it, and the diagonal `diag`.  Index arrays are
+    int32 when the matrix fits them.  `matrix` is the canonical CSR, built
+    on first use: the sine and multigrid routes, SuperLU and
+    coarse.check_poincare's eigensolve read it, the band reads the pairs."""
 
-    The one pinned solve of the package (window, Dirichlet and the local
-    inequality harnesses).  A system given with its free vertices'
-    d-positions `positions` (every PinnedProblem) takes one of three routes,
-    chosen by _pinned_route from what the system shows: its size, its box
-    of positions and the spread of its couplings.
-    - Band: banded Cholesky in position order (_band_solve).  Ordered by
+    def __init__(self, i, j, off, diag):
+        self.i, self.j, self.off, self.diag = i, j, off, diag
+
+    @cached_property
+    def matrix(self):
+        """The CSR of A_ff: one COO to CSR conversion of the pairs, both
+        ways, and the diagonal, which sums repeated pairs in the order in
+        which graph.laplacian sums them (the pairs with the row as first
+        end, then those with it as second end) and copies no index array."""
+        import scipy.sparse as sp
+        nf, i, j, off = len(self.diag), self.i, self.j, self.off
+        diagonal = np.arange(nf, dtype=i.dtype)
+        return sp.csr_matrix((np.concatenate([off, off, self.diag]),
+                              (np.concatenate([i, j, diagonal]),
+                               np.concatenate([j, i, diagonal]))), shape=(nf, nf))
+
+
+def band_first(n, d):
+    """Whether a pinned system of n free rows in d dimensions takes the band
+    without a look at its couplings (_pinned_route): d = 1 or fewer than
+    _MG_MIN_DOFS rows.  PinnedProblem.solve asks it before assembly, so that
+    the band route builds no sparse matrix."""
+    return d == 1 or n < _MG_MIN_DOFS
+
+
+def pinned_solve(block, rhs, start, positions):
+    """x with A x = rhs, for the FreeBlock `block` of A_ff and the rhs of a
+    pinned problem (PinnedProblem), symmetric positive definite, and the
+    free vertices' d-positions `positions`.
+
+    The one pinned solve of the package (window, Dirichlet).  It takes one
+    of three routes, chosen by _pinned_route from what the system shows:
+    its size, its box of positions and the spread of its couplings.
+    - Band: banded Cholesky in position order (_Band).  Ordered by
       position, A is a band one slice of the box across its longest axis
       wide, and its Cholesky factor has no fill outside the band.
     - Sine: conjugate gradients preconditioned by the inverse of the
@@ -65,14 +103,10 @@ def pinned_solve(A, rhs, start=None, positions=None):
       aggregation V-cycle (_Multigrid).
     Both CG routes (_cg_solve) start from `start` (zeros when None) and stop
     at a backward error of _CG_TOL; a cap of _MG_MAX_STEPS steps raises
-    NoConvergence naming the route, with the backward error reached.  A
-    system without positions (grounded_solve) goes to SuperLU, one
-    factorization for any number of right-hand-side columns, with the
-    columns of A ordered by minimum degree on the pattern of A + A^T
-    (George & Liu, 1981) instead of its default COLAMD, which does not use
-    the symmetry.  Each route logs one line to the `lattice_homog` logger
-    at debug level (_log_solve); the direct routes compute their backward
-    error only when that level is enabled.
+    NoConvergence naming the route, with the backward error reached.  Each
+    route logs one line to the `lattice_homog` logger at debug level
+    (_log_solve); the band computes its backward error only when that level
+    is enabled.
 
     The band grows as the box's cross-section, so the factor costs about
     n x width^2; the multigrid steps do not grow with the system, and
@@ -100,26 +134,21 @@ def pinned_solve(A, rhs, start=None, positions=None):
         KD(4,100) K=26   6 561      0.9       6.0   2.4     21.1  3, 74          44.1  237    3 030
 
     The router sends the first row to the band, the next four to the sine
-    route and the KD rows to the band.  SuperLU took 9.1, 20.8 and 27.7 ms
-    on the first, second and fifth rows by the same method.  CG starts from
-    the given values of the free vertices: the affine field on a window,
-    which leaves only the corrector to find (20 multigrid steps from zero
-    on R4, 86 on KD(4, 100)), and zeros in the Dirichlet problem.  The CG
+    route and the KD rows to the band.  SuperLU, which no pinned problem
+    runs any more (only columns_solve's grounded fallback does), took 9.1,
+    20.8 and 27.7 ms on the first, second and fifth rows by the same
+    method.  CG starts from the given values of the free vertices: the
+    affine field on a window, which leaves only the corrector to find (20
+    multigrid steps from zero on R4, 86 on KD(4, 100)), and zeros in the
+    Dirichlet problem.  The CG
     solutions agree with SuperLU to 5.5e-13 in max-norm relative (2.3e-11
     at contrast 100), the band solutions to about 1e-12.  At contrast 2 the
     band and multigrid times break even near 10 000 free dofs (R4 windows
     from K = 26 to 32).
     """
-    if positions is None:
-        import scipy.sparse.linalg as spla
-        x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
-    else:
-        x = _pinned_route(A, positions)(rhs, start)
+    x = _pinned_route(block, positions)(rhs, start)
     if not np.all(np.isfinite(x)):
         raise NoConvergence("pinned solve produced non-finite values")
-    if positions is None and _log.isEnabledFor(logging.DEBUG):
-        _log.debug("superlu: free dofs %d, nnz %d, backward error %.3e", len(rhs), A.nnz,
-                   _backward_error(A.dot, x, rhs, spla.norm(A, np.inf)))
     return x
 
 
@@ -138,27 +167,28 @@ _SINE_MAX_SIDE = 240        # longest box side (positions) of the sine route
 _BAND_MAX_BYTES = 2 ** 24
 
 
-def _pinned_route(A, positions):
-    """The route of pinned_solve for the system A with free d-positions
-    `positions`: the function (rhs, start) -> x that solves A x = rhs by it,
-    with the positions' _Box, built here once, and the _SineReference, when
-    one was built, bound.
+def _pinned_route(block, positions):
+    """The route of pinned_solve for the FreeBlock `block` with free
+    d-positions `positions`: the function (rhs, start) -> x that solves
+    A x = rhs by it, with the positions' _Box, built here once, and the
+    _SineReference, when one was built, bound.
 
-    d = 1 and fewer than _MG_MIN_DOFS rows go to the band without a look at
-    the system.  Every larger system builds its sine reference, which also
-    measures the coupling spread, and takes the sine route when the
-    reference is positive definite, the spread at most _SINE_MAX_SPREAD and
-    the longest side at most _SINE_MAX_SIDE.  Failing that, a system whose
-    spread exceeds _SINE_MAX_SPREAD, where the CG steps of both iterative
-    routes grow, goes to the band when its band storage fits in
-    _BAND_MAX_BYTES, and every other one to multigrid: boxes with uneven
-    positions, singular references, long sides and large high-contrast
-    systems.
+    band_first systems go to the band without a look at the system or a
+    sparse matrix.  Every larger system builds its CSR (block.matrix) and
+    its sine reference, which also measures the coupling spread, and takes
+    the sine route when the reference is positive definite, the spread at
+    most _SINE_MAX_SPREAD and the longest side at most _SINE_MAX_SIDE.
+    Failing that, a system whose spread exceeds _SINE_MAX_SPREAD, where the
+    CG steps of both iterative routes grow, goes to the band (from the same
+    pairs) when its band storage fits in _BAND_MAX_BYTES, and every other
+    one to multigrid: boxes with uneven positions, singular references,
+    long sides and large high-contrast systems.
     """
     n, d = positions.shape
     box = _Box(positions)
-    reference, band = None, d == 1 or n < _MG_MIN_DOFS
+    reference, band = None, band_first(n, d)
     if not band:
+        A = block.matrix
         reference = _SineReference.build(A, box)
         if reference is not None and reference.spread > _SINE_MAX_SPREAD:
             band = (reference.band_width() + 1) * n * 8 <= _BAND_MAX_BYTES
@@ -166,9 +196,73 @@ def _pinned_route(A, positions):
               and reference.invert()):
             return lambda rhs, start: _cg_solve(A, rhs, start, box, reference, reference, "sine")
     if band:
-        return lambda rhs, start: _band_solve(A, rhs, box, reference)
+        return lambda rhs, start: _Band(block, box).solve(rhs, reference)
     return lambda rhs, start: _cg_solve(A, rhs, start, box, reference, _Multigrid(A, box),
                                         "multigrid")
+
+
+# Band work (width + 1) x rows x columns above which columns_solve leaves
+# the band for SuperLU (its sweep is in columns_solve's docstring).
+_BAND_MAX_WORK = 2 ** 24
+
+
+def columns_solve(block, rhs, positions):
+    """X (n, k) with A X = rhs for the FreeBlock `block` of a grounded
+    Laplacian (graph.grounded_solve), symmetric positive definite, with the
+    free vertices' d-positions `positions`: every column on one factor.
+
+    The band (_Band) solves it when its work (width + 1) x n x k is at most
+    _BAND_MAX_WORK.  Above that, SuperLU factors block.matrix with its
+    columns ordered by minimum degree on the pattern of A + A^T (George &
+    Liu, 1981) instead of its default COLAMD, which does not use the
+    symmetry, and its supernodal solve of many columns wins.  Either logs
+    one debug line, with a backward error computed only at that level;
+    SuperLU's gives the nonzeros.  The solve of the largest region of each
+    harness, in ms (best of 7, of 2 at R(24) and R(32), on a 2-vCPU x86
+    host with one BLAS thread), by the band and by SuperLU, with its free
+    rows, columns, band width and band work in millions; R(T) is the
+    random square lattice of the tests (one vertex per position), L2 x8 is
+    normalize_period(L2, 8) (two per position) and cube x2 the d = 3 cube
+    of the tests re-tiled to period 4 (64 nodes):
+
+        harness     graph    rows    cols  width  work     band    SuperLU
+        two-conn.   R(4)     139     1     10     0.002    0.07    0.24
+        P-W         R(4)     99      16    10     0.017    0.10    0.22
+        two-conn.   R(8)     659     1     22     0.015    0.20    1.41
+        P-W         R(8)     483     64    22     0.711    1.45    2.05
+        two-conn.   R(12)    1 563   1     34     0.055    0.57    2.81
+        P-W         R(12)    1 155   144   34     5.82     8.03    8.04
+        two-conn.   R(16)    2 851   1     46     0.134    1.51    4.39
+        P-W         R(16)    2 115   256   46     25.4     38.1    24.6
+        two-conn.   R(24)    6 579   1     70     0.467    3.99    11.2
+        P-W         R(24)    4 899   576   70     200      191     152
+        two-conn.   R(32)    11 843  1     94     1.13     9.49    19.4
+        P-W         R(32)    8 835   1 024 94     859      854     533
+        two-conn.   L2 x8    1 319   1     46     0.062    0.67    4.55
+        P-W         L2 x8    967     128   46     5.82     8.28    16.2
+        two-conn.   cube x2  1 399   1     100    0.141    1.10    18.8
+        P-W         cube x2  999     64    100    6.46     4.94    16.1
+
+    The band wins or ties up to 6.5 million and SuperLU wins from 25
+    million, so 2^24 (16.8 million) separates every point.  SuperLU's fill
+    is small on the one-vertex grids of R(T), where the two break even near
+    R(12); at the same work the L2 and cube regions favour the band two to
+    three times.
+    """
+    box = _Box(positions)
+    band = _Band(block, box)
+    if (band.width + 1) * rhs.size <= _BAND_MAX_WORK:
+        X = band.solve(rhs)
+    else:
+        import scipy.sparse.linalg as spla
+        A = block.matrix
+        X = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A").reshape(rhs.shape)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("superlu: free dofs %d, nnz %d, backward error %.3e", len(rhs), A.nnz,
+                       _backward_error(A.dot, X, rhs, spla.norm(A, np.inf)))
+    if not np.all(np.isfinite(X)):
+        raise NoConvergence("grounded solve produced non-finite values")
+    return X
 
 
 class _Box:
@@ -294,7 +388,7 @@ class _SineReference:
                    classes, spread)
 
     def band_width(self):
-        """An upper bound on the subdiagonals of A in _band_solve's order
+        """An upper bound on the subdiagonals of A in _Band's order
         (longest axis slowest, then kind), from the classes' shifts."""
         axes = np.roll(np.arange(len(self.shape)), -int(np.argmax(self.shape)))
         sides = [self.shape[m] for m in axes]
@@ -404,9 +498,10 @@ def _sine_solve(bases, symbol, x):
     return _sine_transform(bases, _sine_transform(bases, x) / symbol)
 
 
-def _band_solve(A, rhs, box, reference):
-    """x with A x = rhs by banded Cholesky (LAPACK dpbsv) in position order
-    (pinned_solve).
+class _Band:
+    """A_ff of a FreeBlock `block` as a band in position order, filled
+    straight from its pairs, and its banded Cholesky solve (LAPACK dpbsv):
+    the one band solve of the package (pinned_solve, columns_solve).
 
     The free vertices are ordered by their d-positions (the _Box `box`), the
     longest axis slowest, by a stable sort, so the vertices at one position
@@ -415,40 +510,59 @@ def _band_solve(A, rhs, box, reference):
     permuted, which spares a gather of every index.  A coupling then joins
     two vertices at most (reach x the positions of one slice across the
     long axis x the vertices of one position) apart, and a Cholesky factor
-    has no fill outside the band (George & Liu, 1981).  The lower band is
-    copied into LAPACK's band storage from A, a canonical CSR
-    (reduced_system's), whose repeated pairs are summed already.  A pivot
-    that is not positive raises NoConvergence.  At debug level it logs
-    (_log_solve) the band width (subdiagonals) and the backward error,
-    computed only then, with the kinds and spread of the _SineReference
-    `reference` when the router built one.
+    has no fill outside the band (George & Liu, 1981); `width` is the
+    number of subdiagonals.  Each pair's entry lies in the lower band in
+    the column of its earlier vertex, and one bincount over the band
+    storage sums a repeated pair in the order in which block.matrix sums
+    it in the row of the later vertex: the pairs whose first end is the
+    later one, then those whose second end is, each in pair order.  So the
+    band holds the CSR's lower entries bit for bit, and no sparse matrix is
+    built.
     """
-    import scipy.linalg as sla
-    n = len(rhs)
-    axes = np.roll(np.arange(len(box.shape)), -int(np.argmax(box.shape)))
-    key = np.ravel_multi_index([box.columns[m] for m in axes], [box.shape[m] for m in axes])
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    cols, b, rank = A.indices, rhs, None
-    if np.any(key[1:] < key[:-1]):     # not in position order yet
-        order = np.argsort(key, kind="stable")
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        rows, cols, b = rank[rows], rank[cols], rhs[order]
-    lower = np.flatnonzero(rows >= cols)
-    c = cols[lower]
-    offset = rows[lower] - c
-    width = int(offset.max())
-    ab = np.zeros((width + 1, n), order="F")       # LAPACK's layout: no copy
-    ab[offset, c] = A.data[lower]
-    try:
-        y = sla.solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise NoConvergence(f"band Cholesky failed: {err}") from None
-    x = y if rank is None else y[rank]
-    if _log.isEnabledFor(logging.DEBUG):
-        _log_solve("band", box, reference, f"band width {width}",
-                   _backward_error(A.dot, x, rhs, abs(A).sum(axis=1).max()))
-    return x
+
+    def __init__(self, block, box):
+        self.block, self.box, n = block, box, len(block.diag)
+        longest, d = box.shape.index(max(box.shape)), len(box.shape)
+        axes = [*range(longest, d), *range(longest)]
+        key = np.ravel_multi_index([box.columns[m] for m in axes], [box.shape[m] for m in axes])
+        i, j, self.diag, self.order, self.rank = block.i, block.j, block.diag, None, None
+        if np.any(key[1:] < key[:-1]):     # not in position order yet
+            self.order = np.argsort(key, kind="stable")
+            self.rank = np.empty(n, dtype=np.intp)
+            self.rank[self.order] = np.arange(n)
+            i, j, self.diag = self.rank[i], self.rank[j], self.diag[self.order]
+        later = i > j           # the first end is the later vertex
+        rows = np.concatenate([i[later], j[~later]])
+        cols = np.concatenate([j[later], i[~later]]).astype(np.intp)
+        self.values = np.concatenate([block.off[later], block.off[~later]])
+        offset = rows - cols
+        self.width = int(offset.max(initial=0))
+        self.index = cols * (self.width + 1) + offset      # place in the band storage
+
+    def solve(self, rhs, reference=None):
+        """x with A x = rhs, rhs one column or several.  A pivot that is not
+        positive raises NoConvergence.  At debug level it logs (_log_solve)
+        the band width and the backward error, computed only then, with the
+        kinds and spread of the _SineReference `reference` when the router
+        built one."""
+        import scipy.linalg as sla
+        n, rows = len(self.diag), self.width + 1
+        # LAPACK's layout, (rows, n) in Fortran order: no copy; bincount
+        # returns integers when there are no pairs
+        ab = np.bincount(self.index, self.values, rows * n).astype(float, copy=False)
+        ab = ab.reshape(n, rows).T
+        ab[0] = self.diag
+        b = rhs if self.order is None else rhs[self.order]
+        try:
+            y = sla.solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise NoConvergence(f"band Cholesky failed: {err}") from None
+        x = y if self.rank is None else y[self.rank]
+        if _log.isEnabledFor(logging.DEBUG):
+            A = self.block.matrix
+            _log_solve("band", self.box, reference, f"band width {self.width}",
+                       _backward_error(A.dot, x, rhs, abs(A).sum(axis=1).max()))
+        return x
 
 
 _MG_MIN_DOFS = 6000     # free dofs from which a d >= 2 pinned solve may leave the band
@@ -480,18 +594,23 @@ class _Multigrid:
     def __init__(self, A, box):
         import scipy.linalg as sla
         self.levels = []            # (A, w D^-1, P, P^T) per level above the coarsest
-        blocks = (np.column_stack(box.columns) // _MG_BOX).astype(np.intp)
+        # each vertex's box, one contiguous column per axis, and the box
+        # grid's last index per axis, which the box sides give: the offsets
+        # run from 0 to side - 1
+        blocks = [(column // _MG_BOX).astype(np.intp) for column in box.columns]
+        last = [(side - 1) // _MG_BOX for side in box.shape]
         while A.shape[0] > _MG_COARSEST:
             # label each box by its rank among the occupied boxes in row-major
             # order (np.unique's labels), by a mask over the box grid
-            shape = tuple(blocks.max(axis=0) + 1)
-            key = np.ravel_multi_index(tuple(blocks.T), shape)
+            shape = tuple(top + 1 for top in last)
+            key = np.ravel_multi_index(blocks, shape)
             occupied = np.zeros(math.prod(shape), dtype=bool)
             occupied[key] = True
             labels = np.cumsum(occupied)[key] - 1
             kept = np.flatnonzero(occupied)
+            last = [top // 2 for top in last]
             if len(kept) == A.shape[0]:     # no box holds two vertices yet
-                blocks //= 2
+                blocks = [column // 2 for column in blocks]
                 continue
             diag = A.diagonal()
             weight = 4.0 / (3.0 * (abs(A).sum(axis=1).A1 / diag).max()) / diag
@@ -499,7 +618,7 @@ class _Multigrid:
             R = P.T.tocsr()
             self.levels.append((A, weight, P, R))
             A = R @ A @ P
-            blocks = np.column_stack(np.unravel_index(kept, shape)) // 2
+            blocks = [column // 2 for column in np.unravel_index(kept, shape)]
         self.coarsest = sla.cho_factor(A.toarray(), check_finite=False)
 
     def __call__(self, b):

@@ -31,7 +31,7 @@ from lattice_homog.bvp import (
     _fd_solve,
 )
 from lattice_homog.graph import PinnedProblem
-from lattice_homog.solve import _CG_TOL as GRID_TOL, _preconditioned_cg, pinned_solve
+from lattice_homog.solve import _CG_TOL as GRID_TOL, _preconditioned_cg
 
 import pinned_reference
 from conftest import layered_square_lattice, square_lattice
@@ -396,12 +396,12 @@ def grid_problem(A, omega, phi, h):
 
 def superlu_grid(A, omega, phi, h):
     """(grid values, midpoint energy) of grid_problem, reduced by the
-    reference assembly and solved by solve.pinned_solve's SuperLU route."""
+    reference assembly and solved by SuperLU."""
     points, problem = grid_problem(A, omega, phi, h)
     (ax, bx), (ay, by) = omega
     hx, hy = (bx - ax) / (points.shape[1] - 1), (by - ay) / (points.shape[2] - 1)
     u = problem.values.copy()
-    u[~problem.pinned] = pinned_solve(*pinned_reference.reduced_system(problem))
+    u[~problem.pinned] = pinned_reference.superlu_solve(*pinned_reference.reduced_system(problem))
     u = u.reshape(points.shape[1:])
     gx = (u[1:, :-1] + u[1:, 1:] - u[:-1, :-1] - u[:-1, 1:]) / (2 * hx)
     gy = (u[:-1, 1:] + u[1:, 1:] - u[:-1, :-1] - u[1:, :-1]) / (2 * hy)

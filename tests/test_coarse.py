@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 from fractions import Fraction
@@ -312,12 +313,16 @@ def test_harness_deterministic(examples):
 
 def test_harness_witness_is_the_earliest_tied_region(examples):
     # two-connectedness counts every edge alike, so the two axes of a square
-    # cell tie in exact arithmetic; on this R(3) the second axis rounds 11 ulp
-    # higher, and the witness is still the first axis
+    # cell tie in exact arithmetic; on this R(3) both axes round to the same
+    # float, and the witness is the first axis
     g = random_square_lattice(3, np.random.default_rng(1))
     two = check_two_connectedness(g)
-    assert two.worst_ratio.hex() == "0x1.8705bf37d4b02p-3"
+    assert two.worst_ratio.hex() == "0x1.8705bf37d4b0ap-3"
     assert two.witness == "extremal, pair (0, 0)->(1, 0)"
+    # a later ratio that rounds higher (11 ulp, as SuperLU rounded this R(3)'s
+    # second axis) does not take the witness
+    first, later = float.fromhex("0x1.8705bf37d4b02p-3"), float.fromhex("0x1.8705bf37d4b0dp-3")
+    assert coarse._largest([first, later], ["first", "second"]) == (later, "first")
     assert check_poincare_wirtinger(examples["ex5"]).witness == "extremal, cell (0,)"
     assert [r.witness for r in check_poincare(examples["ex5"], (32, 64))] == ["extremal"] * 2
 
@@ -415,6 +420,31 @@ def test_exact_ratios_bound_the_references(examples, name):
         assert rep.holds, (harness, rep.worst_ratio)
         assert trial[harness][0] <= rep.worst_ratio * (1 + 1e-12), harness
         assert rep.worst_ratio == pytest.approx(dense[harness], rel=1e-10, abs=0), harness
+
+
+@pytest.mark.parametrize("T, harness, route", [
+    (4, "poincare_wirtinger", "band"), (8, "poincare_wirtinger", "band"),
+    (12, "poincare_wirtinger", "band"), (16, "two_connectedness", "band"),
+    (16, "poincare_wirtinger", "superlu"),
+], ids=["R(4)-pw", "R(8)-pw", "R(12)-pw", "R(16)-two", "R(16)-pw"])
+def test_grounded_route_crossover(T, harness, route, caplog):
+    # the band work (width + 1) x rows x columns of each grounded solve is
+    # below solve._BAND_MAX_WORK on the first four (R(12)'s Poincare-Wirtinger
+    # region: 35 x 1 155 x 144), and R(16)'s Poincare-Wirtinger region
+    # (47 x 2 115 x 256) is above it
+    g = random_square_lattice(T, np.random.default_rng(20240811))
+    check = {"two_connectedness": check_two_connectedness,
+             "poincare_wirtinger": check_poincare_wirtinger}[harness]
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        report = check(g)
+    assert {record.getMessage().split(":")[0] for record in caplog.records} == {route}
+    # the augmented route needs each region's edges to join the vertices they touch
+    for *_, ends, _ in harness_reference.local_regions(g)[1][harness][1]:
+        touched = np.unique(ends)
+        edges = np.searchsorted(touched, ends)
+        assert connected_components(laplacian(len(touched), edges, np.ones(len(edges))))[0] == 1
+    want = harness_reference.augmented_worst(g, harness)
+    assert report.worst_ratio == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_two_connectedness_closed_forms(examples):

@@ -29,7 +29,6 @@ from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
 from lattice_homog.graph import FiniteGraph, PinnedProblem, _hnf_rows, position_box
-from lattice_homog.solve import pinned_solve
 
 import pinned_reference
 from conftest import (cube_lattice, layered_square_lattice, long_offset_chain,
@@ -420,7 +419,7 @@ def _superlu(problem):
     free = ~problem.pinned
     A, rhs = pinned_reference.reduced_system(problem)
     x = problem.values.copy()
-    x[free] = pinned_solve(A, rhs)
+    x[free] = pinned_reference.superlu_solve(A, rhs)
     return x
 
 
@@ -665,6 +664,23 @@ def test_band_route_matches_superlu(problem, caplog):
     assert abs(problem.energy(x) - problem.energy(want)) <= 1e-13 * problem.energy(want)
 
 
+@pytest.mark.parametrize("problem", [*BAND.values(), _loop_and_zero_problem()],
+                         ids=[*BAND.keys(), "loop-and-zero"])
+def test_band_fill_matches_the_csr_copy(problem, monkeypatch):
+    # the band filled from the pairs holds the CSR's lower entries bit for
+    # bit, repeated pairs summed in the CSR's order, so the solution is the
+    # CSR copy's; and the band route builds no CSR
+    free = ~problem.pinned
+    A, rhs = problem.reduced_system()
+    want = problem.values.copy()
+    want[free] = pinned_reference.band_solve(A, rhs, problem.positions[free])
+    built, matrix = [], solve.FreeBlock.matrix
+    monkeypatch.setattr(solve.FreeBlock, "matrix",
+                        property(lambda block: built.append(block) or matrix.func(block)))
+    assert np.array_equal(problem.solve(), want)
+    assert built == []
+
+
 @pytest.mark.parametrize("omega", [WIDE, WIDE[::-1]], ids=["wide", "tall"])
 def test_band_runs_along_the_long_side(omega, caplog):
     # the 9-point grid reaches one position along each axis, and a slice
@@ -693,6 +709,22 @@ def test_band_route_solves_loop_and_zero_problem(caplog):
     dense = np.linalg.solve(A.toarray(), rhs)
     assert dofs == len(rhs) and np.array_equal(x[problem.pinned], problem.values[problem.pinned])
     assert np.abs(x[~problem.pinned] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_band_route_solves_free_vertices_without_pairs():
+    # no edge joins two free vertices: the band is the diagonal alone, with
+    # no pair to fill it, and each free value is its neighbours' weighted
+    # mean, up to the rounding of the Cholesky factor's square roots
+    positions = np.array([[0, 0], [1, 0], [2, 0], [1, 1]])
+    coef = np.array([1.0, 3.5, 2.5])
+    problem = PinnedProblem(positions, np.zeros(4, dtype=int), np.array([[0, 1], [1, 2], [3, 0]]),
+                            coef, np.array([True, False, True, False]),
+                            np.array([0.0, 0.0, 1.0, 0.0]))
+    assert np.abs(problem.solve() - [0.0, 3.5 / 4.5, 1.0, 0.0]).max() <= 1e-15
+    # a star grounded at its centre
+    X = graph.grounded_solve(positions, np.array([[0, 1], [0, 2], [3, 0]]), coef, 0,
+                             np.array([[-3.0], [2.0], [3.5], [-2.5]]))
+    assert np.abs(X.ravel() - [0.0, 2.0, 1.0, -1.0]).max() <= 1e-15
 
 
 def _multigrid_lines(caplog, problem):
@@ -826,20 +858,34 @@ def _uneven_problem():
     return build_system(DirichletProblem(_uneven_lattice(), SQUARE, "1/80", phi))
 
 
+def _grounded_grid(side, columns):
+    """grounded_solve's arguments on a side x side grid of unit bonds,
+    grounded at vertex 0, with the columns e_i - mean over the first
+    `columns` vertices: side^2 - 1 free rows and a band side wide."""
+    positions = np.array([(x, y) for x in range(side) for y in range(side)])
+    index = np.arange(side * side).reshape(side, side)
+    ends = np.vstack([np.column_stack([index[:-1].ravel(), index[1:].ravel()]),
+                      np.column_stack([index[:, :-1].ravel(), index[:, 1:].ravel()])])
+    rhs = np.zeros((side * side, columns))
+    rhs[:columns] = np.eye(columns) - 1.0 / columns
+    return positions, ends, np.ones(len(ends)), 0, rhs
+
+
 def test_pinned_solve_routes(examples, monkeypatch, caplog):
-    # pinned_solve imports scipy.sparse.linalg when it is called, so the
+    # columns_solve imports scipy.sparse.linalg when it is called, so the
     # SuperLU spy sits on that module
     import scipy.sparse.linalg as spla
     calls = []
 
-    def spy(route, solve):
-        def call(A, *args, **options):
-            calls.append((route, A.shape[0]))
-            return solve(A, *args, **options)
+    def spy(route, solve, rows=lambda A, *args: A.shape[0]):
+        def call(*args, **options):
+            calls.append((route, rows(*args)))
+            return solve(*args, **options)
         return call
 
     monkeypatch.setattr(spla, "spsolve", spy("superlu", spla.spsolve))
-    monkeypatch.setattr(solve, "_band_solve", spy("band", solve._band_solve))
+    monkeypatch.setattr(solve._Band, "solve",
+                        spy("band", solve._Band.solve, lambda band, rhs, *args: len(rhs)))
     # the sine and multigrid routes share _cg_solve, whose last argument names the route
     cg = solve._cg_solve
     monkeypatch.setattr(solve, "_cg_solve", lambda *args: spy(args[-1], cg)(*args))
@@ -848,21 +894,35 @@ def test_pinned_solve_routes(examples, monkeypatch, caplog):
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
     sine, contrast = _multigrid_problems()                        # 7 938 and 6 561
     uneven = _uneven_problem()                                    # 7 450, uneven kinds
+    # the grounded solves of the inequality harnesses: a triangle takes the
+    # band, and 320 columns on a 40 x 40 grid, whose band work
+    # 41 x 1 599 x 320 exceeds _BAND_MAX_WORK, take SuperLU
+    wide = _grounded_grid(40, 320)
+    assert (40 + 1) * (40 * 40 - 1) * 320 > solve._BAND_MAX_WORK
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         for problem in (below, chain, sine, contrast, uneven):
             problem.solve()
-        # the grounded solves of the inequality harnesses come without positions
         ends = np.array([[0, 1], [1, 2], [2, 0]])
-        graph.grounded_solve(3, ends, np.ones(3), 0, np.array([[2.0], [-1.0], [-1.0]]))
+        graph.grounded_solve(np.array([[0], [1], [2]]), ends, np.ones(3), 0,
+                             np.array([[2.0], [-1.0], [-1.0]]))
+        X = graph.grounded_solve(*wide)
     assert calls == [("band", (~below.pinned).sum()), ("band", (~chain.pinned).sum()),
                      ("sine", (~sine.pinned).sum()), ("band", (~contrast.pinned).sum()),
-                     ("multigrid", (~uneven.pinned).sum()), ("superlu", 2)]
+                     ("multigrid", (~uneven.pinned).sum()), ("band", 2), ("superlu", 1599)]
     assert calls[0][1] < solve._MG_MIN_DOFS <= min(count for _, count in calls[1:5])
     # each route logs one debug line, the SuperLU one with its nonzeros
     lines = [record.getMessage() for record in caplog.records]
     assert [line.split(":")[0] for line in lines] == [route for route, _ in calls]
-    superlu = re.fullmatch(r"superlu: free dofs 2, nnz 4, backward error (\S+)", lines[-1])
-    assert superlu and float(superlu[1]) <= 1e-15
+    band = re.fullmatch(r"band: free dofs 2, box 2, kinds -, spread -, band width 1, "
+                        r"backward error (\S+)", lines[-2])
+    assert band and float(band[1]) <= 1e-15
+    superlu = re.fullmatch(r"superlu: free dofs 1599, nnz (\d+), backward error (\S+)", lines[-1])
+    assert superlu and int(superlu[1]) == 1599 + 2 * (2 * 40 * 39 - 2)
+    assert float(superlu[2]) <= 1e-15
+    # L X = rhs off the grounded vertex
+    positions, ends, coef, source, rhs = wide
+    L = graph.laplacian(len(positions), ends, coef)
+    assert np.abs(L @ X - rhs)[1:].max() <= 1e-12 and not X[source].any()
 
 
 def _sine_lines(caplog, problem):
@@ -972,14 +1032,14 @@ def _free_positions(monkeypatch, run):
     """The sorted distinct free d-positions of each PinnedProblem solved or
     reduced by `run()`."""
     seen = []
-    build = PinnedProblem.reduced_system
+    build = PinnedProblem._free_system
 
     def recording(problem):
         seen.append(sorted({tuple(x) for x in problem.positions[~problem.pinned].tolist()}))
         return build(problem)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PinnedProblem, "reduced_system", recording)
+        patch.setattr(PinnedProblem, "_free_system", recording)
         run()
     return seen
 

@@ -21,31 +21,31 @@ from conftest import (chain_graph, layered_square_lattice, random_square_lattice
 #        two-connectedness worst ratio, Poincare-Wirtinger worst ratio)
 PINNED = {
     'ex1': ((2.4, 8.0, 2, 4, 4, 1.0, 3, 10),
-           0.16666666666666669, 0.08689926270013795),
+           0.1666666666666667, 0.08689926270013798),
     'ex2': ((2.0, 1.0, 1, 2, 1, 1.0, 2, 2),
-           0.125, 0.25),
+           0.12499999999999999, 0.24999999999999997),
     'ex3': ((0.5, 2.0, 2, 1, 2, 1.0, 1, 2),
-           0.4, 0.125),
+           0.4000000000000001, 0.12499999999999999),
     'ex4': ((0.5, 1.0, 1, 1, 1, 1.0, 1, 2),
-           0.375, 0.25),
+           0.375, 0.24999999999999997),
     'ex5': ((3.2, 7.2, 4, 4, 3, 1.0, 4, 12),
-           0.3062499999999999, 0.13385443720487053),
+           0.3062499999999986, 0.1338544372048706),
     'ex6': ((1.5, 3.0, 2, 3, 2, 1.0, 2, 6),
-           0.24999999999999992, 0.0833333333333333),
+           0.25000000000000017, 0.0833333333333333),
     'chain': ((1.0, 0.0, 1, 1, 0, 1.0, 1, 1),
-             0.5, 0.0),
+             0.49999999999999994, 0.0),
     'square': ((1.0, 0.0, 1, 1, 0, 0.5, 1, 1),
-              0.5, 0.0),
+              0.49999999999999994, 0.0),
     'skew': ((1.0, 0.0, 1, 1, 0, 0.25, 1, 1),
-            0.5, 0.0),
+            0.49999999999999994, 0.0),
     'layered': ((0.5, 3.0, 1, 1, 1, 0.3333333333333333, 1, 2),
                0.5, 0.08333333333333333),
     'random4': ((1.0, 36.5015799162784, 4, 4, 6, 0.5753175629155369, 4, 56),
-               0.17838104249233408, 0.013785389635773533),
+               0.17838104249233477, 0.013785389635773498),
     'layered_T2': ((0.5, 18.0, 2, 2, 3, 0.3333333333333333, 2, 16),
-                  0.17894146878314107, 0.008694226786626583),
+                  0.1789414687831411, 0.00869422678662659),
     'layered_T4': ((0.5, 55.78125, 4, 4, 7, 0.3333333333333333, 4, 85),
-                  0.13399056275851629, 0.008201022999590371),
+                  0.13399056275851534, 0.00820102299959035),
 }
 
 

@@ -3,25 +3,29 @@ eigensolve, one dense coarse factorization, one conjugate-gradient loop,
 one pinned-box problem and two dense inverses, and one module of solves.
 
 Every solve and every route choice is in solve.py: the route constants are
-assigned there and nowhere else.  The window and the Dirichlet problems,
-and the grounded Laplacian solves of the local inequality harnesses
-(graph.grounded_solve), are solved by solve.pinned_solve, so a change of
-solver or ordering is made in one function.  It has four routes, and one
-function (solve._pinned_route) chooses among the three for systems that
-come with the positions of their free vertices (every PinnedProblem) and
-returns the function that runs it.  Banded Cholesky in position order
-(solveh_banded, in solve._band_solve, which only the router calls) solves
-them when d = 1, when they are small, and when their couplings spread too
-widely for the sine route and the band fits its memory cap.  Conjugate
-gradients (solve._cg_solve) preconditioned by the inverse of the system's
-mean-weight reference by dense sine transforms (solve._SineReference)
-solve the large d >= 2 systems whose free vertices fill their box evenly,
-whose reference is positive definite and whose couplings and sides are
-within the route's caps.  The same CG solve preconditioned by a
-smoothed-aggregation V-cycle (solve._Multigrid), whose coarsest level is
-solved by dense Cholesky (cho_factor / cho_solve), in solve.py only,
-solves the other large ones.  A system without positions (grounded_solve)
-goes to SuperLU (spsolve).  The window, Dirichlet and Poincare problems
+assigned there and nowhere else.  The window and the Dirichlet problems
+are solved by solve.pinned_solve, and the grounded Laplacian solves of the
+local inequality harnesses (graph.grounded_solve) by solve.columns_solve,
+so a change of solver or ordering is made in one function.  Both take the
+free block as its pairs (solve.FreeBlock), which builds its CSR only when
+a route asks for it.  One function (solve._pinned_route) chooses among
+three routes for a PinnedProblem and returns the function that runs it.
+Banded Cholesky in position order (solveh_banded, in solve._Band.solve,
+whose band is filled straight from the pairs; only the router and
+columns_solve build a _Band) solves them when d = 1, when they are small,
+and when their couplings spread too widely for the sine route and the band
+fits its memory cap.  Conjugate gradients (solve._cg_solve) preconditioned
+by the inverse of the system's mean-weight reference by dense sine
+transforms (solve._SineReference) solve the large d >= 2 systems whose
+free vertices fill their box evenly, whose reference is positive definite
+and whose couplings and sides are within the route's caps.  The same CG
+solve preconditioned by a smoothed-aggregation V-cycle (solve._Multigrid),
+whose coarsest level is solved by dense Cholesky (cho_factor / cho_solve),
+in solve.py only, solves the other large ones.  The grounded solves take
+the band too, and SuperLU (spsolve, in solve.columns_solve only) when
+their band work is above the crossover.  No Laplacian is sliced by fancy
+indexing (L[free][:, free]): every free block comes from one pass over the
+edges.  The window, Dirichlet and Poincare problems
 are each a graph.PinnedProblem, which assembles its reduced system
 (`reduced_system`) and solves it, so nothing outside graph.py calls
 `laplacian`, `reduced_system` or `pinned_solve` as a function of the graph
@@ -94,12 +98,41 @@ def _uses(names, attribute):
 
 
 def test_one_sparse_solve():
-    assert _uses(SOLVERS, lambda node: True) == [("solve.pinned_solve", "spsolve")]
+    # the grounded fallback of the harness solves
+    assert _uses(SOLVERS, lambda node: True) == [("solve.columns_solve", "spsolve")]
 
 
 def test_one_band_solve():
-    assert _uses({"solveh_banded"}, lambda node: True) == [("solve._band_solve", "solveh_banded")]
-    assert _uses({"_band_solve"}, lambda node: True) == [("solve._pinned_route", "_band_solve")]
+    # solveh_banded only in the band filled from the pairs
+    assert _uses({"solveh_banded"}, lambda node: True) == [("solve._Band.solve", "solveh_banded")]
+    assert sorted(_uses({"_Band"}, lambda node: True)) == [
+        ("solve._pinned_route", "_Band"), ("solve.columns_solve", "_Band")]
+
+
+def _fancy_slices():
+    """(module.scope, source) of each row selection followed by a column
+    selection, both by an index array, such as L[free][:, free], in src/."""
+    found = []
+
+    def by_array(index):
+        return not isinstance(index, (ast.Constant, ast.Slice, ast.Tuple))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Subscript) and isinstance(child.value, ast.Subscript)
+                    and by_array(child.value.slice) and isinstance(child.slice, ast.Tuple)
+                    and len(child.slice.elts) == 2 and isinstance(child.slice.elts[0], ast.Slice)
+                    and by_array(child.slice.elts[1])):
+                found.append((scope, ast.unparse(child)))
+            visit(child, f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_no_laplacian_is_sliced():
+    assert _fancy_slices() == []
 
 
 def test_one_shift_invert_eigensolve():
@@ -134,7 +167,7 @@ def test_two_dense_inverses():
 
 
 def test_route_constants_only_in_solve():
-    named = {"DENSE_MAX_NODES", "PCG_MIN_NODES", "_BAND_MAX_BYTES", "_CG_TOL"}
+    named = {"DENSE_MAX_NODES", "PCG_MIN_NODES", "_BAND_MAX_BYTES", "_BAND_MAX_WORK", "_CG_TOL"}
     found = sorted({(path.stem, node.id) for path in SRC.glob("*.py")
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
