@@ -328,7 +328,8 @@ def _fd_solve(A, omega, phi, h):
         padded[1:-1, 1:-1] = x
         return stencil(padded)
 
-    (Sx, mx), (Sy, my) = _sine_basis(nx), _sine_basis(ny)
+    Sx, mx = _sine_basis(nx)
+    Sy, my = (Sx, mx) if ny == nx else _sine_basis(ny)     # a square grid builds one
     axis = cxx * mx[:, None] + cyy * my[None, :]
     precondition = lambda r: _sine_solve((Sx, Sy), axis, r)
 

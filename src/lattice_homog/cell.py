@@ -44,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDirection, NoConvergence
-from .solve import _corrector_route, _preconditioned_cg
+from .solve import _EPS, _corrector_route, _preconditioned_cg
 
 CONVENTIONS = ("double", "single")
-_EPS = float(np.finfo(float).eps)
 _log = logging.getLogger("lattice_homog")
 
 

@@ -777,8 +777,9 @@ class PinnedProblem:
         """(FreeBlock of A_ff, rhs, the free vertices with a pinned neighbour)
         of the free vertices, from one pass over the edges (_free_block),
         without the rows of the pinned vertices: rhs sums coef * value over
-        the free-pinned edges.  Loops and zero coefficients leave no entry,
-        so A_ff is the free-free block of `laplacian`.  Each sum runs in the
+        the free-pinned edges, and the block's `pinned` their coef, per free
+        vertex.  Loops and zero coefficients leave no entry, so A_ff is the
+        free-free block of `laplacian`.  Each sum runs in the
         order in which `laplacian` sums it (in rhs, each pinned neighbour's
         summed coefficient times its value by increasing vertex), so the
         systems of the tests equal that block and -L_fp values_p bit for
@@ -797,6 +798,7 @@ class PinnedProblem:
         head[1:] = (near[1:] != near[:-1]) | (far[1:] != far[:-1])
         coupling = np.bincount(np.cumsum(head) - 1, coupling)
         rhs = np.bincount(near[head], coupling * self.values[far[head]], len(block.diag))
+        block.pinned = np.bincount(near[head], coupling, len(block.diag))
         return block, rhs, near
 
     def _check_anchored(self, search, near):
@@ -821,11 +823,17 @@ class PinnedProblem:
                 f"{np.flatnonzero(~self.pinned)[members[0]]} among its vertices) has no "
                 "pinned neighbour: the reduced system is singular")
 
-    def solve(self):
+    def solve(self, *, _certified=None):
         """x minimizing the energy with x = values on the pinned vertices, by
         solve.pinned_solve from the free values.  A band_first system builds
         no sparse matrix: its singularity check searches the adjacency of
-        its pairs (_adjacency), and the band reads the pairs."""
+        its pairs (_adjacency), and the band reads the pairs.
+
+        `_certified` is asymptotic.finite_window_value's: a function that
+        returns (start, c), a start on the free vertices and the energy
+        scale of the sine route's certified stop, which that route calls
+        where its reference certifies the bound and every other route
+        ignores (solve.pinned_solve)."""
         if self.pinned.all():
             return self.values.copy()
         free = ~self.pinned
@@ -835,7 +843,7 @@ class PinnedProblem:
         self._check_anchored(_adjacency(len(rhs), block.i, block.j) if band else block.matrix,
                              near)
         out = self.values.copy()
-        out[free] = pinned_solve(block, rhs, self.values[free], positions)
+        out[free] = pinned_solve(block, rhs, self.values[free], positions, _certified)
         return out
 
     def energy(self, x):

@@ -13,13 +13,16 @@ conjugate gradients from the given values (_cg_solve), stopped on a
 backward-error test and preconditioned either by the inverse of the
 system's mean-weight reference on its box by sine transforms
 (_SineReference) or by a smoothed-aggregation V-cycle whose aggregates
-are boxes of positions (_Multigrid).  columns_solve solves the grounded
-Laplacians of the local harnesses (graph.grounded_solve), many columns on
-one factor: by the same band, or by SuperLU when the band work is above a
-measured crossover.  _preconditioned_cg is the package's one
-conjugate-gradient loop: the two CG pinned routes, the continuum grid of
-bvp and the cell corrector (cell.solve_corrector, for cells above the
-dense ceiling or when the direct product misses its tolerance) run it.
+are boxes of positions (_Multigrid).  The window value alone has the sine
+route start from the two-scale field and stop on a certified energy bound
+where the reference is edgewise below A_ff (_SineReference.certificate).
+columns_solve solves the grounded Laplacians of the local harnesses
+(graph.grounded_solve), many columns on one factor: by the same band, or
+by SuperLU when the band work is above a measured crossover.
+_preconditioned_cg is the package's one conjugate-gradient loop: the two
+CG pinned routes, the continuum grid of bvp and the cell corrector
+(cell.solve_corrector, for cells above the dense ceiling or when the
+direct product misses its tolerance) run it.
 The module imports nothing from graph, and scipy only where it calls it.
 """
 
@@ -34,6 +37,7 @@ import numpy as np
 from .errors import NoConvergence
 
 _log = logging.getLogger("lattice_homog")
+_EPS = float(np.finfo(float).eps)
 
 # Largest cell solved with the dense exact inverse, and smallest cell that
 # runs FFT-preconditioned CG (the sweep is in cell.solve_corrector).
@@ -56,25 +60,43 @@ class FreeBlock:
     it in one pass over the edges): the two ends i and j (i != j) and the
     entry off = -coef of each edge between free vertices, an edge of a
     repeated pair adding to it, and the diagonal `diag`.  Index arrays are
-    int32 when the matrix fits them.  `matrix` is the canonical CSR, built
-    on first use: the sine and multigrid routes, SuperLU and
-    coarse.check_poincare's eigensolve read it, the band reads the pairs."""
+    int32 when the matrix fits them.  `pinned`, None until the builder sets
+    it (graph.PinnedProblem does), is the sum of each free vertex's
+    couplings to pinned vertices, which the sine route's energy certificate
+    reads.  `matrix` is the canonical CSR, built on first use: the sine and
+    multigrid routes, SuperLU and coarse.check_poincare's eigensolve read
+    it, the band reads the pairs (`pairs`)."""
 
     def __init__(self, i, j, off, diag):
-        self.i, self.j, self.off, self.diag = i, j, off, diag
+        self.i, self.j, self.off, self.diag, self.pinned = i, j, off, diag, None
 
     @cached_property
     def matrix(self):
         """The CSR of A_ff: one COO to CSR conversion of the pairs, both
         ways, and the diagonal, which sums repeated pairs in the order in
         which graph.laplacian sums them (the pairs with the row as first
-        end, then those with it as second end) and copies no index array."""
+        end, then those with it as second end) and copies no index array.
+        The CSR replaces the pairs, which are dropped (`pairs`)."""
         import scipy.sparse as sp
         nf, i, j, off = len(self.diag), self.i, self.j, self.off
         diagonal = np.arange(nf, dtype=i.dtype)
-        return sp.csr_matrix((np.concatenate([off, off, self.diag]),
-                              (np.concatenate([i, j, diagonal]),
-                               np.concatenate([j, i, diagonal]))), shape=(nf, nf))
+        A = sp.csr_matrix((np.concatenate([off, off, self.diag]),
+                           (np.concatenate([i, j, diagonal]),
+                            np.concatenate([j, i, diagonal]))), shape=(nf, nf))
+        self.i = self.j = self.off = None
+        return A
+
+    def pairs(self):
+        """(i, j, off): the pairs, or, once `matrix` has replaced them, its
+        strict lower triangle, one pair per entry.  The CSR has summed the
+        repeated pairs in the order in which _Band sums them, so _Band
+        fills the same band from either, bit for bit."""
+        if self.i is not None:
+            return self.i, self.j, self.off
+        A = self.matrix
+        rows = np.repeat(np.arange(len(self.diag), dtype=A.indices.dtype), np.diff(A.indptr))
+        lower = np.flatnonzero(A.indices < rows)
+        return rows[lower], A.indices[lower], A.data[lower]
 
 
 def band_first(n, d):
@@ -85,7 +107,7 @@ def band_first(n, d):
     return d == 1 or n < _MG_MIN_DOFS
 
 
-def pinned_solve(block, rhs, start, positions):
+def pinned_solve(block, rhs, start, positions, certified=None):
     """x with A x = rhs, for the FreeBlock `block` of A_ff and the rhs of a
     pinned problem (PinnedProblem), symmetric positive definite, and the
     free vertices' d-positions `positions`.
@@ -103,10 +125,15 @@ def pinned_solve(block, rhs, start, positions):
       aggregation V-cycle (_Multigrid).
     Both CG routes (_cg_solve) start from `start` (zeros when None) and stop
     at a backward error of _CG_TOL; a cap of _MG_MAX_STEPS steps raises
-    NoConvergence naming the route, with the backward error reached.  Each
-    route logs one line to the `lattice_homog` logger at debug level
-    (_log_solve); the band computes its backward error only when that level
-    is enabled.
+    NoConvergence naming the route, with the backward error reached.
+    `certified`, a function returning (start, c) that only the window value
+    passes (asymptotic.finite_window_value, through PinnedProblem.solve),
+    makes the sine route start from that start instead and also stop once
+    the energy error is at most eps c, where its reference certifies
+    A >= rho Ref (_SineReference.certificate); every other route, and the
+    sine route where the reference cannot certify it, never calls it.  Each route logs
+    one line to the `lattice_homog` logger at debug level (_log_solve); the
+    band computes its backward error only when that level is enabled.
 
     The band grows as the box's cross-section, so the factor costs about
     n x width^2; the multigrid steps do not grow with the system, and
@@ -140,13 +167,27 @@ def pinned_solve(block, rhs, start, positions):
     method.  CG starts from the given values of the free vertices: the
     affine field on a window, which leaves only the corrector to find (20
     multigrid steps from zero on R4, 86 on KD(4, 100)), and zeros in the
-    Dirichlet problem.  The CG
-    solutions agree with SuperLU to 5.5e-13 in max-norm relative (2.3e-11
-    at contrast 100), the band solutions to about 1e-12.  At contrast 2 the
-    band and multigrid times break even near 10 000 free dofs (R4 windows
-    from K = 26 to 32).
+    Dirichlet problem.  The window value runs the sine route from the
+    two-scale field, which leaves only the boundary layer, with the
+    certified stop.  The sine windows above by a later run of the same
+    method, the KD ones with the spread cap lifted: the sine route as
+    timed above (residual stop, affine start) and as the window value runs
+    it, in ms, with their steps and rho:
+
+        window           residual  steps  certified  steps  rho
+        R4 K=32          6.2       15     4.6        9      0.516
+        R4 K=48          19.6      15     13.7       9      0.515
+        R4 K=64          42.5      15     29.9       9      0.515
+        KD(4,3) K=32     8.9       23     6.3        14     0.366
+        KD(4,5) K=32     11.9      33     8.7        21     0.2
+        KD(4,10) K=32    19.1      53     13.8       37     0.0791
+
+    The CG solutions agree with SuperLU to 5.5e-13 in max-norm relative
+    (2.3e-11 at contrast 100), the band solutions to about 1e-12.  At
+    contrast 2 the band and multigrid times break even near 10 000 free
+    dofs (R4 windows from K = 26 to 32).
     """
-    x = _pinned_route(block, positions)(rhs, start)
+    x = _pinned_route(block, positions)(rhs, start, certified)
     if not np.all(np.isfinite(x)):
         raise NoConvergence("pinned solve produced non-finite values")
     return x
@@ -169,20 +210,24 @@ _BAND_MAX_BYTES = 2 ** 24
 
 def _pinned_route(block, positions):
     """The route of pinned_solve for the FreeBlock `block` with free
-    d-positions `positions`: the function (rhs, start) -> x that solves
-    A x = rhs by it, with the positions' _Box, built here once, and the
-    _SineReference, when one was built, bound.
+    d-positions `positions`: the function (rhs, start, certified) -> x that
+    solves A x = rhs by it, with the positions' _Box, built here once, and
+    the _SineReference, when one was built, bound.
 
     band_first systems go to the band without a look at the system or a
     sparse matrix.  Every larger system builds its CSR (block.matrix) and
     its sine reference, which also measures the coupling spread, and takes
     the sine route when the reference is positive definite, the spread at
     most _SINE_MAX_SPREAD and the longest side at most _SINE_MAX_SIDE.
-    Failing that, a system whose spread exceeds _SINE_MAX_SPREAD, where the
-    CG steps of both iterative routes grow, goes to the band (from the same
-    pairs) when its band storage fits in _BAND_MAX_BYTES, and every other
-    one to multigrid: boxes with uneven positions, singular references,
-    long sides and large high-contrast systems.
+    Given `certified`, the sine route calls it where the reference
+    certifies its bound (_SineReference.certificate) and runs CG from the
+    start and with the energy stop of the energy c that it returns; it
+    ignores `certified` otherwise, as every other route does.  Failing
+    that, a system whose spread exceeds _SINE_MAX_SPREAD, where the CG
+    steps of both iterative routes grow, goes to the band (from the same
+    pairs, FreeBlock.pairs) when its band storage fits in _BAND_MAX_BYTES,
+    and every other one to multigrid: boxes with uneven positions, singular
+    references, long sides and large high-contrast systems.
     """
     n, d = positions.shape
     box = _Box(positions)
@@ -194,11 +239,15 @@ def _pinned_route(block, positions):
             band = (reference.band_width() + 1) * n * 8 <= _BAND_MAX_BYTES
         elif (reference is not None and max(reference.shape) <= _SINE_MAX_SIDE
               and reference.invert()):
-            return lambda rhs, start: _cg_solve(A, rhs, start, box, reference, reference, "sine")
+            def sine(rhs, start, certified):
+                rho = None if certified is None else reference.certificate(block.pinned, box)
+                start, energy = (start, 0.0) if rho is None else certified()
+                return _cg_solve(A, rhs, start, box, reference, reference, "sine", rho, energy)
+            return sine
     if band:
-        return lambda rhs, start: _Band(block, box).solve(rhs, reference)
-    return lambda rhs, start: _cg_solve(A, rhs, start, box, reference, _Multigrid(A, box),
-                                        "multigrid")
+        return lambda rhs, start, certified: _Band(block, box).solve(rhs, reference)
+    return lambda rhs, start, certified: _cg_solve(A, rhs, start, box, reference,
+                                                   _Multigrid(A, box), "multigrid")
 
 
 # Band work (width + 1) x rows x columns above which columns_solve leaves
@@ -321,11 +370,30 @@ class _SineReference:
     kinds x kinds blocks once and says whether they are all positive
     definite.  One application is two sine transforms of the grid, one
     dense product per axis (_sine_transform), and a scaled copy between.
+
+    The certificate A >= rho Ref, Ref = M^-1, holds under three conditions:
+    - one kind per position;
+    - every class an axis shift of 1 that every position pair of the box
+      carries.  Ref is then, in the vertex basis, the sum over the axes m
+      of the class mean c_m times the Laplacian of the neighbour pairs
+      along m, plus c_m e_p e_p^T for each neighbour of p along m outside
+      the box (a Dirichlet term), and `least` is the least ratio of a
+      coupling to its class mean (None where a condition fails);
+    - every Dirichlet term covered by couplings to pinned vertices: with
+      h_p the sum of p's couplings to pinned vertices (FreeBlock.pinned),
+      A is the sum of c_pq (e_p - e_q)(e_p - e_q)^T over its pairs plus
+      diag(h), so with
+          rho = min(least, min_p h_p / (the Dirichlet terms of p)) > 0
+      A - rho Ref is a sum of positive semidefinite terms (`certificate`).
+    Then r^T A^-1 r <= r.Mr / rho for every r, which bounds the energy
+    error of a CG iterate with residual r (_cg_solve).  A vertex's terms
+    are compared as a sum, which the matching of each Dirichlet term by
+    one free-pinned coupling of its class implies.
     """
 
-    def __init__(self, shape, kinds, slot, classes, spread):
+    def __init__(self, shape, kinds, slot, classes, spread, least):
         self.shape, self.kinds, self.slot = shape, kinds, slot
-        self.classes, self.spread = classes, spread
+        self.classes, self.spread, self.least = classes, spread, least
         self.bases = self.symbol = self.inverse = None
 
     @classmethod
@@ -373,19 +441,22 @@ class _SineReference:
         del i, j, shift
         total = np.bincount(label, coupling, math.prod(dims))
         members = np.bincount(label, minlength=math.prod(dims))
-        spread = math.inf
+        spread = least = math.inf
         if len(coupling) and coupling.min() > 0:
             ratio = (total / np.maximum(members, 1))[label]
             np.divide(coupling, ratio, out=ratio)
-            spread = float(ratio.max() / ratio.min())
+            least = float(ratio.min())
+            spread = float(ratio.max()) / least
         classes = []                    # (a, b, shift per axis, W) per class
         for flat in np.flatnonzero(members):
             a, b, *s = (int(x) for x in np.unravel_index(flat, dims))
             pairs = math.prod(side - t for side, t in zip(shape, s))
             classes.append((a, b, s, total[flat] * (2.0 if a == b else 1.0) / pairs))
+            if kinds > 1 or sum(s) != 1 or members[flat] != pairs:
+                least = None            # the reference is not edgewise below A
         slot = kind * cells + key       # each vertex's place in the (kind, box) grid
         return cls(shape, kinds, None if np.array_equal(slot, np.arange(n)) else slot,
-                   classes, spread)
+                   classes, spread, None if least == math.inf else least)
 
     def band_width(self):
         """An upper bound on the subdiagonals of A in _Band's order
@@ -395,6 +466,23 @@ class _SineReference:
         reach = max((int(np.ravel_multi_index([s[m] for m in axes], sides))
                      for _, _, s, _ in self.classes), default=0)
         return self.kinds * reach + self.kinds - 1
+
+    def certificate(self, pinned, box):
+        """rho > 0 with A >= rho Ref (the class docstring) for the couplings
+        to pinned vertices `pinned` (FreeBlock.pinned) of the vertices in
+        the _Box `box`, or None when `least` or `pinned` is None or some
+        vertex's couplings to pinned vertices leave its Dirichlet terms
+        uncovered."""
+        if self.least is None or pinned is None:
+            return None
+        dirichlet = np.zeros(len(pinned))   # each vertex's Dirichlet terms
+        for _, _, s, weight in self.classes:
+            m = s.index(1)                  # the class mean c_m is weight / 2
+            dirichlet += 0.5 * weight * ((box.columns[m] == 0).astype(float)
+                                         + (box.columns[m] == self.shape[m] - 1))
+        face = dirichlet > 0
+        rho = min(self.least, float((pinned[face] / dirichlet[face]).min(initial=math.inf)))
+        return rho if rho > 0 and pinned.min() >= 0 else None
 
     def invert(self):
         """Evaluate the symbol at every sine frequency and invert its blocks;
@@ -423,7 +511,8 @@ class _SineReference:
             self.inverse = _block_inverse(symbol)
             if self.inverse is None:
                 return False
-        self.bases = [_sine_basis(side + 1)[0] for side in self.shape]
+        bases = {side: _sine_basis(side + 1)[0] for side in set(self.shape)}     # once per side
+        self.bases = [bases[side] for side in self.shape]
         return True
 
     def __call__(self, r):
@@ -525,7 +614,7 @@ class _Band:
         longest, d = box.shape.index(max(box.shape)), len(box.shape)
         axes = [*range(longest, d), *range(longest)]
         key = np.ravel_multi_index([box.columns[m] for m in axes], [box.shape[m] for m in axes])
-        i, j, self.diag, self.order, self.rank = block.i, block.j, block.diag, None, None
+        (i, j, off), self.diag, self.order, self.rank = block.pairs(), block.diag, None, None
         if np.any(key[1:] < key[:-1]):     # not in position order yet
             self.order = np.argsort(key, kind="stable")
             self.rank = np.empty(n, dtype=np.intp)
@@ -534,7 +623,7 @@ class _Band:
         later = i > j           # the first end is the later vertex
         rows = np.concatenate([i[later], j[~later]])
         cols = np.concatenate([j[later], i[~later]]).astype(np.intp)
-        self.values = np.concatenate([block.off[later], block.off[~later]])
+        self.values = np.concatenate([off[later], off[~later]])
         offset = rows - cols
         self.width = int(offset.max(initial=0))
         self.index = cols * (self.width + 1) + offset      # place in the band storage
@@ -654,18 +743,30 @@ def _smoothed_prolongator(A, labels, count, weight):
     return P0 - S
 
 
-def _cg_solve(A, rhs, start, box, reference, precondition, name):
+def _cg_solve(A, rhs, start, box, reference, precondition, name, rho=None, energy=0.0):
     """x with A x = rhs by CG from `start` (pinned_solve), preconditioned by
     the inverted _SineReference or the _Multigrid cycle of the route `name`;
     `box` and `reference` only fill the debug line.  ||A||_2 <= 2 max_i a_ii
     by Gershgorin, A being a principal submatrix of a Laplacian with
-    positive coefficients."""
-    x, steps, backward, _ = _preconditioned_cg(A.dot, rhs, precondition,
-                                               2.0 * A.diagonal().max(), _CG_TOL,
-                                               _MG_MAX_STEPS, f"{name} CG", start)
+    positive coefficients.  Given rho with A >= rho M^-1 for the
+    preconditioner M (_SineReference.certificate), CG also stops once
+    r.Mr <= eps rho energy: the energy error r^T A^-1 r <= r.Mr / rho of x
+    is then at most eps times `energy`.  The sine debug line gives rho and
+    that bound at the stop, "-" where the stop is not armed."""
+    energy_tol = _EPS * rho * energy if rho is not None else 0.0
+    x, steps, backward, rz = _preconditioned_cg(A.dot, rhs, precondition,
+                                                2.0 * A.diagonal().max(), _CG_TOL,
+                                                _MG_MAX_STEPS, f"{name} CG", start,
+                                                energy_tol=energy_tol)
     if _log.isEnabledFor(logging.DEBUG):
-        levels = f"levels {len(precondition.levels) + 1}, " if name == "multigrid" else ""
-        _log_solve(name, box, reference, f"{levels}iterations {steps}", backward)
+        detail = f"iterations {steps}"
+        if name == "multigrid":
+            detail = f"levels {len(precondition.levels) + 1}, {detail}"
+        elif rho is None:
+            detail += ", rho -, bound -"
+        else:
+            detail += f", rho {rho:.3g}, bound {'-' if rz is None else f'{rz / rho:.3e}'}"
+        _log_solve(name, box, reference, detail, backward)
     return x
 
 

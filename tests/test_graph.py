@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 
@@ -24,7 +25,7 @@ from lattice_homog import (
     validate,
     witness_path,
 )
-from lattice_homog import graph, solve
+from lattice_homog import bvp, graph, solve
 from lattice_homog.asymptotic import build_window_problem
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
 from lattice_homog.coarse import check_poincare
@@ -681,6 +682,25 @@ def test_band_fill_matches_the_csr_copy(problem, monkeypatch):
     assert built == []
 
 
+def test_spread_fallback_band_is_the_csr_copy():
+    # the KD(4, 100) window spreads too widely for the sine route and goes
+    # to the band after its CSR is built, which drops the pairs: the band
+    # then takes the CSR's strict lower triangle, the same band bit for bit
+    problem = list(_multigrid_problems())[1]
+    free = ~problem.pinned
+    A, rhs = problem.reduced_system()
+    want = problem.values.copy()
+    want[free] = pinned_reference.band_solve(A, rhs, problem.positions[free])
+    assert np.array_equal(problem.solve(), want)
+    block = problem._free_system()[0]
+    count = len(block.pairs()[0])       # the pairs, before the CSR replaces them
+    block.matrix
+    assert block.i is block.j is block.off is None
+    assert len(block.pairs()[0]) == (A.nnz - len(rhs)) // 2 <= count
+    box = solve._Box(problem.positions[free])
+    assert np.array_equal(solve._Band(block, box).solve(rhs), want[free])
+
+
 @pytest.mark.parametrize("omega", [WIDE, WIDE[::-1]], ids=["wide", "tall"])
 def test_band_runs_along_the_long_side(omega, caplog):
     # the 9-point grid reaches one position along each axis, and a slice
@@ -886,9 +906,12 @@ def test_pinned_solve_routes(examples, monkeypatch, caplog):
     monkeypatch.setattr(spla, "spsolve", spy("superlu", spla.spsolve))
     monkeypatch.setattr(solve._Band, "solve",
                         spy("band", solve._Band.solve, lambda band, rhs, *args: len(rhs)))
-    # the sine and multigrid routes share _cg_solve, whose last argument names the route
+    # the sine and multigrid routes share _cg_solve, whose argument `name`
+    # names the route
     cg = solve._cg_solve
-    monkeypatch.setattr(solve, "_cg_solve", lambda *args: spy(args[-1], cg)(*args))
+    signature = inspect.signature(cg)
+    monkeypatch.setattr(solve, "_cg_solve", lambda *args, **options: spy(
+        signature.bind(*args, **options).arguments["name"], cg)(*args, **options))
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     below = build_window_problem(r4, [1.0, 1.0], 24)              # d = 2, 5 329 free dofs
     chain = build_window_problem(examples["ex5"], [1.0], 2000)    # d = 1, 9 981 free dofs
@@ -926,15 +949,22 @@ def test_pinned_solve_routes(examples, monkeypatch, caplog):
 
 
 def _sine_lines(caplog, problem):
-    """(solution, the (free dofs, box, kinds, steps, backward error) of each
-    sine debug line) of problem.solve()."""
+    """(solution, _sine_fields) of problem.solve()."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         x = problem.solve()
+    return x, _sine_fields(caplog)
+
+
+def _sine_fields(caplog):
+    """The (free dofs, box, kinds, steps, rho, bound, backward error) of each
+    sine debug line caught, rho and bound None where the line gives "-"."""
     lines = [re.fullmatch(r"sine: free dofs (\d+), box (\S+), kinds (\d+), spread \S+, "
-                          r"iterations (\d+), backward error (\S+)", r.getMessage())
-             for r in caplog.records]
-    return x, [(int(m[1]), m[2], int(m[3]), int(m[4]), float(m[5])) for m in lines if m]
+                          r"iterations (\d+), rho (\S+), bound (\S+), backward error (\S+)",
+                          r.getMessage()) for r in caplog.records]
+    number = lambda text: None if text == "-" else float(text)
+    return [(int(m[1]), m[2], int(m[3]), int(m[4]), number(m[5]), number(m[6]), float(m[7]))
+            for m in lines if m]
 
 
 def _zero_start(problem):
@@ -967,9 +997,9 @@ SINE = {name: (problem, box) for name, problem, box in _sine_problems()}
 def test_sine_route_matches_superlu(problem, box, caplog):
     x, lines = _sine_lines(caplog, problem)
     assert len(caplog.records) == 1
-    (dofs, shape, kinds, steps, backward), = lines
+    (dofs, shape, kinds, steps, rho, bound, backward), = lines
     assert dofs == (~problem.pinned).sum() >= solve._MG_MIN_DOFS and (shape, kinds) == box
-    assert 0 < steps <= 25 and backward <= solve._CG_TOL
+    assert 0 < steps <= 25 and backward <= solve._CG_TOL and rho is bound is None
     want = _superlu(problem)
     assert np.array_equal(x[problem.pinned], want[problem.pinned])
     assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
@@ -980,7 +1010,7 @@ def test_sine_steps_do_not_grow_with_window(caplog):
     r4 = random_square_lattice(4, np.random.default_rng(20240811))
     steps = {}
     for K in (32, 48, 64):
-        _, [(dofs, _, _, steps[K], backward)] = _sine_lines(
+        _, [(dofs, _, _, steps[K], _, _, backward)] = _sine_lines(
             caplog, build_window_problem(r4, [1.0, 1.0], K))
         assert dofs == (4 * K - 23) ** 2 and backward <= solve._CG_TOL
     assert max(steps.values()) - min(steps.values()) <= 3
@@ -992,6 +1022,25 @@ def test_sine_cap_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="sine CG hit the 3-iteration cap") as info:
         problem.solve()
     assert solve._CG_TOL < info.value.residual < 1.0
+
+
+def test_sine_basis_built_once_per_side(monkeypatch):
+    # a square box or grid builds one sine matrix for both axes, a wide one
+    # one per side
+    sides, basis = [], solve._sine_basis
+
+    def counted(n):
+        sides.append(n)
+        return basis(n)
+
+    monkeypatch.setattr(solve, "_sine_basis", counted)
+    monkeypatch.setattr(bvp, "_sine_basis", counted)
+    problem = next(_multigrid_problems())           # a 63 x 63 box
+    A, _ = problem.reduced_system()
+    assert solve._SineReference.build(A, solve._Box(problem.positions[~problem.pinned])).invert()
+    bvp._fd_solve(GRID_TENSORS["L2"], SQUARE, WAVE, 1 / 16)
+    bvp._fd_solve(GRID_TENSORS["L2"], WIDE, WAVE, 1 / 16)
+    assert sides == [64, 16, 32, 16]
 
 
 def test_uneven_kinds_fall_back_to_multigrid(caplog):

@@ -35,8 +35,11 @@ with the sine route's preconditioner (solve._sine_solve), so it reaches no
 sparse solver.  Every conjugate-gradient solve (the sine and multigrid
 routes, the continuum grid and the cell corrector, cell.solve_corrector)
 runs the one loop solve._preconditioned_cg, and no other function uses
-it; the corrector's energy stop is a keyword of that loop, not a second
-loop; the corrector's regime is chosen by solve._corrector_route.
+it; the energy stop is a keyword of that loop, not a second loop, armed
+only by the cell corrector (cell._corrector, through solve_corrector) and
+the pinned CG routes (solve._cg_solve), where only the window value
+(asymptotic.finite_window_value) asks PinnedProblem.solve for it; the
+corrector's regime is chosen by solve._corrector_route.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
@@ -149,6 +152,47 @@ def test_one_conjugate_gradient_loop():
     assert sorted(_uses({name}, lambda node: True)) == [
         ("bvp", name), ("bvp._fd_solve", name), ("cell", name),
         ("cell.solve_corrector", name), ("solve._cg_solve", name)]
+
+
+def _calls(callee):
+    """(module.scope, positional count, keywords) of each call in src/ of a
+    function or method named `callee`."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == callee:
+                    calls.append((scope, len(child.args), sorted(k.arg for k in child.keywords)))
+            visit(child, f"{scope}.{child.name}" if isinstance(child, SCOPES) else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return calls
+
+
+def test_energy_stops_have_their_callers():
+    # the energy stop of the CG loop is armed by the cell corrector (through
+    # solve_corrector) and by the pinned CG routes, and neither passes it by
+    # position
+    loop = _calls("_preconditioned_cg")
+    assert sorted(scope for scope, _, keywords in loop if "energy_tol" in keywords) == [
+        "cell.solve_corrector", "solve._cg_solve"]
+    assert max(count for _, count, _ in loop) <= 8
+    corrector = _calls("solve_corrector")
+    assert [scope for scope, _, keywords in corrector if "energy_tol" in keywords] == [
+        "cell._corrector"]
+    assert max(count for _, count, _ in corrector) <= 5
+    # only the window value passes PinnedProblem.solve its certified start
+    # and energy, which reach the CG routes through pinned_solve alone, and
+    # only the sine route passes _cg_solve a rho and an energy
+    assert [scope for scope, _, keywords in _calls("solve") if "_certified" in keywords] == [
+        "asymptotic.finite_window_value"]
+    assert _calls("pinned_solve") == [("graph.PinnedProblem.solve", 5, [])]
+    assert [scope for scope, count, keywords in _calls("_cg_solve") if count > 7 or keywords] == [
+        "solve._pinned_route.sine"]
 
 
 def test_one_pinned_problem():
