@@ -25,7 +25,9 @@ c = 2 K^d z^T C z of the window's cells.  The sine route calls it where its
 reference certifies the bound (solve._SineReference), starts from that
 field and stops once the energy error is at most eps c: 9 CG steps instead
 of 14-16 on R(4) at K = 32 and 48.  Every other route solves as
-PinnedProblem.solve() does, bit for bit, and solves no corrector.
+PinnedProblem.solve() does, bit for bit, and solves no corrector.  A
+convergence study solves chi_z at most once and shares it among its
+windows.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def window_energy(problem, values, convention="double"):
     return float(convention_factor(convention) / 2.0 * problem.energy(values))
 
 
-def finite_window_value(graph, z, K, convention="double"):
+def finite_window_value(graph, z, K, convention="double", _chi=None):
     """Energy density of the K-window problem: minimum energy / (KT)^d.
 
     The sine route, where its reference certifies A_ff >= rho Ref
@@ -93,22 +95,39 @@ def finite_window_value(graph, z, K, convention="double"):
     coefficient units).  Only that route asks for the two, so no other
     solves a corrector.  A corrector that does not converge leaves the
     affine start.  Every other route solves as PinnedProblem.solve().
+    `_chi` is convergence_study's: the _two_scale_corrector that it shares
+    among its windows, so that chi_z is solved once per study.
     """
     z = _check_direction(graph, z)
     problem = build_window_problem(graph, z, K)
+    chi = _two_scale_corrector(graph, z) if _chi is None else _chi
 
     def two_scale():
         free = ~problem.pinned
-        start = problem.values[free]
-        try:
-            start += corrector(graph, z).values[problem.node_ids[free]]
-        except NoConvergence:
-            pass
+        start, values = problem.values[free], chi()
+        if values is not None:
+            start += values[problem.node_ids[free]]
         return start, 2.0 * K ** graph.d * float(z @ graph.operator.C @ z)
 
     values = problem.solve(_certified=two_scale)
     vol = float(K * graph.T) ** graph.d
     return window_energy(problem, values, convention=convention) / vol
+
+
+def _two_scale_corrector(graph, z):
+    """A function returning the values of cell.corrector(graph, z), or None
+    when it does not converge, solved on the first call and then kept."""
+    kept = []
+
+    def chi():
+        if not kept:
+            try:
+                kept.append(corrector(graph, z).values)
+            except NoConvergence:
+                kept.append(None)
+        return kept[0]
+
+    return chi
 
 
 def affine_energy_density(graph, z, convention="double"):
@@ -143,7 +162,9 @@ def convergence_study(graph, z, Ks, tol=1e-10, convention="double"):
 
     Also fits gap ~ c / K^p on the rows with positive gap and reports p;
     the fit is a diagnostic, the theory only gives gap -> 0.  Ks must be
-    strictly increasing: a repeated K adds no point to the fit.
+    strictly increasing: a repeated K adds no point to the fit.  The
+    windows whose route starts from the two-scale field share one
+    corrector chi_z, solved at most once (finite_window_value).
     """
     Ks = list(Ks)
     if any(a >= b for a, b in zip(Ks, Ks[1:])):
@@ -152,9 +173,11 @@ def convergence_study(graph, z, Ks, tol=1e-10, convention="double"):
     table = ConvergenceTable(tuple(np.asarray(z, dtype=float).tolist()), convention,
                              cell_value)
 
+    chi = _two_scale_corrector(graph, _check_direction(graph, z))
+
     def run(K):
         t0 = time.perf_counter()
-        value = finite_window_value(graph, z, K, convention=convention)
+        value = finite_window_value(graph, z, K, convention=convention, _chi=chi)
         return StudyEntry(K, value, value - cell_value, time.perf_counter() - t0)
 
     table.rows = parallel_map(run, Ks)

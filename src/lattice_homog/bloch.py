@@ -194,14 +194,13 @@ class FFTPreconditioner:
         return y if self.slot is None else y[self.slot]
 
 
-def fft_preconditioner(op):
-    """The FFTPreconditioner of `op`'s smallest sub-period, or None.
+def fft_base_cell(op):
+    """The BaseCell of `op`'s smallest sub-period when an FFTPreconditioner
+    is built on it, or None.
 
     None also when the base cell has more nodes than there are translates
     (n0^2 > n): the dense per-frequency blocks then hold about n * n0 / 2
     entries, more than n^(3/2) / 2.
     """
     cell = base_cell(op)
-    if cell is None or cell.n0 ** 2 > len(cell.slot):
-        return None
-    return FFTPreconditioner(cell)
+    return None if cell is None or cell.n0 ** 2 > len(cell.slot) else cell

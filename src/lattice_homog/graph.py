@@ -25,7 +25,9 @@ the system of its free vertices in one pass over its edges, as the pairs
 of a solve.FreeBlock (_free_block), which grounded_solve's harness systems
 share; `reduced_system` gives its CSR, which a small system's band solve
 never builds.  `laplacian` is the Laplacian of all vertices, which the
-periodic quotient (PeriodicOperator) needs.  The solves are in solve.py.
+periodic quotient (PeriodicOperator) needs; the quotient's band
+(solve.cell_band) takes its pairs from _free_block with no vertex pinned.
+The solves are in solve.py.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .bloch import fft_preconditioner
+from .bloch import FFTPreconditioner, fft_base_cell
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
-from .solve import FreeBlock, band_first, columns_solve, pinned_solve
+from .solve import (FreeBlock, _corrector_route, band_correctors, band_first, cell_band,
+                    columns_solve, pinned_solve)
 
 
 @dataclass(frozen=True, order=True)
@@ -246,17 +249,22 @@ class PeriodicOperator:
     +-w disp_m at node i cancel in pairs, which summed in edge order would
     leave rounding residues (a re-tiled cell whose loops became links).
 
-    `preconditioner` is built on first use: the FFT preconditioner of the
-    cell's smallest sub-period t | T (bloch.py), an approximate inverse of
-    L for the corrector CG, or None when the cell re-tiles no smaller one.
-    `exact_inverse` is built on first use too: the dense inverse of
-    L + sum_c 1_c 1_c^T / |c| over the quotient's connected components c,
-    which is SPD for any component structure and acts as the pseudo-inverse
-    of L on the mean-zero fields of every component.  `axis_correctors`,
-    built from it on first use, is the n x d matrix X = -K^-1 (B - mean B)
-    with each column's mean removed: column m is the corrector of the axis
-    direction e_m, so the corrector of a direction z is the product X z
-    (cell.corrector, for cells of at most solve.DENSE_MAX_NODES nodes).
+    The corrector's route, "band" or "fft" (solve._corrector_route), is
+    chosen once, on first use (`route`), and builds only what it reads:
+    `band`, the quotient Laplacian L as a solve._Band in fold order
+    (solve.cell_band), whose width it always reads, and `base_cell`, the
+    cell's smallest sub-period t | T (bloch.fft_base_cell) or None, only
+    when the band is not plainly cheaper.  `preconditioner`, the FFT
+    preconditioner of that base cell (bloch.py), an approximate inverse of
+    L for the corrector CG, or None, is built on first use, which on the
+    band route never comes.  `axis_correctors` is None on the FFT route,
+    and on the band route the n x d matrix X with L X = mean B - B, each
+    column mean-zero on every component of the quotient: column m is the
+    corrector of the axis direction e_m, so the corrector of a direction z
+    is the product X z (cell.corrector).  `axis_errors`, from the same
+    factor, holds each column's energy error r_m^T L^+ r_m
+    (solve.band_correctors).  Both are solved once, on first use, and are
+    read-only.
     """
 
     def __init__(self, graph):
@@ -276,26 +284,37 @@ class PeriodicOperator:
             a.flags.writeable = False
 
     @cached_property
+    def route(self):
+        return _corrector_route(self)
+
+    @cached_property
+    def band(self):
+        g = self.graph
+        a, b, c = _couplings(np.column_stack([g.u, g.v]), g.w)
+        return cell_band(_free_block(a, b, c, np.zeros(g.n_cell, dtype=bool))[0], g.dpos, g.T)
+
+    @cached_property
+    def base_cell(self):
+        return fft_base_cell(self)
+
+    @cached_property
     def preconditioner(self):
-        return fft_preconditioner(self)
+        return None if self.base_cell is None else FFTPreconditioner(self.base_cell)
 
     @cached_property
-    def exact_inverse(self):
-        import scipy.sparse.csgraph as csgraph
-        _, labels = csgraph.connected_components(self.L, directed=False)
-        K = self.L.toarray()
-        K += (labels[:, None] == labels[None, :]) / np.bincount(labels)[labels]
-        inverse = np.linalg.inv(K)
-        inverse.flags.writeable = False
-        return inverse
+    def _axis_solution(self):
+        X, errors = band_correctors(self.band, self.L, self.B)
+        for a in (X, errors):
+            a.flags.writeable = False
+        return X, errors
 
-    @cached_property
+    @property
     def axis_correctors(self):
-        n = self.B.shape[0]
-        X = self.exact_inverse @ (self.B.sum(axis=0) / n - self.B)
-        X -= X.sum(axis=0) / n
-        X.flags.writeable = False
-        return X
+        return self._axis_solution[0] if self.route == "band" else None
+
+    @property
+    def axis_errors(self):
+        return self._axis_solution[1]
 
 
 def _cancelling(B, u, v, wdisp):

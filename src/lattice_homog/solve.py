@@ -1,9 +1,11 @@
 """Every solve of the package, and the one function that chooses each route.
 
-_corrector_route chooses the regime of the cell corrector (cell.py): the
-dense exact inverse, FFT-preconditioned CG or plain CG.  A pinned system
-comes as a FreeBlock, the pairs of its free block A_ff from one pass over
-its edges, with the canonical CSR built only when a route asks for it.
+_corrector_route chooses the route of the cell corrector (cell.py) by
+predicted cost, once per operator: banded Cholesky of the quotient
+Laplacian in fold order (cell_band, band_correctors), or FFT-preconditioned
+CG.  A pinned system comes as a FreeBlock, the pairs of its free block A_ff
+from one pass over its edges, with the canonical CSR built only when a
+route asks for it.
 pinned_solve solves a PinnedProblem's system by one of three routes,
 chosen in one function (_pinned_route), which builds the box of its free
 positions (_Box) once: banded Cholesky in position order (_Band), filled
@@ -20,9 +22,8 @@ columns_solve solves the grounded Laplacians of the local harnesses
 (graph.grounded_solve), many columns on one factor: by the same band, or
 by SuperLU when the band work is above a measured crossover.
 _preconditioned_cg is the package's one conjugate-gradient loop: the two
-CG pinned routes, the continuum grid of bvp and the cell corrector
-(cell.solve_corrector, for cells above the dense ceiling or when the
-direct product misses its tolerance) run it.
+CG pinned routes, the continuum grid of bvp and the cell corrector's FFT
+route (cell.solve_corrector) run it.
 The module imports nothing from graph, and scipy only where it calls it.
 """
 
@@ -39,19 +40,118 @@ from .errors import NoConvergence
 _log = logging.getLogger("lattice_homog")
 _EPS = float(np.finfo(float).eps)
 
-# Largest cell solved with the dense exact inverse, and smallest cell that
-# runs FFT-preconditioned CG (the sweep is in cell.solve_corrector).
-DENSE_MAX_NODES = 160
-PCG_MIN_NODES = 256
+# The cost model of _corrector_route, in seconds (its docstring has the sweep)
+_BAND_SECONDS = 8.5e-11     # per n (width + 1)^2 of the band factor
+_STEP_SECONDS = 4e-5        # per FFT-PCG step on one axis, plus
+_STEP_NLOGN_SECONDS = 1.45e-9   # per n log2(n) of that step
+_STEPS_AT_RHO_1 = 8.5       # FFT-PCG steps per axis: 8.5 rho^-0.6
+_STEPS_POWER = 0.6
 
 
-def _corrector_route(graph):
-    """The corrector regime of `graph` (cell.py) by its node count: "dense",
-    "fft" (which needs the operator's FFT preconditioner) or "cg"."""
-    n = graph.n_cell
-    if n <= DENSE_MAX_NODES:
-        return "dense"
-    return "fft" if n >= PCG_MIN_NODES and graph.operator.preconditioner is not None else "cg"
+def _corrector_route(op):
+    """The corrector route of the PeriodicOperator `op` (cell.py), "band" or
+    "fft", by the predicted seconds of one tensor's solves; the operator
+    calls it once (PeriodicOperator.route).
+
+    The band (band_correctors) factors L in fold order (cell_band) once,
+    about n (width + 1)^2 work, and is taken only when its storage,
+    (width + 1) n doubles, fits in _BAND_MAX_BYTES.  FFT-PCG (cell.py) costs
+    d axes times steps(rho) steps, each a product with L and an FFT pair,
+    about n log2 n work plus a fixed cost, and its steps grow as the base
+    cell's rho (bloch.BaseCell) falls: steps(rho) = 8.5 rho^-0.6, fitted
+    to the energy-stopped steps of R(T) and KD(T, c) below.  The band is
+    plainly cheaper when it beats FFT-PCG at rho = 1, the fewest steps:
+    then no base cell is sought and no FFT preconditioner is built.
+    Otherwise a cell that re-tiles no smaller one (bloch.fft_base_cell is
+    None) takes the band too, whatever its storage.
+
+    The sweep behind the constants: one tensor's solves on a fresh graph,
+    in ms, best of 7 on a 2-vCPU x86 host with one BLAS thread: the band
+    (its factor, the d solves and the error bound) and FFT-PCG (the d axis
+    solves with the energy stop, their steps summed), each next to the
+    rule's prediction.  R(T) is the random square cell of the tests
+    (U(0.5, 2) weights), KD(T, c) the log-uniform one of contrast c, S(P)
+    the two-rail strip with no sub-period, cube x T the 2 x 2 x 2 cube of
+    the tests re-tiled to period T and L2 x 48 the layered lattice re-tiled,
+    whose B = 0 leaves nothing to factor or iterate, which the rule does
+    not look at; "cap" marks a band over _BAND_MAX_BYTES:
+
+        cell         n       width  rho       steps  band  predicted  FFT    predicted  route
+        R(16)        256     32     0.395     26     0.5   0.0        2.2    1.3        band
+        R(32)        1 024   64     0.398     26     1.8   0.4        1.8    1.6        band
+        R(48)        2 304   96     0.399     26     2.7   1.8        3.8    2.3        band
+        R(64)        4 096   128    0.401     28     6.2   5.8        3.4    3.3        fft
+        R(96)        9 216   192    0.4       28     20.0  29.2       6.1    6.4        fft
+        R(128)       16 384  256    0.4       28     51.9  92.0       11.1   11.0       fft, cap
+        KD(64,3)     4 096   128    0.276     44     6.2   5.8        5.0    4.1        fft
+        KD(64,10)    4 096   128    0.0471    134    6.1   5.8        14.0   11.8       band
+        KD(64,100)   4 096   128    0.000949  1009   5.9   5.8        106.8  123.2      band
+        KD(128,100)  16 384  256    0.000911  1092   80.0  92.0       619.7  422.6      fft, cap
+        cube x 8     512     128    0.391     20     1.6   0.7        3.1    2.1        band
+        cube x 12    1 728   288    0.391     20     8.8   12.3       4.2    3.0        fft
+        L2 x 48      4 608   196    1         0      0.0   15.2       0.3    2.1        fft
+        S(4096)      8 192   4      -         -      2.3   0.0        -      -          band
+
+    The band's time grows more slowly than n (width + 1)^2 at these widths
+    (the factor's blocked kernels speed up as the band widens), so the rule
+    overrates it on wide bands, where FFT-PCG wins anyway, and underrates
+    it on narrow ones, where the band wins anyway.  The cap sends
+    KD(128, 100) to FFT-PCG at 8 times the band's time, for 34 MB less
+    memory.  FFT-PCG also builds its preconditioner once per operator
+    (1.8 ms at R(64)), the band its ordering (0.6 ms); the rule counts
+    neither.
+    """
+    n, d = op.B.shape
+    rows = op.band.width + 1
+    band = _BAND_SECONDS * n * rows * rows if rows * n * 8 <= _BAND_MAX_BYTES else math.inf
+    step = d * (_STEP_SECONDS + _STEP_NLOGN_SECONDS * n * math.log2(max(n, 2)))
+    fewest = _STEPS_AT_RHO_1 * step     # FFT-PCG at rho = 1
+    if band <= fewest or op.base_cell is None:      # the first test seeks no base cell
+        return "band"
+    return "fft" if fewest * op.base_cell.rho ** -_STEPS_POWER < band else "band"
+
+
+def cell_band(block, positions, T):
+    """The _Band of a periodic cell's quotient Laplacian, the FreeBlock
+    `block` of all its vertices, with node d-positions `positions` in
+    [0, T): ordered by position with every axis visited in fold order
+    0, T-1, 1, T-2, ..., so that a link that wraps around the cell joins
+    positions as near in the order as any other link does."""
+    folded = np.where(2 * positions < T, 2 * positions, 2 * (T - 1 - positions) + 1)
+    return _Band(block, _Box(folded))
+
+
+def band_correctors(band, L, B):
+    """(X, errors) of the cell corrector's band route for the quotient
+    Laplacian L, its _Band `band` (cell_band) and B (n, d): X with
+    L X = mean B - B, each column mean-zero on every connected component of
+    the quotient, and errors[m] = r_m^T L^+ r_m for the residual r_m of
+    column m, its energy error.
+
+    One vertex per component, its first, is grounded: held at zero, which
+    leaves a positive definite system (the grounded block of L), factored
+    once (band.factor).  The d columns mean B - B are solved on it, then
+    each component's mean is removed, and the same factor gives
+    r_f^T A_ff^-1 r_f, which is r^T L^+ r for a residual that sums to zero
+    on every component.  B = 0 gives exact zeros and factors nothing.
+    """
+    n, d = B.shape
+    if not B.any():
+        return np.zeros((n, d)), np.zeros(d)
+    import scipy.sparse.csgraph as csgraph
+    labels = csgraph.connected_components(L, directed=False)[1]
+    grounded = np.unique(labels, return_index=True)[1]
+    factor = band.factor(grounded)
+    rhs = B.sum(axis=0) / n - B
+    free = rhs.copy()
+    free[grounded] = 0.0
+    X = band.inverse(factor, free)
+    sizes = np.bincount(labels)
+    for column in X.T:
+        column -= (np.bincount(labels, column) / sizes)[labels]
+    R = L @ X - rhs
+    R[grounded] = 0.0
+    return X, np.einsum("im,im->m", R, band.inverse(factor, R))
 
 
 class FreeBlock:
@@ -589,8 +689,9 @@ def _sine_solve(bases, symbol, x):
 
 class _Band:
     """A_ff of a FreeBlock `block` as a band in position order, filled
-    straight from its pairs, and its banded Cholesky solve (LAPACK dpbsv):
-    the one band solve of the package (pinned_solve, columns_solve).
+    straight from its pairs, and its banded Cholesky factor (LAPACK dpbtrf)
+    and solve (dpbtrs): the one band solve of the package (pinned_solve,
+    columns_solve, and the cell corrector's band route, cell_band).
 
     The free vertices are ordered by their d-positions (the _Box `box`), the
     longest axis slowest, by a stable sort, so the vertices at one position
@@ -606,7 +707,8 @@ class _Band:
     it in the row of the later vertex: the pairs whose first end is the
     later one, then those whose second end is, each in pair order.  So the
     band holds the CSR's lower entries bit for bit, and no sparse matrix is
-    built.
+    built.  The factor and the solve are separate calls, so one factor
+    serves several solves (band_correctors).
     """
 
     def __init__(self, block, box):
@@ -628,12 +730,11 @@ class _Band:
         self.width = int(offset.max(initial=0))
         self.index = cols * (self.width + 1) + offset      # place in the band storage
 
-    def solve(self, rhs, reference=None):
-        """x with A x = rhs, rhs one column or several.  A pivot that is not
-        positive raises NoConvergence.  At debug level it logs (_log_solve)
-        the band width and the backward error, computed only then, with the
-        kinds and spread of the _SineReference `reference` when the router
-        built one."""
+    def factor(self, grounded=()):
+        """The lower banded Cholesky factor of A, with the row and column of
+        each vertex in `grounded` (vertex indices) replaced by the
+        identity's, which holds it at zero in `inverse`.  A pivot that is
+        not positive raises NoConvergence."""
         import scipy.linalg as sla
         n, rows = len(self.diag), self.width + 1
         # LAPACK's layout, (rows, n) in Fortran order: no copy; bincount
@@ -641,12 +742,31 @@ class _Band:
         ab = np.bincount(self.index, self.values, rows * n).astype(float, copy=False)
         ab = ab.reshape(n, rows).T
         ab[0] = self.diag
-        b = rhs if self.order is None else rhs[self.order]
+        if len(grounded):
+            g = np.asarray(grounded) if self.rank is None else self.rank[grounded]
+            ab[:, g] = 0.0                          # the column, on and below the diagonal
+            shift = np.arange(1, rows)[:, None]
+            left = g - shift                        # the row, left of the diagonal
+            ab[np.broadcast_to(shift, left.shape)[left >= 0], left[left >= 0]] = 0.0
+            ab[0, g] = 1.0
         try:
-            y = sla.solveh_banded(ab, b, overwrite_ab=True, lower=True, check_finite=False)
+            return sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError as err:
             raise NoConvergence(f"band Cholesky failed: {err}") from None
-        x = y if self.rank is None else y[self.rank]
+
+    def inverse(self, factor, rhs):
+        """x with A x = rhs, rhs one column or several, by the `factor` of A."""
+        import scipy.linalg as sla
+        b = rhs if self.order is None else rhs[self.order]
+        y = sla.cho_solve_banded((factor, True), b, check_finite=False)
+        return y if self.rank is None else y[self.rank]
+
+    def solve(self, rhs, reference=None):
+        """x with A x = rhs, rhs one column or several, on a new factor.  At
+        debug level it logs (_log_solve) the band width and the backward
+        error, computed only then, with the kinds and spread of the
+        _SineReference `reference` when the router built one."""
+        x = self.inverse(self.factor(), rhs)
         if _log.isEnabledFor(logging.DEBUG):
             A = self.block.matrix
             _log_solve("band", self.box, reference, f"band width {self.width}",

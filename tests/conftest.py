@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from lattice_homog import builtin_examples, graph_from_edges, homogenized_tensor, solve_corrector
-from lattice_homog.solve import PCG_MIN_NODES
 from lattice_homog.oracle import _ordered_pairs
 
 # a failing property prints its @reproduce_failure blob; every other
@@ -43,6 +42,18 @@ def layered_square_lattice():
                             [(a, a, (1, 0), 2.0), (a, a, (0, 1), 1.0),
                              (a, a, (1, 1), 1.0 / 3.0), (b, b, (1, 0), 1.0),
                              (b, b, (0, 1), 1.0), (a, b, (0, 0), 1.0)])
+
+
+def square_cell(wx, wy):
+    """The T x T square cell of Z^2 with weight wx[x, y] on the bond from
+    (x, y) to (x + 1, y) and wy[x, y] on the bond from (x, y) to (x, y + 1)."""
+    T = len(wx)
+    edges = []
+    for x in range(T):
+        for y in range(T):
+            edges.append(((x, y), ((x + 1) % T, y), (int(x == T - 1), 0), float(wx[x, y])))
+            edges.append(((x, y), (x, (y + 1) % T), (0, int(y == T - 1)), float(wy[x, y])))
+    return graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
 
 
 def random_square_lattice(T, rng, contrast=None):
@@ -115,9 +126,26 @@ def plain_cg_tensor(graph):
 EPS = np.finfo(float).eps
 
 
+def on_fft_route(g):
+    """`g` with its operator's corrector route set to FFT-PCG, which the cost
+    rule would choose only for large low-contrast cells; it must re-tile a
+    smaller cell."""
+    g.operator.__dict__["route"] = "fft"
+    assert g.operator.preconditioner is not None
+    return g
+
+
+def pseudo_inverse(L):
+    """The dense pseudo-inverse of a quotient Laplacian L: L^+ b is the
+    corrector of the right-hand side b (orthogonal to L's kernel), mean-zero
+    on every component."""
+    return np.linalg.pinv(L.toarray())
+
+
 def reference_tensor(g):
-    """(doubled tensor, X) from axis correctors solved to tol 1e-14 on the
-    cell's own route, assembled as homogenized_tensor assembles them."""
+    """(doubled tensor, X) from axis correctors solved by CG to tol 1e-14,
+    preconditioned by the cell's FFT preconditioner where it has one,
+    assembled as homogenized_tensor assembles them."""
     op = g.operator
     X = np.column_stack([solve_corrector(op.L, op.B @ e, tol=1e-14,
                                          precondition=op.preconditioner).values
@@ -129,7 +157,8 @@ def reference_tensor(g):
 
 def check_certificate(g):
     """(tensor, whether the energy stop ended every axis solve): checks the
-    error_bound of an FFT-route tensor against a tol 1e-14 reference.
+    error_bound of the tensor of `g` on the FFT route (on_fft_route) against
+    a tol 1e-14 reference.
 
     The certificate bounds the iteration error factor * E^T L E, E the
     corrector error, which is measured here from E itself, free of the
@@ -139,8 +168,7 @@ def check_certificate(g):
     are held to the bound plus 2 sqrt(n) of those roundings.  When the
     energy stop ended every axis solve (fewer steps than the residual stop
     takes), the bound is below one rounding of the largest affine energy."""
-    op, pre = g.operator, g.operator.preconditioner
-    assert g.n_cell >= PCG_MIN_NODES and pre is not None
+    op, pre = on_fft_route(g).operator, g.operator.preconditioner
     t = homogenized_tensor(g)
     A_ref, X_ref = reference_tensor(g)
     factor = 2.0 / g.T ** g.d

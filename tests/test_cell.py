@@ -1,7 +1,6 @@
 import logging
 import re
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -27,17 +26,22 @@ from lattice_homog import (
 from lattice_homog import cell as cell_module
 from lattice_homog.bloch import PINV_RTOL, base_cell, symbol
 from lattice_homog.cell import convention_factor
+from lattice_homog import graph as graph_module
+from lattice_homog import solve
 from lattice_homog.graph import PeriodicOperator
-from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 
 from conftest import (
     EPS,
     check_certificate,
+    cube_lattice,
     layered_square_lattice,
+    on_fft_route,
     plain_cg_tensor,
+    pseudo_inverse,
     random_square_lattice,
     reference_tensor,
     random_strip,
+    square_cell,
     skew_lattice,
     square_lattice,
 )
@@ -119,11 +123,12 @@ def test_operator_is_lazy_and_read_only(rng):
     assert op.preconditioner is pre
     with pytest.raises(ValueError):
         pre.inverse[0, 0] = 0.0
-    assert "exact_inverse" not in vars(op)
-    inverse = op.exact_inverse
-    assert op.exact_inverse is inverse
-    with pytest.raises(ValueError):
-        inverse[0, 0] = 0.0
+    assert "_axis_solution" not in vars(op)
+    X, errors = op.axis_correctors, op.axis_errors
+    assert op.route == "band" and op.axis_correctors is X and op.axis_errors is errors
+    for a in (X, errors):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_operator_built_once_per_graph(monkeypatch, rng):
@@ -311,7 +316,7 @@ def test_tensor_skew_lattice_polarization(rng):
 
 def test_tensor_layered_lattice_exact():
     expect = np.array([[20.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 14.0 / 3.0]])
-    for T in (8, 48):    # the exact inverse (n = 128), and FFT-PCG with exact reference
+    for T in (8, 48):    # the band (n = 128), and FFT-PCG with exact reference
         t = homogenized_tensor(normalize_period(layered_square_lattice(), T))
         assert np.all(np.abs(t.entries - expect) <= 1e-9 * np.abs(expect))
         assert t.entries[0, 1] == t.entries[1, 0]
@@ -623,8 +628,7 @@ def test_every_nonzero_frequency_keeps_its_inverse(T, weights):
 def test_preconditioned_tensor_matches_plain_cg(examples, rng):
     graphs = [random_square_lattice(32, rng), normalize_period(layered_square_lattice(), 16),
               normalize_period(examples["ex5"], 256), _checkerboard(32)]
-    for g in graphs:
-        assert g.n_cell >= PCG_MIN_NODES and g.operator.preconditioner is not None
+    for g in map(on_fft_route, graphs):
         A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max(), g
 
@@ -658,7 +662,7 @@ def test_error_bound_of_the_layered_lattice_is_below_rounding():
     # is exact zeros after 0 steps with a zero certificate; rho is 1 up to
     # the rounding of the mean of 2304 equal weights
     g = normalize_period(layered_square_lattice(), 48)
-    assert g.n_cell >= PCG_MIN_NODES and not g.operator.B.any()
+    assert g.operator.route == "fft" and not g.operator.B.any()
     assert 1.0 - 1e-12 <= g.operator.preconditioner.rho <= 1.0
     t, _ = check_certificate(g)
     assert all(f.iterations == 0 and not f.values.any() for f in t.correctors)
@@ -682,21 +686,21 @@ def test_f_hom_on_the_fft_route_meets_the_reference(caplog):
 
 
 def test_dense_error_bound_is_the_iteration_error():
-    # axis correctors off by a mean-zero D (still within tol = 1e-3) leave
-    # the entries factor * D^T L D too high; the bound is its largest
-    # diagonal entry, r^T K^-1 r with r = L D
+    # a small cell takes the band: the bound is
+    # factor * max_m r_m^T L^+ r_m for the residuals r_m of the axis
+    # correctors X, which bounds the entries' excess factor * E^T L E over
+    # the exact ones (E = X - X*, L E = R); L^+ here is the dense
+    # pseudo-inverse
     g = random_square_lattice(8, np.random.default_rng(8))
     op = g.operator
-    D = 1e-6 * np.random.default_rng(1).standard_normal((g.n_cell, 2))
-    D -= D.mean(axis=0)
-    exact = homogenized_tensor(g, tol=1e-3)
-    op.__dict__["axis_correctors"] = op.axis_correctors + D
-    t = homogenized_tensor(g, tol=1e-3)
-    assert all(f.iterations == 1 for f in t.correctors)
-    iteration = 2.0 / g.T ** 2 * (D.T @ (op.L @ D))
-    assert t.error_bound == pytest.approx(iteration.diagonal().max(), rel=1e-6)
-    assert np.abs(t.entries - exact.entries - iteration).max() <= 1e-6 * t.error_bound + 1e-15
-    assert exact.error_bound <= 1e-25
+    t = homogenized_tensor(g)
+    assert op.route == "band" and all(f.iterations == 1 for f in t.correctors)
+    X = op.axis_correctors
+    R = op.L @ X + op.B - op.B.sum(axis=0) / g.n_cell
+    errors = np.einsum("im,im->m", R, pseudo_inverse(op.L) @ R)
+    assert op.axis_errors == pytest.approx(errors, rel=1e-6)
+    assert t.error_bound == 2.0 / g.T ** 2 * op.axis_errors.max()
+    assert 0.0 < t.error_bound <= 1e-25
 
 
 def test_fft_route_corrector_keeps_the_residual_stop(rng):
@@ -712,14 +716,39 @@ def test_fft_route_corrector_keeps_the_residual_stop(rng):
         assert field.residual <= 1e-10 * np.linalg.norm(b - b.mean())
 
 
-def test_error_bound_is_none_on_the_plain_cg_route():
-    g = random_strip(128, np.random.default_rng(128))
-    assert g.n_cell >= PCG_MIN_NODES and g.operator.preconditioner is None
-    assert homogenized_tensor(g).error_bound is None
+def _certified_cells():
+    rng = np.random.default_rng(35)
+    yield from builtin_examples().items()
+    for T in (8, 32, 64):
+        yield f"R({T})", random_square_lattice(T, rng)
+    for T in (16, 32):
+        yield f"KD({T},100)", random_square_lattice(T, rng, contrast=100)
+    for P in (81, 512):
+        yield f"S({P})", random_strip(P, rng)
+
+
+def test_error_bound_certifies_every_route():
+    # the bound is never None: on every cell, on the route it takes, it
+    # holds the entries against a tol 1e-14 reference, up to the rounding
+    # of the tensors' sums (conftest.check_certificate), and the band
+    # route's is the exact iteration error, far below one rounding
+    routes = set()
+    for name, g in _certified_cells():
+        t = homogenized_tensor(g)
+        routes.add(g.operator.route)
+        A_ref, _ = reference_tensor(g)
+        rounding = EPS * 2.0 / g.T ** g.d * g.operator.C.diagonal().max()
+        assert t.error_bound is not None and 0.0 <= t.error_bound, name
+        assert (np.abs(t.entries - A_ref).max()
+                <= t.error_bound + 2.0 * np.sqrt(g.n_cell) * rounding), name
+        if g.operator.route == "band":
+            assert t.error_bound <= 1e-9 * rounding, name
+    assert routes == {"band", "fft"}
 
 
 # hex of the doubled tensor and of f_hom (single, z = linspace(1, -0.5, d))
-# before the energy stop: the dense route must not move
+# of the former dense route, before the energy stop; these cells take the
+# band route, which keeps them
 DENSE_ROUTE_BITS = {
     "ex1": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
     "ex2": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
@@ -727,8 +756,8 @@ DENSE_ROUTE_BITS = {
     "ex4": ([["0x1.4000000000000p+2"]], "0x1.6800000000000p+0"),
     "ex5": ([["0x1.5555555555555p+1"]], "0x1.8000000000000p-1"),
     "ex6": ([["0x1.0000000000000p+2"]], "0x1.2000000000000p+0"),
-    "R(8)": ([["0x1.28e3b4439bb8ep+1", "-0x1.afff292b0e127p-10"],
-              ["-0x1.afff292b0e127p-10", "0x1.1304c7e2cecaep+1"]], "0x1.6ddae62174cd6p+0"),
+    "R(8)": ([["0x1.28e3b4439bb8ep+1", "-0x1.afff292b0e125p-10"],
+              ["-0x1.afff292b0e125p-10", "0x1.1304c7e2cecaep+1"]], "0x1.6ddae62174cd6p+0"),
     "L2x4": ([["0x1.aaaaaaaaaaaadp+2", "0x1.5555555555554p-1"],
               ["0x1.5555555555554p-1", "0x1.2aaaaaaaaaaaap+2"]], "0x1.caaaaaaaaaaadp+1"),
 }
@@ -739,8 +768,8 @@ def test_dense_route_values_are_unchanged():
         "R(8)": random_square_lattice(8, np.random.default_rng(8)),
         "L2x4": normalize_period(layered_square_lattice(), 4)})
     for name, g in graphs.items():
-        assert g.n_cell <= DENSE_MAX_NODES
         t = homogenized_tensor(g)
+        assert g.operator.route == "band", name
         z = np.linspace(1.0, -0.5, g.d) if g.d > 1 else np.array([0.75])
         entries, value = DENSE_ROUTE_BITS[name]
         assert [[v.hex() for v in row] for row in t.entries.tolist()] == entries, name
@@ -748,16 +777,23 @@ def test_dense_route_values_are_unchanged():
         assert t.error_bound is not None and 0.0 <= t.error_bound <= 1e-25, name
 
 
-def test_zero_B_tensor_is_exact_without_an_inverse():
+def test_zero_B_tensor_is_exact_without_an_inverse(monkeypatch):
+    # B = 0 gives exact zeros, a zero bound and no factor on the band route
+    def no_factor(*args):
+        raise AssertionError("B = 0 factored the band")
+
+    monkeypatch.setattr(solve._Band, "factor", no_factor)
     g = layered_square_lattice()
     t = homogenized_tensor(g)
-    assert t.error_bound == 0.0
-    assert "exact_inverse" not in vars(g.operator)
+    assert g.operator.route == "band" and t.error_bound == 0.0
+    assert all(f.iterations == 0 and not f.values.any() for f in t.correctors)
+    assert not g.operator.axis_correctors.any()
 
 
 def test_dense_route_f_hom_reads_what_it_did():
     # f_hom per call: B z, the product X z, one product with L and z^T C z;
-    # the tensor's error bound (exact_inverse) is never formed per call
+    # the route is read through X, and the tensor's error bound is never
+    # formed per call
     class Recording:
         def __init__(self, op):
             self.op, self.names = op, []
@@ -781,8 +817,8 @@ def test_small_cells_solve_in_one_step(rng):
     graphs += [random_square_lattice(T, rng) for T in (4, 8, 12)]
     graphs.append(normalize_period(layered_square_lattice(), 8))
     for g in graphs:
-        assert g.n_cell <= DENSE_MAX_NODES
         op = g.operator
+        assert op.route == "band"
         for e in np.eye(g.d):
             field, b = corrector(g, e), op.B @ e
             assert field.iterations <= 1
@@ -815,21 +851,20 @@ def test_disconnected_quotient_solves_in_one_step(rng):
                                   lambda: random_square_lattice(15, np.random.default_rng(15)),
                                   lambda: random_strip(128, np.random.default_rng(128))],
                          ids=["S(81)", "R(15)", "S(128)"])
-def test_cells_past_the_dense_ceiling_run_plain_cg(make):
-    # n = 162 and 225 lie between the two thresholds; S(128) (n = 256) has no
-    # sub-period, so it keeps plain CG past PCG_MIN_NODES too
+def test_cells_past_the_old_dense_ceiling_take_the_band(make):
+    # n = 162, 225 and 256: the band is plainly cheaper, so neither a base
+    # cell nor a preconditioner is built, and X is solved once, the
+    # correctors agreeing with plain CG
     g = make()
-    assert DENSE_MAX_NODES < g.n_cell <= PCG_MIN_NODES
     op = g.operator
     for e in np.eye(g.d):
         ours, plain = corrector(g, e), solve_corrector(op.L, op.B @ e)
-        assert ours.iterations == plain.iterations > 1
-        assert np.array_equal(ours.values, plain.values)
-    assert "exact_inverse" not in vars(op)
-    if g.n_cell < PCG_MIN_NODES:
-        assert "preconditioner" not in vars(op)
-    else:
-        assert op.preconditioner is None
+        assert ours.iterations == 1 < plain.iterations
+        assert np.abs(ours.values - plain.values).max() <= 1e-9 * np.abs(plain.values).max()
+    A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
+    assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert op.route == "band" and op.axis_correctors.shape == (g.n_cell, g.d)
+    assert "base_cell" not in vars(op) and "preconditioner" not in vars(op)
 
 
 def test_projection_by_sum_equals_mean():
@@ -877,15 +912,15 @@ def test_preconditioner_result_aliasing_the_residual_is_not_written():
 def test_corrector_logs_its_solver(examples, rng, caplog):
     with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
         corrector(examples["ex4"], [1.0])
-        field = corrector(random_square_lattice(16, rng), [1.0, 0.0])
+        field = corrector(on_fft_route(random_square_lattice(16, rng)), [1.0, 0.0])
     small, large = [r.getMessage() for r in caplog.records]
-    assert small.startswith("corrector: solver exact-inverse, n 2, iterations 1, residual ")
+    assert small.startswith("corrector: solver band (width 1), n 2, iterations 1, residual ")
     assert large == (f"corrector: solver fft-pcg (t=1, n0=1), n 256, iterations "
                      f"{field.iterations}, residual {field.residual:.3e}")
 
 
 # ---------------------------------------------------------------------------
-# the small-cell route: one product with the cached axis correctors
+# the band route: one product with the cached axis correctors
 
 
 def _uncoupled_layers(rng):
@@ -908,21 +943,21 @@ def _small_cells():
 
 def test_small_cell_corrector_runs_no_cg_loop(monkeypatch):
     def no_cg(*args, **kwargs):
-        raise AssertionError("the small-cell route ran the CG loop")
+        raise AssertionError("the band route ran the CG loop")
 
     rng = np.random.default_rng(7)
     for g in _small_cells():
-        assert g.n_cell <= DENSE_MAX_NODES
         op = g.operator
+        assert op.route == "band"
+        inverse = pseudo_inverse(op.L)
         for z in [*np.eye(g.d), rng.standard_normal(g.d)]:
             b = op.B @ z
-            ref = solve_corrector(op.L, b, precondition=op.exact_inverse.dot)
+            ref = inverse @ (b.mean() - b)
             with monkeypatch.context() as patch:
                 patch.setattr(cell_module, "_preconditioned_cg", no_cg)
                 field = corrector(g, z)
                 energy = f_hom(g, z, convention="single")
-            assert np.abs(field.values - ref.values).max() <= 1e-12 * max(
-                np.abs(ref.values).max(), 1.0)
+            assert np.abs(field.values - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
             assert np.array_equal(field.direction, z)
             # f_hom is cell_energy of the same corrector, bit for bit
             assert energy == cell_energy(g, z, field, convention="single")
@@ -937,24 +972,21 @@ def test_small_cell_corrector_runs_no_cg_loop(monkeypatch):
 
 
 def test_axis_correctors_built_once_and_read_only(monkeypatch):
-    built = []
-    build = PeriodicOperator.axis_correctors.func
+    built, build = [], graph_module.band_correctors
 
-    def counting(self):
-        built.append(self)
-        return build(self)
+    def counting(band, L, B):
+        built.append(L)
+        return build(band, L, B)
 
-    cached = cached_property(counting)
-    cached.__set_name__(PeriodicOperator, "axis_correctors")
-    monkeypatch.setattr(PeriodicOperator, "axis_correctors", cached)
+    monkeypatch.setattr(graph_module, "band_correctors", counting)
     g = random_square_lattice(8, np.random.default_rng(8))
     op = g.operator
-    assert "axis_correctors" not in vars(op)
+    assert "_axis_solution" not in vars(op)
     A = homogenized_tensor(g)
     f_hom(g, [1.0, -0.5])
     corrector(g, [0.25, 2.0])
     X = op.axis_correctors
-    assert built == [op] and X.shape == (g.n_cell, g.d)
+    assert built == [op.L] and X.shape == (g.n_cell, g.d)
     with pytest.raises(ValueError):
         X[0, 0] = 0.0
     # column m is the corrector of e_m, mean zero
@@ -962,30 +994,78 @@ def test_axis_correctors_built_once_and_read_only(monkeypatch):
     assert np.abs(X.sum(axis=0)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("make", [lambda: random_strip(81, np.random.default_rng(81)),
-                                  lambda: random_square_lattice(15, np.random.default_rng(15)),
-                                  lambda: random_strip(128, np.random.default_rng(128))],
-                         ids=["S(81)", "R(15)", "S(128)"])
-def test_axis_correctors_never_built_past_the_dense_ceiling(make):
-    g = make()
-    assert g.n_cell > DENSE_MAX_NODES
-    homogenized_tensor(g)
-    f_hom(g, np.ones(g.d))
-    assert "axis_correctors" not in vars(g.operator)
-    assert "exact_inverse" not in vars(g.operator)
-
-
-def test_small_cell_falls_back_to_cg_on_a_missed_tolerance(examples):
-    # no product meets tol = 1e-300: the corrector reruns solve_corrector
-    # with the exact inverse, whose NoConvergence carries ||L chi + b||
+def test_band_corrector_raises_on_a_missed_tolerance(examples):
+    # no product meets tol = 1e-300: NoConvergence carries the residual
+    # ||L chi - project(-b)|| of chi = X z, and no CG loop runs
     g = examples["ex5"]
     op = g.operator
     b = op.B @ np.ones(1)
-    with pytest.raises(NoConvergence) as ours:
+    with pytest.raises(NoConvergence, match="band corrector missed its residual check") as err:
         corrector(g, [1.0], tol=1e-300)
-    with pytest.raises(NoConvergence) as cg:
-        solve_corrector(op.L, b, tol=1e-300, precondition=op.exact_inverse.dot)
-    assert str(ours.value) == str(cg.value)
-    assert ours.value.residual == cg.value.residual > 0
-    backward = float(re.search(r"backward error (\S+)\)", str(ours.value))[1])
-    assert ours.value.residual == pytest.approx(backward * np.linalg.norm(b), rel=1e-3)
+    chi = op.axis_correctors @ np.ones(1)
+    assert err.value.residual == np.linalg.norm(op.L @ chi - (b.mean() - b)) > 0
+    assert f"residual {err.value.residual:.3e}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the two routes against each other, the oracle and an exact duality
+
+
+def _route_cells():
+    rng = np.random.default_rng(1213)
+    yield "R(16)", random_square_lattice(16, rng)
+    yield "R(64)", random_square_lattice(64, rng)
+    yield "KD(16,100)", random_square_lattice(16, rng, contrast=100)
+    yield "KD(32,100)", random_square_lattice(32, rng, contrast=100)
+    yield "S(8)x16", normalize_period(random_strip(8, rng), 128)     # n0^2 = n
+    yield "L2x16", normalize_period(layered_square_lattice(), 16)
+    yield "cube x4", normalize_period(cube_lattice(rng), 8)
+
+
+ROUTE_CELLS = dict(_route_cells())
+
+
+@pytest.mark.parametrize("g", ROUTE_CELLS.values(), ids=ROUTE_CELLS.keys())
+def test_band_tensor_matches_fft_pcg(g):
+    # the same cell on both routes, FFT-PCG at tol 1e-13
+    op = g.operator
+    op.__dict__["route"] = "band"
+    band = homogenized_tensor(g).entries
+    fft = homogenized_tensor(on_fft_route(g), tol=1e-13).entries
+    assert np.abs(band - fft).max() <= 1e-12 * np.abs(fft).max()
+
+
+def test_band_tensor_matches_the_oracle(examples):
+    rng = np.random.default_rng(64)
+    graphs = dict(examples, **{"R(8)": random_square_lattice(8, rng),
+                               "KD(8,100)": random_square_lattice(8, rng, contrast=100),
+                               "S(32)": random_strip(32, rng), "cube": cube_lattice(rng),
+                               "L2x4": normalize_period(layered_square_lattice(), 4)})
+    for name, g in graphs.items():
+        assert g.n_cell <= 64 and g.operator.route == "band", name
+        A = homogenized_tensor(g).entries
+        for z in [*np.eye(g.d), np.ones(g.d)]:
+            assert abs(z @ A @ z - brute_force_cell_oracle(g, z)) <= 1e-12 * np.abs(A).max(), name
+
+
+def _rotated_dual(wx, wy):
+    """The weights of the dual cell: the dual bond crossing each bond carries
+    its inverse weight, the dual x-bond at (x, y) crossing the y-bond at
+    (x + 1, y) and the dual y-bond at (x, y) the x-bond at (x, y + 1)."""
+    return np.roll(1.0 / wy, -1, axis=0), np.roll(1.0 / wx, -1, axis=1)
+
+
+@pytest.mark.parametrize("contrast", [2, 100])
+@pytest.mark.parametrize("T", [16, 32, 64])
+def test_duality_of_the_square_cell(T, contrast):
+    # a planar cell and its dual: A(w) R A(w*) R^T = I exactly (single
+    # count, R the rotation by 90 degrees; Keller, J. Math. Phys. 5, 1964),
+    # on cells far above the oracle's size cap and on both routes
+    rng = np.random.default_rng(T + contrast)
+    wx, wy = np.exp(rng.uniform(-np.log(contrast), np.log(contrast), (2, T, T)))
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cells = [square_cell(wx, wy), square_cell(*_rotated_dual(wx, wy))]
+    A, A_dual = (homogenized_tensor(g, convention="single").entries for g in cells)
+    assert np.abs(A @ R @ A_dual @ R.T - np.eye(2)).max() <= 1e-12
+    routes = {g.operator.route for g in cells}
+    assert routes == ({"fft"} if T == 64 and contrast == 2 else {"band"})

@@ -3,9 +3,8 @@
 The in-place loop must return what the allocating one returns, bit for bit:
 the same x, step count, backward error and r.Mr, or the same NoConvergence.
 Each caller's solve is checked by running both loops on the arguments the
-caller passes (the FFT and plain-CG correctors, the multigrid and sine
-pinned solves, the continuum grid), and the small cases of test_graph by
-calling both.
+caller passes (the FFT corrector, the multigrid and sine pinned solves,
+the continuum grid), and the small cases of test_graph by calling both.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ import scipy.sparse as sp
 from lattice_homog import BoundaryDatum, NoConvergence, homogenized_tensor, solve_corrector
 from lattice_homog import bvp, cell, solve
 from lattice_homog.asymptotic import build_window_problem
-from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 
 import cg_reference
 from conftest import EPS, random_square_lattice
@@ -62,7 +60,7 @@ def test_fft_corrector_with_the_energy_stop_is_the_reference():
     # reference loop with the allocating projection _project(precondition(r))
     g = random_square_lattice(64, np.random.default_rng(64))
     op, pre = g.operator, g.operator.preconditioner
-    assert pre is not None and g.n_cell >= PCG_MIN_NODES
+    assert op.route == "fft" and pre is not None
     fields = homogenized_tensor(g).correctors
     for e, field in zip(np.eye(2), fields):
         b = op.B @ e
@@ -81,14 +79,6 @@ def test_fft_corrector_with_the_energy_stop_is_the_reference():
 def test_fft_corrector_calls_are_the_reference(both_loops):
     compared = both_loops(cell)
     homogenized_tensor(random_square_lattice(64, np.random.default_rng(64)))
-    assert len(compared) == 2 and min(compared) > 0
-
-
-def test_plain_cg_corrector_is_the_reference(both_loops):
-    g = random_square_lattice(15, np.random.default_rng(15))
-    assert DENSE_MAX_NODES < g.n_cell < PCG_MIN_NODES
-    compared = both_loops(cell)
-    homogenized_tensor(g)
     assert len(compared) == 2 and min(compared) > 0
 
 

@@ -23,7 +23,7 @@ PINNED = {
     'ex1': ((2.4, 8.0, 2, 4, 4, 1.0, 3, 10),
            0.1666666666666667, 0.08689926270013798),
     'ex2': ((2.0, 1.0, 1, 2, 1, 1.0, 2, 2),
-           0.12499999999999999, 0.24999999999999997),
+           0.125, 0.24999999999999997),
     'ex3': ((0.5, 2.0, 2, 1, 2, 1.0, 1, 2),
            0.4000000000000001, 0.12499999999999999),
     'ex4': ((0.5, 1.0, 1, 1, 1, 1.0, 1, 2),

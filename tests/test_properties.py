@@ -28,11 +28,10 @@ from lattice_homog import (
     witness_path,
 )
 
-from lattice_homog.solve import DENSE_MAX_NODES, PCG_MIN_NODES
 from lattice_homog.coarse import check_poincare_wirtinger, check_two_connectedness
 
-from conftest import (check_certificate, cube_lattice, long_offset_chain, oracle_neighbours,
-                      plain_cg_tensor, random_square_lattice)
+from conftest import (check_certificate, cube_lattice, long_offset_chain, on_fft_route,
+                      oracle_neighbours, plain_cg_tensor, random_square_lattice)
 from harness_reference import dense_worst, trial_worst
 
 
@@ -309,8 +308,8 @@ def test_solver_matches_oracle_random(graph):
 @given(lattice_graphs(connected_only=True))
 @settings(max_examples=40, deadline=None)
 def test_small_cell_tensor_matches_plain_cg_random(graph):
-    assert graph.n_cell <= DENSE_MAX_NODES
     A, ref = homogenized_tensor(graph), plain_cg_tensor(graph)
+    assert graph.operator.route == "band"
     assert np.abs(A.entries - ref).max() <= 1e-12 * np.abs(ref).max()
     assert all(f.iterations <= 1 for f in A.correctors)
 
@@ -320,9 +319,9 @@ def test_small_cell_tensor_matches_plain_cg_random(graph):
                 min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_small_cell_f_hom_is_the_tensor_quadratic_form(graph, reps, z):
-    # re-tiled up to the dense ceiling, so the direct route meets cells of
-    # every size it serves
-    while reps > 1 and graph.n_cell * reps ** graph.d > DENSE_MAX_NODES:
+    # re-tiled up to 160 nodes, so the band route meets cells of every size
+    # up to there
+    while reps > 1 and graph.n_cell * reps ** graph.d > 160:
         reps -= 1
     g = normalize_period(graph, graph.T * reps)
     z = np.array(z[:g.d])
@@ -358,17 +357,16 @@ def test_exact_local_ratios_bound_the_trial_reference(graph, seed, trials):
 @given(lattice_graphs(connected_only=True), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_preconditioned_tensor_matches_plain_cg_random(graph, seed):
-    g = _retiled_reweighted(graph, seed)
-    assert g.operator.preconditioner is not None
+    g = on_fft_route(_retiled_reweighted(graph, seed))
     A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
     assert np.abs(A - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def _retiled_reweighted(graph, seed):
-    """`graph` re-tiled to at least PCG_MIN_NODES nodes with every orbit
-    reweighted U(0.25, 4), so the mean-weight reference is inexact."""
+    """`graph` re-tiled to at least 256 nodes with every orbit reweighted
+    U(0.25, 4), so the mean-weight reference is inexact."""
     reps = 2
-    while graph.n_cell * reps ** graph.d < PCG_MIN_NODES:
+    while graph.n_cell * reps ** graph.d < 256:
         reps += 1
     tiled = normalize_period(graph, graph.T * reps)
     weights = np.random.default_rng(seed).uniform(0.25, 4.0, len(tiled.orbits))

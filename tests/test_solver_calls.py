@@ -1,6 +1,6 @@
 """The package has one sparse direct solve, one band solve, one shift-invert
 eigensolve, one dense coarse factorization, one conjugate-gradient loop,
-one pinned-box problem and two dense inverses, and one module of solves.
+one pinned-box problem and one dense inverse, and one module of solves.
 
 Every solve and every route choice is in solve.py: the route constants are
 assigned there and nowhere else.  The window and the Dirichlet problems
@@ -10,9 +10,10 @@ so a change of solver or ordering is made in one function.  Both take the
 free block as its pairs (solve.FreeBlock), which builds its CSR only when
 a route asks for it.  One function (solve._pinned_route) chooses among
 three routes for a PinnedProblem and returns the function that runs it.
-Banded Cholesky in position order (solveh_banded, in solve._Band.solve,
-whose band is filled straight from the pairs; only the router and
-columns_solve build a _Band) solves them when d = 1, when they are small,
+Banded Cholesky in position order (cholesky_banded in solve._Band.factor
+and cho_solve_banded in solve._Band.inverse, whose band is filled straight
+from the pairs; only the router, columns_solve and the cell's band,
+solve.cell_band, build a _Band) solves them when d = 1, when they are small,
 and when their couplings spread too widely for the sine route and the band
 fits its memory cap.  Conjugate gradients (solve._cg_solve) preconditioned
 by the inverse of the system's mean-weight reference by dense sine
@@ -39,16 +40,17 @@ it; the energy stop is a keyword of that loop, not a second loop, armed
 only by the cell corrector (cell._corrector, through solve_corrector) and
 the pinned CG routes (solve._cg_solve), where only the window value
 (asymptotic.finite_window_value) asks PinnedProblem.solve for it; the
-corrector's regime is chosen by solve._corrector_route.
+corrector's route, "band" or "fft" and nothing else, is chosen by
+solve._corrector_route.
 The sharp Poincare constant (coarse.check_poincare) is the lowest
 eigenvalue of A_ff by eigsh in shift-invert mode (sigma = 0), which
 factorizes A_ff by SuperLU inside scipy, with scipy's own ordering: a
 second sparse direct factorization, allowed in that function only.
 The source is read with ast, and any use of these names by name elsewhere
 (a call, a reference or an import) fails.
-A dense inverse is taken only by the dense oracle (pinv) and by the
-periodic operator's exact inverse for small cells (inv), so the oracle
-stays a route independent of the solver it checks.
+A dense inverse is taken only by the dense oracle (pinv), so the oracle
+stays a route independent of the solver it checks; no cell corrector takes
+one.
 
 scipy's sparse solvers, its dense factorizations and its graph searches
 (scipy.sparse.linalg, scipy.linalg, scipy.sparse.csgraph) are imported by
@@ -106,10 +108,23 @@ def test_one_sparse_solve():
 
 
 def test_one_band_solve():
-    # solveh_banded only in the band filled from the pairs
-    assert _uses({"solveh_banded"}, lambda node: True) == [("solve._Band.solve", "solveh_banded")]
+    # the band factor and its solve only in the band filled from the pairs
+    assert _uses({"solveh_banded"}, lambda node: True) == []
+    assert _uses({"cholesky_banded", "cho_solve_banded"}, lambda node: True) == [
+        ("solve._Band.factor", "cholesky_banded"), ("solve._Band.inverse", "cho_solve_banded")]
     assert sorted(_uses({"_Band"}, lambda node: True)) == [
-        ("solve._pinned_route", "_Band"), ("solve.columns_solve", "_Band")]
+        ("solve._pinned_route", "_Band"), ("solve.cell_band", "_Band"),
+        ("solve.columns_solve", "_Band")]
+
+
+def test_two_corrector_routes():
+    # every value _corrector_route returns is one of the two routes
+    tree = ast.parse((SRC / "solve.py").read_text(encoding="utf-8"))
+    route, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_corrector_route"]
+    returned = {leaf.value for node in ast.walk(route) if isinstance(node, ast.Return)
+                for leaf in ast.walk(node.value) if isinstance(leaf, ast.Constant)}
+    assert returned == {"band", "fft"}
 
 
 def _fancy_slices():
@@ -202,16 +217,20 @@ def test_one_pinned_problem():
     assert [use for use in uses if use[0].split(".")[0] != "graph"] == []
 
 
-def test_two_dense_inverses():
-    # bvp's local variable `inv` (the integer 1 / eps) is not a dense inverse
+def test_one_dense_inverse():
+    # bvp's local variable `inv` (the integer 1 / eps) is not a dense inverse,
+    # and no np.linalg.inv call is left in src/
     local = {"bvp.DirichletProblem.__post_init__", "bvp.build_system"}
     assert [use for use in _uses(INVERSES, lambda node: True) if use[0] not in local] == [
-        ("graph.PeriodicOperator.exact_inverse", "inv"),
         ("oracle.brute_force_cell_oracle", "pinv")]
+    assert [node for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "inv"] == []
 
 
 def test_route_constants_only_in_solve():
-    named = {"DENSE_MAX_NODES", "PCG_MIN_NODES", "_BAND_MAX_BYTES", "_BAND_MAX_WORK", "_CG_TOL"}
+    named = {"_BAND_MAX_BYTES", "_BAND_MAX_WORK", "_CG_TOL", "_BAND_SECONDS", "_STEP_SECONDS",
+             "_STEP_NLOGN_SECONDS", "_STEPS_AT_RHO_1", "_STEPS_POWER"}
     found = sorted({(path.stem, node.id) for path in SRC.glob("*.py")
                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
@@ -276,7 +295,7 @@ def loaded():
 
 parse(builtin_example_text("ex1"))
 assert loaded() == [], loaded()
-rng, T = np.random.default_rng(5), 16
+rng, T = np.random.default_rng(5), 64
 edges = []
 for x in range(T):
     for y in range(T):
@@ -285,7 +304,7 @@ for x in range(T):
 cell = graph_from_edges(2, 0, T, [(x, y) for x in range(T) for y in range(T)], edges)
 homogenized_tensor(cell)
 f_hom(cell, [1.0, 1.0])
-assert cell.operator.preconditioner is not None
+assert cell.operator.route == "fft"
 assert loaded() == [], loaded()
 assert validate(cell).ok
 assert "scipy.sparse.csgraph" in sys.modules

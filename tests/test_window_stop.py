@@ -13,7 +13,8 @@ import logging
 import numpy as np
 import pytest
 
-from lattice_homog import (NoConvergence, asymptotic, builtin_examples, finite_window_value,
+from lattice_homog import (NoConvergence, asymptotic, builtin_examples, cell, convergence_study,
+                           finite_window_value,
                            graph_from_edges, normalize_period, solve, solve_dirichlet)
 from lattice_homog.asymptotic import build_window_problem, window_energy
 from lattice_homog.bvp import BoundaryDatum, DirichletProblem, build_system
@@ -21,7 +22,7 @@ from lattice_homog.graph import PinnedProblem
 
 import cg_reference
 import pinned_reference
-from conftest import cube_lattice, layered_square_lattice, random_square_lattice
+from conftest import cube_lattice, layered_square_lattice, on_fft_route, random_square_lattice
 from test_graph import _sine_fields, _sine_lines, _skew_lattice, _uneven_lattice
 
 EPS = float(np.finfo(float).eps)
@@ -252,3 +253,19 @@ def test_corrector_failure_falls_back_to_the_affine_start(monkeypatch, caplog):
     y = problem.solve()
     assert abs(problem.energy(x) - problem.energy(y)) <= (
         EPS * c + len(problem.coef) * EPS * problem.energy(y))
+
+
+def test_study_solves_the_two_scale_corrector_once(monkeypatch, caplog):
+    # on the FFT route every corrector is a CG solve: the study solves the
+    # cell value's and, for the windows on the certified sine route, one
+    # two-scale corrector that every K shares, not one per K
+    solves, solve_corrector = [], cell.solve_corrector
+    monkeypatch.setattr(cell, "solve_corrector",
+                        lambda *args, **kwargs: solves.append(kwargs.get("energy_tol", 0.0))
+                        or solve_corrector(*args, **kwargs))
+    graph, z = on_fft_route(_r4()), (1.0, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="lattice_homog"):
+        table = convergence_study(graph, z, [32, 33])
+    routes = [record.getMessage().split(":")[0] for record in caplog.records]
+    assert routes.count("sine") == 2 and len(table.rows) == 2
+    assert len(solves) == 2 and solves[0] > 0 and solves[1] == 0.0
