@@ -863,8 +863,28 @@ def test_cells_past_the_old_dense_ceiling_take_the_band(make):
         assert np.abs(ours.values - plain.values).max() <= 1e-9 * np.abs(plain.values).max()
     A, ref = homogenized_tensor(g).entries, plain_cg_tensor(g)
     assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert op.route == "band" and op.axis_correctors.shape == (g.n_cell, g.d)
+    assert op.route == "band"
     assert "base_cell" not in vars(op) and "preconditioner" not in vars(op)
+
+
+@pytest.mark.parametrize("make", [lambda: random_strip(81, np.random.default_rng(81)),
+                                  lambda: random_square_lattice(15, np.random.default_rng(15)),
+                                  lambda: random_strip(128, np.random.default_rng(128))],
+                         ids=["S(81)", "R(15)", "S(128)"])
+def test_axis_correctors_built_past_the_old_dense_ceiling(make):
+    # the same cells now build X, (n, d) and mean-zero, and no n x n array:
+    # the tensor and f_hom read X and its certificate, with no dense inverse
+    g = make()
+    A = homogenized_tensor(g)
+    f_hom(g, np.ones(g.d))
+    op = g.operator
+    assert "_axis_solution" in vars(op)
+    X = op.axis_correctors
+    assert X.shape == (g.n_cell, g.d)
+    assert np.abs(X.sum(axis=0)).max() <= 1e-12 * max(np.abs(X).max(), 1.0)
+    assert A.error_bound is not None and A.error_bound >= 0
+    assert not any(isinstance(v, np.ndarray) and v.shape == (g.n_cell, g.n_cell)
+                   for v in vars(op).values())
 
 
 def test_projection_by_sum_equals_mean():
