@@ -16,10 +16,13 @@ solve._corrector_route chooses once per operator by their predicted cost
     the package's one CG loop (solve._preconditioned_cg), preconditioned
     with the FFT inverse of the base cell's mean-weight Bloch symbol
     (bloch.py), which keeps the step count nearly flat in T where the
-    weights vary little.
+    weights vary little.  A cell that re-tiles no smaller one and whose
+    band is over its memory cap takes the same loop with no preconditioner
+    but the mean projection, and no energy certificate.
 Every corrector meets the relative residual ||L chi + b|| / ||b|| <= `tol`,
-so tol caps the residual; a band corrector that misses it raises
-NoConvergence.  The two functions that return energies, f_hom and
+so tol caps the residual; a band corrector X z that misses it is solved
+again for b itself on the band, and raises NoConvergence if that misses
+too.  The two functions that return energies, f_hom and
 homogenized_tensor, also stop the FFT route at an energy certificate: the
 energy error of chi with residual r is r^T L^+ r, and L >= rho L_ref for
 the mean-weight reference L_ref whose pseudo-inverse M the preconditioner
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDirection, NoConvergence
-from .solve import _EPS, _preconditioned_cg
+from .solve import _EPS, _preconditioned_cg, quotient_solve
 
 CONVENTIONS = ("double", "single")
 _log = logging.getLogger("lattice_homog")
@@ -89,8 +92,11 @@ class HomogenizedTensor:
     (the entries exceed the exact ones by factor / T^d * R^T L^+ R, a PSD
     matrix), on either route: (r_m.Mr_m) / rho from the energy stop on the
     FFT route, and the exact r_m^T L^+ r_m from the band factor on the band
-    route (PeriodicOperator.axis_errors).  It does not cover the rounding of
-    the tensor's own sums, a few sqrt(n) eps of factor / T^d * max_m C_mm.
+    route (PeriodicOperator.axis_errors).  It is inf, never None, where the
+    FFT route has no preconditioner (a cell with no sub-period and a band
+    over its cap, solve._corrector_route), which certifies nothing but a
+    zero right-hand side.  It does not cover the rounding of the tensor's
+    own sums, a few sqrt(n) eps of factor / T^d * max_m C_mm.
     """
 
     entries: np.ndarray
@@ -137,7 +143,8 @@ def solve_corrector(L, b, tol=1e-10, max_iterations=None, precondition=None, ene
     approximate inverse of L, and the loop is preconditioned CG on the same
     stopping rule: PeriodicOperator.preconditioner (bloch.py) on the FFT
     route.  When None, the loop is plain CG, the projection its only
-    preconditioner, which no route of the package takes.
+    preconditioner, which the FFT route takes for a cell with no base cell
+    (solve._corrector_route).
     `precondition` must leave r as it is, and may return r itself or a
     view of it: the projection makes a new array, and the loop writes to
     no array it is handed.
@@ -175,12 +182,14 @@ def corrector(graph, z, tol=1e-10):
     On the band route (solve._corrector_route) chi = X z, one product with
     the operator's cached axis correctors X, checked by one residual
     product: ||L chi - project(-B z)|| <= tol ||project(-B z)||.  A chi that
-    passes reports 1 iteration and that residual; one that fails raises
-    NoConvergence carrying it.  A zero right-hand side gives exact zeros
-    after 0 iterations on either route.  The FFT route runs
-    solve_corrector with the FFT preconditioner.  Every route returns a
-    field with ||L chi + b|| <= tol ||b||: the energy stop of f_hom and
-    homogenized_tensor is not taken here.  The solver, n, iterations and
+    passes reports 1 iteration and that residual; one that fails (B z a
+    rounding residue of its cancelling columns) is solved for B z itself
+    on the band factor, and raises NoConvergence carrying its residual if
+    that misses too.  A zero right-hand side gives exact zeros after 0
+    iterations on either route.  The FFT route runs solve_corrector with
+    the FFT preconditioner, or with none where the cell has no base cell.
+    Every route returns a field with ||L chi + b|| <= tol ||b||: the energy
+    stop of f_hom and homogenized_tensor is not taken here.  The solver, n, iterations and
     residual go to the `lattice_homog` logger at debug level.
     """
     return _corrector(graph, _check_direction(graph, z), tol)[0]
@@ -189,7 +198,8 @@ def corrector(graph, z, tol=1e-10):
 def _corrector(graph, z, tol, certify=False):
     """(corrector field, B z, L chi or None) for a checked direction z; L chi
     is the product the band route's check has taken, None on the FFT route.
-    With `certify` the FFT route also takes the energy stop
+    With `certify` the FFT route, where it has a preconditioner, also
+    takes the energy stop
     r.Mr <= eps rho z^T C z, and the field's r_Mr / rho bounds
     r^T L^+ r, the single-count energy error of chi."""
     op = graph.operator
@@ -198,13 +208,16 @@ def _corrector(graph, z, tol, certify=False):
     if X is not None:
         field, Lchi = _band_corrector(op, X, z, b, tol)
     else:
-        fft = op.preconditioner
+        fft = op.preconditioner      # None: the cell re-tiles no smaller one
+        certify = certify and fft is not None
         energy_tol = _EPS * fft.rho * float(z @ op.C @ z) if certify else 0.0
         field = solve_corrector(op.L, b, tol=tol, precondition=fft, energy_tol=energy_tol)
         field.direction, Lchi = z, None
     if _log.isEnabledFor(logging.DEBUG):
+        fft = op.preconditioner if X is None else None
         solver = (f"band (width {op.band.width})" if X is not None else
-                  f"fft-pcg (t={op.preconditioner.t}, n0={op.preconditioner.n0})")
+                  "cg (no sub-period, band over its cap)" if fft is None else
+                  f"fft-pcg (t={fft.t}, n0={fft.n0})")
         _log.debug("corrector: solver %s, n %d, iterations %d, residual %.3e",
                    solver, graph.n_cell, field.iterations, field.residual)
     return field, b, Lchi
@@ -212,21 +225,31 @@ def _corrector(graph, z, tol, certify=False):
 
 def _band_corrector(op, X, z, b, tol):
     """(field, L chi) of chi = X z with X the axis correctors, checked by
-    the relative-residual stop of solve_corrector; NoConvergence, with the
-    residual, when chi misses it."""
+    the relative-residual stop of solve_corrector.  Where the columns of
+    B z cancel, b can be a rounding residue far below them, which X z,
+    solved for the columns, cannot meet; chi is then solved for b itself
+    on the band (solve.quotient_solve).  NoConvergence, with the residual,
+    when that chi misses the stop too."""
     rhs = _project(-b)
     scale = math.sqrt(rhs @ rhs)
     if scale == 0:
         zeros = np.zeros_like(rhs)
         return CorrectorField(zeros, z, 0.0, 0), zeros
-    chi = X @ z
-    Lchi = op.L @ chi
-    r = Lchi - rhs
-    residual = math.sqrt(r @ r)
+    chi, Lchi, residual = _checked(op.L, X @ z, rhs)
     if not residual <= tol * scale:     # a NaN residual fails too
+        direct = quotient_solve(op.band, op.L, rhs[:, None])[0][:, 0]
+        chi, Lchi, residual = _checked(op.L, direct, rhs)
+    if not residual <= tol * scale:
         raise NoConvergence(f"band corrector missed its residual check: residual "
                             f"{residual:.3e} > tol {tol:.3e} x {scale:.3e}", residual=residual)
     return CorrectorField(chi, z, residual, 1), Lchi
+
+
+def _checked(L, chi, rhs):
+    """(chi, L chi, ||L chi - rhs||)."""
+    Lchi = L @ chi
+    r = Lchi - rhs
+    return chi, Lchi, math.sqrt(r @ r)
 
 
 def cell_energy(graph, z, corrector_field, convention="double"):
@@ -247,8 +270,8 @@ def f_hom(graph, z, tol=1e-10, convention="double"):
     """Homogenized energy density in direction z: cell_energy of the
     corrector, with z checked once and B z and L chi each formed once.
 
-    `tol` caps the corrector's relative residual.  On the FFT route the
-    corrector also stops once r.Mr <= eps rho z^T C z, so the energy it
+    `tol` caps the corrector's relative residual.  On the FFT route with a
+    preconditioner the corrector also stops once r.Mr <= eps rho z^T C z, so the energy it
     leaves above the minimum is below one rounding of the single-count
     affine energy (times the convention factor over T^d); the band route
     is that of `corrector`, with no per-call work added.
@@ -268,9 +291,10 @@ def homogenized_tensor(graph, tol=1e-10, convention="double"):
     A[m, n] == A[n, m] exactly.  `tol` caps each axis corrector's relative
     residual; on the FFT route axis m also stops once r.Mr <= eps rho C_mm.
     `error_bound` certifies the entry error that stopping leaves (see
-    HomogenizedTensor): from the loop's last r.Mr on the FFT route, and on
-    the band route from the operator's axis_errors, solved beside X on the
-    same factor; neither costs a tensor anything more.
+    HomogenizedTensor): from the loop's last r.Mr on the FFT route (inf
+    with no preconditioner), and on the band route from the operator's
+    axis_errors, solved beside X on the same factor; neither costs a
+    tensor anything more.
     """
     op = graph.operator
     factor = convention_factor(convention) / graph.T ** graph.d
@@ -282,6 +306,8 @@ def homogenized_tensor(graph, tol=1e-10, convention="double"):
     A = factor * 0.5 * (A + A.T)
     if op.route == "band":
         errors = op.axis_errors
+    elif op.preconditioner is None:     # CG with no certificate
+        errors = np.array([0.0 if f.r_Mr == 0 else math.inf for f in fields])
     else:
         errors = np.array([f.r_Mr for f in fields]) / op.preconditioner.rho
     error_bound = factor * float(np.max(errors, initial=0.0))

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from .bloch import FFTPreconditioner, fft_base_cell
 from .errors import DisconnectedGraph, EmptyWindow, NoConvergence, UnknownNode
 from .solve import (FreeBlock, _corrector_route, band_correctors, band_first, cell_band,
-                    columns_solve, pinned_solve)
+                    cell_band_width, columns_solve, pinned_solve)
 
 
 @dataclass(frozen=True, order=True)
@@ -251,20 +251,22 @@ class PeriodicOperator:
 
     The corrector's route, "band" or "fft" (solve._corrector_route), is
     chosen once, on first use (`route`), and builds only what it reads:
-    `band`, the quotient Laplacian L as a solve._Band in fold order
-    (solve.cell_band), whose width it always reads, and `base_cell`, the
-    cell's smallest sub-period t | T (bloch.fft_base_cell) or None, only
-    when the band is not plainly cheaper.  `preconditioner`, the FFT
-    preconditioner of that base cell (bloch.py), an approximate inverse of
-    L for the corrector CG, or None, is built on first use, which on the
-    band route never comes.  `axis_correctors` is None on the FFT route,
-    and on the band route the n x d matrix X with L X = mean B - B, each
-    column mean-zero on every component of the quotient: column m is the
-    corrector of the axis direction e_m, so the corrector of a direction z
-    is the product X z (cell.corrector).  `axis_errors`, from the same
-    factor, holds each column's energy error r_m^T L^+ r_m
-    (solve.band_correctors).  Both are solved once, on first use, and are
-    read-only.
+    `band_width`, the width of the quotient Laplacian L's band in fold
+    order (solve.cell_band_width), which it always reads, and `base_cell`,
+    the cell's smallest sub-period t | T (bloch.fft_base_cell) or None,
+    only when the band is not plainly cheaper.  `band`, L as a solve._Band
+    in fold order (solve.cell_band), is filled on first use, which on the
+    FFT route never comes.  `preconditioner`, the FFT preconditioner of
+    the base cell (bloch.py), an approximate inverse of L for the corrector
+    CG, or None when there is no base cell, is built on first use, which
+    on the band route never comes.  `axis_correctors` is None on the FFT
+    route, and on the band route the n x d matrix X with
+    L X = mean B - B, each column mean-zero on every component of the
+    quotient: column m is the corrector of the axis direction e_m, so the
+    corrector of a direction z is the product X z (cell.corrector).
+    `axis_errors`, None on the FFT route too, holds each column's energy
+    error r_m^T L^+ r_m from the same factor (solve.band_correctors).
+    Both are solved once, on first use, and are read-only.
     """
 
     def __init__(self, graph):
@@ -286,6 +288,12 @@ class PeriodicOperator:
     @cached_property
     def route(self):
         return _corrector_route(self)
+
+    @cached_property
+    def band_width(self):
+        g = self.graph
+        a, b, _ = _couplings(np.column_stack([g.u, g.v]), g.w)
+        return cell_band_width(a, b, g.dpos, g.T)
 
     @cached_property
     def band(self):
@@ -314,7 +322,7 @@ class PeriodicOperator:
 
     @property
     def axis_errors(self):
-        return self._axis_solution[1]
+        return self._axis_solution[1] if self.route == "band" else None
 
 
 def _cancelling(B, u, v, wdisp):

@@ -2,10 +2,10 @@
 
 _corrector_route chooses the route of the cell corrector (cell.py) by
 predicted cost, once per operator: banded Cholesky of the quotient
-Laplacian in fold order (cell_band, band_correctors), or FFT-preconditioned
-CG.  A pinned system comes as a FreeBlock, the pairs of its free block A_ff
-from one pass over its edges, with the canonical CSR built only when a
-route asks for it.
+Laplacian in fold order (cell_band, band_correctors, quotient_solve), or
+FFT-preconditioned CG.  A pinned system comes as a FreeBlock, the pairs
+of its free block A_ff from one pass over its edges, with the canonical
+CSR built only when a route asks for it.
 pinned_solve solves a PinnedProblem's system by one of three routes,
 chosen in one function (_pinned_route), which builds the box of its free
 positions (_Box) once: banded Cholesky in position order (_Band), filled
@@ -61,9 +61,13 @@ def _corrector_route(op):
     cell's rho (bloch.BaseCell) falls: steps(rho) = 8.5 rho^-0.6, fitted
     to the energy-stopped steps of R(T) and KD(T, c) below.  The band is
     plainly cheaper when it beats FFT-PCG at rho = 1, the fewest steps:
-    then no base cell is sought and no FFT preconditioner is built.
-    Otherwise a cell that re-tiles no smaller one (bloch.fft_base_cell is
-    None) takes the band too, whatever its storage.
+    then no base cell is sought and no FFT preconditioner is built.  The
+    rule reads the band's width alone (PeriodicOperator.band_width), so a
+    cell that takes the FFT route fills no band.  Otherwise a cell that
+    re-tiles no smaller one (bloch.fft_base_cell is None) takes the band
+    when its storage fits, and else the FFT route with no preconditioner:
+    CG with the mean projection alone (cell.solve_corrector), whose memory
+    grows only as n, and which certifies no energy error.
 
     The sweep behind the constants: one tensor's solves on a fresh graph,
     in ms, best of 7 on a 2-vCPU x86 host with one BLAS thread: the band
@@ -102,12 +106,14 @@ def _corrector_route(op):
     neither.
     """
     n, d = op.B.shape
-    rows = op.band.width + 1
+    rows = op.band_width + 1
     band = _BAND_SECONDS * n * rows * rows if rows * n * 8 <= _BAND_MAX_BYTES else math.inf
     step = d * (_STEP_SECONDS + _STEP_NLOGN_SECONDS * n * math.log2(max(n, 2)))
     fewest = _STEPS_AT_RHO_1 * step     # FFT-PCG at rho = 1
-    if band <= fewest or op.base_cell is None:      # the first test seeks no base cell
+    if band <= fewest:      # seeks no base cell
         return "band"
+    if op.base_cell is None:
+        return "band" if band < math.inf else "fft"
     return "fft" if fewest * op.base_cell.rho ** -_STEPS_POWER < band else "band"
 
 
@@ -117,32 +123,52 @@ def cell_band(block, positions, T):
     [0, T): ordered by position with every axis visited in fold order
     0, T-1, 1, T-2, ..., so that a link that wraps around the cell joins
     positions as near in the order as any other link does."""
-    folded = np.where(2 * positions < T, 2 * positions, 2 * (T - 1 - positions) + 1)
-    return _Band(block, _Box(folded))
+    return _Band(block, _fold_box(positions, T))
+
+
+def cell_band_width(a, b, positions, T):
+    """The width of cell_band's band for the couplings between vertices a[e]
+    and b[e] (graph._couplings), from the order alone: no band is filled."""
+    n = len(positions)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(_position_key(_fold_box(positions, T)), kind="stable")] = np.arange(n)
+    return int(np.abs(rank[a] - rank[b]).max(initial=0))
+
+
+def _fold_box(positions, T):
+    """The _Box of positions in [0, T) with every axis in fold order."""
+    return _Box(np.where(2 * positions < T, 2 * positions, 2 * (T - 1 - positions) + 1))
 
 
 def band_correctors(band, L, B):
     """(X, errors) of the cell corrector's band route for the quotient
-    Laplacian L, its _Band `band` (cell_band) and B (n, d): X with
-    L X = mean B - B, each column mean-zero on every connected component of
-    the quotient, and errors[m] = r_m^T L^+ r_m for the residual r_m of
+    Laplacian L, its _Band `band` (cell_band) and B (n, d): quotient_solve
+    of the d columns mean B - B on one factor, X the axis correctors.  B = 0
+    gives exact zeros and factors nothing."""
+    n, d = B.shape
+    if not B.any():
+        return np.zeros((n, d)), np.zeros(d)
+    return quotient_solve(band, L, B.sum(axis=0) / n - B)
+
+
+def quotient_solve(band, L, rhs):
+    """(X, errors) for the quotient Laplacian L, its _Band `band` (cell_band)
+    and right-hand sides rhs (n, k) that sum to zero on every connected
+    component of the quotient: X with L X = rhs, each column mean-zero on
+    every component, and errors[m] = r_m^T L^+ r_m for the residual r_m of
     column m, its energy error.
 
     One vertex per component, its first, is grounded: held at zero, which
     leaves a positive definite system (the grounded block of L), factored
-    once (band.factor).  The d columns mean B - B are solved on it, then
-    each component's mean is removed, and the same factor gives
+    once (band.factor).  The k columns are solved on it, then each
+    component's mean is removed, and the same factor gives
     r_f^T A_ff^-1 r_f, which is r^T L^+ r for a residual that sums to zero
-    on every component.  B = 0 gives exact zeros and factors nothing.
+    on every component.
     """
-    n, d = B.shape
-    if not B.any():
-        return np.zeros((n, d)), np.zeros(d)
     import scipy.sparse.csgraph as csgraph
     labels = csgraph.connected_components(L, directed=False)[1]
     grounded = np.unique(labels, return_index=True)[1]
     factor = band.factor(grounded)
-    rhs = B.sum(axis=0) / n - B
     free = rhs.copy()
     free[grounded] = 0.0
     X = band.inverse(factor, free)
@@ -687,6 +713,14 @@ def _sine_solve(bases, symbol, x):
     return _sine_transform(bases, _sine_transform(bases, x) / symbol)
 
 
+def _position_key(box):
+    """The flat index of each position of the _Box `box`, its longest axis
+    slowest: _Band's order is a stable sort of it."""
+    longest, d = box.shape.index(max(box.shape)), len(box.shape)
+    axes = [*range(longest, d), *range(longest)]
+    return np.ravel_multi_index([box.columns[m] for m in axes], [box.shape[m] for m in axes])
+
+
 class _Band:
     """A_ff of a FreeBlock `block` as a band in position order, filled
     straight from its pairs, and its banded Cholesky factor (LAPACK dpbtrf)
@@ -713,9 +747,7 @@ class _Band:
 
     def __init__(self, block, box):
         self.block, self.box, n = block, box, len(block.diag)
-        longest, d = box.shape.index(max(box.shape)), len(box.shape)
-        axes = [*range(longest, d), *range(longest)]
-        key = np.ravel_multi_index([box.columns[m] for m in axes], [box.shape[m] for m in axes])
+        key = _position_key(box)
         (i, j, off), self.diag, self.order, self.rank = block.pairs(), block.diag, None, None
         if np.any(key[1:] < key[:-1]):     # not in position order yet
             self.order = np.argsort(key, kind="stable")

@@ -29,6 +29,7 @@ from lattice_homog.cell import convention_factor
 from lattice_homog import graph as graph_module
 from lattice_homog import solve
 from lattice_homog.graph import PeriodicOperator
+from lattice_homog.lgf import parse
 
 from conftest import (
     EPS,
@@ -686,21 +687,33 @@ def test_f_hom_on_the_fft_route_meets_the_reference(caplog):
 
 
 def test_dense_error_bound_is_the_iteration_error():
-    # a small cell takes the band: the bound is
-    # factor * max_m r_m^T L^+ r_m for the residuals r_m of the axis
-    # correctors X, which bounds the entries' excess factor * E^T L E over
-    # the exact ones (E = X - X*, L E = R); L^+ here is the dense
-    # pseudo-inverse
+    # a small cell takes the band: its axis_errors are r_m^T L^+ r_m for the
+    # residuals r_m of the axis correctors X, L^+ the dense pseudo-inverse;
+    # axis correctors off by a mean-zero D (still within tol = 1e-3) leave
+    # the entries factor * D^T L D too high, and the bound is its largest
+    # diagonal entry, r^T L^+ r with r = L D
     g = random_square_lattice(8, np.random.default_rng(8))
     op = g.operator
-    t = homogenized_tensor(g)
-    assert op.route == "band" and all(f.iterations == 1 for f in t.correctors)
-    X = op.axis_correctors
-    R = op.L @ X + op.B - op.B.sum(axis=0) / g.n_cell
-    errors = np.einsum("im,im->m", R, pseudo_inverse(op.L) @ R)
-    assert op.axis_errors == pytest.approx(errors, rel=1e-6)
-    assert t.error_bound == 2.0 / g.T ** 2 * op.axis_errors.max()
-    assert 0.0 < t.error_bound <= 1e-25
+    exact = homogenized_tensor(g, tol=1e-3)
+    assert op.route == "band" and all(f.iterations == 1 for f in exact.correctors)
+    X, inverse = op.axis_correctors, pseudo_inverse(op.L)
+    rhs = op.B.sum(axis=0) / g.n_cell - op.B
+
+    def errors(X):
+        R = op.L @ X - rhs
+        return np.einsum("im,im->m", R, inverse @ R)
+
+    assert op.axis_errors == pytest.approx(errors(X), rel=1e-6)
+    assert exact.error_bound == 2.0 / g.T ** 2 * op.axis_errors.max()
+    assert 0.0 < exact.error_bound <= 1e-25
+    D = 1e-6 * np.random.default_rng(1).standard_normal((g.n_cell, 2))
+    D -= D.mean(axis=0)
+    op.__dict__["_axis_solution"] = (X + D, errors(X + D))
+    t = homogenized_tensor(g, tol=1e-3)
+    assert all(f.iterations == 1 for f in t.correctors)
+    iteration = 2.0 / g.T ** 2 * (D.T @ (op.L @ D))
+    assert t.error_bound == pytest.approx(iteration.diagonal().max(), rel=1e-6)
+    assert np.abs(t.entries - exact.entries - iteration).max() <= 1e-6 * t.error_bound + 1e-15
 
 
 def test_fft_route_corrector_keeps_the_residual_stop(rng):
@@ -1014,17 +1027,99 @@ def test_axis_correctors_built_once_and_read_only(monkeypatch):
     assert np.abs(X.sum(axis=0)).max() <= 1e-12
 
 
+def test_route_reads_the_band_width_alone():
+    # the route reads the width of the band in fold order, the band's own
+    # width, and a cell on the FFT route fills no band and solves no axis
+    # corrector or error
+    routes = set()
+    for name, g in ROUTE_CELLS.items():
+        op = PeriodicOperator(g)
+        routes.add(op.route)
+        assert "band" not in op.__dict__, name
+        if op.route == "fft":
+            assert op.axis_correctors is None and op.axis_errors is None, name
+            assert "band" not in op.__dict__ and "_axis_solution" not in op.__dict__, name
+        assert op.band_width == op.band.width, name
+    assert routes == {"band", "fft"}
+
+
+def test_a_cell_with_no_sub_period_keeps_the_band_cap(monkeypatch):
+    # a cell that re-tiles no smaller one, with its band over the cap, fills
+    # no band: the FFT route runs CG with no preconditioner, in memory that
+    # grows only as n, and certifies nothing but a zero right-hand side
+    band = homogenized_tensor(random_strip(128, np.random.default_rng(128)))
+    g = random_strip(128, np.random.default_rng(128))
+    op = g.operator
+    monkeypatch.setattr(solve, "_BAND_MAX_BYTES", (op.band_width + 1) * g.n_cell * 8 - 1)
+    assert op.route == "fft" and op.base_cell is None and op.preconditioner is None
+    t = homogenized_tensor(g)
+    assert op.axis_correctors is None and op.axis_errors is None
+    assert "band" not in op.__dict__
+    assert np.abs(t.entries - band.entries).max() <= 1e-12 * np.abs(band.entries).max()
+    assert t.error_bound == np.inf
+    assert f_hom(g, [1.0]) == pytest.approx(band.entries[0, 0], rel=1e-12)
+
+
 def test_band_corrector_raises_on_a_missed_tolerance(examples):
-    # no product meets tol = 1e-300: NoConvergence carries the residual
-    # ||L chi - project(-b)|| of chi = X z, and no CG loop runs
+    # no product meets tol = 1e-300: X z misses, the solve for b itself on
+    # the band misses too, and NoConvergence carries the residual
+    # ||L chi - project(-b)|| of that chi; no CG loop runs
     g = examples["ex5"]
     op = g.operator
     b = op.B @ np.ones(1)
     with pytest.raises(NoConvergence, match="band corrector missed its residual check") as err:
         corrector(g, [1.0], tol=1e-300)
-    chi = op.axis_correctors @ np.ones(1)
-    assert err.value.residual == np.linalg.norm(op.L @ chi - (b.mean() - b)) > 0
+    rhs = b.mean() - b
+    chi = solve.quotient_solve(op.band, op.L, rhs[:, None])[0][:, 0]
+    assert err.value.residual == np.linalg.norm(op.L @ chi - rhs) > 0
     assert f"residual {err.value.residual:.3e}" in str(err.value)
+
+
+# a re-tiled cell whose B z cancels at z = (1, 1) to a rounding residue at
+# one node, 4.4e-16 against columns of 1.92: X z misses the residual check
+# on it
+CANCELLING_CELL = """d 2
+k 1
+T 2
+node 0 0 0
+node 0 0 1
+node 0 1 0
+node 0 1 1
+node 1 0 0
+node 1 0 1
+node 1 1 0
+node 1 1 1
+edge (0 0 0) (0 1 0)+0-1 3.0
+edge (0 0 0) (0 1 0) 3.0
+edge (0 0 0) (1 0 0)-1+0 1.0
+edge (0 0 0) (1 0 0) 1.0
+edge (0 0 0) (1 1 1)+0-1 1.9248784984004677
+edge (0 0 1) (1 1 0)-1+0 1.9248784984004677
+edge (0 1 0) (1 0 1) 1.9248784984004677
+edge (0 1 0) (1 1 0)-1+0 1.0
+edge (0 1 0) (1 1 0) 1.0
+edge (0 1 1) (1 0 0)-1+1 1.9248784984004677
+edge (1 0 0) (1 1 0)+0-1 3.0
+edge (1 0 0) (1 1 0) 3.0
+"""
+
+
+def test_band_corrector_solves_a_cancelling_right_hand_side():
+    # B z is a rounding residue that X z cannot meet: the corrector is
+    # solved for B z itself on the band, meets the check, and f_hom is the
+    # tensor's quadratic form
+    g = parse(CANCELLING_CELL)
+    op = g.operator
+    z = np.ones(2)
+    b = op.B @ z
+    rhs = b.mean() - b
+    assert op.route == "band" and 0 < np.abs(b).max() <= 1e-15
+    assert np.linalg.norm(op.L @ (op.axis_correctors @ z) - rhs) > 1e-10 * np.linalg.norm(rhs)
+    field = corrector(g, z)
+    assert field.iterations == 1
+    assert field.residual == np.linalg.norm(op.L @ field.values - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    scale = 2.0 * (z @ np.abs(op.C) @ z) / g.T ** 2
+    assert abs(f_hom(g, z) - homogenized_tensor(g).quadratic_form(z)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
