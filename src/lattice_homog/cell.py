@@ -189,8 +189,9 @@ def corrector(graph, z, tol=1e-10):
     iterations on either route.  The FFT route runs solve_corrector with
     the FFT preconditioner, or with none where the cell has no base cell.
     Every route returns a field with ||L chi + b|| <= tol ||b||: the energy
-    stop of f_hom and homogenized_tensor is not taken here.  The solver, n, iterations and
-    residual go to the `lattice_homog` logger at debug level.
+    stop of f_hom and homogenized_tensor is not taken here.  The solver, n,
+    iterations and residual go to the `lattice_homog` logger at debug
+    level.
     """
     return _corrector(graph, _check_direction(graph, z), tol)[0]
 
@@ -199,9 +200,8 @@ def _corrector(graph, z, tol, certify=False):
     """(corrector field, B z, L chi or None) for a checked direction z; L chi
     is the product the band route's check has taken, None on the FFT route.
     With `certify` the FFT route, where it has a preconditioner, also
-    takes the energy stop
-    r.Mr <= eps rho z^T C z, and the field's r_Mr / rho bounds
-    r^T L^+ r, the single-count energy error of chi."""
+    takes the energy stop r.Mr <= eps rho z^T C z, and the field's
+    r_Mr / rho bounds r^T L^+ r, the single-count energy error of chi."""
     op = graph.operator
     b = op.B @ z
     X = op.axis_correctors      # None on the FFT route
@@ -271,10 +271,10 @@ def f_hom(graph, z, tol=1e-10, convention="double"):
     corrector, with z checked once and B z and L chi each formed once.
 
     `tol` caps the corrector's relative residual.  On the FFT route with a
-    preconditioner the corrector also stops once r.Mr <= eps rho z^T C z, so the energy it
-    leaves above the minimum is below one rounding of the single-count
-    affine energy (times the convention factor over T^d); the band route
-    is that of `corrector`, with no per-call work added.
+    preconditioner the corrector also stops once r.Mr <= eps rho z^T C z,
+    so the energy it leaves above the minimum is below one rounding of the
+    single-count affine energy (times the convention factor over T^d); the
+    band route is that of `corrector`, with no per-call work added.
     """
     z = _check_direction(graph, z)
     factor = convention_factor(convention)
